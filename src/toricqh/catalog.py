@@ -74,6 +74,24 @@ def twisted_bundle_threefold() -> Fan:
     return Fan(3, rays, cones)
 
 
+def product(*factors: Fan) -> Fan:
+    """The product fan: the rays of each factor in its own block of
+    coordinates, the maximal cones the unions of one maximal cone from each
+    factor.  Rays are numbered factor by factor."""
+    if not factors:
+        raise ValueError("a product needs at least one factor")
+    dim = sum(f.dim for f in factors)
+    rays: list[tuple[int, ...]] = []
+    cones: list[tuple[int, ...]] = [()]
+    before = 0  # coordinates taken by the earlier factors
+    for f in factors:
+        offset = len(rays)
+        rays += [(0,) * before + r + (0,) * (dim - before - f.dim) for r in f.rays]
+        cones = [c + tuple(i + offset for i in d) for c in cones for d in f.max_cones]
+        before += f.dim
+    return Fan(dim, tuple(rays), tuple(cones))
+
+
 CORPUS: dict[str, Fan] = {}
 
 

@@ -12,10 +12,10 @@ and '[k1,...]' the class of the stratum of the cone spanned by those rays.
 Products are quantum products in `multiply` and classical cup products in
 `gw`.
 
-Exit codes: 0 success, 2 unusable input, 3 fan rejected or located nowhere,
-4 fan outside the tier a computation needs, 5 precondition failure on
-otherwise valid data (ineffective class, bad blow-down order, rootless
-tree).
+Exit codes: 0 success, 2 unusable input, 3 fan rejected, located nowhere
+or failing an internal consistency check, 4 fan outside the tier a
+computation needs, 5 precondition failure on otherwise valid data
+(ineffective class, bad blow-down order, rootless tree).
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .errors import (
     NotInClass,
     NotInTier,
     PreconditionFailed,
+    RingInconsistent,
 )
 from .fan import CurveClass, Fan
 from .quantum import QuantumClass
@@ -618,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _EXITS: tuple[tuple[tuple, int], ...] = (
     ((ExpressionError, NotACone, IndexOutOfRange, ValueError, OSError), 2),
-    ((FanNotAccepted, LocateFailure), 3),
+    ((FanNotAccepted, LocateFailure, RingInconsistent), 3),
     ((NotFano, NotInClass, NotInTier), 4),
     ((NotEffective, PreconditionFailed, BlowDownInvalid), 5),
 )

@@ -4,9 +4,15 @@ The basis comes from a line shelling of the maximal cones: a generic
 lattice perturbation orders the cones, and each cone mu_i is cut down to
 tau_i by intersecting with its later facet-neighbors.  The classes of the
 strata X(tau_i) form a basis, one class of degree d per tau_i with
-|tau_i| = d.  Normal forms are computed degree by degree with exact row
-reduction over Q, pivoting away from the pinned square-free monomials
-prod(D_rho, rho in tau_i) so every class is expressed in that basis.
+|tau_i| = d.  Normal forms are built once per degree.  The linear and
+primitive relations on all monomials of that degree go into a sparse exact
+echelon (integer rows, pivot at the lowest column), with the pinned
+square-free monomials prod(D_rho, rho in tau_i) as the last columns so
+that none of them becomes a pivot.  Back substitution then gives a table
+from every monomial to its coordinates in the pinned basis, and a normal
+form is a sum of table rows.  The quotient dimension, monomials minus
+echelon rank, does not depend on the pinned basis and is checked against
+the shelling census.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 
 from . import fan as fan_mod
 from . import fano, lattice
-from .errors import IndexOutOfRange, NotACone, NotFano, PreconditionFailed
+from .errors import IndexOutOfRange, NotACone, NotFano, PreconditionFailed, RingInconsistent
 from .fan import Cone, Fan
 
 Monomial = tuple[int, ...]  # sorted divisor indices with multiplicity
@@ -138,34 +144,13 @@ def _compute_shelling(fan: Fan) -> Shelling:
     return Shelling(chosen, tuple(order), tuple(taus))
 
 
-class _DegreeReducer:
-    """Row-reduced relations for one degree, with the pinned columns last."""
+@dataclass(frozen=True)
+class _DegreeTable:
+    """The normal form of every monomial of one degree, and the relation rank."""
 
-    def __init__(self, columns: list[Monomial], n_pinned: int, rows, pivots, col_of, basis_ids):
-        self.columns = columns
-        self.n_pinned = n_pinned
-        self.rows = rows
-        self.pivots = pivots
-        self.col_of = col_of
-        self.basis_ids = basis_ids  # column position (in pinned block) -> basis index
-
-    def reduce(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        work = dict(vec)
-        for row, pivot in zip(self.rows, self.pivots):
-            coeff = work.get(pivot)
-            if not coeff:
-                continue
-            for j, val in enumerate(row):
-                if val:
-                    work[j] = work.get(j, Fraction(0)) - coeff * val
-            work.pop(pivot, None)
-        out = {}
-        for j, val in work.items():
-            if val == 0:
-                continue
-            assert j >= len(self.columns) - self.n_pinned, "reduction escaped the pinned block"
-            out[self.basis_ids[j]] = val
-        return out
+    n_monomials: int
+    rank: int
+    forms: dict[Monomial, dict[int, Fraction]]  # monomial -> basis index -> coeff
 
 
 class _CohomologyRing:
@@ -181,69 +166,67 @@ class _CohomologyRing:
             self.by_degree.setdefault(len(tau), []).append(i)
         tops = self.by_degree.get(fan.dim, [])
         zeros = self.by_degree.get(0, [])
-        assert len(tops) == 1 and len(zeros) == 1, "shelling census lost uniqueness at the ends"
+        if len(tops) != 1 or len(zeros) != 1:
+            raise RingInconsistent("shelling census lost uniqueness at the ends")
         self.top_index = tops[0]
         self.unit_index = zeros[0]
-        self._reducers: dict[int, _DegreeReducer] = {}
+        self._tables: dict[int, _DegreeTable] = {}
 
     def census(self) -> dict[int, int]:
         return {d: len(ids) for d, ids in sorted(self.by_degree.items())}
 
-    def reducer(self, degree: int) -> _DegreeReducer:
-        red = self._reducers.get(degree)
-        if red is not None:
-            return red
+    def table(self, degree: int) -> _DegreeTable:
+        tab = self._tables.get(degree)
+        if tab is not None:
+            return tab
         fan = self.fan
         m, n = fan.n_rays, fan.dim
         monos = sorted(combinations_with_replacement(range(m), degree))
-        pinned = {}
+        pinned: dict[Monomial, int] = {}
         for i in self.by_degree.get(degree, []):
-            mono = tuple(self.basis_tau[i])
-            assert mono not in pinned, "duplicate tau monomial"
+            mono = self.basis_tau[i]
+            if mono in pinned:
+                raise RingInconsistent(f"duplicate tau monomial {mono}")
             pinned[mono] = i
-        unpinned = [mo for mo in monos if mo not in pinned]
-        columns = unpinned + [mo for mo in monos if mo in pinned]
+        columns = [mo for mo in monos if mo not in pinned] + [mo for mo in monos if mo in pinned]
         col_of = {mo: j for j, mo in enumerate(columns)}
-        basis_ids = {j: pinned[mo] for j, mo in enumerate(columns) if mo in pinned}
+        first_pinned = len(columns) - len(pinned)
 
-        rows: list[list[Fraction]] = []
-        if degree >= 1:
-            lower = sorted(combinations_with_replacement(range(m), degree - 1))
-            for t in range(n):
-                coeffs = [fan.rays[i][t] for i in range(m)]
-                for mono in lower:
-                    row = [Fraction(0)] * len(columns)
-                    for i in range(m):
-                        if coeffs[i]:
-                            row[col_of[tuple(sorted(mono + (i,)))]] += coeffs[i]
-                    rows.append(row)
+        ech = lattice.Echelon()
         for pset in fan_mod.primitive_sets(fan):
-            if len(pset) > degree:
-                continue
-            for mono in combinations_with_replacement(range(m), degree - len(pset)):
-                row = [Fraction(0)] * len(columns)
-                row[col_of[tuple(sorted(pset + mono))]] += 1
-                rows.append(row)
+            if len(pset) <= degree:
+                for mono in combinations_with_replacement(range(m), degree - len(pset)):
+                    ech.insert({col_of[tuple(sorted(pset + mono))]: 1})
+        if degree >= 1:
+            for t in range(n):
+                coeffs = [(i, fan.rays[i][t]) for i in range(m) if fan.rays[i][t]]
+                for mono in combinations_with_replacement(range(m), degree - 1):
+                    row: dict[int, int] = {}
+                    for i, c in coeffs:
+                        j = col_of[tuple(sorted(mono + (i,)))]
+                        row[j] = row.get(j, 0) + c
+                    ech.insert(row)
 
-        reduced, pivots = lattice.rref(rows)
-        n_pinned = len(pinned)
-        assert all(p < len(columns) - n_pinned for p in pivots), "a pinned monomial pivoted"
-        assert len(columns) - len(pivots) == n_pinned, (
-            f"degree {degree}: quotient dimension {len(columns) - len(pivots)}"
-            f" does not match the shelling census {n_pinned}"
-        )
-        red = _DegreeReducer(columns, n_pinned, reduced, pivots, col_of, basis_ids)
-        self._reducers[degree] = red
-        return red
+        if any(p >= first_pinned for p in ech.rows):
+            raise RingInconsistent(f"degree {degree}: a pinned monomial pivoted")
+        if len(columns) - ech.rank != len(pinned):
+            raise RingInconsistent(
+                f"degree {degree}: quotient dimension {len(columns) - ech.rank}"
+                f" does not match the shelling census {len(pinned)}"
+            )
+        values = ech.solve({col_of[mo]: {i: Fraction(1)} for mo, i in pinned.items()})
+        tab = _DegreeTable(len(columns), ech.rank, {columns[j]: v for j, v in values.items()})
+        self._tables[degree] = tab
+        return tab
 
     def quotient_dimension(self, degree: int) -> int:
         if degree < 0 or degree > self.fan.dim:
             return 0
-        red = self.reducer(degree)
-        return len(red.columns) - len(red.rows)
+        tab = self.table(degree)
+        return tab.n_monomials - tab.rank
 
     def normal_form(self, poly: Mapping[Monomial, Fraction]) -> CohomologyClass:
-        by_degree: dict[int, dict[int, Fraction]] = {}
+        coords: dict[int, Fraction] = {}
         for mono, coeff in poly.items():
             key = tuple(sorted(int(i) for i in mono))
             if any(i < 0 or i >= self.fan.n_rays for i in key):
@@ -251,14 +234,8 @@ class _CohomologyRing:
             coeff = Fraction(coeff)
             if coeff == 0 or len(key) > self.fan.dim:
                 continue
-            red = self.reducer(len(key))
-            vec = by_degree.setdefault(len(key), {})
-            col = red.col_of[key]
-            vec[col] = vec.get(col, Fraction(0)) + coeff
-        coords: dict[int, Fraction] = {}
-        for degree, vec in by_degree.items():
-            for i, c in self.reducer(degree).reduce(vec).items():
-                coords[i] = coords.get(i, Fraction(0)) + c
+            for i, c in self.table(len(key)).forms[key].items():
+                coords[i] = coords.get(i, 0) + coeff * c
         return CohomologyClass(coords)
 
 
@@ -307,10 +284,11 @@ def betti_census(fan: Fan) -> dict[int, int]:
 
 
 def degree_dimension(fan: Fan, degree: int) -> int:
-    """Dimension of the degree-d quotient computed by row reduction alone.
+    """Dimension of the degree-d quotient computed by elimination alone.
 
-    Counts monomials minus relation rank, independently of the pinned basis,
-    so it can be compared against the shelling census.
+    Counts monomials minus the rank of the relation echelon, which does not
+    depend on the pinned basis, so it can be compared against the shelling
+    census.
     """
     return _ring(fan).quotient_dimension(degree)
 

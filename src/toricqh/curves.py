@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import fan as fan_mod, fano
-from .errors import IndexOutOfRange, LocateFailure, NotACone, PreconditionFailed
+from .errors import IndexOutOfRange, LocateFailure, NotACone, PreconditionFailed, RingInconsistent
 from .fan import Cone, CurveClass, Fan
 
 
@@ -72,7 +72,8 @@ def wall_curve_class(fan: Fan, wall: Cone) -> CurveClass:
     pairings[rho] += 1
     pairings[rho2] += 1
     pos = {i: t for t, i in enumerate(owners[1])}
-    assert coords[pos[rho2]] == -1, "wall crossing is not unimodular"
+    if coords[pos[rho2]] != -1:
+        raise RingInconsistent(f"wall {tuple(i + 1 for i in key)}: crossing is not unimodular")
     for j in key:
         pairings[j] -= coords[pos[j]]
     return fan_mod.curve_class(fan, pairings)

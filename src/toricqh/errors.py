@@ -58,6 +58,12 @@ class NotInTier(ToricError):
     """The fan sits below the tier an operation requires."""
 
 
+class RingInconsistent(ToricError):
+    """An internal consistency check failed: data computed along two routes
+    disagree (shelling census against quotient dimension, a pinned basis
+    monomial that the relations eliminate, a non-unimodular wall crossing)."""
+
+
 class PreconditionFailed(ToricError):
     """A documented operation precondition does not hold for this input."""
 

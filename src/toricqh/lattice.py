@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Hashable, Mapping, Optional, Sequence
 
-from .errors import DependentGenerators, NonUnimodular
+from .errors import DependentGenerators, NonUnimodular, RingInconsistent
 
 Vector = tuple[int, ...]
 
@@ -257,37 +257,67 @@ def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return rank
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q.  Returns (rows, pivot column list).
+class Echelon:
+    """Row echelon form over Q of sparse integer rows, grown one row at a time.
 
-    Pivots are chosen left to right, so earlier columns are eliminated
-    preferentially; callers exploit this to keep a chosen tail block of
-    columns pivot-free.
+    A row is a dict column -> nonzero int.  A stored row has its pivot at
+    its lowest column and is divided by the gcd of its entries, so entries
+    stay small integers; no two stored rows share a pivot.  Columns placed
+    last are therefore the last to become pivots.
     """
-    work = [row[:] for row in rows]
-    ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(rank, len(work)):
-            if work[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        work[rank], work[sel] = work[sel], work[rank]
-        inv = Fraction(1) / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == len(work):
-            break
-    return work[:rank], pivots
+
+    def __init__(self) -> None:
+        self.rows: dict[int, dict[int, int]] = {}  # pivot column -> row
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def insert(self, row: Mapping[int, int]) -> None:
+        """Reduce a row by the stored ones and store what is left, if any."""
+        work = {c: v for c, v in row.items() if v}
+        while work:
+            col = min(work)
+            piv = self.rows.get(col)
+            if piv is None:
+                g = 0
+                for v in work.values():
+                    g = gcd(g, v)
+                if work[col] < 0:
+                    g = -g
+                self.rows[col] = {c: v // g for c, v in work.items()}
+                return
+            # work <- a * work - b * piv clears col and stays integral
+            g = gcd(piv[col], work[col])
+            a, b = piv[col] // g, work[col] // g
+            if a != 1:
+                for c in work:
+                    work[c] *= a
+            for c, v in piv.items():
+                nv = work.get(c, 0) - b * v
+                if nv:
+                    work[c] = nv
+                else:
+                    del work[c]
+
+    def solve(self, free: Mapping[int, Mapping[Hashable, Fraction]]) -> dict[int, dict]:
+        """The value of every column, given the values of the non-pivot ones.
+
+        Values are sparse vectors (dicts); a pivot column gets the value that
+        makes its row vanish, by back substitution from the highest pivot
+        down.  free must give a value for every column that is not a pivot.
+        """
+        values: dict[int, dict] = {c: dict(v) for c, v in free.items()}
+        for col in sorted(self.rows, reverse=True):
+            row = self.rows[col]
+            acc: dict = {}
+            for j, r in row.items():
+                if j != col:
+                    for k, x in values[j].items():
+                        acc[k] = acc.get(k, 0) + r * x
+            lead = -row[col]
+            values[col] = {k: Fraction(x) / lead for k, x in acc.items() if x}
+        return values
 
 
 def integer_inverse(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -335,7 +365,8 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
             if work[r][col] != 0:
                 factor = work[r][col]
                 work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise RingInconsistent("determinant of an integer matrix is not an integer")
     return int(det)
 
 

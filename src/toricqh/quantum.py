@@ -110,6 +110,23 @@ def classical(fan: Fan, cls: CohomologyClass) -> QuantumClass:
     return QuantumClass({zero_curve(fan): cls})
 
 
+_Parts = dict[CurveClass, dict[int, Fraction]]  # a quantum class being summed
+
+
+def _add_into(
+    acc: _Parts, qc: QuantumClass, scale: Fraction, shift: Optional[CurveClass] = None
+) -> None:
+    """acc += scale * q^shift * qc, in place."""
+    for beta, cls in qc.parts.items():
+        part = acc.setdefault(beta if shift is None else beta + shift, {})
+        for i, c in cls.coords.items():
+            part[i] = part.get(i, 0) + scale * c
+
+
+def _from_parts(acc: _Parts) -> QuantumClass:
+    return QuantumClass({beta: CohomologyClass(coords) for beta, coords in acc.items()})
+
+
 class _QuantumRing:
     def __init__(self, fan: Fan):
         fan_mod.require_accepted(fan)
@@ -216,12 +233,12 @@ class _QuantumRing:
             base = list(mono)
             base.remove(i)
             outside = set(range(self.fan.n_rays)) - set(mu)
-            result = QuantumClass()
+            acc: _Parts = {}
             for j in sorted(outside):
                 c = sum(p * r for p, r in zip(phi, self.fan.rays[j]))
                 if c:
-                    sub = self.reduce(tuple(sorted(base + [j])), rng)
-                    result = result + sub.scaled(Fraction(-c))
+                    _add_into(acc, self.reduce(tuple(sorted(base + [j])), rng), Fraction(-c))
+            result = _from_parts(acc)
         if rng is None:
             self.reduce_memo[mono] = result
         return result
@@ -232,14 +249,12 @@ class _QuantumRing:
         if cached is not None:
             return cached
         taus = cohomology.basis_tau(self.fan)
-        out = QuantumClass()
+        acc: _Parts = {}
         for s in self.giambelli(taus[key[0]]):
             for t in self.giambelli(taus[key[1]]):
-                mono = tuple(sorted(s.monomial + t.monomial))
-                red = self.reduce(mono, None)
-                out = out + red.shifted(s.curve + t.curve).scaled(
-                    s.coefficient * t.coefficient
-                )
+                red = self.reduce(tuple(sorted(s.monomial + t.monomial)), None)
+                _add_into(acc, red, s.coefficient * t.coefficient, s.curve + t.curve)
+        out = _from_parts(acc)
         self.pair_cache[key] = out
         return out
 
@@ -318,11 +333,11 @@ def reduce_monomial(
 def evaluate_terms(fan: Fan, terms: Sequence[QuantumTerm]) -> QuantumClass:
     """Evaluate a q-polynomial in the divisor symbols to a quantum class."""
     ring = _qring(fan)
-    out = QuantumClass()
+    acc: _Parts = {}
     for term in terms:
         red = ring.reduce(tuple(sorted(term.monomial)), None)
-        out = out + red.shifted(term.curve).scaled(term.coefficient)
-    return out
+        _add_into(acc, red, term.coefficient, term.curve)
+    return _from_parts(acc)
 
 
 Multiplicand = Union[CohomologyClass, QuantumClass]
@@ -337,15 +352,14 @@ def quantum_product(fan: Fan, a: Multiplicand, b: Multiplicand) -> QuantumClass:
     ring = _qring(fan)
     qa = classical(fan, a) if isinstance(a, CohomologyClass) else a
     qb = classical(fan, b) if isinstance(b, CohomologyClass) else b
-    out = QuantumClass()
+    acc: _Parts = {}
     for beta_a, cls_a in qa.parts.items():
         for beta_b, cls_b in qb.parts.items():
             shift = beta_a + beta_b
             for i, ca in cls_a.coords.items():
                 for j, cb in cls_b.coords.items():
-                    piece = ring.pair_product(i, j).scaled(ca * cb)
-                    out = out + piece.shifted(shift)
-    return out
+                    _add_into(acc, ring.pair_product(i, j), ca * cb, shift)
+    return _from_parts(acc)
 
 
 def gw3(

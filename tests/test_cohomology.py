@@ -1,9 +1,12 @@
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
-from toricqh import cohomology as coho
+from toricqh import catalog, cohomology as coho, fan as fan_mod, lattice
 from toricqh.cohomology import CohomologyClass
 from toricqh.errors import IndexOutOfRange, NotACone, NotFano
 
@@ -67,8 +70,6 @@ def test_normal_form_oracles(p2, bl1p2):
 
 
 def test_normal_form_kills_primitive_monomials(corpus):
-    from toricqh import fan as fan_mod
-
     for fan in corpus.values():
         for pset in fan_mod.primitive_sets(fan):
             assert coho.normal_form(fan, {pset: Fraction(1)}).is_zero()
@@ -124,17 +125,119 @@ def test_stratum_class(corpus):
         coho.stratum_class(corpus["p1xp1"], (0, 1))
 
 
+def _pairing_determinant(fan):
+    basis = [coho.basis_class(fan, i) for i in range(len(coho.basis_tau(fan)))]
+    rows = [
+        [coho.integrate(fan, coho.cup(fan, a, b)) for b in basis]
+        for a in basis
+    ]
+    return lattice.determinant([[int(x) for x in row] for row in rows])
+
+
 def test_poincare_pairing_unimodular(corpus, p3, bundle3):
     for fan in list(corpus.values()) + [p3, bundle3]:
-        basis = [coho.basis_class(fan, i) for i in range(len(coho.basis_tau(fan)))]
-        rows = [
-            [coho.integrate(fan, coho.cup(fan, a, b)) for b in basis]
-            for a in basis
-        ]
-        from toricqh import lattice
+        assert abs(_pairing_determinant(fan)) == 1
 
-        det = lattice.determinant([[int(x) for x in row] for row in rows])
-        assert abs(det) == 1
+
+def _kunneth(*censuses):
+    out = {0: 1}
+    for cen in censuses:
+        nxt = {}
+        for a, x in out.items():
+            for b, y in cen.items():
+                nxt[a + b] = nxt.get(a + b, 0) + x * y
+        out = nxt
+    return out
+
+
+PRODUCT_FACTORS = {
+    "p4": (lambda: catalog.projective_space(4),),
+    "p2xp2": (catalog.projective_plane, catalog.projective_plane),
+    "p1x4": (lambda: catalog.projective_space(1),) * 4,
+    "p2xbl3p2": (catalog.projective_plane, catalog.blowup_p2_three),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_FACTORS))
+def test_product_fan_rings(name):
+    factors = [make() for make in PRODUCT_FACTORS[name]]
+    fan = catalog.product(*factors)
+    m, n = fan.n_rays, fan.dim
+    census = coho.betti_census(fan)
+    assert census == _kunneth(*(coho.betti_census(f) for f in factors))
+    for d in range(n + 1):
+        assert coho.degree_dimension(fan, d) == census[d]
+
+    # every relation row vanishes and every pinned monomial is its own basis
+    # vector: together these fix the normal form uniquely
+    for d in range(1, n + 1):
+        for mono in combinations_with_replacement(range(m), d - 1):
+            for t in range(n):
+                poly = {}
+                for i in range(m):
+                    key = tuple(sorted(mono + (i,)))
+                    poly[key] = poly.get(key, 0) + fan.rays[i][t]
+                assert coho.normal_form(fan, poly).is_zero()
+    for pset in fan_mod.primitive_sets(fan):
+        for d in range(len(pset), n + 1):
+            for mono in combinations_with_replacement(range(m), d - len(pset)):
+                assert coho.normal_form(fan, {pset + mono: 1}).is_zero()
+    for i, tau in enumerate(coho.basis_tau(fan)):
+        assert coho.normal_form(fan, {tau: 1}) == coho.basis_class(fan, i)
+
+    assert abs(_pairing_determinant(fan)) == 1
+
+
+_TAMPERED_SHELLING = textwrap.dedent(
+    """
+    import dataclasses, sys
+    from toricqh import catalog, cli, cohomology
+    from toricqh.errors import RingInconsistent
+
+    fan = catalog.blowup_p2_one()
+    good = cohomology._compute_shelling(fan)
+    if good.tau != ((), (0,), (2,), (0, 2)):
+        sys.exit("the bl1p2 shelling moved: " + repr(good.tau))
+    tampered = {
+        "pinned pivot": ((), (0,), (1,), (0, 2)),
+        "census": ((), (0,), (0, 2)),
+        "duplicate": ((), (0,), (0,), (0, 2)),
+        "ends": ((), (0,), (2,), (0,)),
+    }
+    for name, tau in tampered.items():
+        cohomology._compute_shelling = lambda f, tau=tau: dataclasses.replace(good, tau=tau)
+        cohomology._RINGS.clear()
+        try:
+            for d in range(fan.dim + 1):
+                cohomology.degree_dimension(fan, d)
+        except RingInconsistent as exc:
+            print(name, "raised:", exc)
+        else:
+            sys.exit(name + ": not detected")
+    # the last tampered shelling is still in force
+    cohomology._RINGS.clear()
+    code = cli.main(["multiply", "--fan", sys.argv[1], "D1", "D2"])
+    print("exit", code)
+    """
+)
+
+
+def test_tampered_shelling_raises_under_optimize(tmp_path):
+    path = tmp_path / "bl1p2.json"
+    path.write_text(fan_mod.fan_to_json(catalog.blowup_p2_one()))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _TAMPERED_SHELLING, str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(" raised:")[0] for line in lines[:4]] == [
+        "pinned pivot", "census", "duplicate", "ends"
+    ]
+    assert lines[4] == "exit 3"
+    assert "error:" in proc.stderr
 
 
 def test_integrate_and_degrees(p2, p3):

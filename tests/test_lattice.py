@@ -98,26 +98,32 @@ def test_solve_columns_empty():
     assert lattice.solve_columns([], (1, 0)) is None
 
 
-def test_rref_prefers_leading_columns():
-    rows = [
-        [Fraction(1), Fraction(0), Fraction(1)],
-        [Fraction(0), Fraction(1), Fraction(1)],
-    ]
-    reduced, pivots = lattice.rref(rows)
-    assert pivots == [0, 1]
-    assert reduced == rows
+def test_echelon_rank_matches_rational_rank():
+    rng = random.Random(20)
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(ncols)] for _ in range(nrows)]
+        ech = lattice.Echelon()
+        for row in rows:
+            ech.insert(dict(enumerate(row)))
+        assert ech.rank == lattice.rational_rank(rows)
+        for col, row in ech.rows.items():
+            assert min(row) == col and row[col] > 0
 
 
-def test_rref_rank_and_idempotence():
-    rows = [
-        [Fraction(1), Fraction(2), Fraction(3)],
-        [Fraction(2), Fraction(4), Fraction(6)],
-        [Fraction(0), Fraction(1), Fraction(1)],
-    ]
-    reduced, pivots = lattice.rref(rows)
-    assert len(reduced) == 2 and pivots == [0, 1]
-    again, pivots2 = lattice.rref(reduced)
-    assert again == reduced and pivots2 == pivots
+def test_echelon_solve_kills_every_row():
+    rows = [[1, 2, 0, 3], [0, 2, 1, 1], [1, 4, 1, 4]]
+    ech = lattice.Echelon()
+    for row in rows:
+        ech.insert(dict(enumerate(row)))
+    assert sorted(ech.rows) == [0, 1]
+    values = ech.solve({2: {"a": Fraction(1)}, 3: {"b": Fraction(1)}})
+    for row in rows:
+        total = {}
+        for j, r in enumerate(row):
+            for k, x in values[j].items():
+                total[k] = total.get(k, 0) + r * x
+        assert all(x == 0 for x in total.values())
 
 
 def test_integer_inverse_round_trip():
