@@ -2,24 +2,30 @@
 
 The basis comes from a line shelling of the maximal cones: a generic
 lattice perturbation orders the cones, and each cone mu_i is cut down to
-tau_i by intersecting with its later facet-neighbors.  The classes of the
-strata X(tau_i) form a basis, one class of degree d per tau_i with
-|tau_i| = d.  Normal forms are built once per degree.  The linear and
-primitive relations on all monomials of that degree go into a sparse exact
-echelon (integer rows, pivot at the lowest column), with the pinned
-square-free monomials prod(D_rho, rho in tau_i) as the last columns so
-that none of them becomes a pivot.  Back substitution then gives a table
-from every monomial to its coordinates in the pinned basis, and a normal
-form is a sum of table rows.  The quotient dimension, monomials minus
-echelon rank, does not depend on the pinned basis and is checked against
-the shelling census.
+tau_i by intersecting with its later facet-neighbors.  The perturbation is
+the ray sum plus the first offset, by max-norm radius and then
+lexicographically, at which every cone's point functional takes a distinct
+value.  Two cones tie exactly on a wall, a hyperplane cut out by the
+difference of their functionals, so the search walks the coordinates in
+order and drops a prefix as soon as it lies on a wall instead of testing
+every point of the cube.  The classes of the strata X(tau_i) form a basis,
+one class of degree d per tau_i with |tau_i| = d.  Normal forms are built
+once per degree.  The linear and primitive relations on all monomials of
+that degree go into a sparse exact echelon (integer rows, pivot at the
+lowest column), with the pinned square-free monomials prod(D_rho, rho in
+tau_i) as the last columns so that none of them becomes a pivot.  Back
+substitution then gives a table from every monomial to its coordinates in
+the pinned basis, and a normal form is a sum of table rows.  The quotient
+dimension, monomials minus echelon rank, does not depend on the pinned
+basis and is checked against the shelling census.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from typing import Mapping, Optional, Sequence
 
 from . import fan as fan_mod
@@ -83,32 +89,102 @@ class Shelling:
 
 
 def _cone_point_functional(fan: Fan, cone: Cone) -> tuple[int, ...]:
-    # the functional equal to 1 on every generator of the cone: the sum of
-    # the dual basis rows
-    mat = lattice.mat_from_columns(fan_mod.cone_generators(fan, cone))
-    inv = lattice.integer_inverse(mat)
-    return tuple(sum(inv[r][j] for r in range(fan.dim)) for j in range(fan.dim))
+    # the functional equal to 1 on every generator g_i of the cone: one exact
+    # solve of g_i . f = 1, integral because the cone is unimodular
+    columns = lattice.mat_from_columns(fan_mod.cone_generators(fan, cone))
+    sol = lattice.solve_columns(columns, (1,) * fan.dim)
+    if any(x.denominator != 1 for x in sol):
+        raise RingInconsistent(f"cone {cone} has no integral point functional")
+    return tuple(int(x) for x in sol)
 
 
-def _norm_shell(n: int, radius: int):
-    if radius == 0:
-        yield (0,) * n
-        return
-    span = range(-radius, radius + 1)
-    from itertools import product
+Wall = tuple[tuple[int, ...], int]  # w, c: the offsets x with w . x = c
 
-    for v in sorted(product(span, repeat=n)):
-        if max(abs(x) for x in v) == radius:
-            yield v
+
+def _walls(funcs: Sequence[tuple[int, ...]], base: tuple[int, ...]) -> list[Wall]:
+    """The distinct hyperplanes on which base + x gives two cones one value.
+
+    Cones a and b tie at base + x exactly when (f_a - f_b) . x equals
+    -(f_a - f_b) . base; the difference is divided by its gcd and its first
+    nonzero entry made positive, so each wall appears once.
+    """
+    walls: dict[tuple[int, ...], int] = {}
+    for a, b in combinations(funcs, 2):
+        diff = lattice.vsub(a, b)
+        if lattice.is_zero(diff):
+            raise PreconditionFailed(
+                "two maximal cones have the same point functional: no perturbation separates them"
+            )
+        w = lattice.primitive_vector(diff)
+        if next(x for x in w if x) < 0:
+            w = lattice.vscale(-1, w)
+        walls[w] = -lattice.dot(w, base)
+    return list(walls.items())
+
+
+def _first_off_walls(n: int, walls: Sequence[Wall]) -> tuple[int, ...]:
+    """The first offset off every wall, by max-norm radius, then lexicographically.
+
+    For each radius r the walk fixes the coordinates in order, each from
+    [-r, r], and keeps c - w . prefix for every wall.  A wall whose last
+    nonzero coordinate is i bans at most one value of x_i once x_0..x_(i-1)
+    are fixed, so a prefix is dropped as soon as it lies on a wall, and the
+    last coordinate is the least value no wall bans.  The walk covers the
+    whole cube [-r, r]^n, not just the shell max |x_j| = r: every point
+    inside the shell lies on a wall, or a smaller radius would have stopped
+    the search, so the first point found is on the shell.
+
+    The radius never exceeds W = len(walls): a wall holds at most
+    (2R+1)^(n-1) points of the cube [-R, R]^n (fixing the other coordinates
+    fixes one where w is nonzero), so with 2R+1 > W the walls miss a point
+    of the cube, which lies on some shell of radius at most R.
+    """
+    if n == 0:
+        return ()
+
+    def last_nonzero(w):
+        return max(j for j, x in enumerate(w) if x)
+
+    walls = sorted(walls, key=lambda wall: last_nonzero(wall[0]))
+    lasts = [last_nonzero(w) for w, _ in walls]
+    # walls still open at depth i (last nonzero coordinate >= i) form a suffix
+    start = [bisect_left(lasts, i) for i in range(n + 1)]
+    ending = [start[i + 1] - start[i] for i in range(n)]
+    cols = [[w[i] for w, _ in walls[start[i] :]] for i in range(n)]
+    open_cols = [cols[i][ending[i] :] for i in range(n)]
+
+    def walk(i, res, prefix, r):
+        # res[k] = c - w . prefix for the walls open at depth i
+        banned = {q // w for q, w in zip(res[: ending[i]], cols[i]) if q % w == 0}
+        if i == n - 1:
+            for v in range(-r, r + 1):
+                if v not in banned:
+                    return prefix + (v,)
+            return None
+        rest, rest_col = res[ending[i] :], open_cols[i]
+        for v in range(-r, r + 1):
+            if v not in banned:
+                found = walk(i + 1, [q - w * v for q, w in zip(rest, rest_col)], prefix + (v,), r)
+                if found is not None:
+                    return found
+        return None
+
+    consts = [c for _, c in walls]
+    for radius in range(len(walls) + 1):
+        found = walk(0, consts, (), radius)
+        if found is not None:
+            return found
+    raise RingInconsistent(f"no generic perturbation within radius {len(walls)}")
 
 
 def shelling(fan: Fan) -> Shelling:
     """Deterministic line shelling of an accepted Fano fan.
 
-    Candidate perturbation vectors are scanned from the ray sum outward by
-    increasing max-norm (lexicographic within a shell); the first making all
-    cone pairings distinct wins, and the cones are sorted by decreasing
-    pairing.
+    The perturbation is the ray sum plus the first offset, by increasing
+    max-norm radius and lexicographically within a radius, at which all
+    cone pairings are distinct.  It is found by a walk over the walls where
+    two pairings tie rather than by testing every point; the cones are
+    sorted by decreasing pairing.
     """
     ring = _ring(fan)
     return ring.shelling
@@ -120,20 +196,13 @@ def _compute_shelling(fan: Fan) -> Shelling:
     base = (0,) * fan.dim
     for ray in fan.rays:
         base = lattice.vadd(base, ray)
-    chosen = None
-    radius = 0
-    while chosen is None:
-        for offset in _norm_shell(fan.dim, radius):
-            cand = lattice.vadd(base, offset)
-            values = [lattice.dot(funcs[c], cand) for c in fan.max_cones]
-            if len(set(values)) == len(values):
-                chosen = cand
-                break
-        radius += 1
-        if radius > 10_000:
-            raise PreconditionFailed("no generic perturbation found")
+    offset = _first_off_walls(fan.dim, _walls(list(funcs.values()), base))
+    chosen = lattice.vadd(base, offset)
+    value = {c: lattice.dot(funcs[c], chosen) for c in fan.max_cones}
+    if len(set(value.values())) != len(value):
+        raise RingInconsistent(f"perturbation {chosen} ties two cone pairings")
 
-    order = sorted(fan.max_cones, key=lambda c: -lattice.dot(funcs[c], chosen))
+    order = sorted(fan.max_cones, key=lambda c: -value[c])
     taus = []
     for i, mu in enumerate(order):
         gens = set(mu)

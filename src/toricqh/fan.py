@@ -29,6 +29,13 @@ Vector = tuple[int, ...]
 Cone = tuple[int, ...]
 
 
+def _strict_int(x, what: str) -> int:
+    # exactly int: a float, a bool or a numeric string is refused, not coerced
+    if type(x) is not int:
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return x
+
+
 @dataclass(frozen=True)
 class Fan:
     dim: int
@@ -36,10 +43,12 @@ class Fan:
     max_cones: tuple[Cone, ...]
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 0:
+        if type(self.dim) is not int or self.dim < 0:
             raise ValueError("dim must be a nonnegative integer")
-        rays = tuple(tuple(int(x) for x in ray) for ray in self.rays)
-        cones = tuple(sorted(tuple(sorted(int(i) for i in cone)) for cone in self.max_cones))
+        rays = tuple(tuple(_strict_int(x, "ray entry") for x in ray) for ray in self.rays)
+        cones = tuple(
+            sorted(tuple(sorted(_strict_int(i, "cone index") for i in cone)) for cone in self.max_cones)
+        )
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "max_cones", cones)
 
@@ -59,7 +68,9 @@ class Fan:
         try:
             dim = data["dim"]
             rays = tuple(tuple(r) for r in data["rays"])
-            cones = tuple(tuple(i - 1 for i in cone) for cone in data["max_cones"])
+            cones = tuple(
+                tuple(_strict_int(i, "cone index") - 1 for i in cone) for cone in data["max_cones"]
+            )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed fan data: {exc}") from None
         return Fan(dim, rays, cones)

@@ -46,6 +46,19 @@ def test_unreadable_inputs(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_non_integer_fan_entries(capsys, tmp_path):
+    good = json.loads(fan_mod.fan_to_json(catalog.projective_plane()))
+    for where in ("rays", "max_cones"):
+        for bad in (1.7, 1.0, True, "1"):
+            data = json.loads(json.dumps(good))
+            data[where][0][0] = bad
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(data))
+            code, out, err = run(capsys, "validate", "--fan", str(path))
+            assert code == 2 and out == "", (where, bad)
+            assert "is not an integer" in err
+
+
 def test_classify_text(capsys, fans_dir):
     code, out, _ = run(capsys, "classify", "--fan", fan_path(fans_dir, "f2.json"))
     assert code == 0

@@ -1,3 +1,5 @@
+import random
+import signal
 import subprocess
 import sys
 import textwrap
@@ -8,7 +10,7 @@ import pytest
 
 from toricqh import catalog, cohomology as coho, fan as fan_mod, lattice
 from toricqh.cohomology import CohomologyClass
-from toricqh.errors import IndexOutOfRange, NotACone, NotFano
+from toricqh.errors import IndexOutOfRange, NotACone, NotFano, PreconditionFailed
 
 
 def test_shelling_oracles(p2, bl1p2, p1xp1):
@@ -38,6 +40,115 @@ def test_shelling_invariants(corpus, p3, bundle3):
         assert s.tau[0] == ()
         assert len(s.tau[-1]) == fan.dim
         assert len(set(s.tau)) == len(s.tau)
+
+
+def _scan_shelling(fan):
+    """Reference search: scan every point of each max-norm shell in
+    lexicographic order and keep the first with distinct cone pairings."""
+    funcs = {}
+    for cone in fan.max_cones:
+        inv = lattice.integer_inverse(lattice.mat_from_columns([fan.rays[i] for i in cone]))
+        funcs[cone] = tuple(sum(row[j] for row in inv) for j in range(fan.dim))
+    base = tuple(sum(col) for col in zip(*fan.rays))
+    radius = 0
+    while True:
+        for offset in sorted(product(range(-radius, radius + 1), repeat=fan.dim)):
+            if max(map(abs, offset), default=0) != radius:
+                continue
+            cand = lattice.vadd(base, offset)
+            values = {c: lattice.dot(funcs[c], cand) for c in fan.max_cones}
+            if len(set(values.values())) == len(values):
+                order = tuple(sorted(fan.max_cones, key=lambda c: -values[c]))
+                taus = []
+                for i, mu in enumerate(order):
+                    gens = set(mu)
+                    for later in order[i + 1 :]:
+                        if len(set(mu) & set(later)) == fan.dim - 1:
+                            gens &= set(later)
+                    taus.append(tuple(sorted(gens)))
+                return coho.Shelling(cand, order, tuple(taus))
+        radius += 1
+
+
+def _gl_image(fan, rng):
+    """The fan moved by a seeded unimodular matrix: a signed permutation
+    times three transvections with entries +-1; ray labels are kept."""
+    n = fan.dim
+    perm = list(range(n))
+    rng.shuffle(perm)
+    mat = [[(rng.choice((1, -1)) if perm[i] == j else 0) for j in range(n)] for i in range(n)]
+    for _ in range(3):
+        a, b = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        for row in mat:
+            row[b] += s * row[a]
+    rays = tuple(lattice.mat_vec(mat, r) for r in fan.rays)
+    return fan_mod.Fan(n, rays, fan.max_cones)
+
+
+def _shelling_fans(corpus, p3, bundle3):
+    p1, p2 = catalog.projective_space(1), catalog.projective_plane()
+    return dict(
+        corpus,
+        p3=p3,
+        bundle3=bundle3,
+        p4=catalog.product(catalog.projective_space(4)),
+        p2xp2=catalog.product(p2, p2),
+        bl3p2xp1=catalog.product(catalog.blowup_p2_three(), p1),
+        p5=catalog.product(catalog.projective_space(5)),
+    )
+
+
+def test_shelling_matches_scan(corpus, p3, bundle3):
+    for name, fan in _shelling_fans(corpus, p3, bundle3).items():
+        assert coho._compute_shelling(fan) == _scan_shelling(fan), name
+
+
+def test_shelling_matches_scan_on_gl_images(corpus, p3, bundle3):
+    checked = 0
+    for name, fan in _shelling_fans(corpus, p3, bundle3).items():
+        if fan.dim > 3:
+            continue
+        rng = random.Random(name)
+        for _ in range(20):
+            image = _gl_image(fan, rng)
+            assert coho._compute_shelling(image) == _scan_shelling(image), (name, image)
+            checked += 1
+    assert checked == 20 * 8
+
+
+@pytest.mark.parametrize(
+    "factors, perturbation",
+    [
+        ((catalog.projective_space(1),) * 4, (-7, -6, -5, -3)),
+        ((catalog.projective_space(5),), (-3, -2, -1, 1, 2)),
+        ((catalog.projective_plane(), catalog.blowup_p2_three()), (-3, 3, -3, -2)),
+        ((catalog.blowup_p2_three(), catalog.blowup_p2_three()), (-11, 10, -9, -6)),
+    ],
+    ids=["p1x4", "p5", "p2xbl3p2", "bl3p2xbl3p2"],
+)
+def test_pinned_perturbations(factors, perturbation):
+    fan = catalog.product(*factors)
+    s = coho.shelling(fan)
+    assert s.perturbation == perturbation
+    values = [lattice.dot(coho._cone_point_functional(fan, c), perturbation) for c in s.order]
+    assert values == sorted(set(values), reverse=True)
+
+
+def _deadline_hit(signum, frame):
+    raise TimeoutError("the shelling search ran past its deadline")
+
+
+def test_shelling_without_generic_vector_fails_fast(f2):
+    # two cones of F2 share the point functional (1, 1): no vector separates them
+    previous = signal.signal(signal.SIGALRM, _deadline_hit)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(PreconditionFailed, match="same point functional"):
+            coho._compute_shelling(f2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_census_oracles(corpus, p3, bundle3):
@@ -193,9 +304,11 @@ _TAMPERED_SHELLING = textwrap.dedent(
     import dataclasses, sys
     from toricqh import catalog, cli, cohomology
     from toricqh.errors import RingInconsistent
+    from toricqh.fan import Fan
 
     fan = catalog.blowup_p2_one()
-    good = cohomology._compute_shelling(fan)
+    compute_shelling = cohomology._compute_shelling
+    good = compute_shelling(fan)
     if good.tau != ((), (0,), (2,), (0, 2)):
         sys.exit("the bl1p2 shelling moved: " + repr(good.tau))
     tampered = {
@@ -218,6 +331,22 @@ _TAMPERED_SHELLING = textwrap.dedent(
     cohomology._RINGS.clear()
     code = cli.main(["multiply", "--fan", sys.argv[1], "D1", "D2"])
     print("exit", code)
+
+    # a search that lands on a wall, and a cone with no integral functional
+    cohomology._first_off_walls = lambda n, walls: (0,) * n
+    try:
+        compute_shelling(catalog.product_p1p1())
+    except RingInconsistent as exc:
+        print("tie raised:", exc)
+    else:
+        sys.exit("tie: not detected")
+    half = Fan(2, ((2, 0), (0, 1)), ((0, 1),))
+    try:
+        cohomology._cone_point_functional(half, (0, 1))
+    except RingInconsistent as exc:
+        print("functional raised:", exc)
+    else:
+        sys.exit("functional: not detected")
     """
 )
 
@@ -237,6 +366,8 @@ def test_tampered_shelling_raises_under_optimize(tmp_path):
         "pinned pivot", "census", "duplicate", "ends"
     ]
     assert lines[4] == "exit 3"
+    assert lines[5].startswith("tie raised: perturbation (0, 0)")
+    assert lines[6].startswith("functional raised:")
     assert "error:" in proc.stderr
 
 

@@ -107,6 +107,34 @@ def test_from_json_dict_malformed():
         Fan.from_json_dict({"dim": 2, "rays": [[1, 0]], "max_cones": 3})
 
 
+P2_RAYS = ((1, 0), (0, 1), (-1, -1))
+P2_CONES = ((0, 1), (1, 2), (0, 2))
+
+
+@pytest.mark.parametrize("bad", [1.7, 1.0, True, False, "1"])
+def test_fan_entries_must_be_int(bad):
+    rays = ((bad, 0),) + P2_RAYS[1:]
+    with pytest.raises(ValueError, match="ray entry"):
+        Fan(2, rays, P2_CONES)
+    cones = ((bad, 1),) + P2_CONES[1:]
+    with pytest.raises(ValueError, match="cone index"):
+        Fan(2, P2_RAYS, cones)
+    with pytest.raises(ValueError, match="dim"):
+        Fan(bad, P2_RAYS, P2_CONES)
+
+    # through JSON, where cone indices are 1-based: true - 1 would be 0
+    data = {"dim": 2, "rays": [list(r) for r in P2_RAYS], "max_cones": [[1, 2], [2, 3], [1, 3]]}
+    data["rays"][0][0] = bad
+    with pytest.raises(ValueError):
+        Fan.from_json_dict(data)
+    data["rays"][0][0] = 1
+    data["max_cones"][0][0] = bad
+    with pytest.raises(ValueError):
+        Fan.from_json_dict(data)
+    data["max_cones"][0][0] = 1
+    assert Fan.from_json_dict(data) == catalog.projective_plane()
+
+
 def test_faces_and_is_cone(p2):
     fs = fan_mod.faces(p2)
     assert fs[0] == ()
