@@ -15,7 +15,8 @@ Products are quantum products in `multiply` and classical cup products in
 Exit codes: 0 success, 2 unusable input, 3 fan rejected, located nowhere
 or failing an internal consistency check, 4 fan outside the tier a
 computation needs, 5 precondition failure on otherwise valid data
-(ineffective class, bad blow-down order, rootless tree).
+(ineffective class, bad blow-down order, rootless tree, an effectivity
+search that ran out of its node budget).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .errors import (
     NotInTier,
     PreconditionFailed,
     RingInconsistent,
+    SearchBudgetExceeded,
 )
 from .fan import CurveClass, Fan
 from .quantum import QuantumClass
@@ -621,7 +623,7 @@ _EXITS: tuple[tuple[tuple, int], ...] = (
     ((ExpressionError, NotACone, IndexOutOfRange, ValueError, OSError), 2),
     ((FanNotAccepted, LocateFailure, RingInconsistent), 3),
     ((NotFano, NotInClass, NotInTier), 4),
-    ((NotEffective, PreconditionFailed, BlowDownInvalid), 5),
+    ((NotEffective, PreconditionFailed, BlowDownInvalid, SearchBudgetExceeded), 5),
 )
 
 

@@ -30,6 +30,11 @@ class NotEffective(ToricError):
     """A curve class is not a nonnegative combination of primitive classes."""
 
 
+class SearchBudgetExceeded(ToricError):
+    """A bounded search ran out of its node budget before it decided the
+    question; nothing follows about the input."""
+
+
 class DimensionMismatch(ToricError):
     """Two fans live in lattices of different rank."""
 

@@ -23,10 +23,16 @@ from .errors import (
     NotACone,
     NotEffective,
     PreconditionFailed,
+    SearchBudgetExceeded,
 )
 
 Vector = tuple[int, ...]
 Cone = tuple[int, ...]
+
+# States the effectivity search may visit before it gives up.  The hardest
+# non-effective class a*beta_i - beta_j (a <= 3) on bl3p2, bl2xp1 and bl3xp1
+# takes under 700; 100k states take about 0.3 s on a six-ray surface.
+SEARCH_NODE_BUDGET = 100_000
 
 
 def _strict_int(x, what: str) -> int:
@@ -106,7 +112,11 @@ class CurveClass:
     pairings: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pairings", tuple(int(x) for x in self.pairings))
+        pairings = tuple(self.pairings)
+        for x in pairings:  # one type test per entry: __add__ runs on every q-shift
+            if type(x) is not int:
+                _strict_int(x, "pairing")
+        object.__setattr__(self, "pairings", pairings)
 
     @property
     def degree(self) -> int:
@@ -162,6 +172,7 @@ class _Derived:
         self.psets: Optional[tuple[Cone, ...]] = None
         self.pdata: Optional[tuple[PrimitiveData, ...]] = None
         self.facet_map: Optional[dict] = None
+        self.sign_prune: Optional[tuple] = None
         self.cone_inverse: dict[Cone, tuple[Vector, ...]] = {}
 
 
@@ -431,14 +442,42 @@ def star(fan: Fan, sigma: Sequence[int]) -> Fan:
     return result
 
 
+def _sign_prune(fan: Fan) -> tuple[tuple, tuple]:
+    """Per search index k, the rays on which no class of primitive_data[k:]
+    pairs positively, and those on which none pairs negatively."""
+    d = _derived(fan)
+    if d.sign_prune is None:
+        pdata = primitive_data(fan)
+        nonpos, nonneg = [], []
+        for k in range(len(pdata) + 1):
+            rest = [pd.cls.pairings for pd in pdata[k:]]
+            nonpos.append(tuple(i for i in range(fan.n_rays) if all(p[i] <= 0 for p in rest)))
+            nonneg.append(tuple(i for i in range(fan.n_rays) if all(p[i] >= 0 for p in rest)))
+        d.sign_prune = (tuple(nonpos), tuple(nonneg))
+    return d.sign_prune
+
+
 def decompose_effective(fan: Fan, beta: CurveClass) -> tuple[tuple[PrimitiveData, int], ...]:
     """Write beta as a nonnegative integer combination of primitive classes.
 
     When the divisors beta meets negatively span a cone, the greedy
     subtraction is guaranteed to succeed exactly when beta is effective.
-    Otherwise a bounded exhaustive search over combinations runs; on Fano
-    fans the positive degrees of primitive classes bound it sharply, and on
-    other fans classes of degree <= 0 get a crude multiplicity cap.
+    Otherwise a depth-first search picks the multiplicity of each primitive
+    class in turn, smallest first; on Fano fans the positive degrees of
+    primitive classes bound it sharply, and on other fans classes of degree
+    <= 0 get a crude multiplicity cap.  Two rules cut it down without
+    changing the first decomposition it finds:
+
+    - Sign prune: a remainder that pairs positively with a divisor no later
+      class pairs positively with (or negatively where none pairs
+      negatively) is dropped, since a sum of the later classes with
+      nonnegative multiplicities has no such entry.
+    - Failure memo: a state (index, remainder, degree budget) whose subtree
+      held no decomposition is never searched again.
+
+    The search visits at most SEARCH_NODE_BUDGET states and raises
+    SearchBudgetExceeded past that; running out proves nothing about beta,
+    so it is not a NotEffective.
     """
     require_accepted(fan)
     if len(beta.pairings) != fan.n_rays:
@@ -472,11 +511,26 @@ def decompose_effective(fan: Fan, beta: CurveClass) -> tuple[tuple[PrimitiveData
     degree = beta.degree
     crude_cap = sum(abs(b) for b in beta.pairings) + 4
     target = beta.pairings
+    must_be_nonpos, must_be_nonneg = _sign_prune(fan)
+    failed: set[tuple[int, tuple[int, ...], int]] = set()
+    nodes = 0
 
     def search(idx: int, remaining: tuple[int, ...], budget: int):
+        nonlocal nodes
+        nodes += 1
+        if nodes > SEARCH_NODE_BUDGET:
+            raise SearchBudgetExceeded(
+                f"effectivity search visited more than {SEARCH_NODE_BUDGET} states"
+            )
         if all(x == 0 for x in remaining):
             return []
-        if idx == len(pdata):
+        # past the last class every ray is in both lists: only zero gets through
+        if any(remaining[i] > 0 for i in must_be_nonpos[idx]) or any(
+            remaining[i] < 0 for i in must_be_nonneg[idx]
+        ):
+            return None
+        state = (idx, remaining, budget)
+        if state in failed:
             return None
         pd = pdata[idx]
         deg = pd.cls.degree
@@ -486,6 +540,7 @@ def decompose_effective(fan: Fan, beta: CurveClass) -> tuple[tuple[PrimitiveData
             rest = search(idx + 1, rem, budget - count * deg if deg > 0 else budget)
             if rest is not None:
                 return ([(pd, count)] if count else []) + rest
+        failed.add(state)
         return None
 
     if degree < 0 and all(pd.cls.degree > 0 for pd in pdata):

@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from . import cohomology, fan as fan_mod, fano, lattice
 from .cohomology import CohomologyClass, Monomial
-from .errors import IndexOutOfRange, NotACone, NotFano, NotInClass
+from .errors import IndexOutOfRange, NotACone, NotFano, NotInClass, PreconditionFailed
 from .fan import Cone, CurveClass, Fan, PrimitiveData, Vector
 
 
@@ -111,6 +111,21 @@ def classical(fan: Fan, cls: CohomologyClass) -> QuantumClass:
 
 
 _Parts = dict[CurveClass, dict[int, Fraction]]  # a quantum class being summed
+
+# Highest monomial degree the public rewrite entry points accept.  The
+# rewrite recurses once per step; its depth, measured over the corpus, P^3
+# and the products of the benchmark, is at most 2.75 times the degree (1x on
+# P^n, 2.4x on Bl3P^2 for a pure power), so 128 keeps it near 350 frames,
+# well under the default recursion limit of 1000.  The benchmark rewrites up
+# to degree 4n = 20.
+MAX_REWRITE_DEGREE = 128
+
+
+def _check_rewrite_degree(mono: Monomial) -> None:
+    if len(mono) > MAX_REWRITE_DEGREE:
+        raise PreconditionFailed(
+            f"monomial of degree {len(mono)} is above the rewrite cap {MAX_REWRITE_DEGREE}"
+        )
 
 
 def _add_into(
@@ -322,19 +337,26 @@ def reduce_monomial(
     primitive set to trade, which repeated divisor to eliminate, in which
     containing cone); the result must not depend on it, which the test suite
     uses as a confluence audit.  Memoization only applies to the
-    deterministic strategy.
+    deterministic strategy.  A monomial of degree above MAX_REWRITE_DEGREE
+    is refused with PreconditionFailed.
     """
     mono = tuple(sorted(int(i) for i in monomial))
+    _check_rewrite_degree(mono)
     if any(i < 0 or i >= fan.n_rays for i in mono):
         raise IndexOutOfRange(f"divisor index out of range in {mono}")
     return _qring(fan).reduce(mono, rng)
 
 
 def evaluate_terms(fan: Fan, terms: Sequence[QuantumTerm]) -> QuantumClass:
-    """Evaluate a q-polynomial in the divisor symbols to a quantum class."""
+    """Evaluate a q-polynomial in the divisor symbols to a quantum class.
+
+    A term whose monomial has degree above MAX_REWRITE_DEGREE is refused
+    with PreconditionFailed.
+    """
     ring = _qring(fan)
     acc: _Parts = {}
     for term in terms:
+        _check_rewrite_degree(term.monomial)
         red = ring.reduce(tuple(sorted(term.monomial)), None)
         _add_into(acc, red, term.coefficient, term.curve)
     return _from_parts(acc)

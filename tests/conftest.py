@@ -1,4 +1,6 @@
+import contextlib
 import pathlib
+import signal
 
 import pytest
 
@@ -55,3 +57,25 @@ def bundle3():
 @pytest.fixture(scope="session")
 def fans_dir():
     return FANS_DIR
+
+
+def _deadline_hit(signum, frame):
+    raise TimeoutError("the call ran past its deadline")
+
+
+@pytest.fixture
+def deadline():
+    """deadline(seconds) is a context manager that raises TimeoutError in
+    its block once the seconds have passed (SIGALRM, main thread only)."""
+
+    @contextlib.contextmanager
+    def within(seconds):
+        previous = signal.signal(signal.SIGALRM, _deadline_hit)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return within

@@ -166,6 +166,17 @@ def test_gw(capsys, fans_dir):
     assert code == 2
 
 
+def test_gw_search_budget(capsys, fans_dir, monkeypatch):
+    bl3 = fan_path(fans_dir, "bl3p2.json")
+    # a class the greedy pass cannot settle: the effectivity search decides it
+    code, out, _ = run(capsys, "gw", "--fan", bl3, "D1", "D2", "D3", "20,20,-20,-20,20,20")
+    assert code == 0 and out.strip() == "0"
+    monkeypatch.setattr(fan_mod, "SEARCH_NODE_BUDGET", 1)
+    code, out, err = run(capsys, "gw", "--json", "--fan", bl3, "D1", "D2", "D3", "1,1,-1,-1,1,1")
+    assert code == 5 and out == ""
+    assert json.loads(err)["error"]["type"] == "SearchBudgetExceeded"
+
+
 def test_tower(capsys, fans_dir):
     bl3 = fan_path(fans_dir, "bl3p2.json")
     code, out, _ = run(capsys, "tower", "--fan", bl3)

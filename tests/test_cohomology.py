@@ -1,5 +1,4 @@
 import random
-import signal
 import subprocess
 import sys
 import textwrap
@@ -135,20 +134,11 @@ def test_pinned_perturbations(factors, perturbation):
     assert values == sorted(set(values), reverse=True)
 
 
-def _deadline_hit(signum, frame):
-    raise TimeoutError("the shelling search ran past its deadline")
-
-
-def test_shelling_without_generic_vector_fails_fast(f2):
+def test_shelling_without_generic_vector_fails_fast(f2, deadline):
     # two cones of F2 share the point functional (1, 1): no vector separates them
-    previous = signal.signal(signal.SIGALRM, _deadline_hit)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
+    with deadline(1.0):
         with pytest.raises(PreconditionFailed, match="same point functional"):
             coho._compute_shelling(f2)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_census_oracles(corpus, p3, bundle3):

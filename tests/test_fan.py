@@ -7,9 +7,11 @@ from toricqh.errors import (
     DimensionMismatch,
     FanNotAccepted,
     IndexOutOfRange,
+    LocateFailure,
     NotACone,
     NotEffective,
     PreconditionFailed,
+    SearchBudgetExceeded,
 )
 from toricqh.fan import CurveClass, Fan
 
@@ -186,6 +188,15 @@ def test_relation_kernel_and_homogeneity(corpus, f2, p3, bundle3):
             assert all(a >= 1 for a in pd.rhs_coeffs)
 
 
+@pytest.mark.parametrize("bad", [1.2, True, "1"])
+def test_curve_class_entries_must_be_int(p2, bad):
+    with pytest.raises(ValueError, match="pairing"):
+        CurveClass((bad, 1, 1))
+    with pytest.raises(ValueError, match="pairing"):
+        fan_mod.curve_class(p2, (bad, 1, 1))
+    assert CurveClass([1, 1, 1]).pairings == (1, 1, 1)
+
+
 def test_curve_class_checks(p2):
     with pytest.raises(NotEffective):
         fan_mod.curve_class(p2, (1, 0, 0))
@@ -238,6 +249,134 @@ def test_decompose_effective_rejects(p2, p1xp1):
     with pytest.raises(NotEffective):
         fan_mod.decompose_effective(p1xp1, CurveClass((-1, -1, 1, 1)))
     assert fan_mod.decompose_effective(p2, CurveClass((0, 0, 0))) == ()
+
+
+def _exhaustive_decompose(fan, beta):
+    """The effectivity search without prune, memo or budget: the reference
+    the pruned search must match tuple for tuple."""
+    fan_mod.require_accepted(fan)
+    if len(beta.pairings) != fan.n_rays:
+        raise NotEffective("pairing vector length does not match the ray count")
+    fan_mod.curve_class(fan, beta.pairings)
+    if beta.is_zero():
+        return ()
+    pdata = fan_mod.primitive_data(fan)
+    negatives = tuple(i for i, b in enumerate(beta.pairings) if b < 0)
+    if fan_mod.is_cone(fan, negatives):
+        counts = {}
+        current = list(beta.pairings)
+        guard = 0
+        while any(x != 0 for x in current):
+            guard += 1
+            if guard > 10_000:
+                raise LocateFailure("greedy decomposition failed to terminate")
+            positives = {i for i, b in enumerate(current) if b > 0}
+            chosen = None
+            for pd in pdata:
+                if set(pd.set).issubset(positives):
+                    chosen = pd
+                    break
+            if chosen is None:
+                raise NotEffective("no primitive set lies in the positive support")
+            counts[chosen.set] = counts.get(chosen.set, 0) + 1
+            current = [x - y for x, y in zip(current, chosen.cls.pairings)]
+        by_set = {pd.set: pd for pd in pdata}
+        return tuple((by_set[s], c) for s, c in sorted(counts.items()))
+
+    degree = beta.degree
+    crude_cap = sum(abs(b) for b in beta.pairings) + 4
+
+    def search(idx, remaining, budget):
+        if all(x == 0 for x in remaining):
+            return []
+        if idx == len(pdata):
+            return None
+        pd = pdata[idx]
+        deg = pd.cls.degree
+        cap = budget // deg if deg > 0 else crude_cap
+        for count in range(cap + 1):
+            rem = tuple(r - count * p for r, p in zip(remaining, pd.cls.pairings))
+            rest = search(idx + 1, rem, budget - count * deg if deg > 0 else budget)
+            if rest is not None:
+                return ([(pd, count)] if count else []) + rest
+        return None
+
+    if degree < 0 and all(pd.cls.degree > 0 for pd in pdata):
+        raise NotEffective("negative degree")
+    found = search(0, beta.pairings, max(degree, 0))
+    if found is None:
+        raise NotEffective("not a nonnegative combination of primitive classes")
+    return tuple(found)
+
+
+def _sweep_classes(fan, max_degree=4, max_a=3):
+    """Every sum of primitive classes of degree <= max_degree, and every
+    a*beta_i - beta_j with a <= max_a and degree >= 0."""
+    classes = [pd.cls for pd in fan_mod.primitive_data(fan)]
+    out = set()
+
+    def sums(k, total):
+        out.add(total)
+        for j in range(k, len(classes)):
+            if total.degree + classes[j].degree <= max_degree:
+                sums(j, total + classes[j])
+
+    sums(0, CurveClass((0,) * fan.n_rays))
+    for i, bi in enumerate(classes):
+        for j, bj in enumerate(classes):
+            for a in range(1, max_a + 1):
+                beta = bi.scaled(a) - bj
+                if i != j and beta.degree >= 0:
+                    out.add(beta)
+    return sorted(out, key=lambda b: (b.degree, b.pairings))
+
+
+def _outcome(decompose, fan, beta):
+    try:
+        return decompose(fan, beta)
+    except NotEffective:
+        return "not effective"
+
+
+def test_decompose_effective_matches_exhaustive(corpus, p3):
+    p2, p1 = catalog.projective_plane(), catalog.projective_space(1)
+    fans = list(corpus.values()) + [
+        p3,
+        catalog.product(p2, p1),
+        catalog.product(catalog.blowup_p2_three(), p1),
+    ]
+    searched = rejected = 0
+    for fan in fans:
+        for beta in _sweep_classes(fan):
+            want = _outcome(_exhaustive_decompose, fan, beta)
+            assert _outcome(fan_mod.decompose_effective, fan, beta) == want, beta
+            negatives = tuple(i for i, b in enumerate(beta.pairings) if b < 0)
+            searched += not fan_mod.is_cone(fan, negatives)
+            rejected += want == "not effective"
+    assert searched > 100 and rejected > 100  # both branches and both outcomes ran
+
+
+def test_decompose_effective_large_multiple_is_fast(bl3p2, deadline):
+    # k * (first + last primitive class) with k = 20: the unpruned search
+    # took 6 s at k = 10 and did not finish within 50 s here
+    rel = {pd.set: pd for pd in fan_mod.primitive_data(bl3p2)}
+    beta = (rel[(0, 1)].cls + rel[(4, 5)].cls).scaled(20)
+    assert beta.pairings == (20, 20, -20, -20, 20, 20)
+    with deadline(1.0):
+        found = fan_mod.decompose_effective(bl3p2, beta)
+    assert found == ((rel[(0, 1)], 20), (rel[(4, 5)], 20))
+
+
+def test_decompose_effective_node_budget(p2, bl3p2, monkeypatch):
+    rel = {pd.set: pd for pd in fan_mod.primitive_data(bl3p2)}
+    beta = rel[(0, 1)].cls + rel[(4, 5)].cls
+    monkeypatch.setattr(fan_mod, "SEARCH_NODE_BUDGET", 1)
+    with pytest.raises(SearchBudgetExceeded) as err:
+        fan_mod.decompose_effective(bl3p2, beta)
+    assert not isinstance(err.value, NotEffective)
+    # the greedy branch visits no search state
+    line = fan_mod.primitive_data(p2)[0]
+    assert fan_mod.decompose_effective(p2, line.cls) == ((line, 1),)
 
 
 def test_is_isomorphic(corpus, p3):

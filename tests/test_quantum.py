@@ -15,6 +15,7 @@ from toricqh.errors import (
     NotFano,
     NotInClass,
     NotInTier,
+    PreconditionFailed,
 )
 from toricqh.fan import CurveClass
 from toricqh.quantum import QuantumClass, QuantumTerm
@@ -84,6 +85,17 @@ def test_reduce_oracles_bl1p2(bl1p2):
 def test_reduce_validates(p2):
     with pytest.raises(IndexOutOfRange):
         quantum.reduce_monomial(p2, (0, 9))
+
+
+def test_rewrite_degree_cap(p2, deadline):
+    # the recursive rewrite would need about 3000 frames for this monomial
+    with deadline(1.0):
+        with pytest.raises(PreconditionFailed, match="rewrite cap"):
+            quantum.reduce_monomial(p2, (0,) * 3000)
+        with pytest.raises(PreconditionFailed, match="rewrite cap"):
+            quantum.evaluate_terms(p2, [QuantumTerm(quantum.zero_curve(p2), (0,) * 3000, Fraction(1))])
+    top = (0,) * quantum.MAX_REWRITE_DEGREE
+    assert quantum.reduce_monomial(p2, top) == quantum.reduce_monomial(p2, top, random.Random(1))
 
 
 def test_giambelli_oracles(p2, bl1p2, bl3p2):
