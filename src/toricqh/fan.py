@@ -323,15 +323,24 @@ def cone_generators(fan: Fan, cone: Sequence[int]) -> list[Vector]:
     return [fan.rays[i] for i in cone]
 
 
-def coords_in_basis(fan: Fan, max_cone: Cone, v: Sequence[int]) -> tuple[int, ...]:
-    """Integer coordinates of v in the basis given by a maximal cone."""
+def cone_inverse(fan: Fan, max_cone: Cone) -> tuple[Vector, ...]:
+    """Inverse of the generator matrix of a maximal cone, cached per fan.
+
+    Row k is the dual functional of the cone's k-th generator: it takes
+    the value 1 on that ray and 0 on the cone's other rays.
+    """
     d = _derived(fan)
     inv = d.cone_inverse.get(max_cone)
     if inv is None:
         mat = lattice.mat_from_columns(cone_generators(fan, max_cone))
         inv = tuple(tuple(row) for row in lattice.integer_inverse(mat))
         d.cone_inverse[max_cone] = inv
-    return lattice.mat_vec(inv, v)
+    return inv
+
+
+def coords_in_basis(fan: Fan, max_cone: Cone, v: Sequence[int]) -> tuple[int, ...]:
+    """Integer coordinates of v in the basis given by a maximal cone."""
+    return lattice.mat_vec(cone_inverse(fan, max_cone), v)
 
 
 def primitive_sets(fan: Fan) -> tuple[Cone, ...]:
@@ -564,8 +573,7 @@ def is_isomorphic(a: Fan, b: Fan) -> bool:
         return False
     if a.dim == 0:
         return True
-    anchor = a.max_cones[0]
-    anchor_inv = lattice.integer_inverse(lattice.mat_from_columns(cone_generators(a, anchor)))
+    anchor_inv = cone_inverse(a, a.max_cones[0])
     rays_b = set(b.rays)
     cones_b = set(b.max_cones)
     for cone in b.max_cones:

@@ -370,19 +370,6 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
     return int(det)
 
 
-def dual_basis_functional(cone_generators: Sequence[Sequence[int]], index: int) -> Vector:
-    """The functional phi in the dual lattice with phi(g_index) = 1 and
-    phi(g_j) = 0 for the other generators of a unimodular basis."""
-    n = len(cone_generators)
-    if n == 0 or any(len(g) != n for g in cone_generators):
-        raise NonUnimodular("generators do not form a square basis")
-    if not 0 <= index < n:
-        raise IndexError("functional index out of range")
-    g = mat_from_columns(cone_generators)
-    inv = integer_inverse(g)
-    return tuple(inv[index])
-
-
 def express_in_cone(
     v: Sequence[int], cone_generators: Sequence[Sequence[int]]
 ) -> Optional[tuple[list[Fraction], bool]]:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Optional, Sequence, Union
 
-from . import cohomology, fan as fan_mod, fano, lattice
+from . import cohomology, fan as fan_mod, fano
 from .cohomology import CohomologyClass, Monomial
 from .errors import IndexOutOfRange, NotACone, NotFano, NotInClass, PreconditionFailed
 from .fan import Cone, CurveClass, Fan, PrimitiveData, Vector
@@ -121,11 +121,17 @@ _Parts = dict[CurveClass, dict[int, Fraction]]  # a quantum class being summed
 MAX_REWRITE_DEGREE = 128
 
 
-def _check_rewrite_degree(mono: Monomial) -> None:
-    if len(mono) > MAX_REWRITE_DEGREE:
+def _check_monomial(fan: Fan, monomial: Sequence[int]) -> Monomial:
+    """The sorted monomial, once its degree is at most MAX_REWRITE_DEGREE
+    and every index is an int naming a ray (nothing is coerced)."""
+    if len(monomial) > MAX_REWRITE_DEGREE:
         raise PreconditionFailed(
-            f"monomial of degree {len(mono)} is above the rewrite cap {MAX_REWRITE_DEGREE}"
+            f"monomial of degree {len(monomial)} is above the rewrite cap {MAX_REWRITE_DEGREE}"
         )
+    mono = tuple(sorted(fan_mod._strict_int(i, "divisor index") for i in monomial))
+    if any(i < 0 or i >= fan.n_rays for i in mono):
+        raise IndexOutOfRange(f"divisor index out of range in {mono}")
+    return mono
 
 
 def _add_into(
@@ -286,9 +292,9 @@ def _qring(fan: Fan) -> _QuantumRing:
 
 
 def lattice_functional(fan: Fan, mu: Cone, i: int) -> Vector:
-    """The dual functional of ray i inside the maximal cone mu."""
-    gens = fan_mod.cone_generators(fan, mu)
-    return lattice.dual_basis_functional(gens, mu.index(i))
+    """The dual functional of ray i inside the maximal cone mu: 1 on ray i,
+    0 on the other rays of mu."""
+    return fan_mod.cone_inverse(fan, mu)[mu.index(i)]
 
 
 def presentation(fan: Fan) -> Presentation:
@@ -301,7 +307,8 @@ def presentation(fan: Fan) -> Presentation:
 
 
 def _check_cone(fan: Fan, sigma: Sequence[int]) -> Cone:
-    key = tuple(sorted(sigma))
+    # strict, as the cone keys the Giambelli and closed-form caches
+    key = tuple(sorted(fan_mod._strict_int(i, "cone index") for i in sigma))
     if not fan_mod.is_cone(fan, key):
         raise NotACone(f"{tuple(i + 1 for i in key)} does not span a cone")
     return key
@@ -338,26 +345,22 @@ def reduce_monomial(
     containing cone); the result must not depend on it, which the test suite
     uses as a confluence audit.  Memoization only applies to the
     deterministic strategy.  A monomial of degree above MAX_REWRITE_DEGREE
-    is refused with PreconditionFailed.
+    is refused with PreconditionFailed, an index that is not an int with
+    ValueError and one that names no ray with IndexOutOfRange.
     """
-    mono = tuple(sorted(int(i) for i in monomial))
-    _check_rewrite_degree(mono)
-    if any(i < 0 or i >= fan.n_rays for i in mono):
-        raise IndexOutOfRange(f"divisor index out of range in {mono}")
+    mono = _check_monomial(fan, monomial)
     return _qring(fan).reduce(mono, rng)
 
 
 def evaluate_terms(fan: Fan, terms: Sequence[QuantumTerm]) -> QuantumClass:
     """Evaluate a q-polynomial in the divisor symbols to a quantum class.
 
-    A term whose monomial has degree above MAX_REWRITE_DEGREE is refused
-    with PreconditionFailed.
+    Term monomials are checked as in reduce_monomial.
     """
     ring = _qring(fan)
     acc: _Parts = {}
     for term in terms:
-        _check_rewrite_degree(term.monomial)
-        red = ring.reduce(tuple(sorted(term.monomial)), None)
+        red = ring.reduce(_check_monomial(fan, term.monomial), None)
         _add_into(acc, red, term.coefficient, term.curve)
     return _from_parts(acc)
 

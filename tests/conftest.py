@@ -50,6 +50,18 @@ def p3():
 
 
 @pytest.fixture(scope="session")
+def threefolds(p3):
+    """Fano threefolds with more maximal cones than the surfaces have."""
+    p1, p2 = catalog.projective_space(1), catalog.projective_plane()
+    return {
+        "p3": p3,
+        "p2xp1": catalog.product(p2, p1),
+        "p1x3": catalog.product(p1, p1, p1),
+        "bl3p2xp1": catalog.product(catalog.blowup_p2_three(), p1),
+    }
+
+
+@pytest.fixture(scope="session")
 def bundle3():
     return catalog.twisted_bundle_threefold()
 

@@ -145,14 +145,6 @@ def test_determinant_values():
     assert lattice.determinant([[0, 1], [1, 0]]) == -1
 
 
-def test_dual_basis_functional_kronecker():
-    gens = [(1, 0, 0), (1, 1, 0), (1, 1, 1)]
-    for i in range(3):
-        phi = lattice.dual_basis_functional(gens, i)
-        for j, g in enumerate(gens):
-            assert lattice.dot(phi, g) == (1 if i == j else 0)
-
-
 def test_express_in_cone():
     gens = [(1, 0), (1, 2)]
     inside = lattice.express_in_cone((2, 2), gens)

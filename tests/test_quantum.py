@@ -6,6 +6,7 @@ import pytest
 
 from toricqh import cohomology as coho
 from toricqh import fan as fan_mod
+from toricqh import lattice
 from toricqh import quantum
 from toricqh.cohomology import CohomologyClass
 from toricqh.errors import (
@@ -83,8 +84,27 @@ def test_reduce_oracles_bl1p2(bl1p2):
 
 
 def test_reduce_validates(p2):
-    with pytest.raises(IndexOutOfRange):
-        quantum.reduce_monomial(p2, (0, 9))
+    one = Fraction(1)
+    for index in (-1, 3, 9):
+        with pytest.raises(IndexOutOfRange):
+            quantum.reduce_monomial(p2, (0, index))
+        with pytest.raises(IndexOutOfRange):
+            quantum.evaluate_terms(p2, [QuantumTerm(quantum.zero_curve(p2), (0, index), one)])
+
+
+@pytest.mark.parametrize("entry", [0.7, 1.0, True, False, "1", None])
+def test_rewrite_refuses_non_int_index(p2, entry):
+    # refused, not coerced: (0.7, True) used to rewrite as (0, 1)
+    one = Fraction(1)
+    with pytest.raises(ValueError, match="divisor index"):
+        quantum.reduce_monomial(p2, (0, entry))
+    with pytest.raises(ValueError, match="divisor index"):
+        quantum.evaluate_terms(p2, [QuantumTerm(quantum.zero_curve(p2), (0, entry), one)])
+    # a cone given as (0.0, True) would have been cached under the key (0, 1)
+    with pytest.raises(ValueError, match="cone index"):
+        quantum.giambelli(p2, (0, entry))
+    with pytest.raises(ValueError, match="cone index"):
+        quantum.divisor_product_closed_form(p2, (0, entry))
 
 
 def test_rewrite_degree_cap(p2, deadline):
@@ -247,6 +267,37 @@ def test_confluence_audit(corpus):
             for seed in range(5):
                 rng = random.Random(seed)
                 assert quantum.reduce_monomial(fan, mono, rng) == expected
+
+
+def test_confluence_audit_threefolds(threefolds):
+    # a random strategy picks among several containing cones here, so many
+    # more (cone, divisor) linear steps run than on the surfaces
+    for name, fan in threefolds.items():
+        n, m = fan.dim, fan.n_rays
+        draw = random.Random(name)
+        stress = [
+            tuple(range(m)),
+            (0, 0, 1, 1),
+            (0,) * (3 * n),
+            (m - 1,) * (3 * n),
+        ] + [tuple(sorted(draw.randrange(m) for _ in range(d))) for d in range(n + 1, 3 * n + 1)]
+        for mono in stress:
+            expected = quantum.reduce_monomial(fan, mono)
+            for seed in range(5):
+                rng = random.Random(seed)
+                assert quantum.reduce_monomial(fan, mono, rng) == expected, (name, mono, seed)
+
+
+def test_lattice_functional_kronecker(corpus, threefolds):
+    for fan in list(corpus.values()) + list(threefolds.values()):
+        for mu in fan.max_cones:
+            # the direct elimination on the cone's generators is the oracle
+            inverse = lattice.integer_inverse(lattice.mat_from_columns(fan_mod.cone_generators(fan, mu)))
+            for k, i in enumerate(mu):
+                phi = quantum.lattice_functional(fan, mu, i)
+                assert phi == tuple(inverse[k])
+                for j in mu:
+                    assert lattice.dot(phi, fan.rays[j]) == (1 if i == j else 0)
 
 
 def test_evaluate_terms(p2):
