@@ -518,9 +518,7 @@ def cmd_tree(args) -> int:
     trees = curves.tree_for_class(fan, beta)
     lines = [f"class {_curve_text(beta)} degree {beta.degree}"]
     rows = []
-    total = CurveClass((0,) * fan.n_rays)
     for tree, count in trees:
-        total = total + tree.cls.scaled(count)
         edges = ", ".join(f"{_cone_text(w)} x{m}" for w, m in tree.edges)
         lines.append(
             f"  {count} x tree to D{tree.target + 1} from {_cone_text(tree.root)}:"
@@ -536,6 +534,7 @@ def cmd_tree(args) -> int:
                 "degree_verified": tree.degree_verified,
             }
         )
+    total = curves.tree_total(trees) if trees else CurveClass((0,) * fan.n_rays)
     match = total == beta
     lines.append(f"total {_curve_text(total)} matches: {'yes' if match else 'no'}")
     _emit(args, {"trees": rows, "total": list(total.pairings), "matches": match}, "\n".join(lines))

@@ -297,7 +297,10 @@ class _CohomologyRing:
     def normal_form(self, poly: Mapping[Monomial, Fraction]) -> CohomologyClass:
         coords: dict[int, Fraction] = {}
         for mono, coeff in poly.items():
-            key = tuple(sorted(int(i) for i in mono))
+            for i in mono:  # one type test per index, as in CurveClass
+                if type(i) is not int:
+                    fan_mod._strict_int(i, "divisor index")
+            key = tuple(sorted(mono))
             if any(i < 0 or i >= self.fan.n_rays for i in key):
                 raise IndexOutOfRange(f"monomial {key} has a divisor index out of range")
             coeff = Fraction(coeff)
@@ -308,15 +311,11 @@ class _CohomologyRing:
         return CohomologyClass(coords)
 
 
-_RINGS: dict[Fan, _CohomologyRing] = {}
-
-
 def _ring(fan: Fan) -> _CohomologyRing:
-    ring = _RINGS.get(fan)
-    if ring is None:
-        ring = _CohomologyRing(fan)
-        _RINGS[fan] = ring
-    return ring
+    d = fan_mod._derived(fan)
+    if d.cohomology_ring is None:
+        d.cohomology_ring = _CohomologyRing(fan)
+    return d.cohomology_ring
 
 
 def normal_form(fan: Fan, poly: Mapping[Monomial, Fraction]) -> CohomologyClass:
@@ -382,10 +381,9 @@ def cup(fan: Fan, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
 
 def stratum_class(fan: Fan, sigma: Sequence[int]) -> CohomologyClass:
     """The class of the closed stratum X(sigma) for a cone sigma."""
-    key = tuple(sorted(sigma))
-    if not fan_mod.is_cone(fan, key):
-        raise NotACone(f"{tuple(i + 1 for i in key)} does not span a cone")
-    return _ring(fan).normal_form({key: Fraction(1)})
+    if not fan_mod.is_cone(fan, sigma):
+        raise NotACone(f"{tuple(i + 1 for i in sorted(sigma))} does not span a cone")
+    return _ring(fan).normal_form({tuple(sigma): Fraction(1)})
 
 
 def integrate(fan: Fan, a: CohomologyClass) -> Fraction:

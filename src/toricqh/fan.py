@@ -162,7 +162,8 @@ class PrimitiveData:
 
 
 class _Derived:
-    """Lazily computed per-fan combinatorics, shared by all modules."""
+    """The one per-fan context: everything computed for a fan, filled lazily
+    by the module that computes it and shared by all modules."""
 
     def __init__(self, fan: Fan):
         self.fan = fan
@@ -174,9 +175,22 @@ class _Derived:
         self.facet_map: Optional[dict] = None
         self.sign_prune: Optional[tuple] = None
         self.cone_inverse: dict[Cone, tuple[Vector, ...]] = {}
+        # filled by the modules built on this one, which it cannot import
+        self.tier = None  # fano.ClassTier
+        self.exceptional = None  # tuple of fano.ExceptionalData
+        self.cohomology_ring = None  # cohomology._CohomologyRing
+        self.quantum_ring = None  # quantum._QuantumRing
 
 
+# Unbounded: a pass over the benchmark's fan zoo touches about a thousand
+# distinct fans and revisits them uniformly, so any bound it reaches turns
+# revisits into rebuilds.
 _DERIVED: dict[Fan, _Derived] = {}
+
+
+def clear_caches() -> None:
+    """Forget everything computed for every fan."""
+    _DERIVED.clear()
 
 
 def _derived(fan: Fan) -> _Derived:
@@ -311,6 +325,9 @@ def faces(fan: Fan) -> list[Cone]:
 
 
 def is_cone(fan: Fan, ray_indices: Sequence[int]) -> bool:
+    for i in ray_indices:  # refused before sorting, which a None would break
+        if type(i) is not int:
+            _strict_int(i, "cone index")
     idx = tuple(sorted(ray_indices))
     if any(i < 0 or i >= fan.n_rays for i in idx):
         raise IndexOutOfRange(f"ray index out of range in {_one_based(idx)}")

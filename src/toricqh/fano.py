@@ -59,14 +59,11 @@ class ClassTier:
     certificates: tuple[RelationCertificate, ...]
 
 
-_CLASSIFY: dict[Fan, ClassTier] = {}
-
-
 def classify(fan: Fan) -> ClassTier:
     """Certify the strongest tier the fan satisfies."""
-    cached = _CLASSIFY.get(fan)
-    if cached is not None:
-        return cached
+    d = fan_mod._derived(fan)
+    if d.tier is not None:
+        return d.tier
     fan_mod.require_accepted(fan)
     pdata = fan_mod.primitive_data(fan)
     head_count: dict[int, int] = {}
@@ -98,9 +95,8 @@ def classify(fan: Fan) -> ClassTier:
         tier = Tier.SUBVARIETIES_FANO
     else:
         tier = Tier.FULL_CLASS
-    result = ClassTier(tier, tuple(certs))
-    _CLASSIFY[fan] = result
-    return result
+    d.tier = ClassTier(tier, tuple(certs))
+    return d.tier
 
 
 def check_condition_iii(fan: Fan):
@@ -139,6 +135,9 @@ def exceptional_sets(fan: Fan) -> tuple[ExceptionalData, ...]:
     Independence caps the subset size at the lattice dimension, so the
     subset search is shallow.  Requires the SubvarietiesFano tier.
     """
+    d = fan_mod._derived(fan)
+    if d.exceptional is not None:
+        return d.exceptional
     if classify(fan).tier < Tier.SUBVARIETIES_FANO:
         raise NotInTier("exceptional sets need the SubvarietiesFano tier")
     ray_index = {ray: i for i, ray in enumerate(fan.rays)}
@@ -152,25 +151,15 @@ def exceptional_sets(fan: Fan) -> tuple[ExceptionalData, ...]:
             hit = ray_index.get(total)
             if hit is None:
                 continue
-            if lattice.rational_rank([list(map(int, v)) for v in vecs]) != k:
+            if lattice.rational_rank(vecs) != k:
                 continue
             pairings = [0] * fan.n_rays
             for i in cand:
                 pairings[i] += 1
             pairings[hit] -= 1
             out.append(ExceptionalData(cand, hit, fan_mod.curve_class(fan, pairings)))
-    return tuple(out)
-
-
-_EXC_CACHE: dict[Fan, tuple[ExceptionalData, ...]] = {}
-
-
-def _exceptional_sets_cached(fan: Fan) -> tuple[ExceptionalData, ...]:
-    cached = _EXC_CACHE.get(fan)
-    if cached is None:
-        cached = exceptional_sets(fan)
-        _EXC_CACHE[fan] = cached
-    return cached
+    d.exceptional = tuple(out)
+    return d.exceptional
 
 
 def special_exceptional_sets(fan: Fan, sigma: Sequence[int]) -> tuple[ExceptionalData, ...]:
@@ -181,7 +170,7 @@ def special_exceptional_sets(fan: Fan, sigma: Sequence[int]) -> tuple[Exceptiona
         raise NotACone(f"{tuple(i + 1 for i in key)} does not span a cone")
     members = set(key)
     out = []
-    for exc in _exceptional_sets_cached(fan):
+    for exc in exceptional_sets(fan):
         if exc.exc not in members:
             continue
         inside = sum(1 for i in exc.set if i in members)
@@ -228,7 +217,7 @@ def primitive_exceptional_sets(fan: Fan) -> tuple[ExceptionalData, ...]:
     """Exceptional sets that are also primitive sets, i.e. blow-down data."""
     prims = {pd.set: pd for pd in fan_mod.primitive_data(fan)}
     out = []
-    for exc in _exceptional_sets_cached(fan):
+    for exc in exceptional_sets(fan):
         pd = prims.get(exc.set)
         if pd is not None and pd.rhs_cone == (exc.exc,) and pd.rhs_coeffs == (1,):
             out.append(exc)

@@ -1,10 +1,13 @@
 """Exact linear algebra over the integer lattice Z^n and its dual.
 
-Everything here runs on arbitrary-precision integers and fractions.Fraction;
-no floating point is ever involved.  Matrices are lists of rows, vectors are
-tuples, and lattice vectors stay integer end to end.  Kernel computations go
-through Smith normal form with explicit unimodular transforms so the result
-is certified to be a Z-basis rather than merely a Q-basis.
+Everything here runs on arbitrary-precision integers; no floating point is
+ever involved.  Matrices are lists of rows, vectors are tuples, and lattice
+vectors stay integer end to end.  There are three kernels: Smith normal
+form with explicit unimodular transforms, so that a quotient map is
+certified over Z rather than merely over Q; one fraction-free dense
+elimination (Bareiss) behind the solve, rank, inverse and determinant; and
+the sparse echelon that builds the cohomology ring one row at a time.  A
+Fraction appears only in the solve's output and the echelon's values.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Hashable, Mapping, Optional, Sequence
 
-from .errors import DependentGenerators, NonUnimodular, RingInconsistent
+from .errors import DependentGenerators, NonUnimodular
 
 Vector = tuple[int, ...]
 
@@ -101,21 +104,18 @@ def smith_normal_form(
         for row in t:
             row[i], row[j] = row[j], row[i]
 
-    def pivot_at(k):
+    def reduce_at(k) -> bool:
+        # move the smallest nonzero entry of the block a[k:, k:] to (k, k) and
+        # clear row and column k; False when the block is zero
         best = None
         for i in range(k, nrows):
             for j in range(k, ncols):
                 if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
                     best = (i, j)
-        return best
-
-    k = 0
-    while k < min(nrows, ncols):
-        pos = pivot_at(k)
-        if pos is None:
-            break
-        swap_rows(k, pos[0])
-        swap_cols(k, pos[1])
+        if best is None:
+            return False
+        swap_rows(k, best[0])
+        swap_cols(k, best[1])
         clean = False
         while not clean:
             clean = True
@@ -131,6 +131,10 @@ def smith_normal_form(
                     if a[k][j] != 0:
                         swap_cols(k, j)
                         clean = False
+        return True
+
+    k = 0
+    while k < min(nrows, ncols) and reduce_at(k):
         k += 1
 
     # Enforce the divisibility chain; folding column k+1 into column k can
@@ -139,24 +143,7 @@ def smith_normal_form(
     while k + 1 < min(nrows, ncols):
         if a[k][k] != 0 and a[k + 1][k + 1] % a[k][k] != 0:
             col_op(k, k + 1, -1)
-            pos = pivot_at(k)
-            swap_rows(k, pos[0])
-            swap_cols(k, pos[1])
-            clean = False
-            while not clean:
-                clean = True
-                for i in range(k + 1, nrows):
-                    if a[i][k] != 0:
-                        row_op(i, k, a[i][k] // a[k][k])
-                        if a[i][k] != 0:
-                            swap_rows(k, i)
-                            clean = False
-                for j in range(k + 1, ncols):
-                    if a[k][j] != 0:
-                        col_op(j, k, a[k][j] // a[k][k])
-                        if a[k][j] != 0:
-                            swap_cols(k, j)
-                            clean = False
+            reduce_at(k)
         else:
             k += 1
 
@@ -167,31 +154,44 @@ def smith_normal_form(
     return s, a, t
 
 
-def integer_kernel(matrix: Sequence[Sequence[int]]) -> list[Vector]:
-    """Z-basis of the integer kernel of an n x m matrix acting on columns.
+def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss).
 
-    The basis vectors are columns of the unimodular column transform of the
-    Smith decomposition, so they generate the kernel over Z, not just Q.
+    Columns are taken left to right; a column gets a pivot when a row at or
+    below the current one is nonzero there, and the first such row is
+    swapped up.  A pivot p at (r, c) replaces every other row i by
+    (p * a[i] - a[i][c] * a[r]) / prev, where prev is the previous pivot
+    (1 at first).  By Sylvester's identity every entry is then a minor of
+    the input, so the division is exact and no fraction arises.
+
+    Returns (a, pivots, d, sign): with rank r, a[:r] is d times the reduced
+    row echelon form (a[i][pivots[i]] == d for i < r), d is the last pivot
+    (1 when r == 0), the minor of the row-swapped input on its first r rows
+    and the pivot columns, and sign is that of the row permutation, so a
+    square input of full rank has determinant sign * d.
     """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    if ncols == 0:
-        return []
-    if nrows == 0:
-        return [tuple(row) for row in identity_matrix(ncols)]
-    _, d, t = smith_normal_form(matrix)
-    rank = 0
-    for i in range(min(nrows, ncols)):
-        if d[i][i] != 0:
-            rank += 1
-    return [tuple(t[i][j] for i in range(ncols)) for j in range(rank, ncols)]
-
-
-def invariant_factors(matrix: Sequence[Sequence[int]]) -> list[int]:
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    _, d, _ = smith_normal_form(matrix)
-    return [d[i][i] for i in range(min(nrows, ncols)) if d[i][i] != 0]
+    a = [list(row) for row in rows]
+    nrows = len(a)
+    pivots: list[int] = []
+    d, sign = 1, 1
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == nrows:
+            break
+        sel = next((i for i in range(r, nrows) if a[i][c]), None)
+        if sel is None:
+            continue
+        if sel != r:
+            a[r], a[sel] = a[sel], a[r]
+            sign = -sign
+        p, prow = a[r][c], a[r]
+        for i in range(nrows):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // d for x, y in zip(a[i], prow)]
+        pivots.append(c)
+        d = p
+    return a, pivots, d, sign
 
 
 def solve_columns(
@@ -203,58 +203,16 @@ def solve_columns(
     returns None when the system is inconsistent.
     """
     k = len(columns)
-    if k == 0:
-        return [] if is_zero(target) else None
-    n = len(columns[0])
-    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        sel = None
-        for r in range(row, n):
-            if aug[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            raise DependentGenerators("generators are linearly dependent")
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = Fraction(1) / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, n):
-        if aug[r][k] != 0:
-            return None
-    return [aug[i][k] for i in range(k)]
+    a, pivots, d, _ = _bareiss([[col[i] for col in columns] + [t] for i, t in enumerate(target)])
+    if pivots[:k] != list(range(k)):
+        raise DependentGenerators("generators are linearly dependent")
+    if len(pivots) > k:
+        return None
+    return [Fraction(a[i][k], d) for i in range(k)]
 
 
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    work = [list(map(Fraction, row)) for row in rows]
-    ncols = len(work[0]) if work else 0
-    rank = 0
-    for col in range(ncols):
-        sel = None
-        for r in range(rank, len(work)):
-            if work[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        work[rank], work[sel] = work[sel], work[rank]
-        inv = Fraction(1) / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+def rational_rank(rows: Sequence[Sequence[int]]) -> int:
+    return len(_bareiss(rows)[1])
 
 
 class Echelon:
@@ -325,49 +283,22 @@ def integer_inverse(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise NonUnimodular("matrix is not square")
-    cols = [[matrix[i][j] for i in range(n)] for j in range(n)]
-    out_rows: list[list[int]] = [[0] * n for _ in range(n)]
-    for idx in range(n):
-        target = [1 if i == idx else 0 for i in range(n)]
-        try:
-            sol = solve_columns(cols, target)
-        except DependentGenerators:
-            raise NonUnimodular("matrix is singular") from None
-        if sol is None:
-            raise NonUnimodular("matrix is singular")
-        for j, val in enumerate(sol):
-            if val.denominator != 1:
-                raise NonUnimodular("matrix determinant is not +-1")
-            out_rows[j][idx] = int(val)
-    return out_rows
+    # [matrix | I] reduces to [d * I | d * matrix^-1]
+    a, pivots, d, _ = _bareiss([list(row) + e for row, e in zip(matrix, identity_matrix(n))])
+    if pivots[:n] != list(range(n)):
+        raise NonUnimodular("matrix is singular")
+    if abs(d) != 1:
+        raise NonUnimodular("matrix determinant is not +-1")
+    return [[d * x for x in row[n:]] for row in a]
 
 
 def determinant(matrix: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix."""
     n = len(matrix)
-    work = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        sel = None
-        for r in range(col, n):
-            if work[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            return 0
-        if sel != col:
-            work[col], work[sel] = work[sel], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = Fraction(1) / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    if det.denominator != 1:
-        raise RingInconsistent("determinant of an integer matrix is not an integer")
-    return int(det)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
+    _, pivots, d, sign = _bareiss(matrix)
+    return sign * d if len(pivots) == n else 0
 
 
 def express_in_cone(

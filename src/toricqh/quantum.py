@@ -280,15 +280,11 @@ class _QuantumRing:
         return out
 
 
-_QRINGS: dict[Fan, _QuantumRing] = {}
-
-
 def _qring(fan: Fan) -> _QuantumRing:
-    ring = _QRINGS.get(fan)
-    if ring is None:
-        ring = _QuantumRing(fan)
-        _QRINGS[fan] = ring
-    return ring
+    d = fan_mod._derived(fan)
+    if d.quantum_ring is None:
+        d.quantum_ring = _QuantumRing(fan)
+    return d.quantum_ring
 
 
 def lattice_functional(fan: Fan, mu: Cone, i: int) -> Vector:
@@ -307,11 +303,10 @@ def presentation(fan: Fan) -> Presentation:
 
 
 def _check_cone(fan: Fan, sigma: Sequence[int]) -> Cone:
-    # strict, as the cone keys the Giambelli and closed-form caches
-    key = tuple(sorted(fan_mod._strict_int(i, "cone index") for i in sigma))
-    if not fan_mod.is_cone(fan, key):
-        raise NotACone(f"{tuple(i + 1 for i in key)} does not span a cone")
-    return key
+    # is_cone is strict, as the cone keys the Giambelli and closed-form caches
+    if not fan_mod.is_cone(fan, sigma):
+        raise NotACone(f"{tuple(i + 1 for i in sorted(sigma))} does not span a cone")
+    return tuple(sorted(sigma))
 
 
 def giambelli(fan: Fan, sigma: Sequence[int]) -> tuple[QuantumTerm, ...]:

@@ -292,7 +292,7 @@ def test_product_fan_rings(name):
 _TAMPERED_SHELLING = textwrap.dedent(
     """
     import dataclasses, sys
-    from toricqh import catalog, cli, cohomology
+    from toricqh import catalog, clear_caches, cli, cohomology
     from toricqh.errors import RingInconsistent
     from toricqh.fan import Fan
 
@@ -309,7 +309,7 @@ _TAMPERED_SHELLING = textwrap.dedent(
     }
     for name, tau in tampered.items():
         cohomology._compute_shelling = lambda f, tau=tau: dataclasses.replace(good, tau=tau)
-        cohomology._RINGS.clear()
+        clear_caches()
         try:
             for d in range(fan.dim + 1):
                 cohomology.degree_dimension(fan, d)
@@ -318,7 +318,7 @@ _TAMPERED_SHELLING = textwrap.dedent(
         else:
             sys.exit(name + ": not detected")
     # the last tampered shelling is still in force
-    cohomology._RINGS.clear()
+    clear_caches()
     code = cli.main(["multiply", "--fan", sys.argv[1], "D1", "D2"])
     print("exit", code)
 

@@ -1,8 +1,9 @@
 import json
+from itertools import combinations_with_replacement
 
 import pytest
 
-from toricqh import catalog, fan as fan_mod
+from toricqh import catalog, clear_caches, cohomology, fan as fan_mod, fano, quantum
 from toricqh.errors import (
     DimensionMismatch,
     FanNotAccepted,
@@ -394,3 +395,22 @@ def test_is_isomorphic(corpus, p3):
         fan_mod.is_isomorphic(corpus["p2"], p3)
     for fan in corpus.values():
         assert fan_mod.is_isomorphic(fan, fan)
+
+
+def test_clear_caches_empties_the_context_and_recomputes_the_same(bl3p2):
+    def snapshot():
+        basis = [cohomology.basis_class(bl3p2, i) for i in range(len(cohomology.basis_tau(bl3p2)))]
+        monos = [m for d in range(3) for m in combinations_with_replacement(range(6), d)]
+        return (
+            fano.classify(bl3p2),
+            [cohomology.normal_form(bl3p2, {m: 1}) for m in monos],
+            [quantum.quantum_product(bl3p2, a, b) for a in basis for b in basis],
+        )
+
+    before = snapshot()
+    ring = fan_mod._derived(bl3p2).quantum_ring
+    assert ring is not None
+    clear_caches()
+    assert fan_mod._DERIVED == {}
+    assert snapshot() == before
+    assert fan_mod._derived(bl3p2).quantum_ring is not ring

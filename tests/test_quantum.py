@@ -105,6 +105,11 @@ def test_rewrite_refuses_non_int_index(p2, entry):
         quantum.giambelli(p2, (0, entry))
     with pytest.raises(ValueError, match="cone index"):
         quantum.divisor_product_closed_form(p2, (0, entry))
+    # the same goes for normal forms and strata: (0.7, True) used to give b2
+    with pytest.raises(ValueError, match="divisor index"):
+        coho.normal_form(p2, {(0, entry): 1})
+    with pytest.raises(ValueError, match="cone index"):
+        coho.stratum_class(p2, (0, entry))
 
 
 def test_rewrite_degree_cap(p2, deadline):
