@@ -1,31 +1,29 @@
 """Cohomology of the toric variety with a pinned stratum-class basis.
 
 The basis comes from a line shelling of the maximal cones: a generic
-lattice perturbation orders the cones, and each cone mu_i is cut down to
-tau_i by intersecting with its later facet-neighbors.  The perturbation is
-the ray sum plus the first offset, by max-norm radius and then
-lexicographically, at which every cone's point functional takes a distinct
-value.  Two cones tie exactly on a wall, a hyperplane cut out by the
-difference of their functionals, so the search walks the coordinates in
-order and drops a prefix as soon as it lies on a wall instead of testing
-every point of the cube.  The classes of the strata X(tau_i) form a basis,
-one class of degree d per tau_i with |tau_i| = d.  Normal forms are built
-once per degree.  The linear and primitive relations on all monomials of
-that degree go into a sparse exact echelon (integer rows, pivot at the
-lowest column), with the pinned square-free monomials prod(D_rho, rho in
-tau_i) as the last columns so that none of them becomes a pivot.  Back
-substitution then gives a table from every monomial to its coordinates in
-the pinned basis, and a normal form is a sum of table rows.  The quotient
-dimension, monomials minus echelon rank, does not depend on the pinned
-basis and is checked against the shelling census.
+lattice vector orders the cones, and each cone mu_i is cut down to tau_i by
+intersecting with its later facet-neighbors.  The order is closed-form, with
+no search: the key (f . raysum, f_1, ..., f_n) of the cones' point
+functionals f, decreasing lexicographically, which the integer vector
+T^n * raysum + (T^(n-1), ..., T, 1) reproduces once T > 2 max|f|.  It costs
+one sort, O(cones * n * log cones).  The classes of the strata X(tau_i)
+form a basis, one class of degree d per tau_i with |tau_i| = d.
+
+Normal forms are built once per degree.  The linear and primitive relations
+on all monomials of that degree go into a sparse exact echelon (integer
+rows, pivot at the lowest column), with the pinned square-free monomials
+prod(D_rho, rho in tau_i) as the last columns so that none of them becomes
+a pivot.  Back substitution then gives a table from every monomial to its
+coordinates in the pinned basis, and a normal form is a sum of table rows.
+The quotient dimension, monomials minus echelon rank, does not depend on
+the pinned basis and is checked against the shelling census.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from typing import Mapping, Optional, Sequence
 
 from . import fan as fan_mod
@@ -34,6 +32,15 @@ from .errors import IndexOutOfRange, NotACone, NotFano, PreconditionFailed, Ring
 from .fan import Cone, Fan
 
 Monomial = tuple[int, ...]  # sorted divisor indices with multiplicity
+
+
+def _strict_rational(c, what: str) -> Fraction:
+    # exactly int or Fraction: a float, a bool or a string is refused, not coerced
+    if type(c) is Fraction:
+        return c
+    if type(c) is not int:
+        raise ValueError(f"{what} {c!r} is not an int or a Fraction")
+    return Fraction(c)
 
 
 class CohomologyClass:
@@ -45,9 +52,11 @@ class CohomologyClass:
         clean = {}
         if coords:
             for i, c in coords.items():
-                c = Fraction(c)
+                if type(i) is not int:
+                    fan_mod._strict_int(i, "basis index")
+                c = _strict_rational(c, "coefficient")
                 if c != 0:
-                    clean[int(i)] = c
+                    clean[i] = c
         self.coords = clean
 
     def is_zero(self) -> bool:
@@ -69,7 +78,7 @@ class CohomologyClass:
         return self + other.scaled(Fraction(-1))
 
     def scaled(self, c) -> "CohomologyClass":
-        c = Fraction(c)
+        c = _strict_rational(c, "scale factor")
         return CohomologyClass({i: c * v for i, v in self.coords.items()})
 
     def __repr__(self):
@@ -98,93 +107,33 @@ def _cone_point_functional(fan: Fan, cone: Cone) -> tuple[int, ...]:
     return tuple(int(x) for x in sol)
 
 
-Wall = tuple[tuple[int, ...], int]  # w, c: the offsets x with w . x = c
+def _lex_vector(base: tuple[int, ...], bound: int) -> tuple[int, ...]:
+    """T^n * base + (T^(n-1), ..., T, 1) with T = 2 * bound + 1.
 
-
-def _walls(funcs: Sequence[tuple[int, ...]], base: tuple[int, ...]) -> list[Wall]:
-    """The distinct hyperplanes on which base + x gives two cones one value.
-
-    Cones a and b tie at base + x exactly when (f_a - f_b) . x equals
-    -(f_a - f_b) . base; the difference is divided by its gcd and its first
-    nonzero entry made positive, so each wall appears once.
+    For point functionals whose entries lie in [-bound, bound], the pairing
+    with this vector orders the cones as the key (f . base, f_1, ..., f_n)
+    does lexicographically.  Let d = f_a - f_b for two cones, so that
+    d . v = sum_j e_j T^(n-j) over the key difference e = (d . base, d_1,
+    ..., d_n).  Let e_k be its first nonzero entry.  Every later entry is a
+    d_j with |d_j| <= 2 * bound = T - 1, so by the geometric sum the tail
+    is at most (T - 1)(T^(n-k-1) + ... + T + 1) = T^(n-k) - 1 in size,
+    less than |e_k| T^(n-k).  Hence d . v has the sign of e_k, and any
+    T >= 2 * bound + 1 would do.
     """
-    walls: dict[tuple[int, ...], int] = {}
-    for a, b in combinations(funcs, 2):
-        diff = lattice.vsub(a, b)
-        if lattice.is_zero(diff):
-            raise PreconditionFailed(
-                "two maximal cones have the same point functional: no perturbation separates them"
-            )
-        w = lattice.primitive_vector(diff)
-        if next(x for x in w if x) < 0:
-            w = lattice.vscale(-1, w)
-        walls[w] = -lattice.dot(w, base)
-    return list(walls.items())
-
-
-def _first_off_walls(n: int, walls: Sequence[Wall]) -> tuple[int, ...]:
-    """The first offset off every wall, by max-norm radius, then lexicographically.
-
-    For each radius r the walk fixes the coordinates in order, each from
-    [-r, r], and keeps c - w . prefix for every wall.  A wall whose last
-    nonzero coordinate is i bans at most one value of x_i once x_0..x_(i-1)
-    are fixed, so a prefix is dropped as soon as it lies on a wall, and the
-    last coordinate is the least value no wall bans.  The walk covers the
-    whole cube [-r, r]^n, not just the shell max |x_j| = r: every point
-    inside the shell lies on a wall, or a smaller radius would have stopped
-    the search, so the first point found is on the shell.
-
-    The radius never exceeds W = len(walls): a wall holds at most
-    (2R+1)^(n-1) points of the cube [-R, R]^n (fixing the other coordinates
-    fixes one where w is nonzero), so with 2R+1 > W the walls miss a point
-    of the cube, which lies on some shell of radius at most R.
-    """
-    if n == 0:
-        return ()
-
-    def last_nonzero(w):
-        return max(j for j, x in enumerate(w) if x)
-
-    walls = sorted(walls, key=lambda wall: last_nonzero(wall[0]))
-    lasts = [last_nonzero(w) for w, _ in walls]
-    # walls still open at depth i (last nonzero coordinate >= i) form a suffix
-    start = [bisect_left(lasts, i) for i in range(n + 1)]
-    ending = [start[i + 1] - start[i] for i in range(n)]
-    cols = [[w[i] for w, _ in walls[start[i] :]] for i in range(n)]
-    open_cols = [cols[i][ending[i] :] for i in range(n)]
-
-    def walk(i, res, prefix, r):
-        # res[k] = c - w . prefix for the walls open at depth i
-        banned = {q // w for q, w in zip(res[: ending[i]], cols[i]) if q % w == 0}
-        if i == n - 1:
-            for v in range(-r, r + 1):
-                if v not in banned:
-                    return prefix + (v,)
-            return None
-        rest, rest_col = res[ending[i] :], open_cols[i]
-        for v in range(-r, r + 1):
-            if v not in banned:
-                found = walk(i + 1, [q - w * v for q, w in zip(rest, rest_col)], prefix + (v,), r)
-                if found is not None:
-                    return found
-        return None
-
-    consts = [c for _, c in walls]
-    for radius in range(len(walls) + 1):
-        found = walk(0, consts, (), radius)
-        if found is not None:
-            return found
-    raise RingInconsistent(f"no generic perturbation within radius {len(walls)}")
+    t = 2 * bound + 1
+    n = len(base)
+    return tuple(t**n * b + t ** (n - 1 - j) for j, b in enumerate(base))
 
 
 def shelling(fan: Fan) -> Shelling:
     """Deterministic line shelling of an accepted Fano fan.
 
-    The perturbation is the ray sum plus the first offset, by increasing
-    max-norm radius and lexicographically within a radius, at which all
-    cone pairings are distinct.  It is found by a walk over the walls where
-    two pairings tie rather than by testing every point; the cones are
-    sorted by decreasing pairing.
+    The cones are sorted by decreasing key (f . raysum, f_1, ..., f_n) of
+    their point functionals f, with no search.  The perturbation is the
+    integer vector T^n * raysum + (T^(n-1), ..., T, 1) whose pairing gives
+    the same order (see `_lex_vector`); it is generic, so the order is a
+    line shelling (Bruggesser-Mani; Fulton, Introduction to Toric
+    Varieties, section 5.2).
     """
     ring = _ring(fan)
     return ring.shelling
@@ -193,16 +142,21 @@ def shelling(fan: Fan) -> Shelling:
 def _compute_shelling(fan: Fan) -> Shelling:
     fan_mod.require_accepted(fan)
     funcs = {cone: _cone_point_functional(fan, cone) for cone in fan.max_cones}
+    if len(set(funcs.values())) != len(funcs):
+        raise PreconditionFailed(
+            "two maximal cones have the same point functional: no perturbation separates them"
+        )
     base = (0,) * fan.dim
     for ray in fan.rays:
         base = lattice.vadd(base, ray)
-    offset = _first_off_walls(fan.dim, _walls(list(funcs.values()), base))
-    chosen = lattice.vadd(base, offset)
-    value = {c: lattice.dot(funcs[c], chosen) for c in fan.max_cones}
-    if len(set(value.values())) != len(value):
-        raise RingInconsistent(f"perturbation {chosen} ties two cone pairings")
+    order = sorted(
+        fan.max_cones, key=lambda c: (lattice.dot(funcs[c], base),) + funcs[c], reverse=True
+    )
+    chosen = _lex_vector(base, max((abs(x) for f in funcs.values() for x in f), default=0))
+    values = [lattice.dot(funcs[c], chosen) for c in order]
+    if any(a <= b for a, b in zip(values, values[1:])):
+        raise RingInconsistent(f"perturbation {chosen} ties or misorders two cone pairings")
 
-    order = sorted(fan.max_cones, key=lambda c: -value[c])
     taus = []
     for i, mu in enumerate(order):
         gens = set(mu)
@@ -303,7 +257,7 @@ class _CohomologyRing:
             key = tuple(sorted(mono))
             if any(i < 0 or i >= self.fan.n_rays for i in key):
                 raise IndexOutOfRange(f"monomial {key} has a divisor index out of range")
-            coeff = Fraction(coeff)
+            coeff = _strict_rational(coeff, "coefficient")
             if coeff == 0 or len(key) > self.fan.dim:
                 continue
             for i, c in self.table(len(key)).forms[key].items():

@@ -424,9 +424,9 @@ def star(fan: Fan, sigma: Sequence[int]) -> Fan:
     cone is the fan itself.
     """
     require_accepted(fan)
+    if not is_cone(fan, sigma):
+        raise NotACone(f"{_one_based(sorted(sigma))} does not span a cone")
     key = tuple(sorted(sigma))
-    if not is_cone(fan, key):
-        raise NotACone(f"{_one_based(key)} does not span a cone")
     if not key:
         return fan
     k = len(key)

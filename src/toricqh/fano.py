@@ -165,10 +165,9 @@ def exceptional_sets(fan: Fan) -> tuple[ExceptionalData, ...]:
 def special_exceptional_sets(fan: Fan, sigma: Sequence[int]) -> tuple[ExceptionalData, ...]:
     """Exceptional sets special for the cone sigma: all members but one lie
     in sigma and so does the exceptional ray."""
-    key = tuple(sorted(sigma))
-    if not fan_mod.is_cone(fan, key):
-        raise NotACone(f"{tuple(i + 1 for i in key)} does not span a cone")
-    members = set(key)
+    if not fan_mod.is_cone(fan, sigma):
+        raise NotACone(f"{tuple(i + 1 for i in sorted(sigma))} does not span a cone")
+    members = set(sigma)
     out = []
     for exc in exceptional_sets(fan):
         if exc.exc not in members:

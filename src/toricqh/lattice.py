@@ -39,10 +39,6 @@ def vscale(c: int, v: Sequence[int]) -> Vector:
     return tuple(c * a for a in v)
 
 
-def is_zero(v: Sequence[int]) -> bool:
-    return all(a == 0 for a in v)
-
-
 def primitive_vector(v: Sequence[int]) -> Vector:
     """Divide a nonzero integer vector by the gcd of its entries."""
     g = 0

@@ -63,7 +63,7 @@ class QuantumClass:
         return self + other.scaled(Fraction(-1))
 
     def scaled(self, c) -> "QuantumClass":
-        c = Fraction(c)
+        c = cohomology._strict_rational(c, "scale factor")
         return QuantumClass({b: cls.scaled(c) for b, cls in self.parts.items()})
 
     def shifted(self, beta: CurveClass) -> "QuantumClass":

@@ -114,14 +114,14 @@ def test_multiply_strata(capsys, fans_dir):
         capsys, "multiply", "--fan", fan_path(fans_dir, "p2.json"), "[1,2]", "[1,2]"
     )
     assert code == 0
-    assert out.strip() == "q^(1,1,1) * (X{1})"
+    assert out.strip() == "q^(1,1,1) * (X{3})"
 
 
 def test_multiply_expressions(capsys, fans_dir):
     p2 = fan_path(fans_dir, "p2.json")
     code, out, _ = run(capsys, "multiply", "--fan", p2, "2D1", "D1")
     assert code == 0
-    assert out.strip() == "2*X{1,3}"
+    assert out.strip() == "2*X{2,3}"
     code, out, _ = run(capsys, "multiply", "--fan", p2, "D1 - D2", "D1")
     assert code == 0
     assert out.strip() == "0"
@@ -130,7 +130,7 @@ def test_multiply_expressions(capsys, fans_dir):
     data = json.loads(out)
     assert data == {
         "product": [
-            {"q": [0, 0, 0], "degree": 0, "value": [{"tau": [1, 3], "coeff": "1"}]}
+            {"q": [0, 0, 0], "degree": 0, "value": [{"tau": [2, 3], "coeff": "1"}]}
         ]
     }
 

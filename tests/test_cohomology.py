@@ -7,26 +7,27 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from toricqh import catalog, cohomology as coho, fan as fan_mod, lattice
+from toricqh import catalog, cohomology as coho, fan as fan_mod, lattice, quantum
 from toricqh.cohomology import CohomologyClass
 from toricqh.errors import IndexOutOfRange, NotACone, NotFano, PreconditionFailed
 
 
 def test_shelling_oracles(p2, bl1p2, p1xp1):
-    s = coho.shelling(p2)
-    assert s.perturbation == (-1, 1)
-    assert s.order == ((1, 2), (0, 1), (0, 2))
-    assert s.tau == ((), (0,), (0, 2))
+    # key (f . raysum, f_1, f_2) by hand; T = 2 max|f| + 1
+    s = coho.shelling(p2)  # f: (1, 1), (1, -2), (-2, 1); raysum 0; T = 5
+    assert s.perturbation == (5, 1)
+    assert s.order == ((0, 1), (0, 2), (1, 2))
+    assert s.tau == ((), (2,), (1, 2))
 
-    s = coho.shelling(bl1p2)
-    assert s.perturbation == (1, 2)
-    assert s.order == ((1, 3), (0, 3), (1, 2), (0, 2))
-    assert s.tau == ((), (0,), (2,), (0, 2))
+    s = coho.shelling(bl1p2)  # raysum (1, 1), T = 5: 25 * (1, 1) + (5, 1)
+    assert s.perturbation == (30, 26)
+    assert s.order == ((0, 3), (1, 3), (0, 2), (1, 2))
+    assert s.tau == ((), (1,), (2,), (1, 2))
 
-    s = coho.shelling(p1xp1)
-    assert s.perturbation == (-2, -1)
-    assert s.order == ((1, 3), (1, 2), (0, 3), (0, 2))
-    assert s.tau == ((), (2,), (0,), (0, 2))
+    s = coho.shelling(p1xp1)  # f = (+-1, +-1); raysum 0; T = 3
+    assert s.perturbation == (3, 1)
+    assert s.order == ((0, 2), (0, 3), (1, 2), (1, 3))
+    assert s.tau == ((), (3,), (1,), (1, 3))
 
 
 def test_shelling_invariants(corpus, p3, bundle3):
@@ -41,32 +42,36 @@ def test_shelling_invariants(corpus, p3, bundle3):
         assert len(set(s.tau)) == len(s.tau)
 
 
-def _scan_shelling(fan):
-    """Reference search: scan every point of each max-norm shell in
-    lexicographic order and keep the first with distinct cone pairings."""
+def _reference_shelling(fan):
+    """Reference order: the maximal cones by decreasing key (f . raysum,
+    f_1, ..., f_n), each point functional f read off the integer inverse of
+    the cone's ray matrix, with each tau cut down by the later neighbors."""
     funcs = {}
     for cone in fan.max_cones:
         inv = lattice.integer_inverse(lattice.mat_from_columns([fan.rays[i] for i in cone]))
         funcs[cone] = tuple(sum(row[j] for row in inv) for j in range(fan.dim))
     base = tuple(sum(col) for col in zip(*fan.rays))
-    radius = 0
-    while True:
-        for offset in sorted(product(range(-radius, radius + 1), repeat=fan.dim)):
-            if max(map(abs, offset), default=0) != radius:
-                continue
-            cand = lattice.vadd(base, offset)
-            values = {c: lattice.dot(funcs[c], cand) for c in fan.max_cones}
-            if len(set(values.values())) == len(values):
-                order = tuple(sorted(fan.max_cones, key=lambda c: -values[c]))
-                taus = []
-                for i, mu in enumerate(order):
-                    gens = set(mu)
-                    for later in order[i + 1 :]:
-                        if len(set(mu) & set(later)) == fan.dim - 1:
-                            gens &= set(later)
-                    taus.append(tuple(sorted(gens)))
-                return coho.Shelling(cand, order, tuple(taus))
-        radius += 1
+
+    def key(c):
+        return (lattice.dot(funcs[c], base),) + funcs[c]
+
+    order = tuple(sorted(fan.max_cones, key=key, reverse=True))
+    taus = []
+    for i, mu in enumerate(order):
+        gens = set(mu)
+        for later in order[i + 1 :]:
+            if len(set(mu) & set(later)) == fan.dim - 1:
+                gens &= set(later)
+        taus.append(tuple(sorted(gens)))
+    return order, tuple(taus), funcs
+
+
+def _check_against_reference(fan, label):
+    s = coho._compute_shelling(fan)
+    order, taus, funcs = _reference_shelling(fan)
+    assert (s.order, s.tau) == (order, taus), label
+    values = [lattice.dot(funcs[c], s.perturbation) for c in s.order]
+    assert all(a > b for a, b in zip(values, values[1:])), label
 
 
 def _gl_image(fan, rng):
@@ -98,12 +103,12 @@ def _shelling_fans(corpus, p3, bundle3):
     )
 
 
-def test_shelling_matches_scan(corpus, p3, bundle3):
+def test_shelling_matches_reference_sort(corpus, p3, bundle3):
     for name, fan in _shelling_fans(corpus, p3, bundle3).items():
-        assert coho._compute_shelling(fan) == _scan_shelling(fan), name
+        _check_against_reference(fan, name)
 
 
-def test_shelling_matches_scan_on_gl_images(corpus, p3, bundle3):
+def test_shelling_matches_reference_sort_on_gl_images(corpus, p3, bundle3):
     checked = 0
     for name, fan in _shelling_fans(corpus, p3, bundle3).items():
         if fan.dim > 3:
@@ -111,7 +116,7 @@ def test_shelling_matches_scan_on_gl_images(corpus, p3, bundle3):
         rng = random.Random(name)
         for _ in range(20):
             image = _gl_image(fan, rng)
-            assert coho._compute_shelling(image) == _scan_shelling(image), (name, image)
+            _check_against_reference(image, (name, image))
             checked += 1
     assert checked == 20 * 8
 
@@ -119,10 +124,11 @@ def test_shelling_matches_scan_on_gl_images(corpus, p3, bundle3):
 @pytest.mark.parametrize(
     "factors, perturbation",
     [
-        ((catalog.projective_space(1),) * 4, (-7, -6, -5, -3)),
-        ((catalog.projective_space(5),), (-3, -2, -1, 1, 2)),
-        ((catalog.projective_plane(), catalog.blowup_p2_three()), (-3, 3, -3, -2)),
-        ((catalog.blowup_p2_three(), catalog.blowup_p2_three()), (-11, 10, -9, -6)),
+        # every ray sum here is 0, so the vector is (T^(n-1), ..., T, 1)
+        ((catalog.projective_space(1),) * 4, (27, 9, 3, 1)),  # max|f| = 1
+        ((catalog.projective_space(5),), (11**4, 11**3, 11**2, 11, 1)),  # max|f| = 5
+        ((catalog.projective_plane(), catalog.blowup_p2_three()), (125, 25, 5, 1)),  # max|f| = 2
+        ((catalog.blowup_p2_three(), catalog.blowup_p2_three()), (27, 9, 3, 1)),  # max|f| = 1
     ],
     ids=["p1x4", "p5", "p2xbl3p2", "bl3p2xbl3p2"],
 )
@@ -256,6 +262,14 @@ PRODUCT_FACTORS = {
     "p2xp2": (catalog.projective_plane, catalog.projective_plane),
     "p1x4": (lambda: catalog.projective_space(1),) * 4,
     "p2xbl3p2": (catalog.projective_plane, catalog.blowup_p2_three),
+    "p1x5": (lambda: catalog.projective_space(1),) * 5,
+    "p1x6": (lambda: catalog.projective_space(1),) * 6,
+    "bl3p2xp2xp2": (catalog.blowup_p2_three, catalog.projective_plane, catalog.projective_plane),
+    "bl3p2xbl3p2xp1": (
+        catalog.blowup_p2_three,
+        catalog.blowup_p2_three,
+        lambda: catalog.projective_space(1),
+    ),
 }
 
 
@@ -299,7 +313,7 @@ _TAMPERED_SHELLING = textwrap.dedent(
     fan = catalog.blowup_p2_one()
     compute_shelling = cohomology._compute_shelling
     good = compute_shelling(fan)
-    if good.tau != ((), (0,), (2,), (0, 2)):
+    if good.tau != ((), (1,), (2,), (1, 2)):
         sys.exit("the bl1p2 shelling moved: " + repr(good.tau))
     tampered = {
         "pinned pivot": ((), (0,), (1,), (0, 2)),
@@ -322,8 +336,8 @@ _TAMPERED_SHELLING = textwrap.dedent(
     code = cli.main(["multiply", "--fan", sys.argv[1], "D1", "D2"])
     print("exit", code)
 
-    # a search that lands on a wall, and a cone with no integral functional
-    cohomology._first_off_walls = lambda n, walls: (0,) * n
+    # a vector that ties the cone pairings, and a cone with no integral functional
+    cohomology._lex_vector = lambda base, bound: (0,) * len(base)
     try:
         compute_shelling(catalog.product_p1p1())
     except RingInconsistent as exc:
@@ -359,6 +373,23 @@ def test_tampered_shelling_raises_under_optimize(tmp_path):
     assert lines[5].startswith("tie raised: perturbation (0, 0)")
     assert lines[6].startswith("functional raised:")
     assert "error:" in proc.stderr
+
+
+@pytest.mark.parametrize("bad", [1.7, 0.1, True, "1/2", None])
+def test_cohomology_class_is_strict(p2, bad):
+    # refused, not coerced: {1.7: 1} used to give {1: 1}, {0: 0.1} a binary fraction
+    with pytest.raises(ValueError, match="basis index"):
+        CohomologyClass({bad: 1})
+    with pytest.raises(ValueError, match="coefficient"):
+        CohomologyClass({0: bad})
+    with pytest.raises(ValueError, match="scale factor"):
+        coho.unit_class(p2).scaled(bad)
+    with pytest.raises(ValueError, match="scale factor"):
+        quantum.classical(p2, coho.unit_class(p2)).scaled(bad)
+    with pytest.raises(ValueError, match="coefficient"):
+        coho.normal_form(p2, {(0,): bad})
+    assert CohomologyClass({0: 2, 1: Fraction(1, 2), 2: 0}).coords == {0: 2, 1: Fraction(1, 2)}
+    assert coho.unit_class(p2).scaled(Fraction(-1, 3)) == CohomologyClass({0: Fraction(-1, 3)})
 
 
 def test_integrate_and_degrees(p2, p3):

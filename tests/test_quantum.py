@@ -6,6 +6,7 @@ import pytest
 
 from toricqh import cohomology as coho
 from toricqh import fan as fan_mod
+from toricqh import fano
 from toricqh import lattice
 from toricqh import quantum
 from toricqh.cohomology import CohomologyClass
@@ -110,6 +111,11 @@ def test_rewrite_refuses_non_int_index(p2, entry):
         coho.normal_form(p2, {(0, entry): 1})
     with pytest.raises(ValueError, match="cone index"):
         coho.stratum_class(p2, (0, entry))
+    # checked before sorting, which (0, None) and (0, "1") would break
+    with pytest.raises(ValueError, match="cone index"):
+        fan_mod.star(p2, (0, entry))
+    with pytest.raises(ValueError, match="cone index"):
+        fano.special_exceptional_sets(p2, (0, entry))
 
 
 def test_rewrite_degree_cap(p2, deadline):
