@@ -98,13 +98,9 @@ class Shelling:
 
 
 def _cone_point_functional(fan: Fan, cone: Cone) -> tuple[int, ...]:
-    # the functional equal to 1 on every generator g_i of the cone: one exact
-    # solve of g_i . f = 1, integral because the cone is unimodular
-    columns = lattice.mat_from_columns(fan_mod.cone_generators(fan, cone))
-    sol = lattice.solve_columns(columns, (1,) * fan.dim)
-    if any(x.denominator != 1 for x in sol):
-        raise RingInconsistent(f"cone {cone} has no integral point functional")
-    return tuple(int(x) for x in sol)
+    # the functional equal to 1 on every generator of the cone: the sum of
+    # the dual functionals, which are the rows of the cone inverse
+    return tuple(map(sum, zip(*fan_mod.cone_inverse(fan, cone))))
 
 
 def _lex_vector(base: tuple[int, ...], bound: int) -> tuple[int, ...]:

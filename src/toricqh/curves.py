@@ -34,19 +34,25 @@ def signed_distance(fan: Fan, mu: Cone, rho_index: int) -> int:
     Zero exactly on the generators of the cone; at least one on every other
     ray once subvarieties are Fano.
     """
-    _check_max_cone(fan, mu)
+    mu = _check_max_cone(fan, mu)
     _check_ray(fan, rho_index)
     coords = fan_mod.coords_in_basis(fan, mu, fan.rays[rho_index])
     return 1 - sum(coords)
 
 
-def _check_max_cone(fan: Fan, mu: Cone) -> None:
+def _check_max_cone(fan: Fan, mu: Cone) -> Cone:
+    # the sorted tuple is the canonical key of the cone_inverse cache
     fan_mod.require_accepted(fan)
-    if tuple(sorted(mu)) not in fan.max_cones:
-        raise NotACone(f"{tuple(i + 1 for i in sorted(mu))} is not a maximal cone")
+    for i in mu:
+        fan_mod._strict_int(i, "cone index")
+    key = tuple(sorted(mu))
+    if key not in fan.max_cones:
+        raise NotACone(f"{tuple(i + 1 for i in key)} is not a maximal cone")
+    return key
 
 
 def _check_ray(fan: Fan, idx: int) -> None:
+    fan_mod._strict_int(idx, "ray index")
     if not 0 <= idx < fan.n_rays:
         raise IndexOutOfRange(f"ray index {idx} out of range")
 
@@ -59,12 +65,11 @@ def wall_curve_class(fan: Fan, wall: Cone) -> CurveClass:
     +1 with the opposite divisors and -a_j with the wall divisors.
     """
     fan_mod.require_accepted(fan)
+    # is_cone refuses non-int indices, which sorting first would crash on
+    if len(wall) != fan.dim - 1 or not fan_mod.is_cone(fan, wall):
+        raise NotACone(f"{tuple(i + 1 for i in sorted(wall))} is not a wall")
     key = tuple(sorted(wall))
-    if len(key) != fan.dim - 1 or not fan_mod.is_cone(fan, key):
-        raise NotACone(f"{tuple(i + 1 for i in key)} is not a wall")
-    owners = [c for c in fan.max_cones if set(key) <= set(c)]
-    if len(owners) != 2:
-        raise LocateFailure(f"wall {tuple(i + 1 for i in key)} has {len(owners)} sides")
+    owners = [fan.max_cones[ci] for ci in fan_mod._facet_map(fan)[key]]
     rho = next(iter(set(owners[0]) - set(key)))
     rho2 = next(iter(set(owners[1]) - set(key)))
     coords = fan_mod.coords_in_basis(fan, owners[1], fan.rays[rho])
@@ -81,8 +86,7 @@ def wall_curve_class(fan: Fan, wall: Cone) -> CurveClass:
 
 def min_tree(fan: Fan, mu: Cone, d: int) -> ToricTree:
     """Greedy wall-crossing chain from the fixed point of mu to D_d."""
-    root = tuple(sorted(mu))
-    _check_max_cone(fan, root)
+    root = _check_max_cone(fan, mu)
     _check_ray(fan, d)
     verified = fano.classify(fan).tier >= fano.Tier.SUBVARIETIES_FANO
     edges: list[tuple[Cone, int]] = []
@@ -104,8 +108,8 @@ def min_tree(fan: Fan, mu: Cone, d: int) -> ToricTree:
                 f"ray {d + 1} lies inside cone {tuple(i + 1 for i in current)}"
             )
         wall = tuple(i for i in current if i != drop[0])
-        owners = [c for c in fan.max_cones if set(wall) <= set(c)]
-        nxt = owners[0] if owners[0] != current else owners[1]
+        first, second = (fan.max_cones[ci] for ci in fan_mod._facet_map(fan)[wall])
+        nxt = first if first != current else second
         edges.append((wall, drop[1]))
         total = total + wall_curve_class(fan, wall).scaled(drop[1])
         current = nxt

@@ -9,10 +9,6 @@ class NonUnimodular(ToricError):
     """A matrix expected to be a lattice basis has determinant other than +-1."""
 
 
-class DependentGenerators(ToricError):
-    """Vectors expected to be linearly independent are not."""
-
-
 class IndexOutOfRange(ToricError):
     """A ray or cone index falls outside the fan's range."""
 

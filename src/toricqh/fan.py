@@ -20,6 +20,7 @@ from .errors import (
     FanNotAccepted,
     IndexOutOfRange,
     LocateFailure,
+    NonUnimodular,
     NotACone,
     NotEffective,
     PreconditionFailed,
@@ -204,10 +205,11 @@ def _derived(fan: Fan) -> _Derived:
 def validate(fan: Fan) -> ValidationReport:
     """Check that the data describes a complete nonsingular simplicial fan.
 
-    Nonsingularity is the unimodularity of every maximal cone; completeness
-    is certified combinatorially: every facet of a maximal cone must lie in
-    exactly two maximal cones and the facet-adjacency graph must be
-    connected.
+    Nonsingularity is the unimodularity of every maximal cone, checked by
+    inverting it over Z once into the cone_inverse cache (a determinant only
+    words the problem of a cone that fails); completeness is certified
+    combinatorially: every facet of a maximal cone must lie in exactly two
+    maximal cones and the facet-adjacency graph must be connected.
     """
     d = _derived(fan)
     if d.report is not None:
@@ -249,8 +251,10 @@ def validate(fan: Fan) -> ValidationReport:
 
     if structurally_ok:
         for cone in fan.max_cones:
-            det = lattice.determinant(lattice.mat_from_columns([fan.rays[i] for i in cone]))
-            if abs(det) != 1:
+            try:
+                cone_inverse(fan, cone)
+            except NonUnimodular:
+                det = lattice.determinant(lattice.mat_from_columns(cone_generators(fan, cone)))
                 problems.append(f"cone {_one_based(cone)} has determinant {det}")
 
         used = set()
@@ -343,8 +347,10 @@ def cone_generators(fan: Fan, cone: Sequence[int]) -> list[Vector]:
 def cone_inverse(fan: Fan, max_cone: Cone) -> tuple[Vector, ...]:
     """Inverse of the generator matrix of a maximal cone, cached per fan.
 
-    Row k is the dual functional of the cone's k-th generator: it takes
-    the value 1 on that ray and 0 on the cone's other rays.
+    The one route to coordinates in a cone; validation fills it.  Row k is
+    the dual functional of the cone's k-th generator: it takes the value 1
+    on that ray and 0 on the cone's other rays.  Keys are sorted index
+    tuples, as in fan.max_cones.
     """
     d = _derived(fan)
     inv = d.cone_inverse.get(max_cone)
@@ -379,33 +385,29 @@ def primitive_sets(fan: Fan) -> tuple[Cone, ...]:
 
 def primitive_relation(fan: Fan, pset: Sequence[int]) -> PrimitiveData:
     """Locate sum(rho_i, i in pset) in the unique cone holding it interiorly
-    and package the relation as primitive data with its curve class."""
+    and package the relation as primitive data with its curve class.
+
+    The sum has nonnegative coordinates in some maximal cone; the rays with
+    positive ones span the cone holding it, with those as coefficients.
+    """
+    for i in pset:  # refused before sorting, which a None would break
+        _strict_int(i, "ray index")
     key = tuple(sorted(pset))
     if key not in primitive_sets(fan):
         raise PreconditionFailed(f"{_one_based(key)} is not a primitive set")
-    total = fan.rays[key[0]]
-    for i in key[1:]:
-        total = lattice.vadd(total, fan.rays[i])
-    for face in faces(fan):
-        hit = lattice.express_in_cone(total, cone_generators(fan, face))
-        if hit is None:
+    total = tuple(map(sum, zip(*(fan.rays[i] for i in key))))
+    for cone in fan.max_cones:
+        coords = coords_in_basis(fan, cone, total)
+        if any(c < 0 for c in coords):
             continue
-        coeffs, interior = hit
-        if not interior:
-            continue
-        ints = []
-        for c in coeffs:
-            if c.denominator != 1:
-                raise LocateFailure(
-                    f"sum over {_one_based(key)} has non-integer coordinates in {_one_based(face)}"
-                )
-            ints.append(int(c))
+        face = tuple(i for i, c in zip(cone, coords) if c > 0)
+        coeffs = tuple(c for c in coords if c > 0)
         pairings = [0] * fan.n_rays
         for i in key:
             pairings[i] += 1
-        for j, a in zip(face, ints):
+        for j, a in zip(face, coeffs):
             pairings[j] -= a
-        return PrimitiveData(key, face, tuple(ints), curve_class(fan, pairings))
+        return PrimitiveData(key, face, coeffs, curve_class(fan, pairings))
     raise LocateFailure(f"sum over {_one_based(key)} lies in no cone; fan is not complete")
 
 
@@ -590,20 +592,16 @@ def is_isomorphic(a: Fan, b: Fan) -> bool:
         return False
     if a.dim == 0:
         return True
-    anchor_inv = cone_inverse(a, a.max_cones[0])
-    rays_b = set(b.rays)
+    # the map sending the anchor cone's generators to perm's is G_b(perm) * G_a^-1
+    coords = [coords_in_basis(a, a.max_cones[0], ray) for ray in a.rays]
     cones_b = set(b.max_cones)
+    lookup = {ray: idx for idx, ray in enumerate(b.rays)}
     for cone in b.max_cones:
         for perm in permutations(cone):
             gmat = lattice.mat_from_columns(cone_generators(b, perm))
-            mapmat = [
-                [sum(gmat[i][k] * anchor_inv[k][j] for k in range(a.dim)) for j in range(a.dim)]
-                for i in range(a.dim)
-            ]
-            image = [lattice.mat_vec(mapmat, ray) for ray in a.rays]
-            if set(image) != rays_b:
+            image = [lattice.mat_vec(gmat, c) for c in coords]
+            if set(image) != lookup.keys():
                 continue
-            lookup = {ray: idx for idx, ray in enumerate(b.rays)}
             relabeled = {
                 tuple(sorted(lookup[image[i]] for i in cone_a)) for cone_a in a.max_cones
             }

@@ -267,6 +267,7 @@ def blow_down_tower(fan: Fan, order: Optional[Sequence[int]] = None) -> list[Fan
     tower = [fan]
     pending: list[Vector] = []
     for i in order or ():
+        fan_mod._strict_int(i, "ray index")
         if not 0 <= i < fan.n_rays:
             raise IndexOutOfRange(f"ray index {i} out of range")
         pending.append(fan.rays[i])

@@ -5,18 +5,18 @@ ever involved.  Matrices are lists of rows, vectors are tuples, and lattice
 vectors stay integer end to end.  There are three kernels: Smith normal
 form with explicit unimodular transforms, so that a quotient map is
 certified over Z rather than merely over Q; one fraction-free dense
-elimination (Bareiss) behind the solve, rank, inverse and determinant; and
-the sparse echelon that builds the cohomology ring one row at a time.  A
-Fraction appears only in the solve's output and the echelon's values.
+elimination (Bareiss) behind the rank, inverse and determinant (no solve:
+fan.cone_inverse answers coordinate questions); and the sparse ring-build
+echelon.  A Fraction appears only in Echelon.solve.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Hashable, Mapping, Optional, Sequence
+from typing import Hashable, Mapping, Sequence
 
-from .errors import DependentGenerators, NonUnimodular
+from .errors import NonUnimodular
 
 Vector = tuple[int, ...]
 
@@ -190,23 +190,6 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int],
     return a, pivots, d, sign
 
 
-def solve_columns(
-    columns: Sequence[Sequence[int]], target: Sequence[int]
-) -> Optional[list[Fraction]]:
-    """Solve sum_j x_j * columns[j] = target exactly over Q.
-
-    The columns must be linearly independent (DependentGenerators otherwise);
-    returns None when the system is inconsistent.
-    """
-    k = len(columns)
-    a, pivots, d, _ = _bareiss([[col[i] for col in columns] + [t] for i, t in enumerate(target)])
-    if pivots[:k] != list(range(k)):
-        raise DependentGenerators("generators are linearly dependent")
-    if len(pivots) > k:
-        return None
-    return [Fraction(a[i][k], d) for i in range(k)]
-
-
 def rational_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(_bareiss(rows)[1])
 
@@ -295,24 +278,6 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
         raise ValueError("matrix is not square")
     _, pivots, d, sign = _bareiss(matrix)
     return sign * d if len(pivots) == n else 0
-
-
-def express_in_cone(
-    v: Sequence[int], cone_generators: Sequence[Sequence[int]]
-) -> Optional[tuple[list[Fraction], bool]]:
-    """Coordinates of v in the cone spanned by independent generators.
-
-    Returns (coefficients, interior_flag) when v lies in the closed cone,
-    None when it does not; interior_flag reports membership in the relative
-    interior (all coefficients strictly positive).  The zero cone is handled
-    uniformly: v = 0 lies in its relative interior.
-    """
-    sol = solve_columns(cone_generators, v)
-    if sol is None:
-        return None
-    if any(c < 0 for c in sol):
-        return None
-    return sol, all(c > 0 for c in sol)
 
 
 def quotient_map(columns: Sequence[Sequence[int]]) -> list[Vector]:

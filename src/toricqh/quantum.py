@@ -250,7 +250,7 @@ class _QuantumRing:
             i = repeated[0] if rng is None else rng.choice(repeated)
             containing = [mu for mu in self.fan.max_cones if support_set <= set(mu)]
             mu = containing[0] if rng is None else rng.choice(containing)
-            phi = lattice_functional(self.fan, mu, i)
+            phi = fan_mod.cone_inverse(self.fan, mu)[mu.index(i)]  # dual functional of ray i
             base = list(mono)
             base.remove(i)
             outside = set(range(self.fan.n_rays)) - set(mu)
@@ -285,12 +285,6 @@ def _qring(fan: Fan) -> _QuantumRing:
     if d.quantum_ring is None:
         d.quantum_ring = _QuantumRing(fan)
     return d.quantum_ring
-
-
-def lattice_functional(fan: Fan, mu: Cone, i: int) -> Vector:
-    """The dual functional of ray i inside the maximal cone mu: 1 on ray i,
-    0 on the other rays of mu."""
-    return fan_mod.cone_inverse(fan, mu)[mu.index(i)]
 
 
 def presentation(fan: Fan) -> Presentation:

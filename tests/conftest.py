@@ -4,7 +4,8 @@ import signal
 
 import pytest
 
-from toricqh import catalog
+from toricqh import catalog, lattice
+from toricqh.fan import Fan
 
 FANS_DIR = pathlib.Path(__file__).resolve().parent.parent / "fans"
 
@@ -64,6 +65,28 @@ def threefolds(p3):
 @pytest.fixture(scope="session")
 def bundle3():
     return catalog.twisted_bundle_threefold()
+
+
+def _gl_image(fan, rng):
+    """The fan moved by a seeded unimodular matrix: a signed permutation
+    times three transvections with entries +-1; ray labels are kept."""
+    n = fan.dim
+    perm = list(range(n))
+    rng.shuffle(perm)
+    mat = [[(rng.choice((1, -1)) if perm[i] == j else 0) for j in range(n)] for i in range(n)]
+    for _ in range(3):
+        a, b = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        for row in mat:
+            row[b] += s * row[a]
+    rays = tuple(lattice.mat_vec(mat, r) for r in fan.rays)
+    return Fan(n, rays, fan.max_cones)
+
+
+@pytest.fixture(scope="session")
+def gl_image():
+    """gl_image(fan, rng) is the fan moved by a seeded GL(n, Z) matrix."""
+    return _gl_image
 
 
 @pytest.fixture(scope="session")

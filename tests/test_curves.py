@@ -33,6 +33,29 @@ def test_signed_distance_validates(p2):
         curves.signed_distance(p2, (0, 1), 9)
 
 
+@pytest.mark.parametrize("bad", [True, 0.0, None, "0"])
+def test_entry_points_refuse_non_int_indices(bl3p2, p3, bad):
+    with pytest.raises(ValueError, match="cone index"):
+        curves.wall_curve_class(p3, (bad, 1))
+    with pytest.raises(ValueError, match="cone index"):
+        curves.signed_distance(bl3p2, (bad, 3), 2)
+    with pytest.raises(ValueError, match="ray index"):
+        curves.signed_distance(bl3p2, (0, 3), bad)
+    with pytest.raises(ValueError, match="cone index"):
+        curves.min_tree(bl3p2, (bad, 3), 2)
+    with pytest.raises(ValueError, match="ray index"):
+        curves.min_tree(bl3p2, (0, 3), bad)
+
+
+def test_cones_are_canonicalized(bl3p2):
+    # any order and any sequence type name the same cone, and the
+    # cone_inverse cache is keyed only by the sorted tuples of max_cones
+    assert curves.signed_distance(bl3p2, [3, 0], 2) == curves.signed_distance(bl3p2, (0, 3), 2)
+    assert curves.min_tree(bl3p2, [3, 0], 2) == curves.min_tree(bl3p2, (0, 3), 2)
+    assert curves.min_tree(bl3p2, (3, 0), 2).root == (0, 3)
+    assert set(fan_mod._derived(bl3p2).cone_inverse) <= set(bl3p2.max_cones)
+
+
 def test_wall_curve_class_oracles(p2, p1xp1, f2, p3):
     assert curves.wall_curve_class(p2, (1,)).pairings == (1, 1, 1)
     assert curves.wall_curve_class(p1xp1, (0,)).pairings == (0, 0, 1, 1)

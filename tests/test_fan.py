@@ -1,9 +1,11 @@
 import json
-from itertools import combinations_with_replacement
+import random
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from toricqh import catalog, clear_caches, cohomology, fan as fan_mod, fano, quantum
+from toricqh import catalog, clear_caches, cohomology, fan as fan_mod, fano, lattice, quantum
 from toricqh.errors import (
     DimensionMismatch,
     FanNotAccepted,
@@ -179,6 +181,84 @@ def test_primitive_relation_oracles(corpus):
 def test_primitive_relation_rejects_nonprimitive(p2):
     with pytest.raises(PreconditionFailed):
         fan_mod.primitive_relation(p2, (0, 1))
+
+
+@pytest.mark.parametrize("bad", [False, 0.0, None, "0"])
+def test_primitive_relation_refuses_non_int_indices(p2, bad):
+    with pytest.raises(ValueError, match="ray index"):
+        fan_mod.primitive_relation(p2, (bad, 1, 2))
+
+
+def ref_fraction_solve(columns, target):
+    """Exact x with sum_j x_j * columns[j] == target for independent
+    columns, by Gauss-Jordan over Fraction; None when there is none."""
+    k = len(columns)
+    rows = [[Fraction(c[i]) for c in columns] + [Fraction(t)] for i, t in enumerate(target)]
+    for col in range(k):
+        piv = next(r for r in range(col, len(rows)) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(len(rows)):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    if any(row[k] for row in rows[k:]):
+        return None
+    return [rows[i][k] for i in range(k)]
+
+
+def ref_primitive_relation(fan, pset):
+    """The relation found by scanning every cone, by dimension and then
+    lexicographically, for the first that holds the ray sum of pset in its
+    relative interior."""
+    total = [sum(fan.rays[i][t] for i in pset) for t in range(fan.dim)]
+    faces = {f for cone in fan.max_cones for k in range(fan.dim + 1) for f in combinations(cone, k)}
+    for face in sorted(faces, key=lambda f: (len(f), f)):
+        coeffs = ref_fraction_solve([fan.rays[i] for i in face], total)
+        if coeffs is not None and all(c > 0 for c in coeffs):
+            assert all(c.denominator == 1 for c in coeffs), (pset, face)
+            pairings = [1 if i in pset else 0 for i in range(fan.n_rays)]
+            for j, c in zip(face, coeffs):
+                pairings[j] -= int(c)
+            return face, tuple(int(c) for c in coeffs), tuple(pairings)
+    raise AssertionError(f"the sum over {pset} lies in no cone")
+
+
+def test_primitive_data_matches_face_scan(corpus, f2, p3, bundle3, gl_image):
+    p1 = catalog.projective_space(1)
+    fans = dict(
+        corpus,
+        f2=f2,
+        p3=p3,
+        bundle3=bundle3,
+        p1x4=catalog.product(p1, p1, p1, p1),
+        bl3p2xp1=catalog.product(catalog.blowup_p2_three(), p1),
+    )
+    for name in list(fans):
+        rng = random.Random(name)
+        for k in range(3):
+            fans[f"{name}@{k}"] = gl_image(fans[name], rng)
+    for name, fan in fans.items():
+        assert fan_mod.validate(fan).accepted, name
+        for pd in fan_mod.primitive_data(fan):
+            got = (pd.rhs_cone, pd.rhs_coeffs, pd.cls.pairings)
+            assert got == ref_primitive_relation(fan, pd.set), (name, pd.set)
+
+
+@pytest.mark.parametrize("factors", ["p1x6", "bl3p2xbl3p2xp1"])
+def test_one_elimination_per_maximal_cone(factors, monkeypatch):
+    # validation inverts each maximal cone once; the primitive relations and
+    # the shelling's point functionals read those inverses and solve nothing
+    p1, bl3 = catalog.projective_space(1), catalog.blowup_p2_three()
+    fan = catalog.product(*{"p1x6": (p1,) * 6, "bl3p2xbl3p2xp1": (bl3, bl3, p1)}[factors])
+    calls = []
+    bareiss = lattice._bareiss
+    monkeypatch.setattr(lattice, "_bareiss", lambda rows: calls.append(1) or bareiss(rows))
+    clear_caches()
+    assert fan_mod.validate(fan).accepted
+    fan_mod.primitive_data(fan)
+    cohomology.shelling(fan)
+    assert len(calls) == len(fan.max_cones) == {"p1x6": 64, "bl3p2xbl3p2xp1": 72}[factors]
 
 
 def test_relation_kernel_and_homogeneity(corpus, f2, p3, bundle3):

@@ -172,6 +172,9 @@ def test_blow_down_tower_with_order(bl3p2, bl1p2):
         fano.blow_down_tower(bl1p2, order=(0,))
     with pytest.raises(IndexOutOfRange):
         fano.blow_down_tower(bl1p2, order=(9,))
+    for bad in (True, 3.0, None, "3"):
+        with pytest.raises(ValueError, match="ray index"):
+            fano.blow_down_tower(bl3p2, order=[bad])
 
 
 def test_is_product_of_projective_spaces(corpus, p3, bl1p2):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from toricqh import lattice
-from toricqh.errors import DependentGenerators, NonUnimodular
+from toricqh.errors import NonUnimodular
 
 
 def mat_mul(a, b):
@@ -53,30 +53,6 @@ def test_smith_normal_form_random_audit():
         assert mat_mul(mat_mul(s, matrix), t) == d
         assert abs(lattice.determinant(s)) == 1
         assert abs(lattice.determinant(t)) == 1
-
-
-def test_solve_columns_round_trip():
-    cols = [(1, 0, 2), (0, 1, 3)]
-    target = (5, -2, 4)
-    sol = lattice.solve_columns(cols, target)
-    assert sol == [Fraction(5), Fraction(-2)]
-    assert lattice.solve_columns(cols, (1, 1, 5)) == [Fraction(1), Fraction(1)]
-    assert lattice.solve_columns(cols, (1, 1, 6)) is None
-
-
-def test_solve_columns_dependent():
-    with pytest.raises(DependentGenerators):
-        lattice.solve_columns([(1, 2), (2, 4)], (1, 2))
-    # dependence is reported before inconsistency
-    with pytest.raises(DependentGenerators):
-        lattice.solve_columns([(1, 2, 0), (2, 4, 0)], (0, 0, 1))
-    with pytest.raises(DependentGenerators):
-        lattice.solve_columns([(0, 0)], (1, 0))
-
-
-def test_solve_columns_empty():
-    assert lattice.solve_columns([], (0, 0)) == []
-    assert lattice.solve_columns([], (1, 0)) is None
 
 
 def test_echelon_rank_matches_rational_rank():
@@ -130,20 +106,6 @@ def test_determinant_values():
             lattice.determinant(shape)
 
 
-def test_express_in_cone():
-    gens = [(1, 0), (1, 2)]
-    inside = lattice.express_in_cone((2, 2), gens)
-    assert inside is not None
-    coeffs, interior = inside
-    assert coeffs == [Fraction(1), Fraction(1)] and interior
-    boundary = lattice.express_in_cone((1, 0), gens)
-    assert boundary is not None and boundary[1] is False
-    assert lattice.express_in_cone((-1, 0), gens) is None
-    # the zero cone holds exactly the origin, interiorly
-    assert lattice.express_in_cone((0, 0), []) == ([], True)
-    assert lattice.express_in_cone((1, 0), []) is None
-
-
 def test_quotient_map_kills_columns():
     cols = [(1, 1, 0)]
     proj = lattice.quotient_map(cols)
@@ -166,6 +128,10 @@ def test_primitive_vector():
 
 # The Fraction eliminations the fraction-free kernel replaced, kept as
 # references for the differential test below.
+
+
+class DependentGenerators(Exception):
+    """Raised by the reference solve on linearly dependent columns."""
 
 
 def ref_solve_columns(columns, target):
@@ -271,12 +237,16 @@ def ref_determinant(matrix):
 def outcome(fn, *args):
     try:
         return fn(*args)
-    except (DependentGenerators, NonUnimodular) as exc:
+    except NonUnimodular as exc:
         return type(exc), str(exc)
 
 
 def random_case(rng):
-    """A matrix of up to 6 x 6 and a target, drawn to hit every outcome."""
+    """A matrix of up to 6 x 6 and a target, drawn to hit every outcome.
+
+    No dense solve is left to take the target, but it is still drawn so
+    that a seed keeps giving the same matrices.
+    """
     nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
     kind = rng.randrange(4)
     if kind == 3:
@@ -311,12 +281,9 @@ def test_fraction_free_kernel_matches_fraction_references():
     rng = random.Random(2024)
     seen = set()
     for _ in range(300):
-        m, target = random_case(rng)
+        m, _target = random_case(rng)
         nrows, ncols = len(m), len(m[0])
         assert lattice.rational_rank(m) == ref_rational_rank(m)
-        columns = [tuple(row[j] for row in m) for j in range(ncols)]
-        sol = outcome(lattice.solve_columns, columns, target)
-        assert sol == outcome(ref_solve_columns, columns, target)
         inv = outcome(lattice.integer_inverse, m)
         assert inv == outcome(ref_integer_inverse, m)
         if nrows == ncols:
@@ -325,16 +292,7 @@ def test_fraction_free_kernel_matches_fraction_references():
             seen.add("singular" if det == 0 else "unimodular" if abs(det) == 1 else "regular")
         else:
             seen.add("non-square")
-        if sol is None:
-            seen.add("inconsistent")
-        elif isinstance(sol, tuple):
-            seen.add("dependent")
-        else:
-            assert all(type(x) is Fraction for x in sol)
-            seen.add("solved")
         if isinstance(inv, list):
             assert mat_mul(m, inv) == lattice.identity_matrix(nrows)
             assert all(type(x) is int for row in inv for x in row)
-    assert seen == {
-        "singular", "unimodular", "regular", "non-square", "inconsistent", "dependent", "solved"
-    }
+    assert seen == {"singular", "unimodular", "regular", "non-square"}

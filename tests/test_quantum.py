@@ -300,12 +300,13 @@ def test_confluence_audit_threefolds(threefolds):
 
 
 def test_lattice_functional_kronecker(corpus, threefolds):
+    # the rewrite's dual functional of ray i in mu is row mu.index(i) of the cone inverse
     for fan in list(corpus.values()) + list(threefolds.values()):
         for mu in fan.max_cones:
             # the direct elimination on the cone's generators is the oracle
             inverse = lattice.integer_inverse(lattice.mat_from_columns(fan_mod.cone_generators(fan, mu)))
             for k, i in enumerate(mu):
-                phi = quantum.lattice_functional(fan, mu, i)
+                phi = fan_mod.cone_inverse(fan, mu)[mu.index(i)]
                 assert phi == tuple(inverse[k])
                 for j in mu:
                     assert lattice.dot(phi, fan.rays[j]) == (1 if i == j else 0)
