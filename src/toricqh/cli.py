@@ -9,6 +9,7 @@ All ray and divisor indices on the command line and in every rendering are
 
 with rational scalars ('2', '-1', '1/2'); 'Dk' is the k-th divisor class
 and '[k1,...]' the class of the stratum of the cone spanned by those rays.
+Every number is written in ASCII digits.
 Products are quantum products in `multiply` and classical cup products in
 `gw`.
 
@@ -116,6 +117,21 @@ def _quantum_json(fan: Fan, qc: QuantumClass) -> list[dict]:
 # ---------------------------------------------------------------- expressions
 
 
+_DIGITS = frozenset("0123456789")
+
+
+def _ascii_int(text: str) -> int:
+    """An integer in ASCII digits with an optional leading '-'.
+
+    int() alone would also read '+1', '1_0' and non-ASCII digits such as
+    the Arabic-Indic ones; those are refused, not coerced.
+    """
+    body = text[1:] if text.startswith("-") else text
+    if not body or not _DIGITS.issuperset(body):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in ASCII digits")
+    return int(text)
+
+
 class _Tok:
     def __init__(self, kind: str, value=None):
         self.kind = kind
@@ -134,15 +150,15 @@ def _tokenize(text: str) -> list[_Tok]:
             i += 1
         elif ch == "D":
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             if j == i + 1:
                 raise ExpressionError("'D' must be followed by a divisor number")
             out.append(_Tok("D", int(text[i + 1 : j])))
             i = j
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             out.append(_Tok("NUM", int(text[i:j])))
             i = j
@@ -321,8 +337,8 @@ def _parse_index_list(text: str) -> list[int]:
     if not body:
         return []
     try:
-        return [int(p.strip()) for p in body.split(",")]
-    except ValueError:
+        return [_ascii_int(p.strip()) for p in body.split(",")]
+    except argparse.ArgumentTypeError:
         raise ExpressionError(f"bad index list {text!r}") from None
 
 
@@ -610,8 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tree)
 
     p = sub.add_parser("census", help="enumerate full-class surfaces up to equivalence")
-    p.add_argument("dim", type=int)
-    p.add_argument("max_rays", type=int)
+    p.add_argument("dim", type=_ascii_int)
+    p.add_argument("max_rays", type=_ascii_int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_census)
 

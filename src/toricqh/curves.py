@@ -123,6 +123,7 @@ def tree_for_class(fan: Fan, beta: CurveClass) -> tuple[tuple[ToricTree, int], .
     (the smallest such cone is used); each divisor met positively outside mu
     contributes its pairing many copies of the greedy chain from mu.
     """
+    fan_mod.require_accepted(fan)
     beta = fan_mod.curve_class(fan, beta.pairings)
     negatives = tuple(i for i, b in enumerate(beta.pairings) if b < 0)
     candidates = [c for c in fan.max_cones if set(negatives) <= set(c)]

@@ -30,9 +30,11 @@ from .errors import (
 Vector = tuple[int, ...]
 Cone = tuple[int, ...]
 
-# States the effectivity search may visit before it gives up.  The hardest
-# non-effective class a*beta_i - beta_j (a <= 3) on bl3p2, bl2xp1 and bl3xp1
-# takes under 700; 100k states take about 0.3 s on a six-ray surface.
+# States the effectivity search may visit, and subtractions its greedy loop
+# may take, before it gives up.  The hardest non-effective class
+# a*beta_i - beta_j (a <= 3) on bl3p2, bl2xp1 and bl3xp1 takes under 700
+# states; 100k states take about 0.3 s on a six-ray surface, and 100k greedy
+# steps about 0.4 s on P^2.
 SEARCH_NODE_BUDGET = 100_000
 
 
@@ -421,9 +423,13 @@ def primitive_data(fan: Fan) -> tuple[PrimitiveData, ...]:
 def star(fan: Fan, sigma: Sequence[int]) -> Fan:
     """The fan of the closed subvariety indexed by the cone sigma.
 
-    Lives in the quotient lattice N / span(sigma); ray images are taken with
-    the Smith-form projection and re-primitivized.  The star of the empty
-    cone is the fan itself.
+    Lives in the quotient lattice N / span(sigma), in the basis that the
+    first maximal cone mu containing sigma induces on it: the rows of mu's
+    cached inverse that belong to its rays outside sigma vanish exactly on
+    span(sigma) and send those rays to the standard basis.  Every star ray
+    lies in a maximal cone containing sigma, whose other rays map to a basis
+    too, so its image is already primitive; validating the result checks
+    it.  The star of the empty cone is the fan itself.
     """
     require_accepted(fan)
     if not is_cone(fan, sigma):
@@ -434,37 +440,16 @@ def star(fan: Fan, sigma: Sequence[int]) -> Fan:
     k = len(key)
     if k == fan.dim:
         return Fan(0, (), ((),))
-    proj = lattice.quotient_map(cone_generators(fan, key))
-
     member = set(key)
-    star_rays: list[Vector] = []
-    ray_index: dict[Vector, int] = {}
-    source: dict[int, int] = {}
-    new_cones = []
-    for cone in fan.max_cones:
-        if not member.issubset(cone):
-            continue
-        image = []
-        for i in cone:
-            if i in member:
-                continue
-            w = lattice.primitive_vector(lattice.mat_vec(proj, fan.rays[i]))
-            pos = ray_index.get(w)
-            if pos is None:
-                pos = len(star_rays)
-                ray_index[w] = pos
-                star_rays.append(w)
-                source[pos] = i
-            elif source[pos] != i:
-                raise LocateFailure("distinct rays collide in the star quotient")
-            image.append(pos)
-        new_cones.append(tuple(sorted(image)))
-    order = sorted(range(len(star_rays)), key=lambda p: source[p])
-    relabel = {old: new for new, old in enumerate(order)}
+    above = [cone for cone in fan.max_cones if member.issubset(cone)]
+    mu = above[0]
+    proj = [row for i, row in zip(mu, cone_inverse(fan, mu)) if i not in member]
+    outside = sorted({i for cone in above for i in cone} - member)
+    relabel = {i: t for t, i in enumerate(outside)}
     result = Fan(
         fan.dim - k,
-        tuple(star_rays[p] for p in order),
-        tuple(tuple(sorted(relabel[i] for i in cone)) for cone in new_cones),
+        tuple(lattice.mat_vec(proj, fan.rays[i]) for i in outside),
+        tuple(tuple(relabel[i] for i in cone if i not in member) for cone in above),
     )
     require_accepted(result)
     return result
@@ -503,9 +488,10 @@ def decompose_effective(fan: Fan, beta: CurveClass) -> tuple[tuple[PrimitiveData
     - Failure memo: a state (index, remainder, degree budget) whose subtree
       held no decomposition is never searched again.
 
-    The search visits at most SEARCH_NODE_BUDGET states and raises
-    SearchBudgetExceeded past that; running out proves nothing about beta,
-    so it is not a NotEffective.
+    The greedy loop takes at most SEARCH_NODE_BUDGET subtractions and the
+    search visits at most as many states; past that either raises
+    SearchBudgetExceeded, which proves nothing about beta, so it is not a
+    NotEffective.
     """
     require_accepted(fan)
     if len(beta.pairings) != fan.n_rays:
@@ -518,11 +504,13 @@ def decompose_effective(fan: Fan, beta: CurveClass) -> tuple[tuple[PrimitiveData
     if is_cone(fan, negatives):
         counts: dict[Cone, int] = {}
         current = list(beta.pairings)
-        guard = 0
+        steps = 0
         while any(x != 0 for x in current):
-            guard += 1
-            if guard > 10_000:
-                raise LocateFailure("greedy decomposition failed to terminate")
+            steps += 1
+            if steps > SEARCH_NODE_BUDGET:
+                raise SearchBudgetExceeded(
+                    f"greedy decomposition took more than {SEARCH_NODE_BUDGET} steps"
+                )
             positives = {i for i, b in enumerate(current) if b > 0}
             chosen = None
             for pd in pdata:

@@ -149,7 +149,8 @@ def exceptional_sets(fan: Fan) -> tuple[ExceptionalData, ...]:
             for v in vecs[1:]:
                 total = lattice.vadd(total, v)
             hit = ray_index.get(total)
-            if hit is None:
+            # a sum equal to a member leaves the others summing to zero
+            if hit is None or hit in cand:
                 continue
             if lattice.rational_rank(vecs) != k:
                 continue

@@ -2,12 +2,11 @@
 
 Everything here runs on arbitrary-precision integers; no floating point is
 ever involved.  Matrices are lists of rows, vectors are tuples, and lattice
-vectors stay integer end to end.  There are three kernels: Smith normal
-form with explicit unimodular transforms, so that a quotient map is
-certified over Z rather than merely over Q; one fraction-free dense
-elimination (Bareiss) behind the rank, inverse and determinant (no solve:
-fan.cone_inverse answers coordinate questions); and the sparse ring-build
-echelon.  A Fraction appears only in Echelon.solve.
+vectors stay integer end to end.  There are two kernels: one fraction-free
+dense elimination (Bareiss) behind the rank, inverse and determinant (no
+solve: fan.cone_inverse answers coordinate questions, quotient maps
+included), and the sparse ring-build echelon.  A Fraction appears only in
+Echelon.solve.
 """
 
 from __future__ import annotations
@@ -62,92 +61,6 @@ def mat_from_columns(columns: Sequence[Sequence[int]]) -> list[list[int]]:
         return []
     n = len(columns[0])
     return [[col[i] for col in columns] for i in range(n)]
-
-
-def smith_normal_form(
-    matrix: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Diagonalize an integer matrix by unimodular row and column operations.
-
-    Returns (S, D, T) with S * matrix * T == D, where S and T are square
-    unimodular and D is diagonal with nonnegative entries d1 | d2 | ... .
-    """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    a = [list(row) for row in matrix]
-    s = identity_matrix(nrows)
-    t = identity_matrix(ncols)
-
-    def row_op(i, j, q):
-        # row i -= q * row j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        s[i] = [x - q * y for x, y in zip(s[i], s[j])]
-
-    def col_op(i, j, q):
-        # col i -= q * col j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in t:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        s[i], s[j] = s[j], s[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in t:
-            row[i], row[j] = row[j], row[i]
-
-    def reduce_at(k) -> bool:
-        # move the smallest nonzero entry of the block a[k:, k:] to (k, k) and
-        # clear row and column k; False when the block is zero
-        best = None
-        for i in range(k, nrows):
-            for j in range(k, ncols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            return False
-        swap_rows(k, best[0])
-        swap_cols(k, best[1])
-        clean = False
-        while not clean:
-            clean = True
-            for i in range(k + 1, nrows):
-                if a[i][k] != 0:
-                    row_op(i, k, a[i][k] // a[k][k])
-                    if a[i][k] != 0:
-                        swap_rows(k, i)
-                        clean = False
-            for j in range(k + 1, ncols):
-                if a[k][j] != 0:
-                    col_op(j, k, a[k][j] // a[k][k])
-                    if a[k][j] != 0:
-                        swap_cols(k, j)
-                        clean = False
-        return True
-
-    k = 0
-    while k < min(nrows, ncols) and reduce_at(k):
-        k += 1
-
-    # Enforce the divisibility chain; folding column k+1 into column k can
-    # repopulate the cleared block, so rerun the elimination from k.
-    k = 0
-    while k + 1 < min(nrows, ncols):
-        if a[k][k] != 0 and a[k + 1][k + 1] % a[k][k] != 0:
-            col_op(k, k + 1, -1)
-            reduce_at(k)
-        else:
-            k += 1
-
-    for i in range(min(nrows, ncols)):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            s[i] = [-x for x in s[i]]
-    return s, a, t
 
 
 def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int, int]:
@@ -279,19 +192,3 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
     _, pivots, d, sign = _bareiss(matrix)
     return sign * d if len(pivots) == n else 0
 
-
-def quotient_map(columns: Sequence[Sequence[int]]) -> list[Vector]:
-    """Rows of the projection Z^n -> Z^(n-k) killing exactly span(columns).
-
-    The columns must be extendable to a Z-basis (all invariant factors 1);
-    the projection is read off the row transform of the Smith decomposition.
-    """
-    if not columns:
-        raise ValueError("need at least one column")
-    n = len(columns[0])
-    k = len(columns)
-    s, d, _ = smith_normal_form(mat_from_columns(columns))
-    for i in range(k):
-        if d[i][i] != 1:
-            raise NonUnimodular("columns are not part of a lattice basis")
-    return [tuple(s[i]) for i in range(k, n)]

@@ -203,6 +203,14 @@ def test_tree(capsys, fans_dir):
     assert code == 5 and "error:" in err
 
 
+def test_tree_rejected_fan(capsys, tmp_path):
+    bad = fan_mod.Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2)))
+    path = tmp_path / "bad.json"
+    path.write_text(fan_mod.fan_to_json(bad))
+    code, out, err = run(capsys, "tree", "--fan", str(path), "0,0,0")
+    assert code == 3 and out == "" and "error:" in err
+
+
 def test_census(capsys):
     code, out, _ = run(capsys, "census", "2", "6")
     assert code == 0
@@ -213,6 +221,28 @@ def test_census(capsys):
     data = json.loads(out)
     assert data["count"] == 5
     assert sorted(len(c["rays"]) for c in data["classes"]) == [3, 4, 4, 5, 6]
+
+
+def test_only_ascii_digits(capsys, fans_dir):
+    # int() and str.isdigit() would read these as 1, (1,1,1), 10, ...
+    p2 = fan_path(fans_dir, "p2.json")
+    for argv in (
+        ("multiply", "--fan", p2, "D\u0661", "D1"),
+        ("multiply", "--fan", p2, "\u0661", "D1"),
+        ("multiply", "--fan", p2, "D1", "D\u00b9"),
+        ("gw", "--fan", p2, "D1", "D1", "D1", "\u0661,\u0661,\u0661"),
+        ("gw", "--fan", p2, "D1", "D1", "D1", "+1,1,1"),
+        ("gw", "--fan", p2, "D1", "D1", "D1", "1_0,1,1"),
+        ("giambelli", "--fan", p2, "1,\uff12"),
+        ("census", "2", "1_0"),
+        ("census", "\u0662", "6"),
+        ("census", "2", "+6"),
+        ("census", "2", " 6"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "error:" in err, argv
+    code, out, _ = run(capsys, "gw", "--fan", p2, "[1,2]", "[1,2]", "D1", " 1, 1 ,1")
+    assert code == 0 and out.strip() == "1"
 
 
 def test_argparse_failures(capsys):

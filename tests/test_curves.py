@@ -4,8 +4,8 @@ from itertools import combinations
 import pytest
 
 from toricqh import curves, fan as fan_mod
-from toricqh.errors import IndexOutOfRange, NotACone, PreconditionFailed
-from toricqh.fan import CurveClass
+from toricqh.errors import FanNotAccepted, IndexOutOfRange, NotACone, PreconditionFailed
+from toricqh.fan import CurveClass, Fan
 
 
 def test_signed_distance_oracles(p2, bl1p2, f2):
@@ -136,6 +136,13 @@ def test_tree_for_class_rejects(p2, bl1p2):
         curves.tree_for_class(p2, CurveClass((-1, -1, -1)))
     with pytest.raises(PreconditionFailed):
         curves.tree_total(())
+
+
+def test_tree_for_class_validates():
+    # P^2 missing its cone {1,3}: the zero class has no trees to find
+    bad = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2)))
+    with pytest.raises(FanNotAccepted):
+        curves.tree_for_class(bad, CurveClass((0, 0, 0)))
 
 
 def _dijkstra_distance(fan, start, targets, weight):

@@ -300,6 +300,44 @@ def test_star(p2, p1xp1):
     assert factor.dim == 1 and len(factor.max_cones) == 2
 
 
+def test_star_counts_every_cone(corpus, threefolds):
+    # the star of sigma has one maximal cone per maximal cone containing
+    # sigma and one face per cone containing it (sigma itself gives the apex);
+    # the threefolds include P^3
+    for fan in list(corpus.values()) + list(threefolds.values()):
+        cones = fan_mod.faces(fan)
+        for sigma in cones:
+            st = fan_mod.star(fan, sigma)
+            assert fan_mod.validate(st).accepted, sigma
+            assert st.dim == fan.dim - len(sigma)
+            above = [c for c in cones if set(sigma) <= set(c)]
+            assert len(fan_mod.faces(st)) == len(above)
+            assert len(st.max_cones) == sum(1 for c in above if len(c) == fan.dim)
+
+
+def test_star_of_a_ray_of_projective_space():
+    for n in (2, 3, 4):
+        pn, lower = catalog.projective_space(n), catalog.projective_space(n - 1)
+        for i in range(pn.n_rays):
+            assert fan_mod.is_isomorphic(fan_mod.star(pn, (i,)), lower)
+
+
+def test_star_of_a_factor_cone(corpus, p3):
+    # the star of a maximal cone of X in X x Y is Y, and that of Y's is X
+    pairs = [
+        (corpus["p2"], corpus["bl3p2"]),
+        (corpus["bl1p2"], p3),
+        (catalog.projective_space(1), corpus["bl2p2"]),
+    ]
+    for x, y in pairs:
+        prod = catalog.product(x, y)
+        for cone in x.max_cones:
+            assert fan_mod.is_isomorphic(fan_mod.star(prod, cone), y)
+        for cone in y.max_cones:
+            shifted = tuple(i + x.n_rays for i in cone)
+            assert fan_mod.is_isomorphic(fan_mod.star(prod, shifted), x)
+
+
 def test_decompose_effective_greedy(p2, bl1p2):
     pd = fan_mod.primitive_data(p2)[0]
     assert fan_mod.decompose_effective(p2, pd.cls) == ((pd, 1),)
@@ -309,6 +347,8 @@ def test_decompose_effective_greedy(p2, bl1p2):
     mixed = fiber[(0, 1)].cls + fiber[(2, 3)].cls
     counts = dict(fan_mod.decompose_effective(bl1p2, mixed))
     assert counts[fiber[(0, 1)]] == 1 and counts[fiber[(2, 3)]] == 1
+    # ten thousand and one greedy subtractions stay within the budget
+    assert fan_mod.decompose_effective(p2, CurveClass((10001,) * 3)) == ((pd, 10001),)
 
 
 def test_decompose_effective_search_branch(bl3p2):
@@ -455,9 +495,11 @@ def test_decompose_effective_node_budget(p2, bl3p2, monkeypatch):
     with pytest.raises(SearchBudgetExceeded) as err:
         fan_mod.decompose_effective(bl3p2, beta)
     assert not isinstance(err.value, NotEffective)
-    # the greedy branch visits no search state
+    # the greedy branch counts its subtractions against the same budget
     line = fan_mod.primitive_data(p2)[0]
     assert fan_mod.decompose_effective(p2, line.cls) == ((line, 1),)
+    with pytest.raises(SearchBudgetExceeded):
+        fan_mod.decompose_effective(p2, line.cls.scaled(2))
 
 
 def test_is_isomorphic(corpus, p3):

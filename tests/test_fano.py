@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from toricqh import catalog, clear_caches, lattice
 from toricqh import fan as fan_mod
 from toricqh import fano
 from toricqh.errors import (
@@ -70,6 +71,30 @@ def test_exceptional_sets_oracles(corpus, p3):
         (3, 4): 1, (3, 5): 0, (4, 5): 2,
     }
     assert fano.exceptional_sets(p3) == ()
+
+
+@pytest.mark.parametrize("factors", ["p1x6", "bl3p2xbl3p2xp1"])
+def test_exceptional_sets_rank_only_independent_candidates(factors, monkeypatch):
+    # a ray sum equal to a member leaves the other rays summing to zero; such
+    # candidates are dropped before any elimination runs
+    p1, bl3 = catalog.projective_space(1), catalog.blowup_p2_three()
+    fan = catalog.product(*{"p1x6": (p1,) * 6, "bl3p2xbl3p2xp1": (bl3, bl3, p1)}[factors])
+    ray_index = {ray: i for i, ray in enumerate(fan.rays)}
+    want = []
+    for k in range(2, fan.dim + 1):
+        for cand in combinations(range(fan.n_rays), k):
+            vecs = [fan.rays[i] for i in cand]
+            hit = ray_index.get(tuple(map(sum, zip(*vecs))))
+            if hit is not None and lattice.rational_rank(vecs) == k:
+                want.append((cand, hit))
+    clear_caches()
+    fano.classify(fan)
+    calls = []
+    bareiss = lattice._bareiss
+    monkeypatch.setattr(lattice, "_bareiss", lambda rows: calls.append(1) or bareiss(rows))
+    found = fano.exceptional_sets(fan)
+    assert [(e.set, e.exc) for e in found] == want
+    assert (len(found), len(calls)) == {"p1x6": (0, 0), "bl3p2xbl3p2xp1": (12, 84)}[factors]
 
 
 def test_exceptional_class_pairings(bl3p2):

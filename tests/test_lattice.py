@@ -14,47 +14,6 @@ def mat_mul(a, b):
     ]
 
 
-SNF_CASES = [
-    [[2, 4, 4], [-6, 6, 12], [10, 4, 16]],
-    [[1, 0], [0, 1]],
-    [[0, 0], [0, 0]],
-    [[6]],
-    [[2, 3]],
-    [[2], [3]],
-    [[1, 2, 3], [4, 5, 6]],
-]
-
-
-@pytest.mark.parametrize("matrix", SNF_CASES)
-def test_smith_normal_form_certificate(matrix):
-    s, d, t = lattice.smith_normal_form(matrix)
-    assert mat_mul(mat_mul(s, matrix), t) == d
-    assert abs(lattice.determinant(s)) == 1
-    assert abs(lattice.determinant(t)) == 1
-    diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-    for i in range(len(diag)):
-        assert diag[i] >= 0
-        for j in range(len(d)):
-            for k in range(len(d[0])):
-                if j != k:
-                    assert d[j][k] == 0
-    nonzero = [x for x in diag if x != 0]
-    for a, b in zip(nonzero, nonzero[1:]):
-        assert b % a == 0
-
-
-def test_smith_normal_form_random_audit():
-    rng = random.Random(7)
-    for _ in range(60):
-        rows = rng.randrange(1, 5)
-        cols = rng.randrange(1, 5)
-        matrix = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
-        s, d, t = lattice.smith_normal_form(matrix)
-        assert mat_mul(mat_mul(s, matrix), t) == d
-        assert abs(lattice.determinant(s)) == 1
-        assert abs(lattice.determinant(t)) == 1
-
-
 def test_echelon_rank_matches_rational_rank():
     rng = random.Random(20)
     for _ in range(200):
@@ -104,19 +63,6 @@ def test_determinant_values():
     for shape in ([[1, 2]], [[1], [2]], [[1, 0], [0]]):
         with pytest.raises(ValueError, match="not square"):
             lattice.determinant(shape)
-
-
-def test_quotient_map_kills_columns():
-    cols = [(1, 1, 0)]
-    proj = lattice.quotient_map(cols)
-    assert len(proj) == 2
-    assert lattice.mat_vec(proj, (1, 1, 0)) == (0, 0)
-    # saturated quotient: image of a basis spans Z^2
-    images = [lattice.mat_vec(proj, v) for v in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
-    _, d, _ = lattice.smith_normal_form(lattice.mat_from_columns(images))
-    assert [d[0][0], d[1][1]] == [1, 1]
-    with pytest.raises(NonUnimodular):
-        lattice.quotient_map([(2, 0)])
 
 
 def test_primitive_vector():
