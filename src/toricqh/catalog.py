@@ -92,22 +92,15 @@ def product(*factors: Fan) -> Fan:
     return Fan(dim, tuple(rays), tuple(cones))
 
 
-CORPUS: dict[str, Fan] = {}
-
-
 def corpus() -> dict[str, Fan]:
     """The named well-behaved surfaces, keyed for tests and docs."""
-    if not CORPUS:
-        CORPUS.update(
-            {
-                "p2": projective_plane(),
-                "p1xp1": product_p1p1(),
-                "bl1p2": blowup_p2_one(),
-                "bl2p2": blowup_p2_two(),
-                "bl3p2": blowup_p2_three(),
-            }
-        )
-    return dict(CORPUS)
+    return {
+        "p2": projective_plane(),
+        "p1xp1": product_p1p1(),
+        "bl1p2": blowup_p2_one(),
+        "bl2p2": blowup_p2_two(),
+        "bl3p2": blowup_p2_three(),
+    }
 
 
 _CYCLE = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))

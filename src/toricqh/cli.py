@@ -9,7 +9,8 @@ All ray and divisor indices on the command line and in every rendering are
 
 with rational scalars ('2', '-1', '1/2'); 'Dk' is the k-th divisor class
 and '[k1,...]' the class of the stratum of the cone spanned by those rays.
-Every number is written in ASCII digits.
+Every number is written in ASCII digits.  Parentheses nest at most
+MAX_NESTING (100) deep; deeper input is an ExpressionError (exit 2).
 Products are quantum products in `multiply` and classical cup products in
 `gw`.
 
@@ -184,12 +185,6 @@ class _QuantumContext:
     def mul(self, a, b):
         return quantum.quantum_product(self.fan, a, b)
 
-    def add(self, a, b):
-        return a + b
-
-    def scale(self, a, c: Fraction):
-        return a.scaled(c)
-
 
 class _ClassicalContext:
     def __init__(self, fan: Fan):
@@ -207,11 +202,10 @@ class _ClassicalContext:
     def mul(self, a, b):
         return cohomology.cup(self.fan, a, b)
 
-    def add(self, a, b):
-        return a + b
 
-    def scale(self, a, c: Fraction):
-        return a.scaled(c)
+# Deepest parenthesis nesting parse_expression accepts: each level costs three
+# frames (atom, expr, term), far below the default recursion limit of 1000.
+MAX_NESTING = 100
 
 
 class _Parser:
@@ -223,6 +217,7 @@ class _Parser:
     def __init__(self, tokens: list[_Tok], ctx):
         self.toks = tokens
         self.pos = 0
+        self.depth = 0  # open parentheses around the current position
         self.ctx = ctx
 
     def peek(self) -> _Tok:
@@ -245,7 +240,7 @@ class _Parser:
         scalar, obj = value
         if obj is None:
             obj = self.ctx.unit()
-        return self.ctx.scale(obj, scalar) if scalar != 1 else obj
+        return obj.scaled(scalar) if scalar != 1 else obj
 
     def expr(self):
         value = self.term()
@@ -254,7 +249,7 @@ class _Parser:
             nxt = self.term()
             if op == "-":
                 nxt = (-nxt[0], nxt[1])
-            value = (Fraction(1), self.ctx.add(self.to_class(value), self.to_class(nxt)))
+            value = (Fraction(1), self.to_class(value) + self.to_class(nxt))
         return value
 
     def term(self):
@@ -316,8 +311,12 @@ class _Parser:
             return (Fraction(1), self.ctx.stratum(key))
         if tok.kind == "(":
             self.take()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ExpressionError(f"parentheses nest deeper than {MAX_NESTING}")
             value = self.expr()
             self.take(")")
+            self.depth -= 1
             return value
         raise ExpressionError(f"expression cannot start with {tok.kind!r}")
 

@@ -15,8 +15,11 @@ rows, pivot at the lowest column), with the pinned square-free monomials
 prod(D_rho, rho in tau_i) as the last columns so that none of them becomes
 a pivot.  Back substitution then gives a table from every monomial to its
 coordinates in the pinned basis, and a normal form is a sum of table rows.
-The quotient dimension, monomials minus echelon rank, does not depend on
-the pinned basis and is checked against the shelling census.
+The strata form a Z-basis, so every table entry is an int (an inexact
+division raises RingInconsistent) and so is every coefficient of a class
+built here; a Fraction appears only when a caller scales by one.  The
+quotient dimension, monomials minus echelon rank, does not depend on the
+pinned basis and is checked against the shelling census.
 """
 
 from __future__ import annotations
@@ -32,23 +35,22 @@ from .errors import IndexOutOfRange, NotACone, NotFano, PreconditionFailed, Ring
 from .fan import Cone, Fan
 
 Monomial = tuple[int, ...]  # sorted divisor indices with multiplicity
+Rational = int | Fraction  # a coefficient: int unless a caller supplied a Fraction
 
 
-def _strict_rational(c, what: str) -> Fraction:
+def _strict_rational(c, what: str) -> Rational:
     # exactly int or Fraction: a float, a bool or a string is refused, not coerced
-    if type(c) is Fraction:
-        return c
-    if type(c) is not int:
+    if type(c) is not int and type(c) is not Fraction:
         raise ValueError(f"{what} {c!r} is not an int or a Fraction")
-    return Fraction(c)
+    return c
 
 
 class CohomologyClass:
-    """A class in the pinned basis: sparse map basis index -> rational."""
+    """A class in the pinned basis: sparse map basis index -> int or Fraction."""
 
     __slots__ = ("coords",)
 
-    def __init__(self, coords: Optional[Mapping[int, Fraction]] = None):
+    def __init__(self, coords: Optional[Mapping[int, Rational]] = None):
         clean = {}
         if coords:
             for i, c in coords.items():
@@ -71,11 +73,11 @@ class CohomologyClass:
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
         out = dict(self.coords)
         for i, c in other.coords.items():
-            out[i] = out.get(i, Fraction(0)) + c
+            out[i] = out.get(i, 0) + c
         return CohomologyClass(out)
 
     def __sub__(self, other: "CohomologyClass") -> "CohomologyClass":
-        return self + other.scaled(Fraction(-1))
+        return self + other.scaled(-1)
 
     def scaled(self, c) -> "CohomologyClass":
         c = _strict_rational(c, "scale factor")
@@ -169,7 +171,7 @@ class _DegreeTable:
 
     n_monomials: int
     rank: int
-    forms: dict[Monomial, dict[int, Fraction]]  # monomial -> basis index -> coeff
+    forms: dict[Monomial, dict[int, int]]  # monomial -> basis index -> coeff
 
 
 class _CohomologyRing:
@@ -233,7 +235,7 @@ class _CohomologyRing:
                 f"degree {degree}: quotient dimension {len(columns) - ech.rank}"
                 f" does not match the shelling census {len(pinned)}"
             )
-        values = ech.solve({col_of[mo]: {i: Fraction(1)} for mo, i in pinned.items()})
+        values = ech.solve({col_of[mo]: {i: 1} for mo, i in pinned.items()})
         tab = _DegreeTable(len(columns), ech.rank, {columns[j]: v for j, v in values.items()})
         self._tables[degree] = tab
         return tab
@@ -244,8 +246,8 @@ class _CohomologyRing:
         tab = self.table(degree)
         return tab.n_monomials - tab.rank
 
-    def normal_form(self, poly: Mapping[Monomial, Fraction]) -> CohomologyClass:
-        coords: dict[int, Fraction] = {}
+    def normal_form(self, poly: Mapping[Monomial, Rational]) -> CohomologyClass:
+        coords: dict[int, Rational] = {}
         for mono, coeff in poly.items():
             for i in mono:  # one type test per index, as in CurveClass
                 if type(i) is not int:
@@ -268,11 +270,11 @@ def _ring(fan: Fan) -> _CohomologyRing:
     return d.cohomology_ring
 
 
-def normal_form(fan: Fan, poly: Mapping[Monomial, Fraction]) -> CohomologyClass:
+def normal_form(fan: Fan, poly: Mapping[Monomial, Rational]) -> CohomologyClass:
     """Reduce a formal polynomial in the divisor symbols to basis coords.
 
     Keys are monomials as sorted tuples of divisor indices with multiplicity
-    (the empty tuple is the constant term); values are rationals.
+    (the empty tuple is the constant term); values are ints or Fractions.
     """
     return _ring(fan).normal_form(poly)
 
@@ -285,15 +287,15 @@ def basis_class(fan: Fan, index: int) -> CohomologyClass:
     ring = _ring(fan)
     if not 0 <= index < len(ring.basis_tau):
         raise IndexOutOfRange(f"basis index {index} out of range")
-    return CohomologyClass({index: Fraction(1)})
+    return CohomologyClass({index: 1})
 
 
 def unit_class(fan: Fan) -> CohomologyClass:
-    return CohomologyClass({_ring(fan).unit_index: Fraction(1)})
+    return CohomologyClass({_ring(fan).unit_index: 1})
 
 
 def point_class(fan: Fan) -> CohomologyClass:
-    return CohomologyClass({_ring(fan).top_index: Fraction(1)})
+    return CohomologyClass({_ring(fan).top_index: 1})
 
 
 def betti_census(fan: Fan) -> dict[int, int]:
@@ -319,13 +321,13 @@ def class_degrees(fan: Fan, cls: CohomologyClass) -> set[int]:
 def cup(fan: Fan, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
     """Classical cup product in the pinned basis."""
     ring = _ring(fan)
-    poly: dict[Monomial, Fraction] = {}
+    poly: dict[Monomial, Rational] = {}
     for i, ca in a.coords.items():
         for j, cb in b.coords.items():
             mono = tuple(sorted(ring.basis_tau[i] + ring.basis_tau[j]))
             if len(mono) > fan.dim:
                 continue
-            poly[mono] = poly.get(mono, Fraction(0)) + ca * cb
+            poly[mono] = poly.get(mono, 0) + ca * cb
     return ring.normal_form(poly)
 
 
@@ -333,10 +335,10 @@ def stratum_class(fan: Fan, sigma: Sequence[int]) -> CohomologyClass:
     """The class of the closed stratum X(sigma) for a cone sigma."""
     if not fan_mod.is_cone(fan, sigma):
         raise NotACone(f"{tuple(i + 1 for i in sorted(sigma))} does not span a cone")
-    return _ring(fan).normal_form({tuple(sigma): Fraction(1)})
+    return _ring(fan).normal_form({tuple(sigma): 1})
 
 
-def integrate(fan: Fan, a: CohomologyClass) -> Fraction:
+def integrate(fan: Fan, a: CohomologyClass) -> Rational:
     """Evaluation against the fundamental class: the point-class coefficient."""
     ring = _ring(fan)
-    return a.coords.get(ring.top_index, Fraction(0))
+    return a.coords.get(ring.top_index, 0)

@@ -92,11 +92,11 @@ def min_tree(fan: Fan, mu: Cone, d: int) -> ToricTree:
     edges: list[tuple[Cone, int]] = []
     total = CurveClass((0,) * fan.n_rays)
     current = root
-    steps = 0
+    seen: set[Cone] = set()  # the next cone depends on the current one alone
     while d not in current:
-        steps += 1
-        if steps > 10_000:
-            raise LocateFailure("wall-crossing walk failed to terminate")
+        if current in seen:
+            raise LocateFailure(f"wall-crossing walk toward ray {d + 1} runs in a loop")
+        seen.add(current)
         coords = fan_mod.coords_in_basis(fan, current, fan.rays[d])
         drop = None
         for t, i in enumerate(current):

@@ -62,7 +62,8 @@ class NotInTier(ToricError):
 class RingInconsistent(ToricError):
     """An internal consistency check failed: data computed along two routes
     disagree (shelling census against quotient dimension, a pinned basis
-    monomial that the relations eliminate, a non-unimodular wall crossing)."""
+    monomial that the relations eliminate, a non-unimodular wall crossing,
+    a ring-table coordinate that is not an integer)."""
 
 
 class PreconditionFailed(ToricError):

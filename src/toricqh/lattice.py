@@ -5,17 +5,16 @@ ever involved.  Matrices are lists of rows, vectors are tuples, and lattice
 vectors stay integer end to end.  There are two kernels: one fraction-free
 dense elimination (Bareiss) behind the rank, inverse and determinant (no
 solve: fan.cone_inverse answers coordinate questions, quotient maps
-included), and the sparse ring-build echelon.  A Fraction appears only in
-Echelon.solve.
+included), and the sparse ring-build echelon, whose back substitution
+divides exactly or raises RingInconsistent.  Nothing here is rational.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Hashable, Mapping, Sequence
 
-from .errors import NonUnimodular
+from .errors import NonUnimodular, RingInconsistent
 
 Vector = tuple[int, ...]
 
@@ -150,12 +149,14 @@ class Echelon:
                 else:
                     del work[c]
 
-    def solve(self, free: Mapping[int, Mapping[Hashable, Fraction]]) -> dict[int, dict]:
+    def solve(self, free: Mapping[int, Mapping[Hashable, int]]) -> dict[int, dict]:
         """The value of every column, given the values of the non-pivot ones.
 
-        Values are sparse vectors (dicts); a pivot column gets the value that
-        makes its row vanish, by back substitution from the highest pivot
-        down.  free must give a value for every column that is not a pivot.
+        Values are sparse integer vectors (dicts); a pivot column gets the
+        value that makes its row vanish, by back substitution from the
+        highest pivot down.  free must give a value for every column that is
+        not a pivot.  Every division must be exact, as it is when the free
+        columns are a Z-basis of the quotient; otherwise RingInconsistent.
         """
         values: dict[int, dict] = {c: dict(v) for c, v in free.items()}
         for col in sorted(self.rows, reverse=True):
@@ -166,7 +167,9 @@ class Echelon:
                     for k, x in values[j].items():
                         acc[k] = acc.get(k, 0) + r * x
             lead = -row[col]
-            values[col] = {k: Fraction(x) / lead for k, x in acc.items() if x}
+            if any(x % lead for x in acc.values()):
+                raise RingInconsistent(f"column {col}: division by {lead} is not exact")
+            values[col] = {k: x // lead for k, x in acc.items() if x}
         return values
 
 

@@ -7,19 +7,20 @@ support contains a primitive set trades it for the relation's right side
 at the cost of a q-shift, a repeated divisor is eliminated through the
 dual-basis linear relation of a containing cone, and a square-free
 monomial supported on a cone is evaluated in closed form through the
-exceptional-set expansion.  Everything stays exact.
+exceptional-set expansion.  Everything stays exact and integral: the
+engine's one form is a dict curve-class pairings -> basis index -> int, and
+class objects are built only where a public function returns.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Optional, Sequence, Union
 
-from . import cohomology, fan as fan_mod, fano
-from .cohomology import CohomologyClass, Monomial
+from . import cohomology, fan as fan_mod, fano, lattice
+from .cohomology import CohomologyClass, Monomial, Rational
 from .errors import IndexOutOfRange, NotACone, NotFano, NotInClass, PreconditionFailed
 from .fan import Cone, CurveClass, Fan, PrimitiveData, Vector
 
@@ -60,7 +61,7 @@ class QuantumClass:
         return QuantumClass(out)
 
     def __sub__(self, other: "QuantumClass") -> "QuantumClass":
-        return self + other.scaled(Fraction(-1))
+        return self + other.scaled(-1)
 
     def scaled(self, c) -> "QuantumClass":
         c = cohomology._strict_rational(c, "scale factor")
@@ -83,7 +84,7 @@ class QuantumTerm:
 
     curve: CurveClass
     monomial: Monomial
-    coefficient: Fraction
+    coefficient: Rational
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ def classical(fan: Fan, cls: CohomologyClass) -> QuantumClass:
     return QuantumClass({zero_curve(fan): cls})
 
 
-_Parts = dict[CurveClass, dict[int, Fraction]]  # a quantum class being summed
+_Parts = dict[Vector, dict[int, int]]  # curve class pairings -> basis index -> coeff
 
 # Highest monomial degree the public rewrite entry points accept.  The
 # rewrite recurses once per step; its depth, measured over the corpus, P^3
@@ -134,18 +135,22 @@ def _check_monomial(fan: Fan, monomial: Sequence[int]) -> Monomial:
     return mono
 
 
-def _add_into(
-    acc: _Parts, qc: QuantumClass, scale: Fraction, shift: Optional[CurveClass] = None
-) -> None:
-    """acc += scale * q^shift * qc, in place."""
-    for beta, cls in qc.parts.items():
-        part = acc.setdefault(beta if shift is None else beta + shift, {})
-        for i, c in cls.coords.items():
+def _add_into(acc: _Parts, parts: Mapping, scale: Rational, shift: Optional[Vector] = None) -> None:
+    """acc += scale * q^shift * parts, in place."""
+    for beta, coords in parts.items():
+        part = acc.setdefault(beta if shift is None else lattice.vadd(beta, shift), {})
+        for i, c in coords.items():
             part[i] = part.get(i, 0) + scale * c
 
 
-def _from_parts(acc: _Parts) -> QuantumClass:
-    return QuantumClass({beta: CohomologyClass(coords) for beta, coords in acc.items()})
+def _pruned(acc: _Parts) -> _Parts:
+    """acc without zero coefficients and empty parts, as every cache holds it."""
+    parts = {beta: {i: c for i, c in coords.items() if c} for beta, coords in acc.items()}
+    return {beta: coords for beta, coords in parts.items() if coords}
+
+
+def _to_class(parts: Mapping) -> QuantumClass:
+    return QuantumClass({CurveClass(beta): CohomologyClass(c) for beta, c in parts.items()})
 
 
 class _QuantumRing:
@@ -157,30 +162,26 @@ class _QuantumRing:
         self.pdata = fan_mod.primitive_data(fan)
         self.by_set = {pd.set: pd for pd in self.pdata}
         self.psets = [pd.set for pd in self.pdata]
-        self.specials: dict[Cone, tuple] = {}
-        self.closed: dict[Cone, QuantumClass] = {}
+        self.closed: dict[Cone, _Parts] = {}
         self.giambelli_cache: dict[Cone, tuple[QuantumTerm, ...]] = {}
-        self.reduce_memo: dict[Monomial, QuantumClass] = {}
-        self.pair_cache: dict[tuple[int, int], QuantumClass] = {}
-        self.effective_seen: set[CurveClass] = set()
+        self.reduce_memo: dict[Monomial, _Parts] = {}
+        self.pair_cache: dict[tuple[int, int], _Parts] = {}
+        self.effective_seen: set[Vector] = set()
 
-    def check_effective(self, beta: CurveClass) -> None:
-        if beta in self.effective_seen:
-            return
-        fan_mod.decompose_effective(self.fan, beta)
-        self.effective_seen.add(beta)
+    def check_effective(self, beta: Vector) -> None:
+        if beta not in self.effective_seen:
+            fan_mod.decompose_effective(self.fan, CurveClass(beta))
+            self.effective_seen.add(beta)
 
-    def special_sets(self, sigma: Cone) -> tuple:
-        cached = self.specials.get(sigma)
-        if cached is None:
-            cached = fano.special_exceptional_sets(self.fan, sigma)
-            self.specials[sigma] = cached
-        return cached
+    def family_class(self, family) -> Vector:
+        # the sum of the family's classes, the zero class for the empty family
+        zero = (0,) * self.fan.n_rays
+        return tuple(map(sum, zip(zero, *(exc.cls.pairings for exc in family))))
 
     def families(self, sigma: Cone, predicate: str):
         """Subsets of the special sets of sigma with distinct exceptional
         divisors and the named compatibility predicate."""
-        specials = self.special_sets(sigma)
+        specials = fano.special_exceptional_sets(self.fan, sigma)
         out = []
         for size in range(len(specials) + 1):
             for family in combinations(specials, size):
@@ -197,35 +198,30 @@ class _QuantumRing:
             raise NotInClass("the Giambelli expansion needs the full class")
         terms = []
         for family in self.families(sigma, "no_cycles"):
-            beta = zero_curve(self.fan)
-            removed: set[int] = set()
-            for exc in family:
-                beta = beta + exc.cls
-                removed.update(exc.set)
+            removed = {i for exc in family for i in exc.set}
             mono = tuple(i for i in sigma if i not in removed)
-            terms.append(QuantumTerm(beta, mono, Fraction(1)))
+            terms.append(QuantumTerm(CurveClass(self.family_class(family)), mono, 1))
         result = tuple(terms)
         self.giambelli_cache[sigma] = result
         return result
 
-    def closed_form(self, sigma: Cone) -> QuantumClass:
+    def closed_form(self, sigma: Cone) -> _Parts:
         cached = self.closed.get(sigma)
         if cached is not None:
             return cached
-        total = QuantumClass()
+        ring = cohomology._ring(self.fan)
+        total: _Parts = {}
         for family in self.families(sigma, "no_overlaps"):
-            beta = zero_curve(self.fan)
-            for exc in family:
-                beta = beta + exc.cls
+            beta = self.family_class(family)
             self.check_effective(beta)
-            tau = tuple(i for i in sigma if beta.pairings[i] != 1)
-            stratum = cohomology.stratum_class(self.fan, tau)
-            sign = Fraction(-1) ** len(family)
-            total = total + QuantumClass({beta: stratum.scaled(sign)})
+            # the stratum of the face of sigma off beta's pairing-one rays, as its table row
+            tau = tuple(i for i in sigma if beta[i] != 1)
+            _add_into(total, {beta: ring.table(len(tau)).forms[tau]}, (-1) ** len(family))
+        total = _pruned(total)
         self.closed[sigma] = total
         return total
 
-    def reduce(self, mono: Monomial, rng: Optional[random.Random]) -> QuantumClass:
+    def reduce(self, mono: Monomial, rng: Optional[random.Random]) -> _Parts:
         if rng is None:
             cached = self.reduce_memo.get(mono)
             if cached is not None:
@@ -241,8 +237,10 @@ class _QuantumRing:
                 rest.remove(i)
             for j, a in zip(pd.rhs_cone, pd.rhs_coeffs):
                 rest.extend([j] * a)
-            self.check_effective(pd.cls)
-            result = self.reduce(tuple(sorted(rest)), rng).shifted(pd.cls)
+            shift = pd.cls.pairings
+            self.check_effective(shift)
+            sub = self.reduce(tuple(sorted(rest)), rng)
+            result = {lattice.vadd(beta, shift): coords for beta, coords in sub.items()}
         elif len(support) == len(mono):
             result = self.closed_form(tuple(support))
         else:
@@ -253,18 +251,17 @@ class _QuantumRing:
             phi = fan_mod.cone_inverse(self.fan, mu)[mu.index(i)]  # dual functional of ray i
             base = list(mono)
             base.remove(i)
-            outside = set(range(self.fan.n_rays)) - set(mu)
             acc: _Parts = {}
-            for j in sorted(outside):
-                c = sum(p * r for p, r in zip(phi, self.fan.rays[j]))
+            for j, ray in enumerate(self.fan.rays):
+                c = 0 if j in mu else lattice.dot(phi, ray)
                 if c:
-                    _add_into(acc, self.reduce(tuple(sorted(base + [j])), rng), Fraction(-c))
-            result = _from_parts(acc)
+                    _add_into(acc, self.reduce(tuple(sorted(base + [j])), rng), -c)
+            result = _pruned(acc)
         if rng is None:
             self.reduce_memo[mono] = result
         return result
 
-    def pair_product(self, i: int, j: int) -> QuantumClass:
+    def pair_product(self, i: int, j: int) -> _Parts:
         key = (i, j) if i <= j else (j, i)
         cached = self.pair_cache.get(key)
         if cached is not None:
@@ -274,8 +271,9 @@ class _QuantumRing:
         for s in self.giambelli(taus[key[0]]):
             for t in self.giambelli(taus[key[1]]):
                 red = self.reduce(tuple(sorted(s.monomial + t.monomial)), None)
-                _add_into(acc, red, s.coefficient * t.coefficient, s.curve + t.curve)
-        out = _from_parts(acc)
+                shift = lattice.vadd(s.curve.pairings, t.curve.pairings)
+                _add_into(acc, red, s.coefficient * t.coefficient, shift)
+        out = _pruned(acc)
         self.pair_cache[key] = out
         return out
 
@@ -321,7 +319,7 @@ def divisor_product_closed_form(fan: Fan, sigma: Sequence[int]) -> QuantumClass:
     (-1)^t q^(sum of classes) times the stratum whose cone keeps the rays of
     sigma the exponent does not meet with pairing one.
     """
-    return _qring(fan).closed_form(_check_cone(fan, sigma))
+    return _to_class(_qring(fan).closed_form(_check_cone(fan, sigma)))
 
 
 def reduce_monomial(
@@ -338,7 +336,7 @@ def reduce_monomial(
     ValueError and one that names no ray with IndexOutOfRange.
     """
     mono = _check_monomial(fan, monomial)
-    return _qring(fan).reduce(mono, rng)
+    return _to_class(_qring(fan).reduce(mono, rng))
 
 
 def evaluate_terms(fan: Fan, terms: Sequence[QuantumTerm]) -> QuantumClass:
@@ -350,8 +348,8 @@ def evaluate_terms(fan: Fan, terms: Sequence[QuantumTerm]) -> QuantumClass:
     acc: _Parts = {}
     for term in terms:
         red = ring.reduce(_check_monomial(fan, term.monomial), None)
-        _add_into(acc, red, term.coefficient, term.curve)
-    return _from_parts(acc)
+        _add_into(acc, red, term.coefficient, term.curve.pairings)
+    return _to_class(acc)
 
 
 Multiplicand = Union[CohomologyClass, QuantumClass]
@@ -369,11 +367,11 @@ def quantum_product(fan: Fan, a: Multiplicand, b: Multiplicand) -> QuantumClass:
     acc: _Parts = {}
     for beta_a, cls_a in qa.parts.items():
         for beta_b, cls_b in qb.parts.items():
-            shift = beta_a + beta_b
+            shift = lattice.vadd(beta_a.pairings, beta_b.pairings)
             for i, ca in cls_a.coords.items():
                 for j, cb in cls_b.coords.items():
                     _add_into(acc, ring.pair_product(i, j), ca * cb, shift)
-    return _from_parts(acc)
+    return _to_class(acc)
 
 
 def gw3(
@@ -382,7 +380,7 @@ def gw3(
     b: CohomologyClass,
     c: CohomologyClass,
     beta: CurveClass,
-) -> Fraction:
+) -> Rational:
     """Three-point genus-zero invariant of the class beta.
 
     Extracted from the small quantum product: the q^beta coefficient of
@@ -390,8 +388,7 @@ def gw3(
     """
     beta = fan_mod.curve_class(fan, beta.pairings)
     fan_mod.decompose_effective(fan, beta)
-    product = quantum_product(fan, a, b)
-    piece = product.coefficient(beta)
+    piece = quantum_product(fan, a, b).coefficient(beta)
     return cohomology.integrate(fan, cohomology.cup(fan, piece, c))
 
 

@@ -1,7 +1,7 @@
 import json
 
 from toricqh import catalog, fan as fan_mod
-from toricqh.cli import main
+from toricqh.cli import MAX_NESTING, main
 
 
 def run(capsys, *argv):
@@ -143,6 +143,20 @@ def test_multiply_errors(capsys, fans_dir):
     assert code == 2
     code, _, err = run(capsys, "multiply", "--fan", fan_path(fans_dir, "f2.json"), "D1", "D1")
     assert code == 4
+
+
+def test_expression_nesting_is_bounded(capsys, fans_dir):
+    p2 = fan_path(fans_dir, "p2.json")
+    deep = "(" * 400 + "D1" + ")" * 400
+    for argv in (("multiply", deep, "D1"), ("gw", deep, "D1", "D1", "0,0,0")):
+        code, out, err = run(capsys, argv[0], "--json", "--fan", p2, *argv[1:])
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ExpressionError"
+    at_bound = "(" * MAX_NESTING + "D1" + ")" * MAX_NESTING
+    code, out, _ = run(capsys, "multiply", "--fan", p2, at_bound, "D1")
+    assert code == 0 and out.strip() == "X{2,3}"
+    code, _, err = run(capsys, "multiply", "--fan", p2, "(" + at_bound + ")", "D1")
+    assert code == 2 and "deeper than" in err
 
 
 def test_multiply_json_error_payload(capsys, fans_dir):

@@ -4,7 +4,13 @@ from itertools import combinations
 import pytest
 
 from toricqh import curves, fan as fan_mod
-from toricqh.errors import FanNotAccepted, IndexOutOfRange, NotACone, PreconditionFailed
+from toricqh.errors import (
+    FanNotAccepted,
+    IndexOutOfRange,
+    LocateFailure,
+    NotACone,
+    PreconditionFailed,
+)
 from toricqh.fan import CurveClass, Fan
 
 
@@ -95,6 +101,25 @@ def test_min_tree_oracles(p2, bl1p2, f2):
 
     inside = curves.min_tree(p2, (0, 1), 0)
     assert inside.edges == () and inside.cls.is_zero()
+
+
+def test_min_tree_stops_a_looping_walk(p1xp1, monkeypatch):
+    # coordinates that always drop the second generator bounce the walk
+    # from {1,3} to {1,4} and back, never reaching D2
+    steps = []
+    real = fan_mod.coords_in_basis
+
+    def bouncing(fan, cone, v):
+        if v != fan.rays[1]:
+            return real(fan, cone, v)
+        steps.append(cone)
+        return (0, -1)
+
+    monkeypatch.setattr(fan_mod, "coords_in_basis", bouncing)
+    with pytest.raises(LocateFailure, match="loop"):
+        curves.min_tree(p1xp1, (0, 2), 1)
+    assert steps == [(0, 2), (0, 3)]
+    assert len(steps) <= len(p1xp1.max_cones)
 
 
 def test_min_tree_degree_equals_distance(corpus):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from toricqh import lattice
-from toricqh.errors import NonUnimodular
+from toricqh.errors import NonUnimodular, RingInconsistent
 
 
 def mat_mul(a, b):
@@ -28,18 +28,30 @@ def test_echelon_rank_matches_rational_rank():
 
 
 def test_echelon_solve_kills_every_row():
-    rows = [[1, 2, 0, 3], [0, 2, 1, 1], [1, 4, 1, 4]]
+    # an integral system: the free columns are a Z-basis of the quotient
+    rows = [[1, 2, 0, 3], [0, 1, 1, 1], [1, 3, 1, 4]]
     ech = lattice.Echelon()
     for row in rows:
         ech.insert(dict(enumerate(row)))
     assert sorted(ech.rows) == [0, 1]
-    values = ech.solve({2: {"a": Fraction(1)}, 3: {"b": Fraction(1)}})
+    values = ech.solve({2: {"a": 1}, 3: {"b": 1}})
+    assert values[0] == {"a": 2, "b": -1} and values[1] == {"a": -1, "b": -1}
+    assert all(type(x) is int for v in values.values() for x in v.values())
     for row in rows:
         total = {}
         for j, r in enumerate(row):
             for k, x in values[j].items():
                 total[k] = total.get(k, 0) + r * x
         assert all(x == 0 for x in total.values())
+
+
+def test_echelon_solve_refuses_an_inexact_division():
+    # pivot 2 on column 1: back substitution would need a half
+    ech = lattice.Echelon()
+    for row in ([1, 2, 0, 3], [0, 2, 1, 1]):
+        ech.insert(dict(enumerate(row)))
+    with pytest.raises(RingInconsistent, match="not exact"):
+        ech.solve({2: {"a": 1}, 3: {"b": 1}})
 
 
 def test_integer_inverse_round_trip():

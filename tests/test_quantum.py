@@ -4,11 +4,13 @@ from itertools import product
 
 import pytest
 
+from toricqh import catalog
 from toricqh import cohomology as coho
 from toricqh import fan as fan_mod
 from toricqh import fano
 from toricqh import lattice
 from toricqh import quantum
+from toricqh.cli import parse_expression
 from toricqh.cohomology import CohomologyClass
 from toricqh.errors import (
     IndexOutOfRange,
@@ -348,3 +350,41 @@ def test_quantum_class_algebra(p2):
     assert shifted.scaled(3).coefficient(line) == unit.scaled(3)
     total = x + shifted
     assert total.curves() == [quantum.zero_curve(p2), line]
+
+
+def _integral_contract_fans():
+    from test_cohomology import PRODUCT_FACTORS
+
+    fans = dict(catalog.corpus())
+    fans["p3"] = catalog.projective_space(3)
+    fans["bundle3"] = catalog.twisted_bundle_threefold()
+    for name, factors in PRODUCT_FACTORS.items():
+        fans[name] = catalog.product(*(make() for make in factors))
+    return fans
+
+
+@pytest.mark.parametrize("name", sorted(_integral_contract_fans()))
+def test_engine_coefficients_are_int(name):
+    # the strata are a Z-basis: ring tables and pair products stay in int
+    fan = _integral_contract_fans()[name]
+    ring = coho._ring(fan)
+    for d in range(fan.dim + 1):
+        for form in ring.table(d).forms.values():
+            assert all(type(c) is int for c in form.values())
+    if fano.classify(fan).tier < fano.Tier.FULL_CLASS:
+        return
+    basis = [coho.basis_class(fan, i) for i in range(len(coho.basis_tau(fan)))]
+    for i, a in enumerate(basis):
+        for b in basis[i:]:
+            for cls in quantum.quantum_product(fan, a, b).parts.values():
+                assert all(type(c) is int for c in cls.coords.values())
+
+
+def test_rational_scalars_stay_fractions(p2):
+    half = parse_expression(p2, "1/2*D1", "quantum")
+    product = quantum.quantum_product(p2, half, parse_expression(p2, "D2", "quantum"))
+    coeffs = [c for cls in product.parts.values() for c in cls.coords.values()]
+    assert coeffs and all(type(c) is Fraction for c in coeffs)
+    assert coeffs == [Fraction(1, 2)]
+    whole = quantum.quantum_product(p2, *(parse_expression(p2, "2/2*D1", "quantum"),) * 2)
+    assert all(type(c) is int for cls in whole.parts.values() for c in cls.coords.values())
