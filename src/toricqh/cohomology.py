@@ -9,16 +9,16 @@ T^n * raysum + (T^(n-1), ..., T, 1) reproduces once T > 2 max|f|.  It costs
 one sort, O(cones * n * log cones).  The classes of the strata X(tau_i)
 form a basis, one class of degree d per tau_i with |tau_i| = d.
 
-Normal forms are built once per degree.  The linear and primitive relations
-on all monomials of that degree go into a sparse exact echelon (integer
-rows, pivot at the lowest column), with the pinned square-free monomials
-prod(D_rho, rho in tau_i) as the last columns so that none of them becomes
-a pivot.  Back substitution then gives a table from every monomial to its
-coordinates in the pinned basis, and a normal form is a sum of table rows.
-The strata form a Z-basis, so every table entry is an int (an inexact
-division raises RingInconsistent) and so is every coefficient of a class
-built here; a Fraction appears only when a caller scales by one.  The
-quotient dimension, monomials minus echelon rank, does not depend on the
+Normal forms are built once per degree from the faces alone (Fulton and
+Sturmfels, Topology 36, 1997): H^k is spanned by the face monomials x_tau,
+|tau| = k, modulo r(sigma, u) = sum of <u, v_i> x_(sigma + i) over the faces
+sigma + i, for each (k-1)-face sigma and each u in a basis of its
+annihilator (the rows of a maximal cone's inverse for its rays outside
+sigma).  These rows go into a sparse exact echelon with the pinned faces
+tau_i last, so none of them pivots, and back substitution gives every face
+int coordinates (the strata are a Z-basis; an inexact division raises
+RingInconsistent).  Other monomials are rewritten by `_CohomologyRing.form`.
+The quotient dimension, faces minus echelon rank, does not depend on the
 pinned basis and is checked against the shelling census.
 """
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import Mapping, Optional, Sequence
 
 from . import fan as fan_mod
@@ -133,8 +132,7 @@ def shelling(fan: Fan) -> Shelling:
     line shelling (Bruggesser-Mani; Fulton, Introduction to Toric
     Varieties, section 5.2).
     """
-    ring = _ring(fan)
-    return ring.shelling
+    return _ring(fan).shelling
 
 
 def _compute_shelling(fan: Fan) -> Shelling:
@@ -144,9 +142,7 @@ def _compute_shelling(fan: Fan) -> Shelling:
         raise PreconditionFailed(
             "two maximal cones have the same point functional: no perturbation separates them"
         )
-    base = (0,) * fan.dim
-    for ray in fan.rays:
-        base = lattice.vadd(base, ray)
+    base = tuple(map(sum, zip(*fan.rays)))  # the ray sum
     order = sorted(
         fan.max_cones, key=lambda c: (lattice.dot(funcs[c], base),) + funcs[c], reverse=True
     )
@@ -165,18 +161,27 @@ def _compute_shelling(fan: Fan) -> Shelling:
     return Shelling(chosen, tuple(order), tuple(taus))
 
 
-@dataclass(frozen=True)
-class _DegreeTable:
-    """The normal form of every monomial of one degree, and the relation rank."""
-
-    n_monomials: int
-    rank: int
-    forms: dict[Monomial, dict[int, int]]  # monomial -> basis index -> coeff
+def _linear_step(fan: Fan, mono: Monomial, rng=None) -> list[tuple[Monomial, int]]:
+    """Rewrite a monomial on a cone with a repeated D_i by the linear relation
+    D_i = -sum over j outside mu of <phi_i, v_j> D_j, mu a maximal cone over
+    the support and phi_i its inverse's row for ray i: every result has one
+    more support ray.  The first such i and mu are taken unless rng picks."""
+    support = tuple(dict.fromkeys(mono))
+    repeated = [i for i in support if mono.count(i) >= 2]
+    if rng is None:
+        i, mu = repeated[0], fan_mod._face_set(fan)[support]
+    else:
+        i = rng.choice(repeated)
+        mu = rng.choice([mu for mu in fan.max_cones if set(support) <= set(mu)])
+    phi = fan_mod.cone_inverse(fan, mu)[mu.index(i)]
+    rest = list(mono)
+    rest.remove(i)
+    pairs = ((j, lattice.dot(phi, ray)) for j, ray in enumerate(fan.rays) if j not in mu)
+    return [(tuple(sorted(rest + [j])), -c) for j, c in pairs if c]
 
 
 class _CohomologyRing:
     def __init__(self, fan: Fan):
-        fan_mod.require_accepted(fan)
         if fano.classify(fan).tier < fano.Tier.FANO:
             raise NotFano("the stratum basis needs a Fano fan")
         self.fan = fan
@@ -191,60 +196,71 @@ class _CohomologyRing:
             raise RingInconsistent("shelling census lost uniqueness at the ends")
         self.top_index = tops[0]
         self.unit_index = zeros[0]
-        self._tables: dict[int, _DegreeTable] = {}
+        # degree -> (faces minus echelon rank, face -> basis index -> coeff)
+        self._tables: dict[int, tuple[int, dict[Cone, dict[int, int]]]] = {}
+        self._forms: dict[Monomial, dict[int, int]] = {}
 
     def census(self) -> dict[int, int]:
         return {d: len(ids) for d, ids in sorted(self.by_degree.items())}
 
-    def table(self, degree: int) -> _DegreeTable:
+    def table(self, degree: int) -> tuple[int, dict[Cone, dict[int, int]]]:
         tab = self._tables.get(degree)
         if tab is not None:
             return tab
-        fan = self.fan
-        m, n = fan.n_rays, fan.dim
-        monos = sorted(combinations_with_replacement(range(m), degree))
-        pinned: dict[Monomial, int] = {}
-        for i in self.by_degree.get(degree, []):
-            mono = self.basis_tau[i]
-            if mono in pinned:
-                raise RingInconsistent(f"duplicate tau monomial {mono}")
-            pinned[mono] = i
-        columns = [mo for mo in monos if mo not in pinned] + [mo for mo in monos if mo in pinned]
-        col_of = {mo: j for j, mo in enumerate(columns)}
-        first_pinned = len(columns) - len(pinned)
+        fan, home = self.fan, fan_mod._face_set(self.fan)
+        faces = [f for f in fan_mod.faces(fan) if len(f) == degree]
+        ids = self.by_degree.get(degree, [])
+        pinned = {self.basis_tau[i]: i for i in ids}
+        if len(pinned) != len(ids):
+            raise RingInconsistent(f"degree {degree}: duplicate tau monomial")
+        columns = [f for f in faces if f not in pinned] + sorted(pinned)
+        col_of = {f: j for j, f in enumerate(columns)}
 
+        # r(sigma, u) for each (k-1)-face sigma: its extensions sigma + i by column
+        link: dict[Cone, list[tuple[int, int]]] = {}
+        for tau in faces:
+            for i in tau:
+                link.setdefault(tuple(j for j in tau if j != i), []).append((i, col_of[tau]))
         ech = lattice.Echelon()
-        for pset in fan_mod.primitive_sets(fan):
-            if len(pset) <= degree:
-                for mono in combinations_with_replacement(range(m), degree - len(pset)):
-                    ech.insert({col_of[tuple(sorted(pset + mono))]: 1})
-        if degree >= 1:
-            for t in range(n):
-                coeffs = [(i, fan.rays[i][t]) for i in range(m) if fan.rays[i][t]]
-                for mono in combinations_with_replacement(range(m), degree - 1):
-                    row: dict[int, int] = {}
-                    for i, c in coeffs:
-                        j = col_of[tuple(sorted(mono + (i,)))]
-                        row[j] = row.get(j, 0) + c
-                    ech.insert(row)
+        for sigma, ext in link.items():
+            mu = home[sigma]
+            for r, u in zip(mu, fan_mod.cone_inverse(fan, mu)):
+                if r not in sigma:
+                    ech.insert({j: lattice.dot(u, fan.rays[i]) for i, j in ext})
 
-        if any(p >= first_pinned for p in ech.rows):
+        if any(p >= len(columns) - len(pinned) for p in ech.rows):
             raise RingInconsistent(f"degree {degree}: a pinned monomial pivoted")
         if len(columns) - ech.rank != len(pinned):
             raise RingInconsistent(
                 f"degree {degree}: quotient dimension {len(columns) - ech.rank}"
                 f" does not match the shelling census {len(pinned)}"
             )
-        values = ech.solve({col_of[mo]: {i: 1} for mo, i in pinned.items()})
-        tab = _DegreeTable(len(columns), ech.rank, {columns[j]: v for j, v in values.items()})
+        values = ech.solve({col_of[tau]: {i: 1} for tau, i in pinned.items()})
+        tab = (len(columns) - ech.rank, {columns[j]: v for j, v in values.items()})
         self._tables[degree] = tab
         return tab
 
+    def form(self, mono: Monomial) -> dict[int, int]:
+        """Coordinates of a sorted monomial of degree at most n, memoized; each
+        linear step lowers degree minus support size, so at most n steps."""
+        out = self._forms.get(mono)
+        if out is None:
+            support = tuple(dict.fromkeys(mono))
+            if support not in fan_mod._face_set(self.fan):
+                out = {}
+            elif len(support) == len(mono):
+                out = self.table(len(mono))[1][mono]
+            else:
+                acc: dict[int, int] = {}
+                for sub, c in _linear_step(self.fan, mono):
+                    for k, v in self.form(sub).items():
+                        acc[k] = acc.get(k, 0) + c * v
+                out = {k: v for k, v in acc.items() if v}
+            self._forms[mono] = out
+        return out
+
     def quotient_dimension(self, degree: int) -> int:
-        if degree < 0 or degree > self.fan.dim:
-            return 0
-        tab = self.table(degree)
-        return tab.n_monomials - tab.rank
+        return self.table(degree)[0] if 0 <= degree <= self.fan.dim else 0
 
     def normal_form(self, poly: Mapping[Monomial, Rational]) -> CohomologyClass:
         coords: dict[int, Rational] = {}
@@ -258,7 +274,7 @@ class _CohomologyRing:
             coeff = _strict_rational(coeff, "coefficient")
             if coeff == 0 or len(key) > self.fan.dim:
                 continue
-            for i, c in self.table(len(key)).forms[key].items():
+            for i, c in self.form(key).items():
                 coords[i] = coords.get(i, 0) + coeff * c
         return CohomologyClass(coords)
 
@@ -306,9 +322,9 @@ def betti_census(fan: Fan) -> dict[int, int]:
 def degree_dimension(fan: Fan, degree: int) -> int:
     """Dimension of the degree-d quotient computed by elimination alone.
 
-    Counts monomials minus the rank of the relation echelon, which does not
-    depend on the pinned basis, so it can be compared against the shelling
-    census.
+    Counts the k-faces minus the rank of the echelon of the relations
+    r(sigma, u) among them (Fulton-Sturmfels), which does not depend on the
+    pinned basis, so it can be compared against the shelling census.
     """
     return _ring(fan).quotient_dimension(degree)
 
@@ -325,8 +341,6 @@ def cup(fan: Fan, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
     for i, ca in a.coords.items():
         for j, cb in b.coords.items():
             mono = tuple(sorted(ring.basis_tau[i] + ring.basis_tau[j]))
-            if len(mono) > fan.dim:
-                continue
             poly[mono] = poly.get(mono, 0) + ca * cb
     return ring.normal_form(poly)
 
@@ -340,5 +354,4 @@ def stratum_class(fan: Fan, sigma: Sequence[int]) -> CohomologyClass:
 
 def integrate(fan: Fan, a: CohomologyClass) -> Rational:
     """Evaluation against the fundamental class: the point-class coefficient."""
-    ring = _ring(fan)
-    return a.coords.get(ring.top_index, 0)
+    return a.coords.get(_ring(fan).top_index, 0)

@@ -126,12 +126,9 @@ def tree_for_class(fan: Fan, beta: CurveClass) -> tuple[tuple[ToricTree, int], .
     fan_mod.require_accepted(fan)
     beta = fan_mod.curve_class(fan, beta.pairings)
     negatives = tuple(i for i, b in enumerate(beta.pairings) if b < 0)
-    candidates = [c for c in fan.max_cones if set(negatives) <= set(c)]
-    if not candidates:
-        raise PreconditionFailed(
-            "divisors with negative pairing do not lie in one maximal cone"
-        )
-    mu = candidates[0]
+    mu = fan_mod._face_set(fan).get(negatives)  # the first maximal cone over them
+    if mu is None:
+        raise PreconditionFailed("divisors with negative pairing do not lie in one maximal cone")
     out = []
     for d, b in enumerate(beta.pairings):
         if b > 0 and d not in mu:

@@ -144,13 +144,8 @@ def curve_class(fan: Fan, pairings: Sequence[int]) -> CurveClass:
     if len(pairings) != fan.n_rays:
         raise NotEffective("pairing vector length does not match the ray count")
     cls = CurveClass(tuple(pairings))
-    if fan.dim > 0:
-        total = [0] * fan.dim
-        for b, ray in zip(cls.pairings, fan.rays):
-            for t in range(fan.dim):
-                total[t] += b * ray[t]
-        if any(x != 0 for x in total):
-            raise NotEffective("pairings do not define a curve class (ray sum is nonzero)")
+    if any(sum(b * ray[t] for b, ray in zip(cls.pairings, fan.rays)) for t in range(fan.dim)):
+        raise NotEffective("pairings do not define a curve class (ray sum is nonzero)")
     return cls
 
 
@@ -171,7 +166,7 @@ class _Derived:
     def __init__(self, fan: Fan):
         self.fan = fan
         self.report: Optional[ValidationReport] = None
-        self.face_set: Optional[frozenset] = None
+        self.face_set: Optional[dict[Cone, Cone]] = None  # face -> first maximal cone over it
         self.faces: Optional[list[Cone]] = None
         self.psets: Optional[tuple[Cone, ...]] = None
         self.pdata: Optional[tuple[PrimitiveData, ...]] = None
@@ -311,16 +306,18 @@ def _facet_map(fan: Fan) -> dict:
     return _derived(fan).facet_map
 
 
-def _face_set(fan: Fan) -> frozenset:
+def _face_set(fan: Fan) -> dict[Cone, Cone]:
+    """Every cone of the fan, mapped to the first maximal cone containing it."""
     d = _derived(fan)
     if d.face_set is None:
         require_accepted(fan)
-        faces = set()
+        home: dict[Cone, Cone] = {}
         for cone in fan.max_cones:
             for k in range(len(cone) + 1):
-                faces.update(combinations(cone, k))
-        d.face_set = frozenset(faces)
-        d.faces = sorted(faces, key=lambda f: (len(f), f))
+                for face in combinations(cone, k):
+                    home.setdefault(face, cone)
+        d.face_set = home
+        d.faces = sorted(home, key=lambda f: (len(f), f))
     return d.face_set
 
 
@@ -337,9 +334,7 @@ def is_cone(fan: Fan, ray_indices: Sequence[int]) -> bool:
     idx = tuple(sorted(ray_indices))
     if any(i < 0 or i >= fan.n_rays for i in idx):
         raise IndexOutOfRange(f"ray index out of range in {_one_based(idx)}")
-    if len(set(idx)) != len(idx):
-        return False
-    return idx in _face_set(fan)
+    return idx in _face_set(fan)  # a repeated index is in no face
 
 
 def cone_generators(fan: Fan, cone: Sequence[int]) -> list[Vector]:
@@ -494,8 +489,6 @@ def decompose_effective(fan: Fan, beta: CurveClass) -> tuple[tuple[PrimitiveData
     NotEffective.
     """
     require_accepted(fan)
-    if len(beta.pairings) != fan.n_rays:
-        raise NotEffective("pairing vector length does not match the ray count")
     curve_class(fan, beta.pairings)
     if beta.is_zero():
         return ()

@@ -12,6 +12,7 @@ divides exactly or raises RingInconsistent.  Nothing here is rational.
 from __future__ import annotations
 
 from math import gcd
+from operator import add
 from typing import Hashable, Mapping, Sequence
 
 from .errors import NonUnimodular, RingInconsistent
@@ -26,7 +27,7 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 def vadd(u: Sequence[int], v: Sequence[int]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vsub(u: Sequence[int], v: Sequence[int]) -> Vector:

@@ -155,23 +155,27 @@ def _to_class(parts: Mapping) -> QuantumClass:
 
 class _QuantumRing:
     def __init__(self, fan: Fan):
-        fan_mod.require_accepted(fan)
         if fano.classify(fan).tier < fano.Tier.FANO:
             raise NotFano("quantum reduction needs a Fano fan")
         self.fan = fan
         self.pdata = fan_mod.primitive_data(fan)
-        self.by_set = {pd.set: pd for pd in self.pdata}
-        self.psets = [pd.set for pd in self.pdata]
         self.closed: dict[Cone, _Parts] = {}
         self.giambelli_cache: dict[Cone, tuple[QuantumTerm, ...]] = {}
         self.reduce_memo: dict[Monomial, _Parts] = {}
         self.pair_cache: dict[tuple[int, int], _Parts] = {}
         self.effective_seen: set[Vector] = set()
+        self.curves_seen: set[Vector] = set()
 
     def check_effective(self, beta: Vector) -> None:
         if beta not in self.effective_seen:
             fan_mod.decompose_effective(self.fan, CurveClass(beta))
             self.effective_seen.add(beta)
+
+    def check_curve(self, beta: CurveClass) -> Vector:
+        if beta.pairings not in self.curves_seen:  # fan.curve_class: NotEffective
+            fan_mod.curve_class(self.fan, beta.pairings)
+            self.curves_seen.add(beta.pairings)
+        return beta.pairings
 
     def family_class(self, family) -> Vector:
         # the sum of the family's classes, the zero class for the empty family
@@ -214,9 +218,9 @@ class _QuantumRing:
         for family in self.families(sigma, "no_overlaps"):
             beta = self.family_class(family)
             self.check_effective(beta)
-            # the stratum of the face of sigma off beta's pairing-one rays, as its table row
+            # the stratum of the face of sigma off beta's pairing-one rays, as its face form
             tau = tuple(i for i in sigma if beta[i] != 1)
-            _add_into(total, {beta: ring.table(len(tau)).forms[tau]}, (-1) ** len(family))
+            _add_into(total, {beta: ring.form(tau)}, (-1) ** len(family))
         total = _pruned(total)
         self.closed[sigma] = total
         return total
@@ -226,12 +230,10 @@ class _QuantumRing:
             cached = self.reduce_memo.get(mono)
             if cached is not None:
                 return cached
-        support = sorted(set(mono))
-        support_set = set(support)
-
-        contained = [p for p in self.psets if set(p) <= support_set]
+        support = set(mono)
+        contained = [pd for pd in self.pdata if support.issuperset(pd.set)]
         if contained:
-            pd = self.by_set[contained[0] if rng is None else rng.choice(contained)]
+            pd = contained[0] if rng is None else rng.choice(contained)
             rest = list(mono)
             for i in pd.set:
                 rest.remove(i)
@@ -242,20 +244,11 @@ class _QuantumRing:
             sub = self.reduce(tuple(sorted(rest)), rng)
             result = {lattice.vadd(beta, shift): coords for beta, coords in sub.items()}
         elif len(support) == len(mono):
-            result = self.closed_form(tuple(support))
+            result = self.closed_form(mono)
         else:
-            repeated = [i for i in support if mono.count(i) >= 2]
-            i = repeated[0] if rng is None else rng.choice(repeated)
-            containing = [mu for mu in self.fan.max_cones if support_set <= set(mu)]
-            mu = containing[0] if rng is None else rng.choice(containing)
-            phi = fan_mod.cone_inverse(self.fan, mu)[mu.index(i)]  # dual functional of ray i
-            base = list(mono)
-            base.remove(i)
             acc: _Parts = {}
-            for j, ray in enumerate(self.fan.rays):
-                c = 0 if j in mu else lattice.dot(phi, ray)
-                if c:
-                    _add_into(acc, self.reduce(tuple(sorted(base + [j])), rng), -c)
+            for sub, c in cohomology._linear_step(self.fan, mono, rng):
+                _add_into(acc, self.reduce(sub, rng), c)
             result = _pruned(acc)
         if rng is None:
             self.reduce_memo[mono] = result
@@ -287,7 +280,6 @@ def _qring(fan: Fan) -> _QuantumRing:
 
 def presentation(fan: Fan) -> Presentation:
     """The quantum ring presentation; needs a Fano fan."""
-    fan_mod.require_accepted(fan)
     if fano.classify(fan).tier < fano.Tier.FANO:
         raise NotFano("the deformed presentation needs a Fano fan")
     rows = tuple(tuple(ray[t] for ray in fan.rays) for t in range(fan.dim))
@@ -342,13 +334,14 @@ def reduce_monomial(
 def evaluate_terms(fan: Fan, terms: Sequence[QuantumTerm]) -> QuantumClass:
     """Evaluate a q-polynomial in the divisor symbols to a quantum class.
 
-    Term monomials are checked as in reduce_monomial.
+    Term monomials are checked as in reduce_monomial and term curves by
+    fan.curve_class (NotEffective: a wrong length or a nonzero ray sum).
     """
     ring = _qring(fan)
     acc: _Parts = {}
     for term in terms:
         red = ring.reduce(_check_monomial(fan, term.monomial), None)
-        _add_into(acc, red, term.coefficient, term.curve.pairings)
+        _add_into(acc, red, term.coefficient, ring.check_curve(term.curve))
     return _to_class(acc)
 
 
@@ -360,10 +353,13 @@ def quantum_product(fan: Fan, a: Multiplicand, b: Multiplicand) -> QuantumClass:
 
     Basis classes are lifted through their Giambelli polynomials, the lifts
     are multiplied formally, and every monomial is rewritten to normal form.
+    Part curve classes are checked as in evaluate_terms.
     """
     ring = _qring(fan)
     qa = classical(fan, a) if isinstance(a, CohomologyClass) else a
     qb = classical(fan, b) if isinstance(b, CohomologyClass) else b
+    for beta in (*qa.parts, *qb.parts):
+        ring.check_curve(beta)
     acc: _Parts = {}
     for beta_a, cls_a in qa.parts.items():
         for beta_b, cls_b in qb.parts.items():
@@ -386,8 +382,7 @@ def gw3(
     Extracted from the small quantum product: the q^beta coefficient of
     a * b, paired classically against c.  beta must be zero or effective.
     """
-    beta = fan_mod.curve_class(fan, beta.pairings)
-    fan_mod.decompose_effective(fan, beta)
+    fan_mod.decompose_effective(fan, beta)  # runs fan.curve_class first
     piece = quantum_product(fan, a, b).coefficient(beta)
     return cohomology.integrate(fan, cohomology.cup(fan, piece, c))
 

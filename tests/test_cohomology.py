@@ -4,6 +4,7 @@ import sys
 import textwrap
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import comb
 
 import pytest
 
@@ -285,6 +286,59 @@ def test_product_fan_rings(name):
         assert coho.normal_form(fan, {tau: 1}) == coho.basis_class(fan, i)
 
     assert abs(_pairing_determinant(fan)) == 1
+
+
+def _batyrev_forms(fan, degree):
+    """Reference normal forms of every monomial of one degree, from the
+    all-monomial Batyrev presentation: the primitive monomials times every
+    monomial of the remaining degree and the linear relations times every
+    monomial of degree d - 1, in one echelon whose last columns are the
+    pinned monomials.  Asserts the pinned-pivot and census checks."""
+    m = fan.n_rays
+    pinned = {tau: i for i, tau in enumerate(coho.basis_tau(fan)) if len(tau) == degree}
+    monos = sorted(combinations_with_replacement(range(m), degree))
+    columns = [mo for mo in monos if mo not in pinned] + [mo for mo in monos if mo in pinned]
+    col_of = {mo: j for j, mo in enumerate(columns)}
+    ech = lattice.Echelon()
+    for pset in fan_mod.primitive_sets(fan):
+        if len(pset) <= degree:
+            for mono in combinations_with_replacement(range(m), degree - len(pset)):
+                ech.insert({col_of[tuple(sorted(pset + mono))]: 1})
+    for t in range(fan.dim if degree else 0):
+        for mono in combinations_with_replacement(range(m), degree - 1):
+            row = {}
+            for i in range(m):
+                j = col_of[tuple(sorted(mono + (i,)))]
+                row[j] = row.get(j, 0) + fan.rays[i][t]
+            ech.insert(row)
+    assert all(p < len(columns) - len(pinned) for p in ech.rows)
+    assert len(columns) - ech.rank == len(pinned)
+    values = ech.solve({col_of[mo]: {i: 1} for mo, i in pinned.items()})
+    return {columns[j]: v for j, v in values.items()}
+
+
+def _reference_fans():
+    fans = dict(catalog.corpus(), p3=catalog.projective_space(3))
+    fans["bundle3"] = catalog.twisted_bundle_threefold()
+    for name, factors in PRODUCT_FACTORS.items():
+        fan = catalog.product(*(make() for make in factors))
+        if fan.dim <= 5:
+            fans[name] = fan
+    return fans
+
+
+@pytest.mark.parametrize("name", sorted(_reference_fans()))
+def test_normal_forms_match_batyrev_reference(name):
+    # faces through the face echelon, every other monomial through the
+    # classical rewrite: both must give the all-monomial echelon's forms
+    fan = _reference_fans()[name]
+    census = coho.betti_census(fan)
+    for d in range(fan.dim + 1):
+        assert coho.degree_dimension(fan, d) == census[d]
+        reference = _batyrev_forms(fan, d)
+        assert len(reference) == comb(fan.n_rays + d - 1, d)
+        for mono, form in reference.items():
+            assert coho.normal_form(fan, {mono: 1}) == CohomologyClass(form), (name, mono)
 
 
 _TAMPERED_SHELLING = textwrap.dedent(

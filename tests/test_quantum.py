@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -365,12 +365,15 @@ def _integral_contract_fans():
 
 @pytest.mark.parametrize("name", sorted(_integral_contract_fans()))
 def test_engine_coefficients_are_int(name):
-    # the strata are a Z-basis: ring tables and pair products stay in int
+    # the strata are a Z-basis: face tables, classical forms of every
+    # monomial up to degree n and pair products stay in int
     fan = _integral_contract_fans()[name]
     ring = coho._ring(fan)
     for d in range(fan.dim + 1):
-        for form in ring.table(d).forms.values():
+        for form in ring.table(d)[1].values():
             assert all(type(c) is int for c in form.values())
+        for mono in combinations_with_replacement(range(fan.n_rays), d):
+            assert all(type(c) is int for c in ring.form(mono).values())
     if fano.classify(fan).tier < fano.Tier.FULL_CLASS:
         return
     basis = [coho.basis_class(fan, i) for i in range(len(coho.basis_tau(fan)))]
@@ -388,3 +391,20 @@ def test_rational_scalars_stay_fractions(p2):
     assert coeffs == [Fraction(1, 2)]
     whole = quantum.quantum_product(p2, *(parse_expression(p2, "2/2*D1", "quantum"),) * 2)
     assert all(type(c) is int for cls in whole.parts.values() for c in cls.coords.values())
+
+
+@pytest.mark.parametrize("bad", [(1, 1), (5, 0, 0), (1, 1, 1, 0)], ids=["short", "off-lattice", "long"])
+def test_curve_classes_are_checked_at_the_boundary(p2, bad):
+    # a class of the wrong length, or off the curve lattice ((5, 0, 0) has
+    # ray sum (5, 0)), is refused, never kept as a q-exponent
+    unit = coho.unit_class(p2)
+    with pytest.raises(NotEffective):
+        quantum.evaluate_terms(p2, [QuantumTerm(CurveClass(bad), (0,), 1)])
+    part = qc((bad, unit))
+    with pytest.raises(NotEffective):
+        quantum.quantum_product(p2, part, unit)
+    with pytest.raises(NotEffective):
+        quantum.quantum_product(p2, unit, part)
+    line = fan_mod.curve_class(p2, (1, 1, 1))
+    assert quantum.evaluate_terms(p2, [QuantumTerm(line, (0,), 1)]).curves() == [line]
+    assert quantum.quantum_product(p2, qc(((1, 1, 1), unit)), unit).curves() == [line]
