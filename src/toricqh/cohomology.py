@@ -2,7 +2,8 @@
 
 The basis comes from a line shelling of the maximal cones: a generic
 lattice vector orders the cones, and each cone mu_i is cut down to tau_i by
-intersecting with its later facet-neighbors.  The order is closed-form, with
+intersecting with its later facet-neighbors, read off the face index (one
+lookup per facet of mu_i).  The order is closed-form, with
 no search: the key (f . raysum, f_1, ..., f_n) of the cones' point
 functionals f, decreasing lexicographically, which the integer vector
 T^n * raysum + (T^(n-1), ..., T, 1) reproduces once T > 2 max|f|.  It costs
@@ -30,7 +31,7 @@ from typing import Mapping, Optional, Sequence
 
 from . import fan as fan_mod
 from . import fano, lattice
-from .errors import IndexOutOfRange, NotACone, NotFano, PreconditionFailed, RingInconsistent
+from .errors import IndexOutOfRange, NotFano, PreconditionFailed, RingInconsistent
 from .fan import Cone, Fan
 
 Monomial = tuple[int, ...]  # sorted divisor indices with multiplicity
@@ -136,7 +137,6 @@ def shelling(fan: Fan) -> Shelling:
 
 
 def _compute_shelling(fan: Fan) -> Shelling:
-    fan_mod.require_accepted(fan)
     funcs = {cone: _cone_point_functional(fan, cone) for cone in fan.max_cones}
     if len(set(funcs.values())) != len(funcs):
         raise PreconditionFailed(
@@ -151,14 +151,14 @@ def _compute_shelling(fan: Fan) -> Shelling:
     if any(a <= b for a, b in zip(values, values[1:])):
         raise RingInconsistent(f"perturbation {chosen} ties or misorders two cone pairings")
 
-    taus = []
-    for i, mu in enumerate(order):
-        gens = set(mu)
-        for later in order[i + 1 :]:
-            if len(set(mu) & set(later)) == fan.dim - 1:
-                gens &= set(later)
-        taus.append(tuple(sorted(gens)))
-    return Shelling(chosen, tuple(order), tuple(taus))
+    # mu keeps ray i unless the cone across the facet opposite i comes later
+    index = fan_mod._face_index(fan)
+    position = {mu: k for k, mu in enumerate(order)}
+    taus = tuple(
+        tuple(i for i in mu if all(position[c] <= k for c in index[tuple(j for j in mu if j != i)]))
+        for k, mu in enumerate(order)
+    )
+    return Shelling(chosen, tuple(order), taus)
 
 
 def _linear_step(fan: Fan, mono: Monomial, rng=None) -> list[tuple[Monomial, int]]:
@@ -168,11 +168,11 @@ def _linear_step(fan: Fan, mono: Monomial, rng=None) -> list[tuple[Monomial, int
     more support ray.  The first such i and mu are taken unless rng picks."""
     support = tuple(dict.fromkeys(mono))
     repeated = [i for i in support if mono.count(i) >= 2]
+    above = fan_mod._face_index(fan)[support]
     if rng is None:
-        i, mu = repeated[0], fan_mod._face_set(fan)[support]
+        i, mu = repeated[0], above[0]
     else:
-        i = rng.choice(repeated)
-        mu = rng.choice([mu for mu in fan.max_cones if set(support) <= set(mu)])
+        i, mu = rng.choice(repeated), rng.choice(above)
     phi = fan_mod.cone_inverse(fan, mu)[mu.index(i)]
     rest = list(mono)
     rest.remove(i)
@@ -200,6 +200,13 @@ class _CohomologyRing:
         self._tables: dict[int, tuple[int, dict[Cone, dict[int, int]]]] = {}
         self._forms: dict[Monomial, dict[int, int]] = {}
 
+    def coords(self, cls: CohomologyClass) -> dict[int, Rational]:
+        """The coordinates of cls, once every index names a basis class."""
+        for i in cls.coords:
+            if not 0 <= i < len(self.basis_tau):
+                raise IndexOutOfRange(f"basis index {i} out of range")
+        return cls.coords
+
     def census(self) -> dict[int, int]:
         return {d: len(ids) for d, ids in sorted(self.by_degree.items())}
 
@@ -207,8 +214,8 @@ class _CohomologyRing:
         tab = self._tables.get(degree)
         if tab is not None:
             return tab
-        fan, home = self.fan, fan_mod._face_set(self.fan)
-        faces = [f for f in fan_mod.faces(fan) if len(f) == degree]
+        fan, index = self.fan, fan_mod._face_index(self.fan)
+        faces = [f for f in index if len(f) == degree]
         ids = self.by_degree.get(degree, [])
         pinned = {self.basis_tau[i]: i for i in ids}
         if len(pinned) != len(ids):
@@ -223,7 +230,7 @@ class _CohomologyRing:
                 link.setdefault(tuple(j for j in tau if j != i), []).append((i, col_of[tau]))
         ech = lattice.Echelon()
         for sigma, ext in link.items():
-            mu = home[sigma]
+            mu = index[sigma][0]
             for r, u in zip(mu, fan_mod.cone_inverse(fan, mu)):
                 if r not in sigma:
                     ech.insert({j: lattice.dot(u, fan.rays[i]) for i, j in ext})
@@ -246,7 +253,7 @@ class _CohomologyRing:
         out = self._forms.get(mono)
         if out is None:
             support = tuple(dict.fromkeys(mono))
-            if support not in fan_mod._face_set(self.fan):
+            if support not in fan_mod._face_index(self.fan):
                 out = {}
             elif len(support) == len(mono):
                 out = self.table(len(mono))[1][mono]
@@ -300,10 +307,9 @@ def basis_tau(fan: Fan) -> tuple[Cone, ...]:
 
 
 def basis_class(fan: Fan, index: int) -> CohomologyClass:
-    ring = _ring(fan)
-    if not 0 <= index < len(ring.basis_tau):
-        raise IndexOutOfRange(f"basis index {index} out of range")
-    return CohomologyClass({index: 1})
+    cls = CohomologyClass({index: 1})
+    _ring(fan).coords(cls)
+    return cls
 
 
 def unit_class(fan: Fan) -> CohomologyClass:
@@ -331,15 +337,16 @@ def degree_dimension(fan: Fan, degree: int) -> int:
 
 def class_degrees(fan: Fan, cls: CohomologyClass) -> set[int]:
     ring = _ring(fan)
-    return {len(ring.basis_tau[i]) for i in cls.coords}
+    return {len(ring.basis_tau[i]) for i in ring.coords(cls)}
 
 
 def cup(fan: Fan, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
     """Classical cup product in the pinned basis."""
     ring = _ring(fan)
     poly: dict[Monomial, Rational] = {}
-    for i, ca in a.coords.items():
-        for j, cb in b.coords.items():
+    a_coords, b_coords = ring.coords(a), ring.coords(b)
+    for i, ca in a_coords.items():
+        for j, cb in b_coords.items():
             mono = tuple(sorted(ring.basis_tau[i] + ring.basis_tau[j]))
             poly[mono] = poly.get(mono, 0) + ca * cb
     return ring.normal_form(poly)
@@ -347,11 +354,11 @@ def cup(fan: Fan, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
 
 def stratum_class(fan: Fan, sigma: Sequence[int]) -> CohomologyClass:
     """The class of the closed stratum X(sigma) for a cone sigma."""
-    if not fan_mod.is_cone(fan, sigma):
-        raise NotACone(f"{tuple(i + 1 for i in sorted(sigma))} does not span a cone")
-    return _ring(fan).normal_form({tuple(sigma): 1})
+    key = fan_mod._cone_key(fan, sigma)
+    return _ring(fan).normal_form({key: 1})
 
 
 def integrate(fan: Fan, a: CohomologyClass) -> Rational:
     """Evaluation against the fundamental class: the point-class coefficient."""
-    return a.coords.get(_ring(fan).top_index, 0)
+    ring = _ring(fan)
+    return ring.coords(a).get(ring.top_index, 0)

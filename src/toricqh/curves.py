@@ -32,7 +32,8 @@ def signed_distance(fan: Fan, mu: Cone, rho_index: int) -> int:
     """One minus the coordinate sum of a ray in the basis of a maximal cone.
 
     Zero exactly on the generators of the cone; at least one on every other
-    ray once subvarieties are Fano.
+    ray once subvarieties are Fano.  mu is checked as every cone argument
+    is (fan._cone_key), and must be maximal.
     """
     mu = _check_max_cone(fan, mu)
     _check_ray(fan, rho_index)
@@ -42,11 +43,8 @@ def signed_distance(fan: Fan, mu: Cone, rho_index: int) -> int:
 
 def _check_max_cone(fan: Fan, mu: Cone) -> Cone:
     # the sorted tuple is the canonical key of the cone_inverse cache
-    fan_mod.require_accepted(fan)
-    for i in mu:
-        fan_mod._strict_int(i, "cone index")
-    key = tuple(sorted(mu))
-    if key not in fan.max_cones:
+    key = fan_mod._cone_key(fan, mu)
+    if len(key) != fan.dim:
         raise NotACone(f"{tuple(i + 1 for i in key)} is not a maximal cone")
     return key
 
@@ -62,14 +60,13 @@ def wall_curve_class(fan: Fan, wall: Cone) -> CurveClass:
 
     With rho and rho' the generators opposite the wall in its two maximal
     cones, rho + rho' = sum(a_j rho_j) over the wall, and the stratum pairs
-    +1 with the opposite divisors and -a_j with the wall divisors.
+    +1 with the opposite divisors and -a_j with the wall divisors.  The two
+    maximal cones come from the face index.
     """
-    fan_mod.require_accepted(fan)
-    # is_cone refuses non-int indices, which sorting first would crash on
-    if len(wall) != fan.dim - 1 or not fan_mod.is_cone(fan, wall):
-        raise NotACone(f"{tuple(i + 1 for i in sorted(wall))} is not a wall")
-    key = tuple(sorted(wall))
-    owners = [fan.max_cones[ci] for ci in fan_mod._facet_map(fan)[key]]
+    key = fan_mod._cone_key(fan, wall)
+    if len(key) != fan.dim - 1:
+        raise NotACone(f"{tuple(i + 1 for i in key)} is not a wall")
+    owners = fan_mod._face_index(fan)[key]
     rho = next(iter(set(owners[0]) - set(key)))
     rho2 = next(iter(set(owners[1]) - set(key)))
     coords = fan_mod.coords_in_basis(fan, owners[1], fan.rays[rho])
@@ -108,11 +105,10 @@ def min_tree(fan: Fan, mu: Cone, d: int) -> ToricTree:
                 f"ray {d + 1} lies inside cone {tuple(i + 1 for i in current)}"
             )
         wall = tuple(i for i in current if i != drop[0])
-        first, second = (fan.max_cones[ci] for ci in fan_mod._facet_map(fan)[wall])
-        nxt = first if first != current else second
         edges.append((wall, drop[1]))
         total = total + wall_curve_class(fan, wall).scaled(drop[1])
-        current = nxt
+        first, second = fan_mod._face_index(fan)[wall]
+        current = first if first != current else second
     return ToricTree(root, d, tuple(edges), total, verified)
 
 
@@ -120,15 +116,16 @@ def tree_for_class(fan: Fan, beta: CurveClass) -> tuple[tuple[ToricTree, int], .
     """Tree realization of a curve class rooted where it pairs negatively.
 
     The divisors beta meets negatively must span a face of a maximal cone mu
-    (the smallest such cone is used); each divisor met positively outside mu
-    contributes its pairing many copies of the greedy chain from mu.
+    (the first one above it in the face index); each divisor met positively
+    outside mu contributes its pairing many copies of the greedy chain from mu.
     """
     fan_mod.require_accepted(fan)
     beta = fan_mod.curve_class(fan, beta.pairings)
     negatives = tuple(i for i, b in enumerate(beta.pairings) if b < 0)
-    mu = fan_mod._face_set(fan).get(negatives)  # the first maximal cone over them
-    if mu is None:
+    above = fan_mod._face_index(fan).get(negatives)
+    if above is None:
         raise PreconditionFailed("divisors with negative pairing do not lie in one maximal cone")
+    mu = above[0]
     out = []
     for d, b in enumerate(beta.pairings):
         if b > 0 and d not in mu:

@@ -4,7 +4,10 @@ A fan is held as the lattice dimension, the ray generator list, and the
 maximal cones as sorted index tuples (0-based internally; the JSON format
 and all CLI output are 1-based).  Validation returns a report instead of
 raising so rejected inputs can be inspected; everything downstream insists
-on an accepted fan.
+on an accepted fan.  Validation also builds the face index, which answers
+every cone question: each cone, by dimension then lexicographically, mapped
+to the maximal cones containing it in fan.max_cones order.  _cone_key is the
+one check that turns a caller's cone argument into its sorted key.
 """
 
 from __future__ import annotations
@@ -60,6 +63,11 @@ class Fan:
         )
         object.__setattr__(self, "rays", rays)
         object.__setattr__(self, "max_cones", cones)
+        # every per-fan cache lookup hashes the fan: hash the fields once
+        object.__setattr__(self, "_hash", hash((self.dim, rays, cones)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n_rays(self) -> int:
@@ -166,11 +174,9 @@ class _Derived:
     def __init__(self, fan: Fan):
         self.fan = fan
         self.report: Optional[ValidationReport] = None
-        self.face_set: Optional[dict[Cone, Cone]] = None  # face -> first maximal cone over it
-        self.faces: Optional[list[Cone]] = None
+        self.face_index: Optional[dict[Cone, list[Cone]]] = None  # set once accepted
         self.psets: Optional[tuple[Cone, ...]] = None
         self.pdata: Optional[tuple[PrimitiveData, ...]] = None
-        self.facet_map: Optional[dict] = None
         self.sign_prune: Optional[tuple] = None
         self.cone_inverse: dict[Cone, tuple[Vector, ...]] = {}
         # filled by the modules built on this one, which it cannot import
@@ -205,8 +211,9 @@ def validate(fan: Fan) -> ValidationReport:
     Nonsingularity is the unimodularity of every maximal cone, checked by
     inverting it over Z once into the cone_inverse cache (a determinant only
     words the problem of a cone that fails); completeness is certified
-    combinatorially: every facet of a maximal cone must lie in exactly two
-    maximal cones and the facet-adjacency graph must be connected.
+    combinatorially on the face index: every facet of a maximal cone must
+    lie in exactly two maximal cones and the facet-adjacency graph must be
+    connected.  The index is kept for an accepted fan.
     """
     d = _derived(fan)
     if d.report is not None:
@@ -218,6 +225,8 @@ def validate(fan: Fan) -> ValidationReport:
     if n == 0:
         ok = fan.rays == () and fan.max_cones == ((),)
         report = ValidationReport(ok, () if ok else ("a 0-dimensional fan must be empty",))
+        if ok:
+            d.face_index = {(): [()]}
         d.report = report
         return report
 
@@ -254,37 +263,33 @@ def validate(fan: Fan) -> ValidationReport:
                 det = lattice.determinant(lattice.mat_from_columns(cone_generators(fan, cone)))
                 problems.append(f"cone {_one_based(cone)} has determinant {det}")
 
-        used = set()
+        above: dict[Cone, list[Cone]] = {}
         for cone in fan.max_cones:
-            used.update(cone)
+            for k in range(n + 1):
+                for face in combinations(cone, k):
+                    above.setdefault(face, []).append(cone)
         for i in range(m):
-            if i not in used:
+            if (i,) not in above:
                 problems.append(f"ray {i + 1} lies in no maximal cone")
-
-        facet_count: dict[Cone, list[int]] = {}
-        for ci, cone in enumerate(fan.max_cones):
-            for facet in combinations(cone, n - 1):
-                facet_count.setdefault(facet, []).append(ci)
-        for facet, owners in sorted(facet_count.items()):
-            if len(owners) != 2:
+        index = {face: above[face] for face in sorted(above, key=lambda f: (len(f), f))}
+        for facet, owners in index.items():
+            if len(facet) == n - 1 and len(owners) != 2:
                 problems.append(
                     f"facet {_one_based(facet)} lies in {len(owners)} maximal cones, expected 2"
                 )
         if not problems:
-            seen = {0}
-            queue = [0]
+            seen = {fan.max_cones[0]}
+            queue = [fan.max_cones[0]]
             while queue:
-                ci = queue.pop()
-                cone = fan.max_cones[ci]
-                for facet in combinations(cone, n - 1):
-                    for other in facet_count[facet]:
+                for facet in combinations(queue.pop(), n - 1):
+                    for other in index[facet]:
                         if other not in seen:
                             seen.add(other)
                             queue.append(other)
             if len(seen) != len(fan.max_cones):
                 problems.append("facet-adjacency graph is disconnected")
             else:
-                d.facet_map = facet_count
+                d.face_index = index
 
     report = ValidationReport(not problems, tuple(problems))
     d.report = report
@@ -301,40 +306,39 @@ def require_accepted(fan: Fan) -> None:
         raise FanNotAccepted(report)
 
 
-def _facet_map(fan: Fan) -> dict:
-    require_accepted(fan)
-    return _derived(fan).facet_map
-
-
-def _face_set(fan: Fan) -> dict[Cone, Cone]:
-    """Every cone of the fan, mapped to the first maximal cone containing it."""
+def _face_index(fan: Fan) -> dict[Cone, list[Cone]]:
+    """The face index of an accepted fan (module docstring); read only."""
     d = _derived(fan)
-    if d.face_set is None:
+    if d.face_index is None:
         require_accepted(fan)
-        home: dict[Cone, Cone] = {}
-        for cone in fan.max_cones:
-            for k in range(len(cone) + 1):
-                for face in combinations(cone, k):
-                    home.setdefault(face, cone)
-        d.face_set = home
-        d.faces = sorted(home, key=lambda f: (len(f), f))
-    return d.face_set
+    return d.face_index
+
+
+def _cone_key(fan: Fan, indices: Sequence[int]) -> Cone:
+    """The sorted key of a cone argument; ValueError for a non-int index,
+    IndexOutOfRange, or NotACone (a repeated index spans no cone)."""
+    for i in indices:  # refused before sorting, which a None would break
+        _strict_int(i, "cone index")
+    key = tuple(sorted(indices))
+    if any(i < 0 or i >= fan.n_rays for i in key):
+        raise IndexOutOfRange(f"ray index out of range in {_one_based(key)}")
+    if key not in _face_index(fan):
+        raise NotACone(f"{_one_based(key)} does not span a cone")
+    return key
 
 
 def faces(fan: Fan) -> list[Cone]:
-    """All cones of the fan, sorted by dimension then lexicographically."""
-    _face_set(fan)
-    return list(_derived(fan).faces)
+    """All cones of the fan by dimension then lexicographically (the index keys)."""
+    return list(_face_index(fan))
 
 
 def is_cone(fan: Fan, ray_indices: Sequence[int]) -> bool:
-    for i in ray_indices:  # refused before sorting, which a None would break
-        if type(i) is not int:
-            _strict_int(i, "cone index")
-    idx = tuple(sorted(ray_indices))
-    if any(i < 0 or i >= fan.n_rays for i in idx):
-        raise IndexOutOfRange(f"ray index out of range in {_one_based(idx)}")
-    return idx in _face_set(fan)  # a repeated index is in no face
+    """Whether the rays span a cone, read off the face index; bad indices raise as in _cone_key."""
+    try:
+        _cone_key(fan, ray_indices)
+    except NotACone:
+        return False
+    return True
 
 
 def cone_generators(fan: Fan, cone: Sequence[int]) -> list[Vector]:
@@ -367,14 +371,14 @@ def primitive_sets(fan: Fan) -> tuple[Cone, ...]:
     """All primitive sets: minimal collections of rays spanning no cone."""
     d = _derived(fan)
     if d.psets is None:
-        face_set = _face_set(fan)
+        index = _face_index(fan)
         m, n = fan.n_rays, fan.dim
         found: list[Cone] = []
         for k in range(2, min(m, n + 1) + 1):
             for cand in combinations(range(m), k):
-                if cand in face_set:
+                if cand in index:
                     continue
-                if all(sub in face_set for sub in combinations(cand, k - 1)):
+                if all(sub in index for sub in combinations(cand, k - 1)):
                     found.append(cand)
         d.psets = tuple(sorted(found, key=lambda p: (len(p), p)))
     return d.psets
@@ -418,25 +422,22 @@ def primitive_data(fan: Fan) -> tuple[PrimitiveData, ...]:
 def star(fan: Fan, sigma: Sequence[int]) -> Fan:
     """The fan of the closed subvariety indexed by the cone sigma.
 
-    Lives in the quotient lattice N / span(sigma), in the basis that the
-    first maximal cone mu containing sigma induces on it: the rows of mu's
-    cached inverse that belong to its rays outside sigma vanish exactly on
-    span(sigma) and send those rays to the standard basis.  Every star ray
-    lies in a maximal cone containing sigma, whose other rays map to a basis
-    too, so its image is already primitive; validating the result checks
-    it.  The star of the empty cone is the fan itself.
+    Its cones come from the maximal cones above sigma in the face index; it
+    lives in N / span(sigma), in the basis the first of them, mu, induces
+    on it: the rows of mu's cached inverse for its rays outside sigma vanish
+    exactly on span(sigma) and send those rays to the standard basis.  Every
+    star ray lies in a maximal cone containing sigma, whose other rays map
+    to a basis too, so its image is already primitive; validating the result
+    checks it.  The star of the empty cone is the fan itself.
     """
-    require_accepted(fan)
-    if not is_cone(fan, sigma):
-        raise NotACone(f"{_one_based(sorted(sigma))} does not span a cone")
-    key = tuple(sorted(sigma))
+    key = _cone_key(fan, sigma)
     if not key:
         return fan
     k = len(key)
     if k == fan.dim:
         return Fan(0, (), ((),))
     member = set(key)
-    above = [cone for cone in fan.max_cones if member.issubset(cone)]
+    above = _face_index(fan)[key]
     mu = above[0]
     proj = [row for i, row in zip(mu, cone_inverse(fan, mu)) if i not in member]
     outside = sorted({i for cone in above for i in cone} - member)

@@ -23,7 +23,6 @@ from . import lattice
 from .errors import (
     BlowDownInvalid,
     IndexOutOfRange,
-    NotACone,
     NotInClass,
     NotInTier,
 )
@@ -166,9 +165,7 @@ def exceptional_sets(fan: Fan) -> tuple[ExceptionalData, ...]:
 def special_exceptional_sets(fan: Fan, sigma: Sequence[int]) -> tuple[ExceptionalData, ...]:
     """Exceptional sets special for the cone sigma: all members but one lie
     in sigma and so does the exceptional ray."""
-    if not fan_mod.is_cone(fan, sigma):
-        raise NotACone(f"{tuple(i + 1 for i in sorted(sigma))} does not span a cone")
-    members = set(sigma)
+    members = set(fan_mod._cone_key(fan, sigma))
     out = []
     for exc in exceptional_sets(fan):
         if exc.exc not in members:

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from . import cohomology, fan as fan_mod, fano, lattice
 from .cohomology import CohomologyClass, Monomial, Rational
-from .errors import IndexOutOfRange, NotACone, NotFano, NotInClass, PreconditionFailed
+from .errors import IndexOutOfRange, NotFano, NotInClass, PreconditionFailed
 from .fan import Cone, CurveClass, Fan, PrimitiveData, Vector
 
 
@@ -286,13 +286,6 @@ def presentation(fan: Fan) -> Presentation:
     return Presentation(fan.n_rays, rows, fan_mod.primitive_data(fan))
 
 
-def _check_cone(fan: Fan, sigma: Sequence[int]) -> Cone:
-    # is_cone is strict, as the cone keys the Giambelli and closed-form caches
-    if not fan_mod.is_cone(fan, sigma):
-        raise NotACone(f"{tuple(i + 1 for i in sorted(sigma))} does not span a cone")
-    return tuple(sorted(sigma))
-
-
 def giambelli(fan: Fan, sigma: Sequence[int]) -> tuple[QuantumTerm, ...]:
     """The q-polynomial lift of the stratum class of sigma.
 
@@ -301,7 +294,7 @@ def giambelli(fan: Fan, sigma: Sequence[int]) -> tuple[QuantumTerm, ...]:
     family curve classes as q-exponent, and the product of the divisors of
     sigma not absorbed by the family.  Requires the full class.
     """
-    return _qring(fan).giambelli(_check_cone(fan, sigma))
+    return _qring(fan).giambelli(fan_mod._cone_key(fan, sigma))
 
 
 def divisor_product_closed_form(fan: Fan, sigma: Sequence[int]) -> QuantumClass:
@@ -311,7 +304,7 @@ def divisor_product_closed_form(fan: Fan, sigma: Sequence[int]) -> QuantumClass:
     (-1)^t q^(sum of classes) times the stratum whose cone keeps the rays of
     sigma the exponent does not meet with pairing one.
     """
-    return _to_class(_qring(fan).closed_form(_check_cone(fan, sigma)))
+    return _to_class(_qring(fan).closed_form(fan_mod._cone_key(fan, sigma)))
 
 
 def reduce_monomial(
@@ -353,13 +346,15 @@ def quantum_product(fan: Fan, a: Multiplicand, b: Multiplicand) -> QuantumClass:
 
     Basis classes are lifted through their Giambelli polynomials, the lifts
     are multiplied formally, and every monomial is rewritten to normal form.
-    Part curve classes are checked as in evaluate_terms.
+    Part curve classes are checked as in evaluate_terms, and every basis
+    index of a part must name a basis class (IndexOutOfRange).
     """
-    ring = _qring(fan)
+    ring, basis = _qring(fan), cohomology._ring(fan)
     qa = classical(fan, a) if isinstance(a, CohomologyClass) else a
     qb = classical(fan, b) if isinstance(b, CohomologyClass) else b
-    for beta in (*qa.parts, *qb.parts):
+    for beta, cls in (*qa.parts.items(), *qb.parts.items()):
         ring.check_curve(beta)
+        basis.coords(cls)
     acc: _Parts = {}
     for beta_a, cls_a in qa.parts.items():
         for beta_b, cls_b in qb.parts.items():
@@ -390,9 +385,9 @@ def gw3(
 def quantum_degrees(fan: Fan, qc: QuantumClass) -> set[int]:
     """Complex degrees present in a quantum class; q^beta carries beta's
     anticanonical degree and a basis class its codimension."""
-    taus = cohomology.basis_tau(fan)
+    ring = cohomology._ring(fan)
     out = set()
     for beta, cls in qc.parts.items():
-        for i in cls.coords:
-            out.add(beta.degree + len(taus[i]))
+        for i in ring.coords(cls):
+            out.add(beta.degree + len(ring.basis_tau[i]))
     return out

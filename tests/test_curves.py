@@ -35,6 +35,8 @@ def test_signed_distance_positive_in_tier(corpus):
 def test_signed_distance_validates(p2):
     with pytest.raises(NotACone):
         curves.signed_distance(p2, (0, 1, 2), 0)
+    with pytest.raises(NotACone, match="not a maximal cone"):
+        curves.signed_distance(p2, (0,), 1)
     with pytest.raises(IndexOutOfRange):
         curves.signed_distance(p2, (0, 1), 9)
 

@@ -5,7 +5,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from toricqh import catalog, clear_caches, cohomology, fan as fan_mod, fano, lattice, quantum
+from toricqh import catalog, clear_caches, cohomology, curves, fan as fan_mod, fano, lattice, quantum
 from toricqh.errors import (
     DimensionMismatch,
     FanNotAccepted,
@@ -149,6 +149,82 @@ def test_faces_and_is_cone(p2):
     assert not fan_mod.is_cone(p2, (0, 0))
     with pytest.raises(IndexOutOfRange):
         fan_mod.is_cone(p2, (0, 9))
+
+
+def test_validate_reports_unused_ray_and_disconnected_fan():
+    p2_rays = ((1, 0), (0, 1), (-1, -1))
+    p2_cones = ((0, 1), (1, 2), (0, 2))
+    unused = Fan(2, p2_rays + ((1, 1),), p2_cones)
+    assert fan_mod.validate(unused).problems == ("ray 4 lies in no maximal cone",)
+    # two complete fans on disjoint rays: every facet lies in two cones
+    twice = Fan(2, p2_rays + ((-1, 0), (0, -1), (1, 1)), p2_cones + ((3, 4), (4, 5), (3, 5)))
+    assert fan_mod.validate(twice).problems == ("facet-adjacency graph is disconnected",)
+    with pytest.raises(FanNotAccepted):
+        fan_mod.faces(twice)
+
+
+def _index_fans(corpus, f2, p3, bundle3, gl_image):
+    """The corpus, F2, P^3, the twisted bundle, the product fans, 20 GL(n, Z)
+    images of each fan of dimension at most 3, and the star of every cone."""
+    from test_cohomology import PRODUCT_FACTORS
+
+    base = list(corpus.values()) + [f2, p3, bundle3]
+    products = [catalog.product(*(make() for make in factors)) for factors in PRODUCT_FACTORS.values()]
+    rng = random.Random(7)
+    images = [gl_image(fan, rng) for fan in base for _ in range(20)]
+    stars = [fan_mod.star(fan, sigma) for fan in base + products for sigma in fan_mod.faces(fan)]
+    return base + products + images + stars
+
+
+def test_face_index_lists_every_containing_cone(corpus, f2, p3, bundle3, gl_image):
+    for fan in _index_fans(corpus, f2, p3, bundle3, gl_image):
+        index = fan_mod._face_index(fan)
+        subsets = {f for mu in fan.max_cones for k in range(fan.dim + 1) for f in combinations(mu, k)}
+        assert set(index) == subsets  # no entry for a non-face
+        assert list(index) == sorted(subsets, key=lambda f: (len(f), f)) == fan_mod.faces(fan)
+        for face, above in index.items():
+            assert above == [mu for mu in fan.max_cones if set(face) <= set(mu)]
+
+
+_CONE_ENTRY_POINTS = {
+    "star": fan_mod.star,
+    "stratum_class": cohomology.stratum_class,
+    "special_exceptional_sets": fano.special_exceptional_sets,
+    "giambelli": quantum.giambelli,
+    "divisor_product_closed_form": quantum.divisor_product_closed_form,
+    "wall_curve_class": lambda fan, cone: curves.wall_curve_class(fan, cone[1:]),
+    "signed_distance": lambda fan, cone: curves.signed_distance(fan, cone, 1),
+    "min_tree": lambda fan, cone: curves.min_tree(fan, cone, 1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_CONE_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "cone, error",
+    [((0, 6, None), ValueError), ((0, 6, 8), IndexOutOfRange), ((0, 6, -1), IndexOutOfRange),
+     ((0, 6, 7), NotACone), ((0, 6, 6), NotACone)],
+    ids=["non-int", "past-the-end", "negative", "non-cone", "repeated"],
+)
+def test_cone_entry_points_check_their_argument(entry, cone, error):
+    # Bl3P^2 x P^1: rays 6 and 7 are the opposite rays of the P^1 factor, so
+    # neither (0, 6, 7) nor the wall (6, 7) spans a cone
+    fan = catalog.product(catalog.blowup_p2_three(), catalog.projective_space(1))
+    with pytest.raises(error):
+        _CONE_ENTRY_POINTS[entry](fan, cone)
+    if error is not NotACone:
+        with pytest.raises(error):
+            fan_mod.is_cone(fan, cone)
+    else:
+        assert not fan_mod.is_cone(fan, cone)
+
+
+def test_equal_fans_share_one_context(bl3p2):
+    again = Fan.from_json_dict(json.loads(json.dumps(bl3p2.to_json_dict())))
+    assert again is not bl3p2 and again == bl3p2 and hash(again) == hash(bl3p2)
+    assert fan_mod._derived(again) is fan_mod._derived(bl3p2)
+    shuffled = Fan(bl3p2.dim, bl3p2.rays, tuple(reversed(bl3p2.max_cones)))
+    assert shuffled == bl3p2 and hash(shuffled) == hash(bl3p2)
+    assert Fan(2, bl3p2.rays[::-1], bl3p2.max_cones) != bl3p2
 
 
 def test_primitive_sets_oracles(corpus):

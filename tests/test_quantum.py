@@ -408,3 +408,24 @@ def test_curve_classes_are_checked_at_the_boundary(p2, bad):
     line = fan_mod.curve_class(p2, (1, 1, 1))
     assert quantum.evaluate_terms(p2, [QuantumTerm(line, (0,), 1)]).curves() == [line]
     assert quantum.quantum_product(p2, qc(((1, 1, 1), unit)), unit).curves() == [line]
+
+
+@pytest.mark.parametrize("index", [-1, 3, 99])
+def test_basis_indices_are_checked_where_a_class_enters(p2, index):
+    # P^2 has the basis b0, b1, b2: -1 must not wrap around to b2
+    bad, unit = CohomologyClass({index: 1}), coho.unit_class(p2)
+    line = fan_mod.curve_class(p2, (1, 1, 1))
+    calls = [  # the traceback's lambda line names the call that did not raise
+        lambda: coho.basis_class(p2, index),
+        lambda: coho.cup(p2, bad, unit),
+        lambda: coho.cup(p2, unit, bad),
+        lambda: coho.integrate(p2, bad),
+        lambda: coho.class_degrees(p2, bad),
+        lambda: quantum.quantum_product(p2, bad, unit),
+        lambda: quantum.quantum_product(p2, unit, qc(((1, 1, 1), bad))),
+        lambda: quantum.quantum_degrees(p2, qc(((1, 1, 1), bad))),
+        lambda: quantum.gw3(p2, unit, unit, bad, line),
+    ]
+    for call in calls:
+        with pytest.raises(IndexOutOfRange, match=f"basis index {index} out of range"):
+            call()
