@@ -28,6 +28,13 @@ FAN_COMMANDS = (
     ("tower",),
     ("giambelli", "1,2"),
     ("multiply", "D1", "D2"),
+    # index errors: the exit code pins which check answers first
+    ("giambelli", "0,1"),
+    ("giambelli", "1,99"),
+    ("multiply", "D0", "D1"),
+    ("multiply", "[0,1]", "D1"),
+    ("multiply", "D99", "D1"),
+    ("tower", "--order", "99"),
 )
 
 
