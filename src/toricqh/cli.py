@@ -1,14 +1,17 @@
 """Command-line front end.
 
 All ray and divisor indices on the command line and in every rendering are
-1-based; the library itself is 0-based.  Class expressions follow
+1-based; the library itself is 0-based.  The CLI only parses and renders: it
+shifts indices by one and leaves every check to the library, which words an
+index out of range 1-based (fan._ray_indices).  Class expressions follow
 
     expr   := term ('+' term)*
     term   := scalar? factor ('*' factor)*
     factor := 'D'k | '[' k1,k2,... ']' | '(' expr ')'
 
-with rational scalars ('2', '-1', '1/2'); 'Dk' is the k-th divisor class
-and '[k1,...]' the class of the stratum of the cone spanned by those rays.
+with rational scalars ('2', '-1', '1/2'); '[k1,...]' is the class of the
+stratum of the cone spanned by those rays, 'Dk' the divisor class [k] and a
+bare number a multiple of the unit [].
 Every number is written in ASCII digits.  Parentheses nest at most
 MAX_NESTING (100) deep; deeper input is an ExpressionError (exit 2).
 Products are quantum products in `multiply` and classical cup products in
@@ -169,39 +172,11 @@ def _tokenize(text: str) -> list[_Tok]:
     return out
 
 
-class _QuantumContext:
-    def __init__(self, fan: Fan):
-        self.fan = fan
-
-    def unit(self):
-        return quantum.classical(self.fan, cohomology.unit_class(self.fan))
-
-    def divisor(self, i: int):
-        return quantum.reduce_monomial(self.fan, (i,))
-
-    def stratum(self, key):
-        return quantum.classical(self.fan, cohomology.stratum_class(self.fan, key))
-
-    def mul(self, a, b):
-        return quantum.quantum_product(self.fan, a, b)
-
-
-class _ClassicalContext:
-    def __init__(self, fan: Fan):
-        self.fan = fan
-
-    def unit(self):
-        return cohomology.unit_class(self.fan)
-
-    def divisor(self, i: int):
-        return cohomology.stratum_class(self.fan, (i,))
-
-    def stratum(self, key):
-        return cohomology.stratum_class(self.fan, key)
-
-    def mul(self, a, b):
-        return cohomology.cup(self.fan, a, b)
-
+# mode -> (a stratum class into the mode's ring, the mode's product)
+_MODES = {
+    "quantum": (quantum.classical, quantum.quantum_product),
+    "classical": (lambda fan, cls: cls, cohomology.cup),
+}
 
 # Deepest parenthesis nesting parse_expression accepts: each level costs three
 # frames (atom, expr, term), far below the default recursion limit of 1000.
@@ -214,11 +189,15 @@ class _Parser:
 
     _STARTS = ("NUM", "D", "[", "(")
 
-    def __init__(self, tokens: list[_Tok], ctx):
+    def __init__(self, tokens: list[_Tok], fan: Fan, mode: str):
         self.toks = tokens
         self.pos = 0
         self.depth = 0  # open parentheses around the current position
-        self.ctx = ctx
+        self.fan = fan
+        self.embed, self.product = _MODES[mode]
+
+    def stratum(self, cone: tuple[int, ...]):
+        return self.embed(self.fan, cohomology.stratum_class(self.fan, cone))
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -239,7 +218,7 @@ class _Parser:
     def to_class(self, value):
         scalar, obj = value
         if obj is None:
-            obj = self.ctx.unit()
+            obj = self.stratum(())
         return obj.scaled(scalar) if scalar != 1 else obj
 
     def expr(self):
@@ -276,7 +255,7 @@ class _Parser:
         sb, ob = b
         if oa is None or ob is None:
             return (sa * sb, oa if ob is None else ob)
-        return (sa * sb, self.ctx.mul(oa, ob))
+        return (sa * sb, self.product(self.fan, oa, ob))
 
     def atom(self):
         tok = self.peek()
@@ -292,10 +271,7 @@ class _Parser:
             return (num, None)
         if tok.kind == "D":
             self.take()
-            k = tok.value
-            if not 1 <= k <= self.ctx.fan.n_rays:
-                raise IndexOutOfRange(f"no divisor D{k}")
-            return (Fraction(1), self.ctx.divisor(k - 1))
+            return (Fraction(1), self.stratum((tok.value - 1,)))
         if tok.kind == "[":
             self.take()
             idx = []
@@ -305,10 +281,7 @@ class _Parser:
                     self.take()
                     idx.append(self.take("NUM").value)
             self.take("]")
-            if any(k < 1 for k in idx):
-                raise IndexOutOfRange("stratum indices are 1-based")
-            key = tuple(sorted(k - 1 for k in idx))
-            return (Fraction(1), self.ctx.stratum(key))
+            return (Fraction(1), self.stratum(tuple(k - 1 for k in idx)))
         if tok.kind == "(":
             self.take()
             self.depth += 1
@@ -323,8 +296,7 @@ class _Parser:
 
 def parse_expression(fan: Fan, text: str, mode: str):
     """Evaluate an expression; mode 'quantum' or 'classical'."""
-    ctx = _QuantumContext(fan) if mode == "quantum" else _ClassicalContext(fan)
-    return _Parser(_tokenize(text), ctx).parse()
+    return _Parser(_tokenize(text), fan, mode).parse()
 
 
 def _parse_index_list(text: str) -> list[int]:
@@ -341,11 +313,8 @@ def _parse_index_list(text: str) -> list[int]:
         raise ExpressionError(f"bad index list {text!r}") from None
 
 
-def _cone_arg(fan: Fan, text: str) -> tuple[int, ...]:
-    vals = _parse_index_list(text)
-    if any(v < 1 or v > fan.n_rays for v in vals):
-        raise IndexOutOfRange(f"ray index out of range in {text!r}")
-    return tuple(sorted(v - 1 for v in vals))
+def _cone_arg(text: str) -> tuple[int, ...]:
+    return tuple(sorted(v - 1 for v in _parse_index_list(text)))
 
 
 def _beta_arg(fan: Fan, text: str) -> CurveClass:
@@ -460,7 +429,7 @@ def cmd_present(args) -> int:
 
 def cmd_giambelli(args) -> int:
     fan = _load(args)
-    sigma = _cone_arg(fan, args.cone)
+    sigma = _cone_arg(args.cone)
     terms = quantum.giambelli(fan, sigma)
     lines = []
     rows = []
@@ -506,8 +475,6 @@ def cmd_tower(args) -> int:
     order = None
     if args.order is not None:
         order = [v - 1 for v in _parse_index_list(args.order)]
-        if any(v < 0 or v >= fan.n_rays for v in order):
-            raise IndexOutOfRange(f"ray index out of range in order {args.order!r}")
     stages = fano.blow_down_tower(fan, order)
     lines = []
     rows = []

@@ -272,12 +272,7 @@ class _CohomologyRing:
     def normal_form(self, poly: Mapping[Monomial, Rational]) -> CohomologyClass:
         coords: dict[int, Rational] = {}
         for mono, coeff in poly.items():
-            for i in mono:  # one type test per index, as in CurveClass
-                if type(i) is not int:
-                    fan_mod._strict_int(i, "divisor index")
-            key = tuple(sorted(mono))
-            if any(i < 0 or i >= self.fan.n_rays for i in key):
-                raise IndexOutOfRange(f"monomial {key} has a divisor index out of range")
+            key = tuple(sorted(fan_mod._ray_indices(self.fan, mono, "divisor index")))
             coeff = _strict_rational(coeff, "coefficient")
             if coeff == 0 or len(key) > self.fan.dim:
                 continue

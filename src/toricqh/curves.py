@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import fan as fan_mod, fano
-from .errors import IndexOutOfRange, LocateFailure, NotACone, PreconditionFailed, RingInconsistent
+from .errors import LocateFailure, NotACone, PreconditionFailed, RingInconsistent
 from .fan import Cone, CurveClass, Fan
 
 
@@ -33,10 +33,11 @@ def signed_distance(fan: Fan, mu: Cone, rho_index: int) -> int:
 
     Zero exactly on the generators of the cone; at least one on every other
     ray once subvarieties are Fano.  mu is checked as every cone argument
-    is (fan._cone_key), and must be maximal.
+    is (fan._cone_key), and must be maximal; rho_index as every ray index
+    is (fan._ray_indices).
     """
     mu = _check_max_cone(fan, mu)
-    _check_ray(fan, rho_index)
+    (rho_index,) = fan_mod._ray_indices(fan, (rho_index,), "ray index")
     coords = fan_mod.coords_in_basis(fan, mu, fan.rays[rho_index])
     return 1 - sum(coords)
 
@@ -47,12 +48,6 @@ def _check_max_cone(fan: Fan, mu: Cone) -> Cone:
     if len(key) != fan.dim:
         raise NotACone(f"{tuple(i + 1 for i in key)} is not a maximal cone")
     return key
-
-
-def _check_ray(fan: Fan, idx: int) -> None:
-    fan_mod._strict_int(idx, "ray index")
-    if not 0 <= idx < fan.n_rays:
-        raise IndexOutOfRange(f"ray index {idx} out of range")
 
 
 def wall_curve_class(fan: Fan, wall: Cone) -> CurveClass:
@@ -84,7 +79,7 @@ def wall_curve_class(fan: Fan, wall: Cone) -> CurveClass:
 def min_tree(fan: Fan, mu: Cone, d: int) -> ToricTree:
     """Greedy wall-crossing chain from the fixed point of mu to D_d."""
     root = _check_max_cone(fan, mu)
-    _check_ray(fan, d)
+    (d,) = fan_mod._ray_indices(fan, (d,), "ray index")
     verified = fano.classify(fan).tier >= fano.Tier.SUBVARIETIES_FANO
     edges: list[tuple[Cone, int]] = []
     total = CurveClass((0,) * fan.n_rays)

@@ -6,8 +6,10 @@ and all CLI output are 1-based).  Validation returns a report instead of
 raising so rejected inputs can be inspected; everything downstream insists
 on an accepted fan.  Validation also builds the face index, which answers
 every cone question: each cone, by dimension then lexicographically, mapped
-to the maximal cones containing it in fan.max_cones order.  _cone_key is the
-one check that turns a caller's cone argument into its sorted key.
+to the maximal cones containing it in fan.max_cones order.  _ray_indices is
+the one check of a caller's ray or divisor indices, and _cone_key, built on
+it, the one check that turns a caller's cone argument into its sorted key;
+both word an index out of range 1-based.
 """
 
 from __future__ import annotations
@@ -98,12 +100,18 @@ def fan_to_json(fan: Fan) -> str:
 
 
 def fan_from_json(text: str) -> Fan:
-    return Fan.from_json_dict(json.loads(text))
+    """The one reader of fan JSON text; nesting too deep for the decoder is
+    malformed data (ValueError), not a RecursionError."""
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("malformed fan data: nested too deeply") from None
+    return Fan.from_json_dict(data)
 
 
 def load_fan(path: str) -> Fan:
     with open(path, "r", encoding="utf-8") as handle:
-        return Fan.from_json_dict(json.load(handle))
+        return fan_from_json(handle.read())
 
 
 @dataclass(frozen=True)
@@ -314,14 +322,26 @@ def _face_index(fan: Fan) -> dict[Cone, list[Cone]]:
     return d.face_index
 
 
+def _ray_indices(fan: Fan, indices: Iterable[int], what: str) -> tuple[int, ...]:
+    """A caller's ray or divisor indices, in the given order, once each is an
+    int (ValueError naming `what`) naming a ray (IndexOutOfRange, 1-based)."""
+    out = tuple(indices)
+    for i in out:  # one type test per index: normal forms call this per monomial
+        if type(i) is not int:
+            _strict_int(i, what)
+    m = fan.n_rays
+    for i in out:
+        if not 0 <= i < m:
+            raise IndexOutOfRange(
+                f"{what} out of range in {_one_based(out)}; rays are numbered 1 to {m}"
+            )
+    return out
+
+
 def _cone_key(fan: Fan, indices: Sequence[int]) -> Cone:
     """The sorted key of a cone argument; ValueError for a non-int index,
     IndexOutOfRange, or NotACone (a repeated index spans no cone)."""
-    for i in indices:  # refused before sorting, which a None would break
-        _strict_int(i, "cone index")
-    key = tuple(sorted(indices))
-    if any(i < 0 or i >= fan.n_rays for i in key):
-        raise IndexOutOfRange(f"ray index out of range in {_one_based(key)}")
+    key = tuple(sorted(_ray_indices(fan, indices, "cone index")))
     if key not in _face_index(fan):
         raise NotACone(f"{_one_based(key)} does not span a cone")
     return key
@@ -391,9 +411,7 @@ def primitive_relation(fan: Fan, pset: Sequence[int]) -> PrimitiveData:
     The sum has nonnegative coordinates in some maximal cone; the rays with
     positive ones span the cone holding it, with those as coefficients.
     """
-    for i in pset:  # refused before sorting, which a None would break
-        _strict_int(i, "ray index")
-    key = tuple(sorted(pset))
+    key = tuple(sorted(_ray_indices(fan, pset, "ray index")))
     if key not in primitive_sets(fan):
         raise PreconditionFailed(f"{_one_based(key)} is not a primitive set")
     total = tuple(map(sum, zip(*(fan.rays[i] for i in key))))
@@ -484,7 +502,9 @@ def decompose_effective(fan: Fan, beta: CurveClass) -> tuple[tuple[PrimitiveData
     - Failure memo: a state (index, remainder, degree budget) whose subtree
       held no decomposition is never searched again.
 
-    The greedy loop takes at most SEARCH_NODE_BUDGET subtractions and the
+    The search keeps its open states on an explicit stack, so its depth, one
+    level per primitive class, is not bounded by the recursion limit.  The
+    greedy loop takes at most SEARCH_NODE_BUDGET subtractions and the
     search visits at most as many states; past that either raises
     SearchBudgetExceeded, which proves nothing about beta, so it is not a
     NotEffective.
@@ -520,47 +540,49 @@ def decompose_effective(fan: Fan, beta: CurveClass) -> tuple[tuple[PrimitiveData
 
     degree = beta.degree
     crude_cap = sum(abs(b) for b in beta.pairings) + 4
-    target = beta.pairings
     must_be_nonpos, must_be_nonneg = _sign_prune(fan)
     failed: set[tuple[int, tuple[int, ...], int]] = set()
-    nodes = 0
+    if degree < 0 and all(pd.cls.degree > 0 for pd in pdata):
+        raise NotEffective("negative degree")
 
-    def search(idx: int, remaining: tuple[int, ...], budget: int):
-        nonlocal nodes
+    # one open state per class on the path: [idx, remaining, budget, next count, cap];
+    # class idx takes multiplicity (next count - 1) in the state below it
+    stack: list[list] = []
+    idx, remaining, budget = 0, beta.pairings, max(degree, 0)
+    nodes = 0
+    while True:
         nodes += 1
         if nodes > SEARCH_NODE_BUDGET:
             raise SearchBudgetExceeded(
                 f"effectivity search visited more than {SEARCH_NODE_BUDGET} states"
             )
         if all(x == 0 for x in remaining):
-            return []
+            return tuple((pdata[f[0]], f[3] - 1) for f in stack if f[3] > 1)
         # past the last class every ray is in both lists: only zero gets through
-        if any(remaining[i] > 0 for i in must_be_nonpos[idx]) or any(
+        pruned = any(remaining[i] > 0 for i in must_be_nonpos[idx]) or any(
             remaining[i] < 0 for i in must_be_nonneg[idx]
-        ):
-            return None
-        state = (idx, remaining, budget)
-        if state in failed:
-            return None
-        pd = pdata[idx]
-        deg = pd.cls.degree
-        cap = budget // deg if deg > 0 else crude_cap
-        for count in range(cap + 1):
-            rem = tuple(r - count * p for r, p in zip(remaining, pd.cls.pairings))
-            rest = search(idx + 1, rem, budget - count * deg if deg > 0 else budget)
-            if rest is not None:
-                return ([(pd, count)] if count else []) + rest
-        failed.add(state)
-        return None
-
-    if degree < 0 and all(pd.cls.degree > 0 for pd in pdata):
-        raise NotEffective("negative degree")
-    found = search(0, target, max(degree, 0))
-    if found is None:
-        raise NotEffective(
-            "not a nonnegative combination of primitive classes within the search bound"
         )
-    return tuple(found)
+        if not pruned and (idx, remaining, budget) not in failed:
+            deg = pdata[idx].cls.degree
+            stack.append([idx, remaining, budget, 0, budget // deg if deg > 0 else crude_cap])
+        # descend into the next multiplicity of the deepest open state
+        while stack:
+            frame = stack[-1]
+            top, rem, left, count, cap = frame
+            if count <= cap:
+                frame[3] = count + 1
+                pd = pdata[top]
+                deg = pd.cls.degree
+                idx = top + 1
+                remaining = tuple(r - count * p for r, p in zip(rem, pd.cls.pairings))
+                budget = left - count * deg if deg > 0 else left
+                break
+            failed.add((top, rem, left))
+            stack.pop()
+        else:
+            raise NotEffective(
+                "not a nonnegative combination of primitive classes within the search bound"
+            )
 
 
 def is_isomorphic(a: Fan, b: Fan) -> bool:

@@ -20,13 +20,8 @@ from typing import Optional, Sequence
 
 from . import fan as fan_mod
 from . import lattice
-from .errors import (
-    BlowDownInvalid,
-    IndexOutOfRange,
-    NotInClass,
-    NotInTier,
-)
-from .fan import Cone, CurveClass, Fan, Vector
+from .errors import BlowDownInvalid, NotInClass, NotInTier
+from .fan import Cone, CurveClass, Fan
 
 
 class Tier(IntEnum):
@@ -261,14 +256,10 @@ def blow_down_tower(fan: Fan, order: Optional[Sequence[int]] = None) -> list[Fan
     and by default, the exceptional ray with the smallest current index goes
     first.  Every intermediate fan must stay in FullClass.
     """
+    order = fan_mod._ray_indices(fan, order or (), "ray index")
     fan_mod.require_accepted(fan)
     tower = [fan]
-    pending: list[Vector] = []
-    for i in order or ():
-        fan_mod._strict_int(i, "ray index")
-        if not 0 <= i < fan.n_rays:
-            raise IndexOutOfRange(f"ray index {i} out of range")
-        pending.append(fan.rays[i])
+    pending = [fan.rays[i] for i in order]
     step = 0
     while True:
         current = tower[-1]

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from . import cohomology, fan as fan_mod, fano, lattice
 from .cohomology import CohomologyClass, Monomial, Rational
-from .errors import IndexOutOfRange, NotFano, NotInClass, PreconditionFailed
+from .errors import NotFano, NotInClass, PreconditionFailed
 from .fan import Cone, CurveClass, Fan, PrimitiveData, Vector
 
 
@@ -124,15 +124,12 @@ MAX_REWRITE_DEGREE = 128
 
 def _check_monomial(fan: Fan, monomial: Sequence[int]) -> Monomial:
     """The sorted monomial, once its degree is at most MAX_REWRITE_DEGREE
-    and every index is an int naming a ray (nothing is coerced)."""
+    and its indices pass fan._ray_indices (nothing is coerced)."""
     if len(monomial) > MAX_REWRITE_DEGREE:
         raise PreconditionFailed(
             f"monomial of degree {len(monomial)} is above the rewrite cap {MAX_REWRITE_DEGREE}"
         )
-    mono = tuple(sorted(fan_mod._strict_int(i, "divisor index") for i in monomial))
-    if any(i < 0 or i >= fan.n_rays for i in mono):
-        raise IndexOutOfRange(f"divisor index out of range in {mono}")
-    return mono
+    return tuple(sorted(fan_mod._ray_indices(fan, monomial, "divisor index")))
 
 
 def _add_into(acc: _Parts, parts: Mapping, scale: Rational, shift: Optional[Vector] = None) -> None:
@@ -327,14 +324,16 @@ def reduce_monomial(
 def evaluate_terms(fan: Fan, terms: Sequence[QuantumTerm]) -> QuantumClass:
     """Evaluate a q-polynomial in the divisor symbols to a quantum class.
 
-    Term monomials are checked as in reduce_monomial and term curves by
-    fan.curve_class (NotEffective: a wrong length or a nonzero ray sum).
+    Term monomials are checked as in reduce_monomial, term curves by
+    fan.curve_class (NotEffective: a wrong length or a nonzero ray sum) and
+    term coefficients as in normal_form (ValueError unless int or Fraction).
     """
     ring = _qring(fan)
     acc: _Parts = {}
     for term in terms:
+        coeff = cohomology._strict_rational(term.coefficient, "coefficient")
         red = ring.reduce(_check_monomial(fan, term.monomial), None)
-        _add_into(acc, red, term.coefficient, ring.check_curve(term.curve))
+        _add_into(acc, red, coeff, ring.check_curve(term.curve))
     return _to_class(acc)
 
 

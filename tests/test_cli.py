@@ -46,6 +46,14 @@ def test_unreadable_inputs(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_deeply_nested_fan_file(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "validate", "--fan", str(deep))
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed fan data")
+
+
 def test_non_integer_fan_entries(capsys, tmp_path):
     good = json.loads(fan_mod.fan_to_json(catalog.projective_plane()))
     for where in ("rays", "max_cones"):

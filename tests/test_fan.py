@@ -105,6 +105,18 @@ def test_fan_files_match_catalog(corpus, fans_dir):
     assert fan_mod.load_fan(str(fans_dir / "p3.json")) == catalog.projective_space(3)
 
 
+def test_deeply_nested_json_is_malformed_data(tmp_path):
+    # the decoder recurses once per bracket; past the recursion limit that
+    # used to escape as a RecursionError
+    deep = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(ValueError, match="malformed fan data"):
+        fan_mod.fan_from_json(deep)
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    with pytest.raises(ValueError, match="malformed fan data"):
+        fan_mod.load_fan(str(path))
+
+
 def test_from_json_dict_malformed():
     with pytest.raises(ValueError):
         Fan.from_json_dict({"dim": 2})
@@ -216,6 +228,34 @@ def test_cone_entry_points_check_their_argument(entry, cone, error):
             fan_mod.is_cone(fan, cone)
     else:
         assert not fan_mod.is_cone(fan, cone)
+
+
+_RAY_ENTRY_POINTS = {
+    "signed_distance": lambda fan, i: curves.signed_distance(fan, fan.max_cones[0], i),
+    "min_tree": lambda fan, i: curves.min_tree(fan, fan.max_cones[0], i),
+    "blow_down_tower": lambda fan, i: fano.blow_down_tower(fan, [i]),
+    "reduce_monomial": lambda fan, i: quantum.reduce_monomial(fan, (i, 1)),
+    "evaluate_terms": lambda fan, i: quantum.evaluate_terms(
+        fan, [quantum.QuantumTerm(quantum.zero_curve(fan), (i, 1), 1)]
+    ),
+    "normal_form": lambda fan, i: cohomology.normal_form(fan, {(i, 1): 1}),
+    "primitive_relation": lambda fan, i: fan_mod.primitive_relation(fan, (i, 1)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_RAY_ENTRY_POINTS))
+@pytest.mark.parametrize("bad", ["non-int", "negative", "past-the-end"])
+def test_ray_entry_points_check_their_indices(bl3p2, entry, bad):
+    # every entry point goes through fan._ray_indices: one exception type
+    # per kind of bad index, and a range error names the index 1-based
+    index = {"non-int": 1.0, "negative": -1, "past-the-end": bl3p2.n_rays}[bad]
+    error = ValueError if bad == "non-int" else IndexOutOfRange
+    with pytest.raises(error) as err:
+        _RAY_ENTRY_POINTS[entry](bl3p2, index)
+    if error is IndexOutOfRange:
+        assert f"({index + 1}," in str(err.value)
+    else:
+        assert "index 1.0 is not an integer" in str(err.value)
 
 
 def test_equal_fans_share_one_context(bl3p2):
@@ -562,6 +602,36 @@ def test_decompose_effective_large_multiple_is_fast(bl3p2, deadline):
     with deadline(1.0):
         found = fan_mod.decompose_effective(bl3p2, beta)
     assert found == ((rel[(0, 1)], 20), (rel[(4, 5)], 20))
+
+
+def _blown_up_plane(n_rays):
+    """P^2 blown up between neighbouring rays, in turn around the circle,
+    until it has n_rays rays; a smooth complete surface."""
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    k = 0
+    while len(rays) < n_rays:
+        a, b = rays[k], rays[(k + 1) % len(rays)]
+        rays.insert(k + 1, (a[0] + b[0], a[1] + b[1]))
+        k = (k + 2) % len(rays)
+    m = len(rays)
+    return Fan(2, tuple(rays), tuple(tuple(sorted((i, (i + 1) % m))) for i in range(m)))
+
+
+def test_decompose_effective_is_not_bounded_by_recursion_depth():
+    # 60 rays give 60 * 57 / 2 = 1710 primitive classes, one search level
+    # each: a recursive search overran the default recursion limit of 1000
+    fan = _blown_up_plane(60)
+    pdata = fan_mod.primitive_data(fan)
+    assert len(pdata) == 1710
+    beta = pdata[0].cls + pdata[3].cls
+    try:
+        found = fan_mod.decompose_effective(fan, beta)
+    except SearchBudgetExceeded:
+        return
+    total = beta.scaled(0)
+    for pd, count in found:
+        total = total + pd.cls.scaled(count)
+    assert total == beta
 
 
 def test_decompose_effective_node_budget(p2, bl3p2, monkeypatch):

@@ -95,6 +95,16 @@ def test_reduce_validates(p2):
             quantum.evaluate_terms(p2, [QuantumTerm(quantum.zero_curve(p2), (0, index), one)])
 
 
+@pytest.mark.parametrize("coefficient", [True, "2", None, 1.0])
+def test_evaluate_terms_refuses_non_rational_coefficients(p2, coefficient):
+    # True used to be read as 1; "2" and None raised a raw TypeError
+    term = QuantumTerm(quantum.zero_curve(p2), (0, 1), coefficient)
+    with pytest.raises(ValueError, match="coefficient"):
+        quantum.evaluate_terms(p2, [term])
+    with pytest.raises(ValueError, match="coefficient"):
+        coho.normal_form(p2, {(0, 1): coefficient})
+
+
 @pytest.mark.parametrize("entry", [0.7, 1.0, True, False, "1", None])
 def test_rewrite_refuses_non_int_index(p2, entry):
     # refused, not coerced: (0.7, True) used to rewrite as (0, 1)
