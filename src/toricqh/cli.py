@@ -21,13 +21,15 @@ Exit codes: 0 success, 2 unusable input, 3 fan rejected, located nowhere
 or failing an internal consistency check, 4 fan outside the tier a
 computation needs, 5 precondition failure on otherwise valid data
 (ineffective class, bad blow-down order, rootless tree, an effectivity
-search that ran out of its node budget).
+search that ran out of its node budget), 141 stdout closed by its reader
+(as a process killed by SIGPIPE exits in a shell; nothing on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -615,7 +617,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # output that fit in the buffer meets a closed pipe here
+        return code
+    except BrokenPipeError:
+        # exit as a process killed by SIGPIPE; stdout goes to devnull so that
+        # the interpreter's final flush cannot fail (Python docs, "Note on SIGPIPE")
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+            return 141
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 141
     except Exception as exc:  # noqa: BLE001 - mapped to documented exit codes
         for types, code in _EXITS:
             if isinstance(exc, types):

@@ -281,11 +281,7 @@ class _CohomologyRing:
         return CohomologyClass(coords)
 
 
-def _ring(fan: Fan) -> _CohomologyRing:
-    d = fan_mod._derived(fan)
-    if d.cohomology_ring is None:
-        d.cohomology_ring = _CohomologyRing(fan)
-    return d.cohomology_ring
+_ring = fan_mod.per_fan(_CohomologyRing)
 
 
 def normal_form(fan: Fan, poly: Mapping[Monomial, Rational]) -> CohomologyClass:

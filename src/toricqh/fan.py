@@ -10,14 +10,20 @@ to the maximal cones containing it in fan.max_cones order.  _ray_indices is
 the one check of a caller's ray or divisor indices, and _cone_key, built on
 it, the one check that turns a caller's cone argument into its sorted key;
 both word an index out of range 1-based.
+
+Whatever is computed once per fan, here or in a module built on this one,
+is a function of the fan decorated with per_fan: its value is memoized in
+one per-fan memo keyed by the fan and the function, which clear_caches
+empties.  Each module declares its own per-fan values.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import wraps
 from itertools import combinations, permutations
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from . import lattice
 from .errors import (
@@ -34,6 +40,7 @@ from .errors import (
 
 Vector = tuple[int, ...]
 Cone = tuple[int, ...]
+T = TypeVar("T")
 
 # States the effectivity search may visit, and subtractions its greedy loop
 # may take, before it gives up.  The hardest non-effective class
@@ -175,42 +182,34 @@ class PrimitiveData:
     cls: CurveClass
 
 
-class _Derived:
-    """The one per-fan context: everything computed for a fan, filled lazily
-    by the module that computes it and shared by all modules."""
-
-    def __init__(self, fan: Fan):
-        self.fan = fan
-        self.report: Optional[ValidationReport] = None
-        self.face_index: Optional[dict[Cone, list[Cone]]] = None  # set once accepted
-        self.psets: Optional[tuple[Cone, ...]] = None
-        self.pdata: Optional[tuple[PrimitiveData, ...]] = None
-        self.sign_prune: Optional[tuple] = None
-        self.cone_inverse: dict[Cone, tuple[Vector, ...]] = {}
-        # filled by the modules built on this one, which it cannot import
-        self.tier = None  # fano.ClassTier
-        self.exceptional = None  # tuple of fano.ExceptionalData
-        self.cohomology_ring = None  # cohomology._CohomologyRing
-        self.quantum_ring = None  # quantum._QuantumRing
+# The one per-fan memo: fan -> compute -> compute(fan), filled only by
+# per_fan.  Unbounded: a pass over the benchmark's fan zoo touches about a
+# thousand distinct fans and revisits them uniformly, so any bound it reaches
+# turns revisits into rebuilds.
+_DERIVED: dict[Fan, dict[Callable, object]] = {}
 
 
-# Unbounded: a pass over the benchmark's fan zoo touches about a thousand
-# distinct fans and revisits them uniformly, so any bound it reaches turns
-# revisits into rebuilds.
-_DERIVED: dict[Fan, _Derived] = {}
+def per_fan(compute: Callable[[Fan], T]) -> Callable[[Fan], T]:
+    """compute, memoized per fan in the one per-fan memo.  Equal fans share
+    the value; a raised exception is not stored, so it is raised again on
+    the next call."""
+
+    @wraps(compute, updated=())
+    def memoized(fan: Fan) -> T:
+        memo = _DERIVED.get(fan)
+        if memo is None:
+            memo = _DERIVED[fan] = {}
+        elif compute in memo:
+            return memo[compute]
+        value = memo[compute] = compute(fan)
+        return value
+
+    return memoized
 
 
 def clear_caches() -> None:
     """Forget everything computed for every fan."""
     _DERIVED.clear()
-
-
-def _derived(fan: Fan) -> _Derived:
-    d = _DERIVED.get(fan)
-    if d is None:
-        d = _Derived(fan)
-        _DERIVED[fan] = d
-    return d
 
 
 def validate(fan: Fan) -> ValidationReport:
@@ -221,22 +220,21 @@ def validate(fan: Fan) -> ValidationReport:
     words the problem of a cone that fails); completeness is certified
     combinatorially on the face index: every facet of a maximal cone must
     lie in exactly two maximal cones and the facet-adjacency graph must be
-    connected.  The index is kept for an accepted fan.
+    connected.
     """
-    d = _derived(fan)
-    if d.report is not None:
-        return d.report
+    return _validated(fan)[0]
 
+
+@per_fan
+def _validated(fan: Fan) -> tuple[ValidationReport, Optional[dict[Cone, list[Cone]]]]:
+    """The validation report, with the face index once the fan is accepted."""
     problems: list[str] = []
     n, m = fan.dim, fan.n_rays
 
     if n == 0:
-        ok = fan.rays == () and fan.max_cones == ((),)
-        report = ValidationReport(ok, () if ok else ("a 0-dimensional fan must be empty",))
-        if ok:
-            d.face_index = {(): [()]}
-        d.report = report
-        return report
+        if fan.rays == () and fan.max_cones == ((),):
+            return ValidationReport(True, ()), {(): [()]}
+        return ValidationReport(False, ("a 0-dimensional fan must be empty",)), None
 
     for i, ray in enumerate(fan.rays):
         if len(ray) != n:
@@ -254,6 +252,7 @@ def validate(fan: Fan) -> ValidationReport:
         problems.append("maximal cones are not distinct")
 
     structurally_ok = not problems
+    index = None
     for cone in fan.max_cones:
         if len(cone) != n or len(set(cone)) != n:
             problems.append(f"cone {_one_based(cone)} does not have {n} distinct generators")
@@ -296,12 +295,7 @@ def validate(fan: Fan) -> ValidationReport:
                             queue.append(other)
             if len(seen) != len(fan.max_cones):
                 problems.append("facet-adjacency graph is disconnected")
-            else:
-                d.face_index = index
-
-    report = ValidationReport(not problems, tuple(problems))
-    d.report = report
-    return report
+    return ValidationReport(not problems, tuple(problems)), None if problems else index
 
 
 def _one_based(cone: Iterable[int]) -> tuple[int, ...]:
@@ -309,17 +303,16 @@ def _one_based(cone: Iterable[int]) -> tuple[int, ...]:
 
 
 def require_accepted(fan: Fan) -> None:
-    report = validate(fan)
-    if not report.accepted:
-        raise FanNotAccepted(report)
+    _face_index(fan)
 
 
 def _face_index(fan: Fan) -> dict[Cone, list[Cone]]:
-    """The face index of an accepted fan (module docstring); read only."""
-    d = _derived(fan)
-    if d.face_index is None:
-        require_accepted(fan)
-    return d.face_index
+    """The face index of an accepted fan (module docstring); read only.
+    FanNotAccepted, carrying the report, for a rejected fan."""
+    report, index = _validated(fan)
+    if index is None:
+        raise FanNotAccepted(report)
+    return index
 
 
 def _ray_indices(fan: Fan, indices: Iterable[int], what: str) -> tuple[int, ...]:
@@ -373,13 +366,19 @@ def cone_inverse(fan: Fan, max_cone: Cone) -> tuple[Vector, ...]:
     on that ray and 0 on the cone's other rays.  Keys are sorted index
     tuples, as in fan.max_cones.
     """
-    d = _derived(fan)
-    inv = d.cone_inverse.get(max_cone)
+    inverses = _cone_inverses(fan)
+    inv = inverses.get(max_cone)
     if inv is None:
         mat = lattice.mat_from_columns(cone_generators(fan, max_cone))
         inv = tuple(tuple(row) for row in lattice.integer_inverse(mat))
-        d.cone_inverse[max_cone] = inv
+        inverses[max_cone] = inv
     return inv
+
+
+@per_fan
+def _cone_inverses(fan: Fan) -> dict[Cone, tuple[Vector, ...]]:
+    """The cone_inverse cache of a fan: maximal cone -> inverse, filled by cone_inverse."""
+    return {}
 
 
 def coords_in_basis(fan: Fan, max_cone: Cone, v: Sequence[int]) -> tuple[int, ...]:
@@ -387,21 +386,19 @@ def coords_in_basis(fan: Fan, max_cone: Cone, v: Sequence[int]) -> tuple[int, ..
     return lattice.mat_vec(cone_inverse(fan, max_cone), v)
 
 
+@per_fan
 def primitive_sets(fan: Fan) -> tuple[Cone, ...]:
     """All primitive sets: minimal collections of rays spanning no cone."""
-    d = _derived(fan)
-    if d.psets is None:
-        index = _face_index(fan)
-        m, n = fan.n_rays, fan.dim
-        found: list[Cone] = []
-        for k in range(2, min(m, n + 1) + 1):
-            for cand in combinations(range(m), k):
-                if cand in index:
-                    continue
-                if all(sub in index for sub in combinations(cand, k - 1)):
-                    found.append(cand)
-        d.psets = tuple(sorted(found, key=lambda p: (len(p), p)))
-    return d.psets
+    index = _face_index(fan)
+    m, n = fan.n_rays, fan.dim
+    found: list[Cone] = []
+    for k in range(2, min(m, n + 1) + 1):
+        for cand in combinations(range(m), k):
+            if cand in index:
+                continue
+            if all(sub in index for sub in combinations(cand, k - 1)):
+                found.append(cand)
+    return tuple(sorted(found, key=lambda p: (len(p), p)))
 
 
 def primitive_relation(fan: Fan, pset: Sequence[int]) -> PrimitiveData:
@@ -430,11 +427,9 @@ def primitive_relation(fan: Fan, pset: Sequence[int]) -> PrimitiveData:
     raise LocateFailure(f"sum over {_one_based(key)} lies in no cone; fan is not complete")
 
 
+@per_fan
 def primitive_data(fan: Fan) -> tuple[PrimitiveData, ...]:
-    d = _derived(fan)
-    if d.pdata is None:
-        d.pdata = tuple(primitive_relation(fan, p) for p in primitive_sets(fan))
-    return d.pdata
+    return tuple(primitive_relation(fan, p) for p in primitive_sets(fan))
 
 
 def star(fan: Fan, sigma: Sequence[int]) -> Fan:
@@ -469,19 +464,17 @@ def star(fan: Fan, sigma: Sequence[int]) -> Fan:
     return result
 
 
+@per_fan
 def _sign_prune(fan: Fan) -> tuple[tuple, tuple]:
     """Per search index k, the rays on which no class of primitive_data[k:]
     pairs positively, and those on which none pairs negatively."""
-    d = _derived(fan)
-    if d.sign_prune is None:
-        pdata = primitive_data(fan)
-        nonpos, nonneg = [], []
-        for k in range(len(pdata) + 1):
-            rest = [pd.cls.pairings for pd in pdata[k:]]
-            nonpos.append(tuple(i for i in range(fan.n_rays) if all(p[i] <= 0 for p in rest)))
-            nonneg.append(tuple(i for i in range(fan.n_rays) if all(p[i] >= 0 for p in rest)))
-        d.sign_prune = (tuple(nonpos), tuple(nonneg))
-    return d.sign_prune
+    pdata = primitive_data(fan)
+    nonpos, nonneg = [], []
+    for k in range(len(pdata) + 1):
+        rest = [pd.cls.pairings for pd in pdata[k:]]
+        nonpos.append(tuple(i for i in range(fan.n_rays) if all(p[i] <= 0 for p in rest)))
+        nonneg.append(tuple(i for i in range(fan.n_rays) if all(p[i] >= 0 for p in rest)))
+    return tuple(nonpos), tuple(nonneg)
 
 
 def decompose_effective(fan: Fan, beta: CurveClass) -> tuple[tuple[PrimitiveData, int], ...]:

@@ -53,11 +53,9 @@ class ClassTier:
     certificates: tuple[RelationCertificate, ...]
 
 
+@fan_mod.per_fan
 def classify(fan: Fan) -> ClassTier:
     """Certify the strongest tier the fan satisfies."""
-    d = fan_mod._derived(fan)
-    if d.tier is not None:
-        return d.tier
     fan_mod.require_accepted(fan)
     pdata = fan_mod.primitive_data(fan)
     head_count: dict[int, int] = {}
@@ -89,8 +87,7 @@ def classify(fan: Fan) -> ClassTier:
         tier = Tier.SUBVARIETIES_FANO
     else:
         tier = Tier.FULL_CLASS
-    d.tier = ClassTier(tier, tuple(certs))
-    return d.tier
+    return ClassTier(tier, tuple(certs))
 
 
 def check_condition_iii(fan: Fan):
@@ -123,15 +120,13 @@ class ExceptionalData:
     cls: CurveClass
 
 
+@fan_mod.per_fan
 def exceptional_sets(fan: Fan) -> tuple[ExceptionalData, ...]:
     """All exceptional sets of the fan.
 
     Independence caps the subset size at the lattice dimension, so the
     subset search is shallow.  Requires the SubvarietiesFano tier.
     """
-    d = fan_mod._derived(fan)
-    if d.exceptional is not None:
-        return d.exceptional
     if classify(fan).tier < Tier.SUBVARIETIES_FANO:
         raise NotInTier("exceptional sets need the SubvarietiesFano tier")
     ray_index = {ray: i for i, ray in enumerate(fan.rays)}
@@ -153,8 +148,7 @@ def exceptional_sets(fan: Fan) -> tuple[ExceptionalData, ...]:
                 pairings[i] += 1
             pairings[hit] -= 1
             out.append(ExceptionalData(cand, hit, fan_mod.curve_class(fan, pairings)))
-    d.exceptional = tuple(out)
-    return d.exceptional
+    return tuple(out)
 
 
 def special_exceptional_sets(fan: Fan, sigma: Sequence[int]) -> tuple[ExceptionalData, ...]:

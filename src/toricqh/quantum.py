@@ -236,8 +236,9 @@ class _QuantumRing:
                 rest.remove(i)
             for j, a in zip(pd.rhs_cone, pd.rhs_coeffs):
                 rest.extend([j] * a)
+            # a primitive class is effective by itself (Batyrev: the rhs cone
+            # misses the set), so this q-shift needs no effectivity check
             shift = pd.cls.pairings
-            self.check_effective(shift)
             sub = self.reduce(tuple(sorted(rest)), rng)
             result = {lattice.vadd(beta, shift): coords for beta, coords in sub.items()}
         elif len(support) == len(mono):
@@ -268,11 +269,7 @@ class _QuantumRing:
         return out
 
 
-def _qring(fan: Fan) -> _QuantumRing:
-    d = fan_mod._derived(fan)
-    if d.quantum_ring is None:
-        d.quantum_ring = _QuantumRing(fan)
-    return d.quantum_ring
+_qring = fan_mod.per_fan(_QuantumRing)
 
 
 def presentation(fan: Fan) -> Presentation:

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import os
 
 from toricqh import catalog, fan as fan_mod
 from toricqh.cli import MAX_NESTING, main
@@ -44,6 +47,27 @@ def test_unreadable_inputs(capsys, tmp_path):
     mangled.write_text("{not json")
     code, _, err = run(capsys, "validate", "--fan", str(mangled))
     assert code == 2 and "error:" in err
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone away; it has no file descriptor."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_not_unusable_input(capsys, fans_dir):
+    with contextlib.redirect_stdout(_ClosedStdout()):
+        assert main(["census", "2", "8", "--json"]) == 141
+    assert capsys.readouterr().err == ""
+    # a real pipe closed at its read end: the output waits in the buffer until
+    # main flushes, and afterwards the descriptor writes to devnull
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as pipe, contextlib.redirect_stdout(pipe):
+        assert main(["validate", "--fan", fan_path(fans_dir, "p2.json")]) == 141
+        pipe.write("the interpreter's final flush succeeds")
+    assert capsys.readouterr().err == ""
 
 
 def test_deeply_nested_fan_file(capsys, tmp_path):

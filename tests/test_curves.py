@@ -61,7 +61,7 @@ def test_cones_are_canonicalized(bl3p2):
     assert curves.signed_distance(bl3p2, [3, 0], 2) == curves.signed_distance(bl3p2, (0, 3), 2)
     assert curves.min_tree(bl3p2, [3, 0], 2) == curves.min_tree(bl3p2, (0, 3), 2)
     assert curves.min_tree(bl3p2, (3, 0), 2).root == (0, 3)
-    assert set(fan_mod._derived(bl3p2).cone_inverse) <= set(bl3p2.max_cones)
+    assert set(fan_mod._cone_inverses(bl3p2)) <= set(bl3p2.max_cones)
 
 
 def test_wall_curve_class_oracles(p2, p1xp1, f2, p3):

@@ -13,6 +13,7 @@ from toricqh.errors import (
     LocateFailure,
     NotACone,
     NotEffective,
+    NotFano,
     PreconditionFailed,
     SearchBudgetExceeded,
 )
@@ -261,7 +262,8 @@ def test_ray_entry_points_check_their_indices(bl3p2, entry, bad):
 def test_equal_fans_share_one_context(bl3p2):
     again = Fan.from_json_dict(json.loads(json.dumps(bl3p2.to_json_dict())))
     assert again is not bl3p2 and again == bl3p2 and hash(again) == hash(bl3p2)
-    assert fan_mod._derived(again) is fan_mod._derived(bl3p2)
+    assert quantum._qring(again) is quantum._qring(bl3p2)
+    assert fan_mod._cone_inverses(again) is fan_mod._cone_inverses(bl3p2)
     shuffled = Fan(bl3p2.dim, bl3p2.rays, tuple(reversed(bl3p2.max_cones)))
     assert shuffled == bl3p2 and hash(shuffled) == hash(bl3p2)
     assert Fan(2, bl3p2.rays[::-1], bl3p2.max_cones) != bl3p2
@@ -676,9 +678,38 @@ def test_clear_caches_empties_the_context_and_recomputes_the_same(bl3p2):
         )
 
     before = snapshot()
-    ring = fan_mod._derived(bl3p2).quantum_ring
-    assert ring is not None
+    ring = quantum._qring(bl3p2)
+    assert ring.pair_cache  # the ring the snapshot filled
     clear_caches()
     assert fan_mod._DERIVED == {}
     assert snapshot() == before
-    assert fan_mod._derived(bl3p2).quantum_ring is not ring
+    assert quantum._qring(bl3p2) is not ring
+
+
+def test_per_fan_memoizes_values_and_not_exceptions(p2, f2):
+    calls = []
+
+    def flaky(fan):
+        calls.append(fan)
+        if len(calls) == 1:
+            raise PreconditionFailed("the first call fails")
+        return ()
+
+    memoized = fan_mod.per_fan(flaky)
+    with pytest.raises(PreconditionFailed):
+        memoized(p2)
+    assert memoized(p2) == () and memoized(p2) == ()
+    assert len(calls) == 2  # the exception was not stored, the falsy value was
+
+    for _ in range(2):
+        with pytest.raises(NotFano):
+            cohomology._ring(f2)
+    assert cohomology._CohomologyRing not in fan_mod._DERIVED[f2]
+    rejected = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2)))
+    for _ in range(2):
+        with pytest.raises(FanNotAccepted):
+            fano.classify(rejected)
+    assert fan_mod.validate(rejected) is fan_mod.validate(rejected)
+    point = Fan(0, (), ((),))
+    assert fan_mod.primitive_sets(point) == ()
+    assert fan_mod._DERIVED[point][fan_mod.primitive_sets.__wrapped__] == ()

@@ -252,6 +252,19 @@ def test_emitted_exponents_effective(corpus):
                     assert beta.degree >= 0
 
 
+def test_primitive_classes_decompose_as_themselves(corpus, p3, bundle3, f2):
+    # the rewrite's q-shifts are primitive classes and go unchecked: the rhs
+    # cone of a primitive relation misses its set (Batyrev), so the greedy
+    # branch of decompose_effective subtracts the class once
+    p1, p2, bl3 = catalog.projective_space(1), catalog.projective_plane(), catalog.blowup_p2_three()
+    fans = [*corpus.values(), p3, bundle3, f2, catalog.hirzebruch(3), catalog.product(bl3, p1),
+            catalog.product(bl3, bl3), catalog.product(p2, p2), *catalog.census(2, 8)]
+    pdata = [(fan, pd) for fan in fans for pd in fan_mod.primitive_data(fan)]
+    assert len(pdata) == 75
+    for fan, pd in pdata:
+        assert fan_mod.decompose_effective(fan, pd.cls) == ((pd, 1),)
+
+
 def test_gw_oracles(p2, p1xp1, bl1p2):
     b = basis(p2)
     line = fan_mod.curve_class(p2, (1, 1, 1))
