@@ -612,12 +612,14 @@ _EXITS: tuple[tuple[tuple, int], ...] = (
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    args = None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        code = args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help, or unusable arguments
+            code = int(exc.code or 0)
+        else:
+            code = args.func(args)
         sys.stdout.flush()  # output that fit in the buffer meets a closed pipe here
         return code
     except BrokenPipeError:

@@ -8,8 +8,12 @@ at the cost of a q-shift, a repeated divisor is eliminated through the
 dual-basis linear relation of a containing cone, and a square-free
 monomial supported on a cone is evaluated in closed form through the
 exceptional-set expansion.  Everything stays exact and integral: the
-engine's one form is a dict curve-class pairings -> basis index -> int, and
-class objects are built only where a public function returns.
+engine's one form is a dict packed curve class -> basis index -> int, and
+class objects are built only where a public function returns.  A curve class
+with pairings p is packed into one int, sum p_i * 2^(40 i) with balanced
+digits, so a q-shift is one integer addition; a class is packed once where
+it enters (_QuantumRing.check_curve, which refuses a pairing of size 2^37 or
+more) and decoded once per ring (_QuantumRing.to_class).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Optional, Sequence, Union
 
-from . import cohomology, fan as fan_mod, fano, lattice
+from . import cohomology, fan as fan_mod, fano
 from .cohomology import CohomologyClass, Monomial, Rational
 from .errors import NotFano, NotInClass, PreconditionFailed
 from .fan import Cone, CurveClass, Fan, PrimitiveData, Vector
@@ -111,7 +115,27 @@ def classical(fan: Fan, cls: CohomologyClass) -> QuantumClass:
     return QuantumClass({zero_curve(fan): cls})
 
 
-_Parts = dict[Vector, dict[int, int]]  # curve class pairings -> basis index -> coeff
+_Parts = dict[int, dict[int, int]]  # packed curve class -> basis index -> coeff
+
+# A curve class is keyed inside the engine by _pack(pairings), one int with
+# balanced base-2^40 digits.  Packing is additive, and a key decodes exactly
+# while every digit of a sum lies in [-2^39, 2^39).  A key sums at most two
+# boundary classes (a part of each operand of quantum_product; check_curve
+# refuses |p_i| >= 2^37, so two stay below 2^38) and one engine class.  An
+# engine class sums primitive classes, at most one per unit of the rewritten
+# monomial's degree (a q-shift of a Fano relation lowers the degree), and up
+# to three families of at most n exceptional classes (a closed form and two
+# Giambelli terms), each of distinct exceptional divisors of a cone.  Every
+# primitive or exceptional class pairs within [-n, 1] with each divisor (the
+# rhs coefficients of a Fano primitive relation sum to less than |P| <= n + 1).
+# A rewritten monomial has degree at most MAX_REWRITE_DEGREE (evaluate_terms)
+# or 2n (a pair product), so an engine digit is at most
+# (max(MAX_REWRITE_DEGREE, 2n) + 3n) * n, below 2^38 for any dimension n
+# below 2^17.
+_DIGIT_BITS = 40
+_HALF_DIGIT = 1 << (_DIGIT_BITS - 1)
+_DIGIT_MASK = (1 << _DIGIT_BITS) - 1
+_PAIRING_CAP = 1 << 37
 
 # Highest monomial degree the public rewrite entry points accept.  The
 # rewrite recurses once per step; its depth, measured over the corpus, P^3
@@ -132,10 +156,26 @@ def _check_monomial(fan: Fan, monomial: Sequence[int]) -> Monomial:
     return tuple(sorted(fan_mod._ray_indices(fan, monomial, "divisor index")))
 
 
-def _add_into(acc: _Parts, parts: Mapping, scale: Rational, shift: Optional[Vector] = None) -> None:
-    """acc += scale * q^shift * parts, in place."""
+def _pack(pairings: Vector) -> int:
+    key = 0
+    for p in reversed(pairings):
+        key = (key << _DIGIT_BITS) + p
+    return key
+
+
+def _unpack(key: int, n: int) -> Vector:
+    digits = []
+    for _ in range(n):
+        digit = ((key + _HALF_DIGIT) & _DIGIT_MASK) - _HALF_DIGIT
+        digits.append(digit)
+        key = (key - digit) >> _DIGIT_BITS
+    return tuple(digits)
+
+
+def _add_into(acc: _Parts, parts: Mapping, scale: Rational, shift: int = 0) -> None:
+    """acc += scale * q^shift * parts, in place; shift is a packed class."""
     for beta, coords in parts.items():
-        part = acc.setdefault(beta if shift is None else lattice.vadd(beta, shift), {})
+        part = acc.setdefault(beta + shift, {})
         for i, c in coords.items():
             part[i] = part.get(i, 0) + scale * c
 
@@ -146,33 +186,51 @@ def _pruned(acc: _Parts) -> _Parts:
     return {beta: coords for beta, coords in parts.items() if coords}
 
 
-def _to_class(parts: Mapping) -> QuantumClass:
-    return QuantumClass({CurveClass(beta): CohomologyClass(c) for beta, c in parts.items()})
-
-
 class _QuantumRing:
     def __init__(self, fan: Fan):
         if fano.classify(fan).tier < fano.Tier.FANO:
             raise NotFano("quantum reduction needs a Fano fan")
         self.fan = fan
-        self.pdata = fan_mod.primitive_data(fan)
+        # each primitive set with its class, packed: the rewrite's q-shift
+        self.pdata = [(pd, _pack(pd.cls.pairings)) for pd in fan_mod.primitive_data(fan)]
         self.closed: dict[Cone, _Parts] = {}
         self.giambelli_cache: dict[Cone, tuple[QuantumTerm, ...]] = {}
         self.reduce_memo: dict[Monomial, _Parts] = {}
         self.pair_cache: dict[tuple[int, int], _Parts] = {}
         self.effective_seen: set[Vector] = set()
-        self.curves_seen: set[Vector] = set()
+        self.curve_keys: dict[Vector, int] = {}
+        self.key_curves: dict[int, CurveClass] = {}
 
     def check_effective(self, beta: Vector) -> None:
         if beta not in self.effective_seen:
             fan_mod.decompose_effective(self.fan, CurveClass(beta))
             self.effective_seen.add(beta)
 
-    def check_curve(self, beta: CurveClass) -> Vector:
-        if beta.pairings not in self.curves_seen:  # fan.curve_class: NotEffective
+    def check_curve(self, beta: CurveClass) -> int:
+        """The packed key of a class entering the engine, checked once per
+        class: ValueError unless a CurveClass, fan.curve_class's NotEffective,
+        and PreconditionFailed for a pairing outside the packing range."""
+        if not isinstance(beta, CurveClass):
+            raise ValueError(f"quantum class key {beta!r} is not a CurveClass")
+        key = self.curve_keys.get(beta.pairings)
+        if key is None:
             fan_mod.curve_class(self.fan, beta.pairings)
-            self.curves_seen.add(beta.pairings)
-        return beta.pairings
+            if any(not -_PAIRING_CAP < p < _PAIRING_CAP for p in beta.pairings):
+                raise PreconditionFailed(
+                    f"curve class {beta.pairings} has a pairing of size 2^37 or more,"
+                    " outside the range of the packed q-keys"
+                )
+            key = self.curve_keys[beta.pairings] = _pack(beta.pairings)
+        return key
+
+    def to_class(self, parts: _Parts) -> QuantumClass:
+        out = {}
+        for key, coords in parts.items():
+            beta = self.key_curves.get(key)
+            if beta is None:
+                beta = self.key_curves[key] = CurveClass(_unpack(key, self.fan.n_rays))
+            out[beta] = CohomologyClass(coords)
+        return QuantumClass(out)
 
     def family_class(self, family) -> Vector:
         # the sum of the family's classes, the zero class for the empty family
@@ -217,7 +275,7 @@ class _QuantumRing:
             self.check_effective(beta)
             # the stratum of the face of sigma off beta's pairing-one rays, as its face form
             tau = tuple(i for i in sigma if beta[i] != 1)
-            _add_into(total, {beta: ring.form(tau)}, (-1) ** len(family))
+            _add_into(total, {_pack(beta): ring.form(tau)}, (-1) ** len(family))
         total = _pruned(total)
         self.closed[sigma] = total
         return total
@@ -228,9 +286,9 @@ class _QuantumRing:
             if cached is not None:
                 return cached
         support = set(mono)
-        contained = [pd for pd in self.pdata if support.issuperset(pd.set)]
+        contained = [(pd, key) for pd, key in self.pdata if support.issuperset(pd.set)]
         if contained:
-            pd = contained[0] if rng is None else rng.choice(contained)
+            pd, shift = contained[0] if rng is None else rng.choice(contained)
             rest = list(mono)
             for i in pd.set:
                 rest.remove(i)
@@ -238,9 +296,8 @@ class _QuantumRing:
                 rest.extend([j] * a)
             # a primitive class is effective by itself (Batyrev: the rhs cone
             # misses the set), so this q-shift needs no effectivity check
-            shift = pd.cls.pairings
             sub = self.reduce(tuple(sorted(rest)), rng)
-            result = {lattice.vadd(beta, shift): coords for beta, coords in sub.items()}
+            result = {beta + shift: coords for beta, coords in sub.items()}
         elif len(support) == len(mono):
             result = self.closed_form(mono)
         else:
@@ -262,7 +319,7 @@ class _QuantumRing:
         for s in self.giambelli(taus[key[0]]):
             for t in self.giambelli(taus[key[1]]):
                 red = self.reduce(tuple(sorted(s.monomial + t.monomial)), None)
-                shift = lattice.vadd(s.curve.pairings, t.curve.pairings)
+                shift = self.check_curve(s.curve) + self.check_curve(t.curve)
                 _add_into(acc, red, s.coefficient * t.coefficient, shift)
         out = _pruned(acc)
         self.pair_cache[key] = out
@@ -298,7 +355,8 @@ def divisor_product_closed_form(fan: Fan, sigma: Sequence[int]) -> QuantumClass:
     (-1)^t q^(sum of classes) times the stratum whose cone keeps the rays of
     sigma the exponent does not meet with pairing one.
     """
-    return _to_class(_qring(fan).closed_form(fan_mod._cone_key(fan, sigma)))
+    ring = _qring(fan)
+    return ring.to_class(ring.closed_form(fan_mod._cone_key(fan, sigma)))
 
 
 def reduce_monomial(
@@ -315,15 +373,18 @@ def reduce_monomial(
     ValueError and one that names no ray with IndexOutOfRange.
     """
     mono = _check_monomial(fan, monomial)
-    return _to_class(_qring(fan).reduce(mono, rng))
+    ring = _qring(fan)
+    return ring.to_class(ring.reduce(mono, rng))
 
 
 def evaluate_terms(fan: Fan, terms: Sequence[QuantumTerm]) -> QuantumClass:
     """Evaluate a q-polynomial in the divisor symbols to a quantum class.
 
     Term monomials are checked as in reduce_monomial, term curves by
-    fan.curve_class (NotEffective: a wrong length or a nonzero ray sum) and
-    term coefficients as in normal_form (ValueError unless int or Fraction).
+    fan.curve_class (ValueError unless a CurveClass, NotEffective for a wrong
+    length or a nonzero ray sum, PreconditionFailed for a pairing of size
+    2^37 or more, outside the packed q-keys) and term coefficients as in
+    normal_form (ValueError unless int or Fraction).
     """
     ring = _qring(fan)
     acc: _Parts = {}
@@ -331,7 +392,7 @@ def evaluate_terms(fan: Fan, terms: Sequence[QuantumTerm]) -> QuantumClass:
         coeff = cohomology._strict_rational(term.coefficient, "coefficient")
         red = ring.reduce(_check_monomial(fan, term.monomial), None)
         _add_into(acc, red, coeff, ring.check_curve(term.curve))
-    return _to_class(acc)
+    return ring.to_class(acc)
 
 
 Multiplicand = Union[CohomologyClass, QuantumClass]
@@ -342,23 +403,38 @@ def quantum_product(fan: Fan, a: Multiplicand, b: Multiplicand) -> QuantumClass:
 
     Basis classes are lifted through their Giambelli polynomials, the lifts
     are multiplied formally, and every monomial is rewritten to normal form.
-    Part curve classes are checked as in evaluate_terms, and every basis
-    index of a part must name a basis class (IndexOutOfRange).
+    Part curve classes are checked as in evaluate_terms (a key that is not a
+    CurveClass: ValueError), and every basis index of a part must name a
+    basis class (IndexOutOfRange).
     """
     ring, basis = _qring(fan), cohomology._ring(fan)
     qa = classical(fan, a) if isinstance(a, CohomologyClass) else a
     qb = classical(fan, b) if isinstance(b, CohomologyClass) else b
-    for beta, cls in (*qa.parts.items(), *qb.parts.items()):
-        ring.check_curve(beta)
-        basis.coords(cls)
+    left = [(ring.check_curve(beta), basis.coords(cls)) for beta, cls in qa.parts.items()]
+    right = [(ring.check_curve(beta), basis.coords(cls)) for beta, cls in qb.parts.items()]
+    entries = [(shift_b, j, cb) for shift_b, coords_b in right for j, cb in coords_b.items()]
+    # the row of a left basis index i as (parts, scale, shift): the right
+    # operand folded once per call, sum of c_b q^beta_b pair_product(i, j), or
+    # for a single right entry c q^beta b_j, pair_product(i, j) itself
+    rows: dict[int, tuple[_Parts, Rational, int]] = {}
+    for _, coords_a in left:
+        for i in coords_a:
+            if i in rows:
+                continue
+            if len(entries) == 1:
+                (shift_b, j, cb), = entries
+                rows[i] = (ring.pair_product(i, j), cb, shift_b)
+            else:
+                row: _Parts = {}
+                for shift_b, j, cb in entries:
+                    _add_into(row, ring.pair_product(i, j), cb, shift_b)
+                rows[i] = (row, 1, 0)
     acc: _Parts = {}
-    for beta_a, cls_a in qa.parts.items():
-        for beta_b, cls_b in qb.parts.items():
-            shift = lattice.vadd(beta_a.pairings, beta_b.pairings)
-            for i, ca in cls_a.coords.items():
-                for j, cb in cls_b.coords.items():
-                    _add_into(acc, ring.pair_product(i, j), ca * cb, shift)
-    return _to_class(acc)
+    for shift_a, coords_a in left:
+        for i, ca in coords_a.items():
+            row, scale, shift = rows[i]
+            _add_into(acc, row, ca * scale, shift_a + shift)
+    return ring.to_class(acc)
 
 
 def gw3(

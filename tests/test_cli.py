@@ -3,6 +3,8 @@ import io
 import json
 import os
 
+import pytest
+
 from toricqh import catalog, fan as fan_mod
 from toricqh.cli import MAX_NESTING, main
 
@@ -67,6 +69,17 @@ def test_closed_stdout_is_not_unusable_input(capsys, fans_dir):
     with open(write_end, "w") as pipe, contextlib.redirect_stdout(pipe):
         assert main(["validate", "--fan", fan_path(fans_dir, "p2.json")]) == 141
         pipe.write("the interpreter's final flush succeeds")
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["census", "--help"]])
+def test_help_on_a_closed_pipe(capsys, argv):
+    # argparse prints the help into the buffer and exits; main flushes it
+    # into the closed pipe before the interpreter's final flush would
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as pipe, contextlib.redirect_stdout(pipe):
+        assert main(argv) == 141
     assert capsys.readouterr().err == ""
 
 

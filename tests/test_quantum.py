@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -428,9 +429,98 @@ def test_curve_classes_are_checked_at_the_boundary(p2, bad):
         quantum.quantum_product(p2, part, unit)
     with pytest.raises(NotEffective):
         quantum.quantum_product(p2, unit, part)
+    # a key that is not a CurveClass is refused by name, not read as one
+    for key in (bad, (0, 0, 0)):
+        not_a_class = re.escape(f"{key!r} is not a CurveClass")
+        with pytest.raises(ValueError, match=not_a_class):
+            quantum.quantum_product(p2, QuantumClass({key: unit}), unit)
+        with pytest.raises(ValueError, match=not_a_class):
+            quantum.quantum_product(p2, unit, QuantumClass({key: unit}))
+        with pytest.raises(ValueError, match=not_a_class):
+            quantum.evaluate_terms(p2, [QuantumTerm(key, (0,), 1)])
     line = fan_mod.curve_class(p2, (1, 1, 1))
     assert quantum.evaluate_terms(p2, [QuantumTerm(line, (0,), 1)]).curves() == [line]
     assert quantum.quantum_product(p2, qc(((1, 1, 1), unit)), unit).curves() == [line]
+
+
+def test_curve_classes_outside_the_packing_range_are_refused(p2):
+    # a q-key is exact while each pairing of a class entering the engine
+    # stays below 2^37 in absolute value; a larger one is refused
+    unit, h, h2 = coho.unit_class(p2), *basis(p2)[1:]
+    huge = CurveClass((2**45,) * 3)
+    with pytest.raises(PreconditionFailed, match="2\\^37"):
+        quantum.quantum_product(p2, QuantumClass({huge: unit}), unit)
+    with pytest.raises(PreconditionFailed, match="2\\^37"):
+        quantum.evaluate_terms(p2, [QuantumTerm(huge, (0,), 1)])
+    edge = CurveClass((2**37 - 1,) * 3)
+    assert quantum.quantum_product(p2, QuantumClass({edge: unit}), unit) == QuantumClass({edge: unit})
+    # two classes at the edge and one engine class: H * H^2 = q on P^2
+    line = CurveClass((1, 1, 1))
+    both = quantum.quantum_product(p2, QuantumClass({edge: h}), QuantumClass({edge: h2}))
+    assert both == QuantumClass({edge + edge + line: unit})
+    negative = CurveClass((-(2**37 - 1),) * 3)
+    assert quantum.quantum_product(p2, QuantumClass({negative: h}), h2) == QuantumClass(
+        {negative + line: unit}
+    )
+
+
+def test_packed_keys_round_trip_at_the_digit_bounds():
+    half = 2**39
+    for pairings in [(0,), (half - 1, -half, 0, 1, -1), (-half, -half, half - 1), (7, 0, 0, -3)]:
+        assert quantum._unpack(quantum._pack(pairings), len(pairings)) == pairings
+
+
+def _reference_product(fan, a, b):
+    """a * b term by term from public calls: the sum of c_a c_b
+    q^(beta_a + beta_b) quantum_product(b_i, b_j), the shifts added by
+    CurveClass.__add__."""
+    classes, acc = basis(fan), {}
+    for beta_a, cls_a in a.parts.items():
+        for beta_b, cls_b in b.parts.items():
+            for i, ca in cls_a.coords.items():
+                for j, cb in cls_b.coords.items():
+                    pair = quantum.quantum_product(fan, classes[i], classes[j])
+                    for beta, cls in pair.parts.items():
+                        part = acc.setdefault(beta + beta_a + beta_b, {})
+                        for k, c in cls.coords.items():
+                            part[k] = part.get(k, 0) + ca * cb * c
+    return QuantumClass({beta: CohomologyClass(coords) for beta, coords in acc.items()})
+
+
+def _random_quantum_class(fan, rng):
+    """One to three parts on sums of primitive classes, each with one to
+    four basis entries whose coefficients are nonzero ints or Fractions."""
+    classes = [pd.cls for pd in fan_mod.primitive_data(fan)]
+    b = len(coho.basis_tau(fan))
+    parts = {}
+    for _ in range(rng.randint(1, 3)):
+        beta = quantum.zero_curve(fan)
+        for _ in range(rng.randint(0, 2)):
+            beta = beta + rng.choice(classes)
+        coords = {}
+        for _ in range(rng.randint(1, 4)):
+            c = rng.choice([1, -1, 2, 3, -5, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 4)])
+            coords[rng.randrange(b)] = c
+        parts[beta] = CohomologyClass(coords)
+    return QuantumClass(parts)
+
+
+def _typed(qclass):
+    return {(beta, i): type(c) for beta, cls in qclass.parts.items() for i, c in cls.coords.items()}
+
+
+def test_folded_product_matches_the_term_by_term_reference(corpus, threefolds):
+    fans = {**corpus, **threefolds}
+    for name, fan in sorted(fans.items()):
+        if fano.classify(fan).tier < fano.Tier.FULL_CLASS:
+            continue
+        rng = random.Random(name)
+        for _ in range(8):
+            a, b = _random_quantum_class(fan, rng), _random_quantum_class(fan, rng)
+            got, want = quantum.quantum_product(fan, a, b), _reference_product(fan, a, b)
+            assert got == want, (name, a, b)
+            assert _typed(got) == _typed(want), (name, a, b)
+            assert quantum.quantum_product(fan, b, a) == got, (name, a, b)
 
 
 @pytest.mark.parametrize("index", [-1, 3, 99])
