@@ -1,5 +1,9 @@
 """Command-line front end.
 
+One table, _COMMANDS, names every subcommand with its handler, help text
+and arguments; build_parser reads it, and main loads the fan of a command
+that takes --fan once, then calls handler(fan, args).
+
 All ray and divisor indices on the command line and in every rendering are
 1-based; the library itself is 0-based.  The CLI only parses and renders: it
 shifts indices by one and leaves every check to the library, which words an
@@ -30,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -138,39 +143,28 @@ def _ascii_int(text: str) -> int:
     return int(text)
 
 
-class _Tok:
-    def __init__(self, kind: str, value=None):
-        self.kind = kind
-        self.value = value
+# One token per match: a divisor, a number, or any other character that is
+# not whitespace (\S skips exactly what str.isspace calls whitespace).
+# [0-9], unlike \d, is ASCII only.
+_TOKEN = re.compile(r"D([0-9]*)|([0-9]+)|(\S)")
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/()[],":
-            out.append(_Tok(ch))
-            i += 1
-        elif ch == "D":
-            j = i + 1
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            if j == i + 1:
-                raise ExpressionError("'D' must be followed by a divisor number")
-            out.append(_Tok("D", int(text[i + 1 : j])))
-            i = j
-        elif ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            out.append(_Tok("NUM", int(text[i:j])))
-            i = j
+def _tokenize(text: str) -> list[tuple[str, Optional[int]]]:
+    """(kind, value) pairs ending in ("END", None); kind is "D", "NUM" or
+    the character of an operator or bracket."""
+    out: list[tuple[str, Optional[int]]] = []
+    for divisor, number, char in _TOKEN.findall(text):
+        if char:
+            if char not in "+-*/()[],":
+                raise ExpressionError(f"unexpected character {char!r} in expression")
+            out.append((char, None))
+        elif number:
+            out.append(("NUM", int(number)))
+        elif divisor:
+            out.append(("D", int(divisor)))
         else:
-            raise ExpressionError(f"unexpected character {ch!r} in expression")
-    out.append(_Tok("END"))
+            raise ExpressionError("'D' must be followed by a divisor number")
+    out.append(("END", None))
     return out
 
 
@@ -191,7 +185,7 @@ class _Parser:
 
     _STARTS = ("NUM", "D", "[", "(")
 
-    def __init__(self, tokens: list[_Tok], fan: Fan, mode: str):
+    def __init__(self, tokens: list[tuple[str, Optional[int]]], fan: Fan, mode: str):
         self.toks = tokens
         self.pos = 0
         self.depth = 0  # open parentheses around the current position
@@ -201,20 +195,20 @@ class _Parser:
     def stratum(self, cone: tuple[int, ...]):
         return self.embed(self.fan, cohomology.stratum_class(self.fan, cone))
 
-    def peek(self) -> _Tok:
-        return self.toks[self.pos]
+    def peek(self) -> str:
+        return self.toks[self.pos][0]
 
-    def take(self, kind: Optional[str] = None) -> _Tok:
-        tok = self.toks[self.pos]
-        if kind is not None and tok.kind != kind:
-            raise ExpressionError(f"expected {kind!r}, found {tok.kind!r}")
+    def take(self, kind: Optional[str] = None) -> Optional[int]:
+        found, value = self.toks[self.pos]
+        if kind is not None and found != kind:
+            raise ExpressionError(f"expected {kind!r}, found {found!r}")
         self.pos += 1
-        return tok
+        return value
 
     def parse(self):
         value = self.expr()
-        if self.peek().kind != "END":
-            raise ExpressionError(f"trailing {self.peek().kind!r} in expression")
+        if self.peek() != "END":
+            raise ExpressionError(f"trailing {self.peek()!r} in expression")
         return self.to_class(value)
 
     def to_class(self, value):
@@ -225,8 +219,8 @@ class _Parser:
 
     def expr(self):
         value = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take().kind
+        while (op := self.peek()) in ("+", "-"):
+            self.take()
             nxt = self.term()
             if op == "-":
                 nxt = (-nxt[0], nxt[1])
@@ -235,19 +229,14 @@ class _Parser:
 
     def term(self):
         negate = False
-        while self.peek().kind == "-":
+        while self.peek() == "-":
             self.take()
             negate = not negate
         value = self.atom()
-        while True:
-            kind = self.peek().kind
-            if kind == "*":
+        while self.peek() in ("*",) + self._STARTS:  # '*' or juxtaposition
+            if self.peek() == "*":
                 self.take()
-                value = self._mul(value, self.atom())
-            elif kind in self._STARTS:
-                value = self._mul(value, self.atom())
-            else:
-                break
+            value = self._mul(value, self.atom())
         if negate:
             value = (-value[0], value[1])
         return value
@@ -260,40 +249,37 @@ class _Parser:
         return (sa * sb, self.product(self.fan, oa, ob))
 
     def atom(self):
-        tok = self.peek()
-        if tok.kind == "NUM":
-            self.take()
-            num = Fraction(tok.value)
-            if self.peek().kind == "/":
+        kind = self.peek()
+        if kind not in self._STARTS:
+            raise ExpressionError(f"expression cannot start with {kind!r}")
+        value = self.take()
+        if kind == "NUM":
+            num = Fraction(value)
+            if self.peek() == "/":
                 self.take()
-                den = self.take("NUM").value
+                den = self.take("NUM")
                 if den == 0:
                     raise ExpressionError("division by zero")
                 num = num / den
             return (num, None)
-        if tok.kind == "D":
-            self.take()
-            return (Fraction(1), self.stratum((tok.value - 1,)))
-        if tok.kind == "[":
-            self.take()
+        if kind == "D":
+            return (Fraction(1), self.stratum((value - 1,)))
+        if kind == "[":
             idx = []
-            if self.peek().kind != "]":
-                idx.append(self.take("NUM").value)
-                while self.peek().kind == ",":
+            if self.peek() != "]":
+                idx.append(self.take("NUM"))
+                while self.peek() == ",":
                     self.take()
-                    idx.append(self.take("NUM").value)
+                    idx.append(self.take("NUM"))
             self.take("]")
             return (Fraction(1), self.stratum(tuple(k - 1 for k in idx)))
-        if tok.kind == "(":
-            self.take()
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ExpressionError(f"parentheses nest deeper than {MAX_NESTING}")
-            value = self.expr()
-            self.take(")")
-            self.depth -= 1
-            return value
-        raise ExpressionError(f"expression cannot start with {tok.kind!r}")
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExpressionError(f"parentheses nest deeper than {MAX_NESTING}")
+        value = self.expr()
+        self.take(")")
+        self.depth -= 1
+        return value
 
 
 def parse_expression(fan: Fan, text: str, mode: str):
@@ -315,20 +301,7 @@ def _parse_index_list(text: str) -> list[int]:
         raise ExpressionError(f"bad index list {text!r}") from None
 
 
-def _cone_arg(text: str) -> tuple[int, ...]:
-    return tuple(sorted(v - 1 for v in _parse_index_list(text)))
-
-
-def _beta_arg(fan: Fan, text: str) -> CurveClass:
-    vals = _parse_index_list(text)
-    return fan_mod.curve_class(fan, vals)
-
-
 # ---------------------------------------------------------------- commands
-
-
-def _load(args) -> Fan:
-    return fan_mod.load_fan(args.fan)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -338,8 +311,7 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def cmd_validate(args) -> int:
-    fan = _load(args)
+def cmd_validate(fan: Fan, args) -> int:
     report = fan_mod.validate(fan)
     lines = ["accepted" if report.accepted else "rejected"]
     lines += [f"  - {p}" for p in report.problems]
@@ -347,8 +319,7 @@ def cmd_validate(args) -> int:
     return 0 if report.accepted else 3
 
 
-def cmd_classify(args) -> int:
-    fan = _load(args)
+def cmd_classify(fan: Fan, args) -> int:
     result = fano.classify(fan)
     lines = [f"tier: {result.tier.render()}"]
     rows = []
@@ -382,8 +353,7 @@ def _relation_text(pd) -> str:
     return f"{lhs} = q^{_curve_text(pd.cls)}" + (f" * {rhs}" if rhs != "1" else "")
 
 
-def cmd_primitive(args) -> int:
-    fan = _load(args)
+def cmd_primitive(fan: Fan, args) -> int:
     data = fan_mod.primitive_data(fan)
     lines = []
     rows = []
@@ -404,8 +374,7 @@ def cmd_primitive(args) -> int:
     return 0
 
 
-def cmd_present(args) -> int:
-    fan = _load(args)
+def cmd_present(fan: Fan, args) -> int:
     pres = quantum.presentation(fan)
     lines = [f"generators: {pres.n_generators}"]
     for row in pres.linear:
@@ -429,9 +398,8 @@ def cmd_present(args) -> int:
     return 0
 
 
-def cmd_giambelli(args) -> int:
-    fan = _load(args)
-    sigma = _cone_arg(args.cone)
+def cmd_giambelli(fan: Fan, args) -> int:
+    sigma = tuple(sorted(v - 1 for v in _parse_index_list(args.cone)))
     terms = quantum.giambelli(fan, sigma)
     lines = []
     rows = []
@@ -452,8 +420,7 @@ def cmd_giambelli(args) -> int:
     return 0
 
 
-def cmd_multiply(args) -> int:
-    fan = _load(args)
+def cmd_multiply(fan: Fan, args) -> int:
     left = parse_expression(fan, args.left, "quantum")
     right = parse_expression(fan, args.right, "quantum")
     result = quantum.quantum_product(fan, left, right)
@@ -461,22 +428,18 @@ def cmd_multiply(args) -> int:
     return 0
 
 
-def cmd_gw(args) -> int:
-    fan = _load(args)
+def cmd_gw(fan: Fan, args) -> int:
     a = parse_expression(fan, args.a, "classical")
     b = parse_expression(fan, args.b, "classical")
     c = parse_expression(fan, args.c, "classical")
-    beta = _beta_arg(fan, args.beta)
+    beta = fan_mod.curve_class(fan, _parse_index_list(args.beta))
     value = quantum.gw3(fan, a, b, c, beta)
     _emit(args, {"value": str(value)}, str(value))
     return 0
 
 
-def cmd_tower(args) -> int:
-    fan = _load(args)
-    order = None
-    if args.order is not None:
-        order = [v - 1 for v in _parse_index_list(args.order)]
+def cmd_tower(fan: Fan, args) -> int:
+    order = None if args.order is None else [v - 1 for v in _parse_index_list(args.order)]
     stages = fano.blow_down_tower(fan, order)
     lines = []
     rows = []
@@ -496,9 +459,8 @@ def cmd_tower(args) -> int:
     return 0
 
 
-def cmd_tree(args) -> int:
-    fan = _load(args)
-    beta = _beta_arg(fan, args.beta)
+def cmd_tree(fan: Fan, args) -> int:
+    beta = fan_mod.curve_class(fan, _parse_index_list(args.beta))
     trees = curves.tree_for_class(fan, beta)
     lines = [f"class {_curve_text(beta)} degree {beta.degree}"]
     rows = []
@@ -525,7 +487,7 @@ def cmd_tree(args) -> int:
     return 0
 
 
-def cmd_census(args) -> int:
+def cmd_census(_fan: None, args) -> int:
     reps = catalog.census(args.dim, args.max_rays)
     lines = [f"{len(reps)} equivalence classes"]
     rows = []
@@ -544,61 +506,44 @@ def cmd_census(args) -> int:
 # ---------------------------------------------------------------- wiring
 
 
+_FAN_ARGS = (
+    ("--fan", {"required": True, "help": "path to a fan JSON file"}),
+    ("--json", {"action": "store_true", "help": "machine-readable output"}),
+)
+_BETA = ("beta", {"help": "curve class as pairings 'b1,...,bm'"})
+
+# name -> (handler, help, arguments); main loads the fan of every command
+# that takes --fan and calls handler(fan, args), with fan None otherwise
+_COMMANDS = {
+    "validate": (cmd_validate, "check that a fan file is accepted", _FAN_ARGS),
+    "classify": (cmd_classify, "certify the tier of the fan", _FAN_ARGS),
+    "primitive": (cmd_primitive, "list primitive sets, relations, and classes", _FAN_ARGS),
+    "present": (cmd_present, "print the quantum ring presentation", _FAN_ARGS),
+    "giambelli": (cmd_giambelli, "q-polynomial lift of a stratum class",
+                  _FAN_ARGS + (("cone", {"help": "cone as 1-based ray list, e.g. '1,4'"}),)),
+    "multiply": (cmd_multiply, "quantum product of two class expressions",
+                 _FAN_ARGS + (("left", {}), ("right", {}))),
+    "gw": (cmd_gw, "three-point invariant of a curve class",
+           _FAN_ARGS + (("a", {}), ("b", {}), ("c", {}), _BETA)),
+    "tower": (cmd_tower, "blow down repeatedly and report every stage",
+              _FAN_ARGS + (("--order", {"help": "1-based ray indices to contract, e.g. '4,5,6'"}),)),
+    "tree": (cmd_tree, "curve-tree realization of a curve class", _FAN_ARGS + (_BETA,)),
+    "census": (cmd_census, "enumerate full-class surfaces up to equivalence",
+               (("dim", {"type": _ascii_int}), ("max_rays", {"type": _ascii_int}),
+                ("--json", {"action": "store_true"}))),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="toricqh",
         description="Exact quantum cohomology of well-behaved toric varieties.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def fan_command(name: str, helptext: str):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--fan", required=True, help="path to a fan JSON file")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        return p
-
-    p = fan_command("validate", "check that a fan file is accepted")
-    p.set_defaults(func=cmd_validate)
-
-    p = fan_command("classify", "certify the tier of the fan")
-    p.set_defaults(func=cmd_classify)
-
-    p = fan_command("primitive", "list primitive sets, relations, and classes")
-    p.set_defaults(func=cmd_primitive)
-
-    p = fan_command("present", "print the quantum ring presentation")
-    p.set_defaults(func=cmd_present)
-
-    p = fan_command("giambelli", "q-polynomial lift of a stratum class")
-    p.add_argument("cone", help="cone as 1-based ray list, e.g. '1,4'")
-    p.set_defaults(func=cmd_giambelli)
-
-    p = fan_command("multiply", "quantum product of two class expressions")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=cmd_multiply)
-
-    p = fan_command("gw", "three-point invariant of a curve class")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("c")
-    p.add_argument("beta", help="curve class as pairings 'b1,...,bm'")
-    p.set_defaults(func=cmd_gw)
-
-    p = fan_command("tower", "blow down repeatedly and report every stage")
-    p.add_argument("--order", help="1-based ray indices to contract, e.g. '4,5,6'")
-    p.set_defaults(func=cmd_tower)
-
-    p = fan_command("tree", "curve-tree realization of a curve class")
-    p.add_argument("beta", help="curve class as pairings 'b1,...,bm'")
-    p.set_defaults(func=cmd_tree)
-
-    p = sub.add_parser("census", help="enumerate full-class surfaces up to equivalence")
-    p.add_argument("dim", type=_ascii_int)
-    p.add_argument("max_rays", type=_ascii_int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_census)
-
+    for name, (_, helptext, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=helptext)
+        for flag, options in arguments:
+            command.add_argument(flag, **options)
     return parser
 
 
@@ -619,7 +564,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except SystemExit as exc:  # --help, or unusable arguments
             code = int(exc.code or 0)
         else:
-            code = args.func(args)
+            fan = fan_mod.load_fan(args.fan) if "fan" in vars(args) else None
+            code = _COMMANDS[args.command][0](fan, args)
         sys.stdout.flush()  # output that fit in the buffer meets a closed pipe here
         return code
     except BrokenPipeError:
