@@ -233,8 +233,8 @@ class _Parser:
             self.take()
             negate = not negate
         value = self.atom()
-        while self.peek() in ("*",) + self._STARTS:  # '*' or juxtaposition
-            if self.peek() == "*":
+        while (kind := self.peek()) == "*" or kind in self._STARTS:  # or juxtaposition
+            if kind == "*":
                 self.take()
             value = self._mul(value, self.atom())
         if negate:
@@ -512,8 +512,8 @@ _FAN_ARGS = (
 )
 _BETA = ("beta", {"help": "curve class as pairings 'b1,...,bm'"})
 
-# name -> (handler, help, arguments); main loads the fan of every command
-# that takes --fan and calls handler(fan, args), with fan None otherwise
+# name -> (handler, help, (flag, add_argument options) pairs); a handler
+# gets fan None when its command takes no --fan
 _COMMANDS = {
     "validate": (cmd_validate, "check that a fan file is accepted", _FAN_ARGS),
     "classify": (cmd_classify, "certify the tier of the fan", _FAN_ARGS),

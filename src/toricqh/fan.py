@@ -4,12 +4,14 @@ A fan is held as the lattice dimension, the ray generator list, and the
 maximal cones as sorted index tuples (0-based internally; the JSON format
 and all CLI output are 1-based).  Validation returns a report instead of
 raising so rejected inputs can be inspected; everything downstream insists
-on an accepted fan.  Validation also builds the face index, which answers
-every cone question: each cone, by dimension then lexicographically, mapped
-to the maximal cones containing it in fan.max_cones order.  _ray_indices is
-the one check of a caller's ray or divisor indices, and _cone_key, built on
-it, the one check that turns a caller's cone argument into its sorted key;
-both word an index out of range 1-based.
+on an accepted fan.  Validation also inverts every maximal cone, and the
+inverses answer every coordinate question (cone_inverse).  It builds the
+face index too, which answers every cone question: each cone, by dimension
+then lexicographically, mapped to the maximal cones containing it in
+fan.max_cones order.  _ray_indices is the one check of a caller's ray or
+divisor indices, and _cone_key, built on it, the one check that turns a
+caller's cone argument into its sorted key; both word an index out of
+range 1-based.
 
 Whatever is computed once per fan, here or in a module built on this one,
 is a function of the fan decorated with per_fan: its value is memoized in
@@ -216,25 +218,45 @@ def validate(fan: Fan) -> ValidationReport:
     """Check that the data describes a complete nonsingular simplicial fan.
 
     Nonsingularity is the unimodularity of every maximal cone, checked by
-    inverting it over Z once into the cone_inverse cache (a determinant only
-    words the problem of a cone that fails); completeness is certified
-    combinatorially on the face index: every facet of a maximal cone must
-    lie in exactly two maximal cones and the facet-adjacency graph must be
-    connected.
+    inverting it over Z once; the inverses are kept for cone_inverse (a
+    determinant only words the problem of a cone that fails).  That the
+    cones cover the space without overlapping is certified on the face
+    index by three conditions:
+
+    (1) every facet of a maximal cone lies in exactly two maximal cones;
+    (2) every wall separates its two cones: the ray of one cone opposite the
+        wall has coordinate -1 at the opposite ray of the other, a row of
+        the cone inverse.  Both cones are unimodular, so the coordinate is
+        +1 or -1, and +1 puts both cones on one side of the wall;
+    (3) the ray sum of the first maximal cone, inside it, has a negative
+        coordinate in every other maximal cone, so it lies in no other one.
+
+    Why they suffice: for a point on no wall, count the maximal cones whose
+    interior holds it.  Any two such points are joined by a path that misses
+    every cone of codimension 2 or more and crosses the walls where no two
+    wall hyperplanes meet, since sets of codimension 2 do not disconnect.
+    Where the path crosses a wall hyperplane, each cone that ends there ends
+    on a facet, which by (1) and (2) is a wall with one cone on each side:
+    as many cones end as begin, and the count is constant.  By (3) it is 1
+    near the ray sum, so it is 1 everywhere: the cones cover the space and
+    their interiors are disjoint.  The facet graph needs no walk: the cones
+    of each of its components would satisfy (1) and (2) alone and cover the
+    space, so a second component would cover the ray sum again, against (3).
     """
     return _validated(fan)[0]
 
 
 @per_fan
-def _validated(fan: Fan) -> tuple[ValidationReport, Optional[dict[Cone, list[Cone]]]]:
-    """The validation report, with the face index once the fan is accepted."""
+def _validated(fan: Fan) -> tuple[ValidationReport, Optional[dict], Optional[dict]]:
+    """The validation report, with the face index and the cone inverses
+    (maximal cone -> cone_inverse) once the fan is accepted, else None."""
     problems: list[str] = []
     n, m = fan.dim, fan.n_rays
 
     if n == 0:
         if fan.rays == () and fan.max_cones == ((),):
-            return ValidationReport(True, ()), {(): [()]}
-        return ValidationReport(False, ("a 0-dimensional fan must be empty",)), None
+            return ValidationReport(True, ()), {(): [()]}, {(): ()}
+        return ValidationReport(False, ("a 0-dimensional fan must be empty",)), None, None
 
     for i, ray in enumerate(fan.rays):
         if len(ray) != n:
@@ -252,7 +274,7 @@ def _validated(fan: Fan) -> tuple[ValidationReport, Optional[dict[Cone, list[Con
         problems.append("maximal cones are not distinct")
 
     structurally_ok = not problems
-    index = None
+    index = inverses = None
     for cone in fan.max_cones:
         if len(cone) != n or len(set(cone)) != n:
             problems.append(f"cone {_one_based(cone)} does not have {n} distinct generators")
@@ -263,12 +285,13 @@ def _validated(fan: Fan) -> tuple[ValidationReport, Optional[dict[Cone, list[Con
             structurally_ok = False
 
     if structurally_ok:
+        inverses = {}
         for cone in fan.max_cones:
+            mat = lattice.mat_from_columns(cone_generators(fan, cone))
             try:
-                cone_inverse(fan, cone)
+                inverses[cone] = tuple(tuple(row) for row in lattice.integer_inverse(mat))
             except NonUnimodular:
-                det = lattice.determinant(lattice.mat_from_columns(cone_generators(fan, cone)))
-                problems.append(f"cone {_one_based(cone)} has determinant {det}")
+                problems.append(f"cone {_one_based(cone)} has determinant {lattice.determinant(mat)}")
 
         above: dict[Cone, list[Cone]] = {}
         for cone in fan.max_cones:
@@ -285,17 +308,26 @@ def _validated(fan: Fan) -> tuple[ValidationReport, Optional[dict[Cone, list[Con
                     f"facet {_one_based(facet)} lies in {len(owners)} maximal cones, expected 2"
                 )
         if not problems:
-            seen = {fan.max_cones[0]}
-            queue = [fan.max_cones[0]]
-            while queue:
-                for facet in combinations(queue.pop(), n - 1):
-                    for other in index[facet]:
-                        if other not in seen:
-                            seen.add(other)
-                            queue.append(other)
-            if len(seen) != len(fan.max_cones):
-                problems.append("facet-adjacency graph is disconnected")
-    return ValidationReport(not problems, tuple(problems)), None if problems else index
+            for facet, owners in index.items():
+                if len(facet) == n - 1:
+                    first, second = owners
+                    # each cone is the facet and one ray more
+                    mine, theirs = sum(first) - sum(facet), sum(second) - sum(facet)
+                    row = inverses[first][first.index(mine)]
+                    if lattice.dot(row, fan.rays[theirs]) != -1:
+                        problems.append(
+                            f"maximal cones {_one_based(first)} and {_one_based(second)}"
+                            f" lie on one side of their facet {_one_based(facet)}"
+                        )
+        if not problems:
+            first = fan.max_cones[0]
+            inside = tuple(map(sum, zip(*cone_generators(fan, first))))
+            for cone in fan.max_cones[1:]:
+                if all(lattice.dot(row, inside) >= 0 for row in inverses[cone]):
+                    problems.append(f"maximal cones {_one_based(first)} and {_one_based(cone)} overlap")
+    if problems:
+        return ValidationReport(False, tuple(problems)), None, None
+    return ValidationReport(True, ()), index, inverses
 
 
 def _one_based(cone: Iterable[int]) -> tuple[int, ...]:
@@ -309,7 +341,7 @@ def require_accepted(fan: Fan) -> None:
 def _face_index(fan: Fan) -> dict[Cone, list[Cone]]:
     """The face index of an accepted fan (module docstring); read only.
     FanNotAccepted, carrying the report, for a rejected fan."""
-    report, index = _validated(fan)
+    report, index, _ = _validated(fan)
     if index is None:
         raise FanNotAccepted(report)
     return index
@@ -359,26 +391,21 @@ def cone_generators(fan: Fan, cone: Sequence[int]) -> list[Vector]:
 
 
 def cone_inverse(fan: Fan, max_cone: Cone) -> tuple[Vector, ...]:
-    """Inverse of the generator matrix of a maximal cone, cached per fan.
+    """Inverse of the generator matrix of a maximal cone of an accepted fan.
 
-    The one route to coordinates in a cone; validation fills it.  Row k is
-    the dual functional of the cone's k-th generator: it takes the value 1
-    on that ray and 0 on the cone's other rays.  Keys are sorted index
-    tuples, as in fan.max_cones.
+    The one route to coordinates in a cone; validation computes it.  Row k
+    is the dual functional of the cone's k-th generator: it takes the value
+    1 on that ray and 0 on the cone's other rays.  max_cone is a sorted
+    index tuple, as in fan.max_cones, else NotACone.  FanNotAccepted for a
+    rejected fan.
     """
-    inverses = _cone_inverses(fan)
-    inv = inverses.get(max_cone)
-    if inv is None:
-        mat = lattice.mat_from_columns(cone_generators(fan, max_cone))
-        inv = tuple(tuple(row) for row in lattice.integer_inverse(mat))
-        inverses[max_cone] = inv
-    return inv
-
-
-@per_fan
-def _cone_inverses(fan: Fan) -> dict[Cone, tuple[Vector, ...]]:
-    """The cone_inverse cache of a fan: maximal cone -> inverse, filled by cone_inverse."""
-    return {}
+    report, _, inverses = _validated(fan)
+    if inverses is None:
+        raise FanNotAccepted(report)
+    inverse = inverses.get(max_cone)
+    if inverse is None:
+        raise NotACone(f"{_one_based(max_cone)} is not a maximal cone as a sorted index tuple")
+    return inverse
 
 
 def coords_in_basis(fan: Fan, max_cone: Cone, v: Sequence[int]) -> tuple[int, ...]:

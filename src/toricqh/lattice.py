@@ -7,12 +7,20 @@ dense elimination (Bareiss) behind the rank, inverse and determinant (no
 solve: fan.cone_inverse answers coordinate questions, quotient maps
 included), and the sparse ring-build echelon, whose back substitution
 divides exactly or raises RingInconsistent.  Nothing here is rational.
+
+Why two kernels: the echelon could also invert (the rows [M | -I], then
+back substitution), and is exact, but it is slower on the small dense
+cones of GL(n,Z) images.  Measured with Python 3.11 on a shared 2-vCPU
+Xeon, one inverse of a moved P^n cone took 13, 20 and 23 us at 2x2, 3x3
+and 4x4 against 8, 16 and 23 us here, and the fan_zoo benchmark's median
+query rose from 0.235 to 0.261 ms.  Only sparse product cones gain: the 81
+inverses of (P^2)^4 take 2.9 ms through the echelon against 8.9 ms.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from operator import add
+from operator import add, mul
 from typing import Hashable, Mapping, Sequence
 
 from .errors import NonUnimodular, RingInconsistent
@@ -23,7 +31,7 @@ Vector = tuple[int, ...]
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise ValueError("length mismatch in pairing")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vadd(u: Sequence[int], v: Sequence[int]) -> Vector:

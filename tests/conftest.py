@@ -67,6 +67,23 @@ def bundle3():
     return catalog.twisted_bundle_threefold()
 
 
+@pytest.fixture(scope="session")
+def not_fans():
+    """Cone sets that are no fans although every facet lies in two of their
+    unimodular cones and the facet graph is connected: the first winds twice
+    around the origin, the second folds back over the rays (0,1) and (1,1)."""
+    return {
+        "double winding": Fan(
+            2,
+            ((1, 0), (-1, 1), (-1, 0), (1, -1), (0, 1), (-1, -1), (0, -1)),
+            tuple((i, (i + 1) % 7) for i in range(7)),
+        ),
+        "fold": Fan(
+            2, ((1, 0), (0, 1), (1, 1), (-1, 0), (0, -1)), ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
+        ),
+    }
+
+
 def _gl_image(fan, rng):
     """The fan moved by a seeded unimodular matrix: a signed permutation
     times three transvections with entries +-1; ray labels are kept."""

@@ -36,6 +36,16 @@ def test_validate_rejects(capsys, tmp_path):
     assert "expected 2" in out
 
 
+@pytest.mark.parametrize("name", ["double winding", "fold"])
+def test_validate_rejects_overlapping_cones(capsys, tmp_path, not_fans, name):
+    path = tmp_path / "overlap.json"
+    path.write_text(fan_mod.fan_to_json(not_fans[name]))
+    report = "".join(f"  - {p}\n" for p in fan_mod.validate(not_fans[name]).problems)
+    assert run(capsys, "validate", "--fan", str(path)) == (3, "rejected\n" + report, "")
+    code, out, err = run(capsys, "primitive", "--fan", str(path))
+    assert code == 3 and out == "" and err.startswith("error: fan rejected: maximal cones (1, 2)")
+
+
 def test_validate_json_flag(capsys, fans_dir):
     code, out, _ = run(capsys, "validate", "--json", "--fan", fan_path(fans_dir, "p2.json"))
     assert code == 0

@@ -54,6 +54,7 @@ FAN_COMMANDS = (
     ("multiply", "[1,", "D1"),
     ("multiply", "D", "D1"),
     ("multiply", "D\u0663", "D1"),
+    # index lists may be written as a cone or a tuple
     ("giambelli", "{1,4}"),
     ("giambelli", "(1,4)"),
 )

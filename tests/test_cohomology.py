@@ -345,7 +345,7 @@ _TAMPERED_SHELLING = textwrap.dedent(
     """
     import dataclasses, sys
     from toricqh import catalog, clear_caches, cli, cohomology
-    from toricqh.errors import NonUnimodular, RingInconsistent
+    from toricqh.errors import FanNotAccepted, RingInconsistent
     from toricqh.fan import Fan
 
     fan = catalog.blowup_p2_one()
@@ -374,7 +374,7 @@ _TAMPERED_SHELLING = textwrap.dedent(
     code = cli.main(["multiply", "--fan", sys.argv[1], "D1", "D2"])
     print("exit", code)
 
-    # a vector that ties the cone pairings, and a cone with no integral functional
+    # a vector that ties the cone pairings, and a cone of a rejected fan
     cohomology._lex_vector = lambda base, bound: (0,) * len(base)
     try:
         compute_shelling(catalog.product_p1p1())
@@ -385,7 +385,7 @@ _TAMPERED_SHELLING = textwrap.dedent(
     half = Fan(2, ((2, 0), (0, 1)), ((0, 1),))
     try:
         cohomology._cone_point_functional(half, (0, 1))
-    except NonUnimodular as exc:
+    except FanNotAccepted as exc:
         print("functional raised:", exc)
     else:
         sys.exit("functional: not detected")

@@ -169,11 +169,48 @@ def test_validate_reports_unused_ray_and_disconnected_fan():
     p2_cones = ((0, 1), (1, 2), (0, 2))
     unused = Fan(2, p2_rays + ((1, 1),), p2_cones)
     assert fan_mod.validate(unused).problems == ("ray 4 lies in no maximal cone",)
-    # two complete fans on disjoint rays: every facet lies in two cones
+    # two complete fans on disjoint rays: every facet lies in two cones, and
+    # the ray sum (1, 1) of the first cone is ray 6 of the second fan
     twice = Fan(2, p2_rays + ((-1, 0), (0, -1), (1, 1)), p2_cones + ((3, 4), (4, 5), (3, 5)))
-    assert fan_mod.validate(twice).problems == ("facet-adjacency graph is disconnected",)
+    assert fan_mod.validate(twice).problems == (
+        "maximal cones (1, 2) and (4, 6) overlap",
+        "maximal cones (1, 2) and (5, 6) overlap",
+    )
     with pytest.raises(FanNotAccepted):
         fan_mod.faces(twice)
+
+
+def test_validate_rejects_overlapping_cones(not_fans):
+    assert fan_mod.validate(not_fans["double winding"]).problems == (
+        "maximal cones (1, 2) and (4, 5) overlap",
+        "maximal cones (1, 2) and (5, 6) overlap",
+    )
+    assert fan_mod.validate(not_fans["fold"]).problems == (
+        "maximal cones (1, 2) and (2, 3) lie on one side of their facet (2,)",
+        "maximal cones (2, 3) and (3, 4) lie on one side of their facet (3,)",
+    )
+    for fan in not_fans.values():
+        with pytest.raises(FanNotAccepted):
+            fan_mod.primitive_data(fan)
+        with pytest.raises(FanNotAccepted):
+            fan_mod.cone_inverse(fan, fan.max_cones[0])
+
+
+def test_cone_inverse_takes_only_maximal_cones(p2):
+    assert fan_mod.cone_inverse(p2, (0, 1)) == ((1, 0), (0, 1))
+    for cone in ((1, 0), (0,), (0, 1, 2)):
+        with pytest.raises(NotACone, match="is not a maximal cone"):
+            fan_mod.cone_inverse(p2, cone)
+
+
+def test_validate_words_malformed_shapes():
+    assert fan_mod.validate(Fan(2, P2_RAYS[:2] + ((-1, -1, 0),), P2_CONES)).problems == (
+        "ray 3 has length 3, expected 2",
+    )
+    assert fan_mod.validate(Fan(2, P2_RAYS, ())).problems == ("no maximal cones",)
+    assert fan_mod.validate(Fan(2, P2_RAYS, P2_CONES + ((1, 0),))).problems == (
+        "maximal cones are not distinct",
+    )
 
 
 def _index_fans(corpus, f2, p3, bundle3, gl_image):
@@ -263,7 +300,7 @@ def test_equal_fans_share_one_context(bl3p2):
     again = Fan.from_json_dict(json.loads(json.dumps(bl3p2.to_json_dict())))
     assert again is not bl3p2 and again == bl3p2 and hash(again) == hash(bl3p2)
     assert quantum._qring(again) is quantum._qring(bl3p2)
-    assert fan_mod._cone_inverses(again) is fan_mod._cone_inverses(bl3p2)
+    assert fan_mod._validated(again)[2] is fan_mod._validated(bl3p2)[2]
     shuffled = Fan(bl3p2.dim, bl3p2.rays, tuple(reversed(bl3p2.max_cones)))
     assert shuffled == bl3p2 and hash(shuffled) == hash(bl3p2)
     assert Fan(2, bl3p2.rays[::-1], bl3p2.max_cones) != bl3p2
