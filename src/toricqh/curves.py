@@ -43,7 +43,7 @@ def signed_distance(fan: Fan, mu: Cone, rho_index: int) -> int:
 
 
 def _check_max_cone(fan: Fan, mu: Cone) -> Cone:
-    # the sorted tuple is the canonical key of the cone_inverse cache
+    # cone_inverse takes a maximal cone as its sorted tuple
     key = fan_mod._cone_key(fan, mu)
     if len(key) != fan.dim:
         raise NotACone(f"{tuple(i + 1 for i in key)} is not a maximal cone")

@@ -57,7 +57,7 @@ def test_entry_points_refuse_non_int_indices(bl3p2, p3, bad):
 
 def test_cones_are_canonicalized(bl3p2):
     # any order and any sequence type name the same cone, and the
-    # cone_inverse cache is keyed only by the sorted tuples of max_cones
+    # cone inverses are keyed only by the sorted tuples of max_cones
     assert curves.signed_distance(bl3p2, [3, 0], 2) == curves.signed_distance(bl3p2, (0, 3), 2)
     assert curves.min_tree(bl3p2, [3, 0], 2) == curves.min_tree(bl3p2, (0, 3), 2)
     assert curves.min_tree(bl3p2, (3, 0), 2).root == (0, 3)
