@@ -1,7 +1,8 @@
 """Byte-identity of the CLI on the shipped fans.
 
-tests/golden/cli.json holds the stdout and exit code of a fixed set of
-commands on every fans/*.json, plus a surface census.  A change that alters
+tests/golden/cli.json holds the stdout, stderr and exit code of a fixed set
+of commands on every fans/*.json, plus a surface census.  All of them run in
+one process, so they also pin that main gives the same answer on every call.  A change that alters
 any of them on purpose regenerates the file in the same change and says
 why:
 
@@ -17,9 +18,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import random
 import sys
+from unittest import mock
 
 import pytest
 
@@ -47,6 +50,8 @@ FAN_COMMANDS = (
     # strata; a parse failure exits 2 with nothing on stdout
     ("multiply", "1/2*D1", "2/2*D1"),
     ("multiply", "--", "-D1", "--D1"),
+    # without "--" argparse reads -D1 as an option: a usage error, exit 2
+    ("multiply", "-D1", "D2"),
     ("multiply", "D1 D2", "((D1+[1]) * []) + 2*(D2) - [1,2]"),
     ("gw", "1/2*D1", "2/2*D2", "--", "-(D1 - D2)+[]", "{zero}"),
     ("multiply", "1/0", "D1"),
@@ -76,10 +81,12 @@ def cases() -> list[tuple[str, ...]]:
 def run(argv: tuple[str, ...]) -> dict:
     # fan paths are relative to the repository root
     argv = tuple(str(ROOT / a) if a.startswith("fans/") else a for a in argv)
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    # argparse wraps its usage lines to the terminal width
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         code = main(list(argv))
-    return {"exit": code, "stdout": stdout.getvalue()}
+    return {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
 
 
 @pytest.fixture(scope="module")
