@@ -2,7 +2,8 @@
 
 One table, _COMMANDS, names every subcommand with its handler, help text
 and arguments; build_parser reads it, and main loads the fan of a command
-that takes --fan once, then calls handler(fan, args).
+that takes --fan once, then calls handler(fan, args).  main builds the
+parser on its first call and reuses it for the rest of the process.
 
 All ray and divisor indices on the command line and in every rendering are
 1-based; the library itself is 0-based.  The CLI only parses and renders: it
@@ -32,6 +33,7 @@ search that ran out of its node budget), 141 stdout closed by its reader
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -547,6 +549,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls, so one parser serves them all
+    return build_parser()
+
+
 _EXITS: tuple[tuple[tuple, int], ...] = (
     ((ExpressionError, NotACone, IndexOutOfRange, ValueError, OSError), 2),
     ((FanNotAccepted, LocateFailure, RingInconsistent), 3),
@@ -556,11 +564,10 @@ _EXITS: tuple[tuple[tuple, int], ...] = (
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     args = None
     try:
         try:
-            args = parser.parse_args(argv)
+            args = _parser().parse_args(argv)
         except SystemExit as exc:  # --help, or unusable arguments
             code = int(exc.code or 0)
         else:

@@ -44,11 +44,12 @@ Vector = tuple[int, ...]
 Cone = tuple[int, ...]
 T = TypeVar("T")
 
-# States the effectivity search may visit, and subtractions its greedy loop
-# may take, before it gives up.  The hardest non-effective class
+# States the effectivity search may visit, and batches its greedy loop may
+# subtract, before it gives up.  The hardest non-effective class
 # a*beta_i - beta_j (a <= 3) on bl3p2, bl2xp1 and bl3xp1 takes under 700
-# states; 100k states take about 0.3 s on a six-ray surface, and 100k greedy
-# steps about 0.4 s on P^2.
+# states; 100k states take about 0.3 s on a six-ray surface.  A batch takes
+# one primitive class as many times in a row as it would be chosen, so any
+# multiple of one class is a single batch.
 SEARCH_NODE_BUDGET = 100_000
 
 
@@ -509,6 +510,10 @@ def decompose_effective(fan: Fan, beta: CurveClass) -> tuple[tuple[PrimitiveData
 
     When the divisors beta meets negatively span a cone, the greedy
     subtraction is guaranteed to succeed exactly when beta is effective.
+    It subtracts the first primitive class whose set lies in the positive
+    support, in batches: each batch takes that class as many times in a
+    row as one subtraction per step would, so the result is the same and
+    any multiple of one primitive class costs one batch.
     Otherwise a depth-first search picks the multiplicity of each primitive
     class in turn, smallest first; on Fano fans the positive degrees of
     primitive classes bound it sharply, and on other fans classes of degree
@@ -524,7 +529,7 @@ def decompose_effective(fan: Fan, beta: CurveClass) -> tuple[tuple[PrimitiveData
 
     The search keeps its open states on an explicit stack, so its depth, one
     level per primitive class, is not bounded by the recursion limit.  The
-    greedy loop takes at most SEARCH_NODE_BUDGET subtractions and the
+    greedy loop takes at most SEARCH_NODE_BUDGET batches and the
     search visits at most as many states; past that either raises
     SearchBudgetExceeded, which proves nothing about beta, so it is not a
     NotEffective.
@@ -547,14 +552,26 @@ def decompose_effective(fan: Fan, beta: CurveClass) -> tuple[tuple[PrimitiveData
                 )
             positives = {i for i, b in enumerate(current) if b > 0}
             chosen = None
-            for pd in pdata:
+            for at, pd in enumerate(pdata):
                 if set(pd.set).issubset(positives):
                     chosen = pd
                     break
             if chosen is None:
                 raise NotEffective("no primitive set lies in the positive support")
-            counts[chosen.set] = counts.get(chosen.set, 0) + 1
-            current = [x - y for x, y in zip(current, chosen.cls.pairings)]
+            # Subtract the class k times at once, k the number of times in a
+            # row it would be the first eligible class.  It pairs to 1 with
+            # the divisors of its set, so it stays eligible while they stay
+            # positive, and negatively with its rhs rays, whose entries grow:
+            # an earlier class turns eligible after the subtraction that
+            # lifts the last entry it lacks past 0, -x // -p + 1 for entry x.
+            p = chosen.cls.pairings
+            k = min(current[i] for i in chosen.set)
+            for pd in pdata[:at]:
+                if all(current[i] > 0 or p[i] < 0 for i in pd.set):
+                    lift = max(-current[i] // -p[i] + 1 for i in pd.set if current[i] <= 0)
+                    k = min(k, lift)
+            counts[chosen.set] = counts.get(chosen.set, 0) + k
+            current = [x - k * y for x, y in zip(current, p)]
         by_set = {pd.set: pd for pd in pdata}
         return tuple((by_set[s], c) for s, c in sorted(counts.items()))
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -319,3 +320,47 @@ def test_argparse_failures(capsys):
     capsys.readouterr()
     assert main(["validate"]) == 2
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_call(fans_dir, tmp_path, monkeypatch):
+    # main builds its parser on the first call; a call after any other,
+    # including one that argparse ends with SystemExit, answers as the first
+    dropped = tmp_path / "dropped.json"
+    dropped.write_text(
+        fan_mod.fan_to_json(fan_mod.Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2))))
+    )
+    p2, f2 = fan_path(fans_dir, "p2.json"), fan_path(fans_dir, "f2.json")
+    sequence = (
+        (["--help"], 0),
+        (["census", "--help"], 0),
+        (["multiply", "--fan", p2, "-D1", "D2"], 2),
+        (["validate"], 2),
+        (["no-such-command"], 2),
+        (["giambelli", "--fan", f2, "1,2"], 4),
+        (["validate", "--fan", str(dropped)], 3),
+        (["multiply", "--json", "--fan", p2, "D1", "D2"], 0),
+    )
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+
+    def call(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    first = [call(sequence[0][0])]
+    built_by_first_call = len(built)
+    first += [call(argv) for argv, _ in sequence[1:]]
+    second = [call(argv) for argv, _ in sequence]
+    assert [code for code, _, _ in first] == [code for _, code in sequence]
+    assert first[0][1].startswith("usage: toricqh")
+    assert second == first
+    assert len(built) == built_by_first_call

@@ -673,18 +673,69 @@ def test_decompose_effective_is_not_bounded_by_recursion_depth():
     assert total == beta
 
 
-def test_decompose_effective_node_budget(p2, bl3p2, monkeypatch):
+def test_decompose_effective_node_budget(p2, bl1p2, bl3p2, monkeypatch):
     rel = {pd.set: pd for pd in fan_mod.primitive_data(bl3p2)}
     beta = rel[(0, 1)].cls + rel[(4, 5)].cls
     monkeypatch.setattr(fan_mod, "SEARCH_NODE_BUDGET", 1)
     with pytest.raises(SearchBudgetExceeded) as err:
         fan_mod.decompose_effective(bl3p2, beta)
     assert not isinstance(err.value, NotEffective)
-    # the greedy branch counts its subtractions against the same budget
+    # the greedy branch counts its batches against the same budget: a
+    # multiple of one class is one batch, two distinct classes are two
     line = fan_mod.primitive_data(p2)[0]
     assert fan_mod.decompose_effective(p2, line.cls) == ((line, 1),)
+    assert fan_mod.decompose_effective(p2, line.cls.scaled(2)) == ((line, 2),)
+    fiber = {d.set: d for d in fan_mod.primitive_data(bl1p2)}
     with pytest.raises(SearchBudgetExceeded):
-        fan_mod.decompose_effective(p2, line.cls.scaled(2))
+        fan_mod.decompose_effective(bl1p2, fiber[(0, 1)].cls + fiber[(2, 3)].cls)
+
+
+def _one_step_greedy(fan, beta):
+    """Reference for the greedy branch: one subtraction per step of the
+    first primitive class whose set lies in the positive support."""
+    pdata = fan_mod.primitive_data(fan)
+    counts = {}
+    current = list(beta.pairings)
+    while any(current):
+        positives = {i for i, b in enumerate(current) if b > 0}
+        chosen = next((pd for pd in pdata if set(pd.set) <= positives), None)
+        if chosen is None:
+            raise NotEffective("no primitive set lies in the positive support")
+        counts[chosen] = counts.get(chosen, 0) + 1
+        current = [x - y for x, y in zip(current, chosen.cls.pairings)]
+    return tuple(sorted(counts.items(), key=lambda item: item[0].set))
+
+
+def test_greedy_batches_match_one_step_loop(corpus):
+    # seeded sums of primitive classes, some with one class taken away, that
+    # take the greedy branch; F2 and the blown-up planes are not Fano, so
+    # there an earlier class can turn eligible in the middle of a batch
+    p1 = catalog.projective_space(1)
+    fans = list(corpus.values()) + [
+        catalog.projective_space(3),
+        catalog.product(catalog.blowup_p2_three(), p1),
+        catalog.product(p1, p1, p1),
+        catalog.hirzebruch(2),
+        _blown_up_plane(7),
+        _blown_up_plane(10),
+    ]
+    rng = random.Random(45)
+    compared = 0
+    for fan in fans:
+        pdata = fan_mod.primitive_data(fan)
+        for _ in range(250):
+            beta = CurveClass((0,) * fan.n_rays)
+            for _ in range(rng.randint(1, 4)):
+                beta = beta + rng.choice(pdata).cls.scaled(rng.randint(1, 30))
+            if rng.random() < 0.3:
+                beta = beta - rng.choice(pdata).cls.scaled(rng.randint(1, 10))
+            negatives = tuple(i for i, b in enumerate(beta.pairings) if b < 0)
+            if not fan_mod.is_cone(fan, negatives):
+                continue
+            want = _outcome(_one_step_greedy, fan, beta)
+            assert _outcome(fan_mod.decompose_effective, fan, beta) == want, beta
+            compared += 1
+    assert compared >= 2000
 
 
 def test_is_isomorphic(corpus, p3):
