@@ -247,6 +247,13 @@ def test_gw_search_budget(capsys, fans_dir, monkeypatch):
     assert json.loads(err)["error"]["type"] == "SearchBudgetExceeded"
 
 
+def test_gw_on_a_huge_multiple_of_the_line(capsys, fans_dir):
+    # 2^45 times the line of P^2: the greedy loop takes it in one batch
+    big = ",".join([str(2**45)] * 3)
+    p2 = fan_path(fans_dir, "p2.json")
+    assert run(capsys, "gw", "--fan", p2, "D1", "D2", "D3", big) == (0, "0\n", "")
+
+
 def test_tower(capsys, fans_dir):
     bl3 = fan_path(fans_dir, "bl3p2.json")
     code, out, _ = run(capsys, "tower", "--fan", bl3)
