@@ -64,16 +64,10 @@ def wall_curve_class(fan: Fan, wall: Cone) -> CurveClass:
     owners = fan_mod._face_index(fan)[key]
     rho = next(iter(set(owners[0]) - set(key)))
     rho2 = next(iter(set(owners[1]) - set(key)))
-    coords = fan_mod.coords_in_basis(fan, owners[1], fan.rays[rho])
-    pairings = [0] * fan.n_rays
-    pairings[rho] += 1
-    pairings[rho2] += 1
-    pos = {i: t for t, i in enumerate(owners[1])}
-    if coords[pos[rho2]] != -1:
+    coords = dict(zip(owners[1], fan_mod.coords_in_basis(fan, owners[1], fan.rays[rho])))
+    if coords[rho2] != -1:
         raise RingInconsistent(f"wall {tuple(i + 1 for i in key)}: crossing is not unimodular")
-    for j in key:
-        pairings[j] -= coords[pos[j]]
-    return fan_mod.curve_class(fan, pairings)
+    return fan_mod._relation_class(fan, (rho, rho2), ((j, coords[j]) for j in key))
 
 
 def min_tree(fan: Fan, mu: Cone, d: int) -> ToricTree:

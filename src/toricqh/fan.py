@@ -142,7 +142,7 @@ class CurveClass:
 
     def __post_init__(self):
         pairings = tuple(self.pairings)
-        for x in pairings:  # one type test per entry: __add__ runs on every q-shift
+        for x in pairings:  # one type test per entry: sums and decoded q-keys build classes
             if type(x) is not int:
                 _strict_int(x, "pairing")
         object.__setattr__(self, "pairings", pairings)
@@ -173,6 +173,17 @@ def curve_class(fan: Fan, pairings: Sequence[int]) -> CurveClass:
     if any(sum(b * ray[t] for b, ray in zip(cls.pairings, fan.rays)) for t in range(fan.dim)):
         raise NotEffective("pairings do not define a curve class (ray sum is nonzero)")
     return cls
+
+
+def _relation_class(fan: Fan, lhs: Iterable[int], rhs: Iterable[tuple[int, int]]) -> CurveClass:
+    """The class of sum(rho_i, i in lhs) = sum(a_j rho_j), (j, a_j) in rhs:
+    +1 on each lhs ray and -a_j on each rhs ray, checked by curve_class."""
+    pairings = [0] * fan.n_rays
+    for i in lhs:
+        pairings[i] += 1
+    for j, a in rhs:
+        pairings[j] -= a
+    return curve_class(fan, pairings)
 
 
 @dataclass(frozen=True)
@@ -417,16 +428,16 @@ def coords_in_basis(fan: Fan, max_cone: Cone, v: Sequence[int]) -> tuple[int, ..
 @per_fan
 def primitive_sets(fan: Fan) -> tuple[Cone, ...]:
     """All primitive sets: minimal collections of rays spanning no cone."""
+    # a primitive set minus its largest ray is a nonempty face: extending each
+    # nonempty face by each larger ray meets every candidate once, in index order
     index = _face_index(fan)
-    m, n = fan.n_rays, fan.dim
     found: list[Cone] = []
-    for k in range(2, min(m, n + 1) + 1):
-        for cand in combinations(range(m), k):
-            if cand in index:
-                continue
-            if all(sub in index for sub in combinations(cand, k - 1)):
+    for face in index:
+        for i in range(face[-1] + 1, fan.n_rays) if face else ():
+            cand = face + (i,)
+            if cand not in index and all(sub in index for sub in combinations(cand, len(face))):
                 found.append(cand)
-    return tuple(sorted(found, key=lambda p: (len(p), p)))
+    return tuple(found)
 
 
 def primitive_relation(fan: Fan, pset: Sequence[int]) -> PrimitiveData:
@@ -446,12 +457,7 @@ def primitive_relation(fan: Fan, pset: Sequence[int]) -> PrimitiveData:
             continue
         face = tuple(i for i, c in zip(cone, coords) if c > 0)
         coeffs = tuple(c for c in coords if c > 0)
-        pairings = [0] * fan.n_rays
-        for i in key:
-            pairings[i] += 1
-        for j, a in zip(face, coeffs):
-            pairings[j] -= a
-        return PrimitiveData(key, face, coeffs, curve_class(fan, pairings))
+        return PrimitiveData(key, face, coeffs, _relation_class(fan, key, zip(face, coeffs)))
     raise LocateFailure(f"sum over {_one_based(key)} lies in no cone; fan is not complete")
 
 

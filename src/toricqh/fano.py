@@ -134,20 +134,13 @@ def exceptional_sets(fan: Fan) -> tuple[ExceptionalData, ...]:
     for k in range(2, fan.dim + 1):
         for cand in combinations(range(fan.n_rays), k):
             vecs = [fan.rays[i] for i in cand]
-            total = vecs[0]
-            for v in vecs[1:]:
-                total = lattice.vadd(total, v)
-            hit = ray_index.get(total)
+            hit = ray_index.get(tuple(map(sum, zip(*vecs))))
             # a sum equal to a member leaves the others summing to zero
             if hit is None or hit in cand:
                 continue
             if lattice.rational_rank(vecs) != k:
                 continue
-            pairings = [0] * fan.n_rays
-            for i in cand:
-                pairings[i] += 1
-            pairings[hit] -= 1
-            out.append(ExceptionalData(cand, hit, fan_mod.curve_class(fan, pairings)))
+            out.append(ExceptionalData(cand, hit, fan_mod._relation_class(fan, cand, ((hit, 1),))))
     return tuple(out)
 
 

@@ -7,13 +7,15 @@ support contains a primitive set trades it for the relation's right side
 at the cost of a q-shift, a repeated divisor is eliminated through the
 dual-basis linear relation of a containing cone, and a square-free
 monomial supported on a cone is evaluated in closed form through the
-exceptional-set expansion.  Everything stays exact and integral: the
-engine's one form is a dict packed curve class -> basis index -> int, and
-class objects are built only where a public function returns.  A curve class
-with pairings p is packed into one int, sum p_i * 2^(40 i) with balanced
-digits, so a q-shift is one integer addition; a class is packed once where
-it enters (_QuantumRing.check_curve, which refuses a pairing of size 2^37 or
-more) and decoded once per ring (_QuantumRing.to_class).
+exceptional-set expansion, kept in the one rewrite memo whatever the
+strategy (it leaves no free choice).  Everything stays exact and integral:
+the engine's one form is a dict packed curve class -> basis index -> int,
+Giambelli lifts are (packed class, monomial) pairs, and class objects are
+built only where a public function returns.  A curve class with pairings p
+is packed into one int, sum p_i * 2^(40 i) with balanced digits, so a
+q-shift is one integer addition; a class is packed once where it enters
+(_QuantumRing.check_curve, which refuses a pairing of size 2^37 or more)
+and decoded once per ring (_QuantumRing.curve).
 """
 
 from __future__ import annotations
@@ -193,18 +195,12 @@ class _QuantumRing:
         self.fan = fan
         # each primitive set with its class, packed: the rewrite's q-shift
         self.pdata = [(pd, _pack(pd.cls.pairings)) for pd in fan_mod.primitive_data(fan)]
-        self.closed: dict[Cone, _Parts] = {}
-        self.giambelli_cache: dict[Cone, tuple[QuantumTerm, ...]] = {}
+        self.giambelli_cache: dict[Cone, tuple[tuple[int, Monomial], ...]] = {}
         self.reduce_memo: dict[Monomial, _Parts] = {}
         self.pair_cache: dict[tuple[int, int], _Parts] = {}
         self.effective_seen: set[Vector] = set()
         self.curve_keys: dict[Vector, int] = {}
         self.key_curves: dict[int, CurveClass] = {}
-
-    def check_effective(self, beta: Vector) -> None:
-        if beta not in self.effective_seen:
-            fan_mod.decompose_effective(self.fan, CurveClass(beta))
-            self.effective_seen.add(beta)
 
     def check_curve(self, beta: CurveClass) -> int:
         """The packed key of a class entering the engine, checked once per
@@ -223,14 +219,15 @@ class _QuantumRing:
             key = self.curve_keys[beta.pairings] = _pack(beta.pairings)
         return key
 
+    def curve(self, key: int) -> CurveClass:
+        """The class of a packed key, decoded once per ring."""
+        beta = self.key_curves.get(key)
+        if beta is None:
+            beta = self.key_curves[key] = CurveClass(_unpack(key, self.fan.n_rays))
+        return beta
+
     def to_class(self, parts: _Parts) -> QuantumClass:
-        out = {}
-        for key, coords in parts.items():
-            beta = self.key_curves.get(key)
-            if beta is None:
-                beta = self.key_curves[key] = CurveClass(_unpack(key, self.fan.n_rays))
-            out[beta] = CohomologyClass(coords)
-        return QuantumClass(out)
+        return QuantumClass({self.curve(key): CohomologyClass(c) for key, c in parts.items()})
 
     def family_class(self, family) -> Vector:
         # the sum of the family's classes, the zero class for the empty family
@@ -249,7 +246,8 @@ class _QuantumRing:
                     out.append(family)
         return out
 
-    def giambelli(self, sigma: Cone) -> tuple[QuantumTerm, ...]:
+    def giambelli(self, sigma: Cone) -> tuple[tuple[int, Monomial], ...]:
+        """sigma's Giambelli terms, each (packed class, monomial) with coefficient one."""
         cached = self.giambelli_cache.get(sigma)
         if cached is not None:
             return cached
@@ -259,25 +257,26 @@ class _QuantumRing:
         for family in self.families(sigma, "no_cycles"):
             removed = {i for exc in family for i in exc.set}
             mono = tuple(i for i in sigma if i not in removed)
-            terms.append(QuantumTerm(CurveClass(self.family_class(family)), mono, 1))
-        result = tuple(terms)
-        self.giambelli_cache[sigma] = result
+            terms.append((_pack(self.family_class(family)), mono))
+        result = self.giambelli_cache[sigma] = tuple(terms)
         return result
 
     def closed_form(self, sigma: Cone) -> _Parts:
-        cached = self.closed.get(sigma)
+        # reduce's memo: a cone monomial leaves no free choice, so its entry serves every strategy
+        cached = self.reduce_memo.get(sigma)
         if cached is not None:
             return cached
         ring = cohomology._ring(self.fan)
         total: _Parts = {}
         for family in self.families(sigma, "no_overlaps"):
             beta = self.family_class(family)
-            self.check_effective(beta)
+            if beta not in self.effective_seen:
+                fan_mod.decompose_effective(self.fan, CurveClass(beta))
+                self.effective_seen.add(beta)
             # the stratum of the face of sigma off beta's pairing-one rays, as its face form
             tau = tuple(i for i in sigma if beta[i] != 1)
             _add_into(total, {_pack(beta): ring.form(tau)}, (-1) ** len(family))
-        total = _pruned(total)
-        self.closed[sigma] = total
+        total = self.reduce_memo[sigma] = _pruned(total)
         return total
 
     def reduce(self, mono: Monomial, rng: Optional[random.Random]) -> _Parts:
@@ -316,13 +315,11 @@ class _QuantumRing:
             return cached
         taus = cohomology.basis_tau(self.fan)
         acc: _Parts = {}
-        for s in self.giambelli(taus[key[0]]):
-            for t in self.giambelli(taus[key[1]]):
-                red = self.reduce(tuple(sorted(s.monomial + t.monomial)), None)
-                shift = self.check_curve(s.curve) + self.check_curve(t.curve)
-                _add_into(acc, red, s.coefficient * t.coefficient, shift)
-        out = _pruned(acc)
-        self.pair_cache[key] = out
+        # a family class sums checked exceptional classes, within the packing bound
+        for s_key, s_mono in self.giambelli(taus[key[0]]):
+            for t_key, t_mono in self.giambelli(taus[key[1]]):
+                _add_into(acc, self.reduce(tuple(sorted(s_mono + t_mono)), None), 1, s_key + t_key)
+        out = self.pair_cache[key] = _pruned(acc)
         return out
 
 
@@ -345,7 +342,9 @@ def giambelli(fan: Fan, sigma: Sequence[int]) -> tuple[QuantumTerm, ...]:
     family curve classes as q-exponent, and the product of the divisors of
     sigma not absorbed by the family.  Requires the full class.
     """
-    return _qring(fan).giambelli(fan_mod._cone_key(fan, sigma))
+    ring = _qring(fan)
+    terms = ring.giambelli(fan_mod._cone_key(fan, sigma))
+    return tuple(QuantumTerm(ring.curve(key), mono, 1) for key, mono in terms)
 
 
 def divisor_product_closed_form(fan: Fan, sigma: Sequence[int]) -> QuantumClass:
@@ -356,7 +355,7 @@ def divisor_product_closed_form(fan: Fan, sigma: Sequence[int]) -> QuantumClass:
     sigma the exponent does not meet with pairing one.
     """
     ring = _qring(fan)
-    return ring.to_class(ring.closed_form(fan_mod._cone_key(fan, sigma)))
+    return ring.to_class(ring.reduce(fan_mod._cone_key(fan, sigma), None))
 
 
 def reduce_monomial(
@@ -413,27 +412,18 @@ def quantum_product(fan: Fan, a: Multiplicand, b: Multiplicand) -> QuantumClass:
     left = [(ring.check_curve(beta), basis.coords(cls)) for beta, cls in qa.parts.items()]
     right = [(ring.check_curve(beta), basis.coords(cls)) for beta, cls in qb.parts.items()]
     entries = [(shift_b, j, cb) for shift_b, coords_b in right for j, cb in coords_b.items()]
-    # the row of a left basis index i as (parts, scale, shift): the right
-    # operand folded once per call, sum of c_b q^beta_b pair_product(i, j), or
-    # for a single right entry c q^beta b_j, pair_product(i, j) itself
-    rows: dict[int, tuple[_Parts, Rational, int]] = {}
-    for _, coords_a in left:
-        for i in coords_a:
-            if i in rows:
-                continue
-            if len(entries) == 1:
-                (shift_b, j, cb), = entries
-                rows[i] = (ring.pair_product(i, j), cb, shift_b)
-            else:
-                row: _Parts = {}
-                for shift_b, j, cb in entries:
-                    _add_into(row, ring.pair_product(i, j), cb, shift_b)
-                rows[i] = (row, 1, 0)
+    # the row of a left basis index i, the right operand folded on first use:
+    # the sum of c_b q^beta_b pair_product(i, j) over its entries
+    rows: dict[int, _Parts] = {}
     acc: _Parts = {}
     for shift_a, coords_a in left:
         for i, ca in coords_a.items():
-            row, scale, shift = rows[i]
-            _add_into(acc, row, ca * scale, shift_a + shift)
+            row = rows.get(i)
+            if row is None:
+                row = rows[i] = {}
+                for shift_b, j, cb in entries:
+                    _add_into(row, ring.pair_product(i, j), cb, shift_b)
+            _add_into(acc, row, ca, shift_a)
     return ring.to_class(acc)
 
 

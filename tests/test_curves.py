@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from toricqh import curves, fan as fan_mod
+from toricqh import catalog, cohomology, curves, fan as fan_mod
 from toricqh.errors import (
     FanNotAccepted,
     IndexOutOfRange,
@@ -82,6 +82,31 @@ def test_wall_classes_are_curve_classes(corpus):
                 cls = curves.wall_curve_class(fan, wall)
                 fan_mod.curve_class(fan, cls.pairings)
                 assert cls.degree >= 1
+
+
+def test_wall_classes_pair_as_intersection_numbers(corpus, p3, bundle3, threefolds):
+    # D_i . [V(tau)] from the cohomology ring: an oracle that does not read
+    # the wall relation off the cone coordinates
+    p1, p2 = catalog.projective_space(1), catalog.projective_plane()
+    fans = list(corpus.values()) + [
+        p3,
+        bundle3,
+        threefolds["p1x3"],
+        threefolds["bl3p2xp1"],
+        catalog.product(p2, p2),
+        catalog.product(catalog.blowup_p2_two(), p1),
+    ]
+    walls = 0
+    for fan in fans:
+        divisors = [cohomology.stratum_class(fan, (i,)) for i in range(fan.n_rays)]
+        for wall in fan_mod.faces(fan):
+            if len(wall) != fan.dim - 1:
+                continue
+            stratum = cohomology.stratum_class(fan, wall)
+            want = tuple(cohomology.integrate(fan, cohomology.cup(fan, d, stratum)) for d in divisors)
+            assert curves.wall_curve_class(fan, wall).pairings == want, wall
+            walls += 1
+    assert walls == 100
 
 
 def test_min_tree_oracles(p2, bl1p2, f2):
