@@ -112,9 +112,9 @@ def census(dim: int, max_rays: int) -> list[Fan]:
     Only dimension 2 is supported; the coordinate bound does not confine the
     ray set in higher dimension.
     """
-    if dim != 2:
+    if fan_mod._strict_int(dim, "census dimension") != 2:
         raise ValueError("the census is only implemented for surfaces")
-    if max_rays < 3:
+    if fan_mod._strict_int(max_rays, "census ray bound") < 3:
         return []
     found: list[Fan] = []
     base = {(1, 0), (0, 1)}

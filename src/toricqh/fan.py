@@ -4,14 +4,14 @@ A fan is held as the lattice dimension, the ray generator list, and the
 maximal cones as sorted index tuples (0-based internally; the JSON format
 and all CLI output are 1-based).  Validation returns a report instead of
 raising so rejected inputs can be inspected; everything downstream insists
-on an accepted fan.  Validation also inverts every maximal cone, and the
-inverses answer every coordinate question (cone_inverse).  It builds the
-face index too, which answers every cone question: each cone, by dimension
-then lexicographically, mapped to the maximal cones containing it in
-fan.max_cones order.  _ray_indices is the one check of a caller's ray or
-divisor indices, and _cone_key, built on it, the one check that turns a
-caller's cone argument into its sorted key; both word an index out of
-range 1-based.
+on an accepted fan.  Validation also inverts every maximal cone, most of
+them across a wall, and the inverses answer every coordinate question
+(cone_inverse).  It builds the face index too, which answers every cone
+question: each cone, by dimension then lexicographically, mapped to the
+maximal cones containing it in fan.max_cones order.  _ray_indices is the
+one check of a caller's ray or divisor indices, and _cone_key, built on
+it, the one check that turns a caller's cone argument into its sorted key;
+both word an index out of range 1-based.
 
 Whatever is computed once per fan, here or in a module built on this one,
 is a function of the fan decorated with per_fan: its value is memoized in
@@ -229,11 +229,14 @@ def clear_caches() -> None:
 def validate(fan: Fan) -> ValidationReport:
     """Check that the data describes a complete nonsingular simplicial fan.
 
-    Nonsingularity is the unimodularity of every maximal cone, checked by
-    inverting it over Z once; the inverses are kept for cone_inverse (a
-    determinant only words the problem of a cone that fails).  That the
-    cones cover the space without overlapping is certified on the face
-    index by three conditions:
+    Nonsingularity is the unimodularity of every maximal cone.  One cone
+    per component of the facet graph is inverted over Z, and a walk across
+    walls gets the others (kept for cone_inverse): with c the coordinates
+    in the near cone of the far ray, which replaces its k-th ray, the far
+    determinant is c_k times the near one, and if |c_k| = 1 the far rows
+    are phi = c_k phi_k at the far ray and phi_t - c_t phi at the others.
+    That the cones cover the space without overlapping is certified on the
+    face index by three conditions:
 
     (1) every facet of a maximal cone lies in exactly two maximal cones;
     (2) every wall separates its two cones: the ray of one cone opposite the
@@ -251,9 +254,9 @@ def validate(fan: Fan) -> ValidationReport:
     on a facet, which by (1) and (2) is a wall with one cone on each side:
     as many cones end as begin, and the count is constant.  By (3) it is 1
     near the ray sum, so it is 1 everywhere: the cones cover the space and
-    their interiors are disjoint.  The facet graph needs no walk: the cones
-    of each of its components would satisfy (1) and (2) alone and cover the
-    space, so a second component would cover the ray sum again, against (3).
+    their interiors are disjoint.  The facet graph needs no connectivity
+    check: each component's cones would satisfy (1) and (2) alone and cover
+    the space, so a second component would cover the ray sum again, against (3).
     """
     return _validated(fan)[0]
 
@@ -297,19 +300,14 @@ def _validated(fan: Fan) -> tuple[ValidationReport, Optional[dict], Optional[dic
             structurally_ok = False
 
     if structurally_ok:
-        inverses = {}
-        for cone in fan.max_cones:
-            mat = lattice.mat_from_columns(cone_generators(fan, cone))
-            try:
-                inverses[cone] = tuple(tuple(row) for row in lattice.integer_inverse(mat))
-            except NonUnimodular:
-                problems.append(f"cone {_one_based(cone)} has determinant {lattice.determinant(mat)}")
-
         above: dict[Cone, list[Cone]] = {}
         for cone in fan.max_cones:
             for k in range(n + 1):
                 for face in combinations(cone, k):
                     above.setdefault(face, []).append(cone)
+        inverses = _walk_inverses(fan, above)
+        bad = [cone for cone in fan.max_cones if inverses[cone] is None]
+        problems += [f"cone {_one_based(cone)} is not unimodular" for cone in bad]
         for i in range(m):
             if (i,) not in above:
                 problems.append(f"ray {i + 1} lies in no maximal cone")
@@ -340,6 +338,42 @@ def _validated(fan: Fan) -> tuple[ValidationReport, Optional[dict], Optional[dic
     if problems:
         return ValidationReport(False, tuple(problems)), None, None
     return ValidationReport(True, ()), index, inverses
+
+
+def _walk_inverses(fan: Fan, above: dict[Cone, list[Cone]]) -> dict[Cone, Optional[tuple]]:
+    """Every maximal cone's inverse, None for one that is not unimodular (validate)."""
+    inverses: dict[Cone, Optional[tuple[Vector, ...]]] = {}
+    for root in fan.max_cones:
+        if root in inverses:
+            continue
+        mat = lattice.mat_from_columns(cone_generators(fan, root))
+        try:
+            inverses[root] = tuple(map(tuple, lattice.integer_inverse(mat)))
+        except NonUnimodular:
+            inverses[root] = None
+            continue
+        stack = [root]
+        while stack:
+            near = stack.pop()
+            inv = inverses[near]
+            for k in range(len(near)):
+                owners = above[near[:k] + near[k + 1 :]]
+                far = owners[-1] if owners[0] == near else owners[0]
+                if len(owners) != 2 or far in inverses:
+                    continue
+                ray = sum(far) - sum(near) + near[k]  # far is the wall and this ray
+                c = lattice.mat_vec(inv, fan.rays[ray])
+                if c[k] not in (1, -1):
+                    inverses[far] = None
+                    continue
+                phi = tuple(c[k] * x for x in inv[k])
+                rows = {ray: phi}
+                for t, (i, f) in enumerate(zip(near, c)):
+                    if t != k:
+                        rows[i] = tuple(a - f * b for a, b in zip(inv[t], phi)) if f else inv[t]
+                inverses[far] = tuple(rows[i] for i in far)
+                stack.append(far)
+    return inverses
 
 
 def _one_based(cone: Iterable[int]) -> tuple[int, ...]:

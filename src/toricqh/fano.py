@@ -138,7 +138,7 @@ def exceptional_sets(fan: Fan) -> tuple[ExceptionalData, ...]:
             # a sum equal to a member leaves the others summing to zero
             if hit is None or hit in cand:
                 continue
-            if lattice.rational_rank(vecs) != k:
+            if lattice.rank(vecs) != k:
                 continue
             out.append(ExceptionalData(cand, hit, fan_mod._relation_class(fan, cand, ((hit, 1),))))
     return tuple(out)

@@ -2,19 +2,11 @@
 
 Everything here runs on arbitrary-precision integers; no floating point is
 ever involved.  Matrices are lists of rows, vectors are tuples, and lattice
-vectors stay integer end to end.  There are two kernels: one fraction-free
-dense elimination (Bareiss) behind the rank, inverse and determinant (no
-solve: fan.cone_inverse answers coordinate questions, quotient maps
-included), and the sparse ring-build echelon, whose back substitution
-divides exactly or raises RingInconsistent.  Nothing here is rational.
-
-Why two kernels: the echelon could also invert (the rows [M | -I], then
-back substitution), and is exact, but it is slower on the small dense
-cones of GL(n,Z) images.  Measured with Python 3.11 on a shared 2-vCPU
-Xeon, one inverse of a moved P^n cone took 13, 20 and 23 us at 2x2, 3x3
-and 4x4 against 8, 16 and 23 us here, and the fan_zoo benchmark's median
-query rose from 0.235 to 0.261 ms.  Only sparse product cones gain: the 81
-inverses of (P^2)^4 take 2.9 ms through the echelon against 8.9 ms.
+vectors stay integer end to end.  There is one elimination kernel, the
+sparse echelon, behind the ring build, the rank and the inverse; its back
+substitution divides exactly or raises RingInconsistent.  There is no
+solve: fan.cone_inverse answers coordinate questions.  Nothing here is
+rational.
 """
 
 from __future__ import annotations
@@ -56,10 +48,6 @@ def primitive_vector(v: Sequence[int]) -> Vector:
     return tuple(a // g for a in v)
 
 
-def identity_matrix(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def mat_vec(matrix: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
     return tuple(dot(row, v) for row in matrix)
 
@@ -69,50 +57,6 @@ def mat_from_columns(columns: Sequence[Sequence[int]]) -> list[list[int]]:
         return []
     n = len(columns[0])
     return [[col[i] for col in columns] for i in range(n)]
-
-
-def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int, int]:
-    """Fraction-free Gauss-Jordan elimination of an integer matrix (Bareiss).
-
-    Columns are taken left to right; a column gets a pivot when a row at or
-    below the current one is nonzero there, and the first such row is
-    swapped up.  A pivot p at (r, c) replaces every other row i by
-    (p * a[i] - a[i][c] * a[r]) / prev, where prev is the previous pivot
-    (1 at first).  By Sylvester's identity every entry is then a minor of
-    the input, so the division is exact and no fraction arises.
-
-    Returns (a, pivots, d, sign): with rank r, a[:r] is d times the reduced
-    row echelon form (a[i][pivots[i]] == d for i < r), d is the last pivot
-    (1 when r == 0), the minor of the row-swapped input on its first r rows
-    and the pivot columns, and sign is that of the row permutation, so a
-    square input of full rank has determinant sign * d.
-    """
-    a = [list(row) for row in rows]
-    nrows = len(a)
-    pivots: list[int] = []
-    d, sign = 1, 1
-    for c in range(len(a[0]) if a else 0):
-        r = len(pivots)
-        if r == nrows:
-            break
-        sel = next((i for i in range(r, nrows) if a[i][c]), None)
-        if sel is None:
-            continue
-        if sel != r:
-            a[r], a[sel] = a[sel], a[r]
-            sign = -sign
-        p, prow = a[r][c], a[r]
-        for i in range(nrows):
-            if i != r:
-                f = a[i][c]
-                a[i] = [(p * x - f * y) // d for x, y in zip(a[i], prow)]
-        pivots.append(c)
-        d = p
-    return a, pivots, d, sign
-
-
-def rational_rank(rows: Sequence[Sequence[int]]) -> int:
-    return len(_bareiss(rows)[1])
 
 
 class Echelon:
@@ -182,25 +126,27 @@ class Echelon:
         return values
 
 
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    ech = Echelon()
+    for row in rows:
+        ech.insert(dict(enumerate(row)))
+    return ech.rank
+
+
 def integer_inverse(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Inverse of a unimodular integer matrix, as an integer matrix."""
+    """Inverse of a unimodular integer matrix, as an integer matrix: the
+    rows [matrix | -I] solved with e_j on the free unit columns give column
+    j, and the division is exact exactly when the matrix is unimodular."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise NonUnimodular("matrix is not square")
-    # [matrix | I] reduces to [d * I | d * matrix^-1]
-    a, pivots, d, _ = _bareiss([list(row) + e for row, e in zip(matrix, identity_matrix(n))])
-    if pivots[:n] != list(range(n)):
+    ech = Echelon()
+    for i, row in enumerate(matrix):
+        ech.insert({**dict(enumerate(row)), n + i: -1})
+    if any(col >= n for col in ech.rows):
         raise NonUnimodular("matrix is singular")
-    if abs(d) != 1:
-        raise NonUnimodular("matrix determinant is not +-1")
-    return [[d * x for x in row[n:]] for row in a]
-
-
-def determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix is not square")
-    _, pivots, d, sign = _bareiss(matrix)
-    return sign * d if len(pivots) == n else 0
-
+    try:
+        values = ech.solve({n + j: {j: 1} for j in range(n)})
+    except RingInconsistent:
+        raise NonUnimodular("matrix determinant is not +-1") from None
+    return [[values[c].get(j, 0) for j in range(n)] for c in range(n)]

@@ -220,10 +220,14 @@ class _QuantumRing:
         return key
 
     def curve(self, key: int) -> CurveClass:
-        """The class of a packed key, decoded once per ring."""
+        """The class of a packed key, decoded once per ring.  It sums checked
+        classes: check_curve passes it unchecked if its pairings fit a key."""
         beta = self.key_curves.get(key)
         if beta is None:
-            beta = self.key_curves[key] = CurveClass(_unpack(key, self.fan.n_rays))
+            pairings = _unpack(key, self.fan.n_rays)
+            beta = self.key_curves[key] = CurveClass(pairings)
+            if all(-_PAIRING_CAP < p < _PAIRING_CAP for p in pairings):
+                self.curve_keys[pairings] = key
         return beta
 
     def to_class(self, parts: _Parts) -> QuantumClass:

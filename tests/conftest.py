@@ -1,10 +1,12 @@
 import contextlib
 import pathlib
 import signal
+from fractions import Fraction
 
 import pytest
 
 from toricqh import catalog, lattice
+from toricqh.errors import NonUnimodular
 from toricqh.fan import Fan
 
 FANS_DIR = pathlib.Path(__file__).resolve().parent.parent / "fans"
@@ -131,3 +133,130 @@ def deadline():
             signal.signal(signal.SIGALRM, previous)
 
     return within
+
+
+# Fraction eliminations, independent of the integer echelon in lattice:
+# the references the kernel and every cone inverse are compared against.
+
+
+class _DependentGenerators(Exception):
+    """Raised by the reference solve on linearly dependent columns."""
+
+
+def _ref_solve_columns(columns, target):
+    k = len(columns)
+    if k == 0:
+        return [] if all(x == 0 for x in target) else None
+    n = len(columns[0])
+    aug = [[Fraction(columns[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
+    row = 0
+    for col in range(k):
+        sel = None
+        for r in range(row, n):
+            if aug[r][col] != 0:
+                sel = r
+                break
+        if sel is None:
+            raise _DependentGenerators("generators are linearly dependent")
+        aug[row], aug[sel] = aug[sel], aug[row]
+        inv = Fraction(1) / aug[row][col]
+        aug[row] = [x * inv for x in aug[row]]
+        for r in range(n):
+            if r != row and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
+        row += 1
+    for r in range(row, n):
+        if aug[r][k] != 0:
+            return None
+    return [aug[i][k] for i in range(k)]
+
+
+def _ref_rational_rank(rows):
+    work = [list(map(Fraction, row)) for row in rows]
+    ncols = len(work[0]) if work else 0
+    rank = 0
+    for col in range(ncols):
+        sel = None
+        for r in range(rank, len(work)):
+            if work[r][col] != 0:
+                sel = r
+                break
+        if sel is None:
+            continue
+        work[rank], work[sel] = work[sel], work[rank]
+        inv = Fraction(1) / work[rank][col]
+        work[rank] = [x * inv for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
+        rank += 1
+        if rank == len(work):
+            break
+    return rank
+
+
+def _ref_integer_inverse(matrix):
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise NonUnimodular("matrix is not square")
+    cols = [[matrix[i][j] for i in range(n)] for j in range(n)]
+    out_rows = [[0] * n for _ in range(n)]
+    for idx in range(n):
+        target = [1 if i == idx else 0 for i in range(n)]
+        try:
+            sol = _ref_solve_columns(cols, target)
+        except _DependentGenerators:
+            raise NonUnimodular("matrix is singular") from None
+        if sol is None:
+            raise NonUnimodular("matrix is singular")
+        for j, val in enumerate(sol):
+            if val.denominator != 1:
+                raise NonUnimodular("matrix determinant is not +-1")
+            out_rows[j][idx] = int(val)
+    return out_rows
+
+
+def _ref_determinant(matrix):
+    n = len(matrix)
+    work = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(n):
+        sel = None
+        for r in range(col, n):
+            if work[r][col] != 0:
+                sel = r
+                break
+        if sel is None:
+            return 0
+        if sel != col:
+            work[col], work[sel] = work[sel], work[col]
+            det = -det
+        det *= work[col][col]
+        inv = Fraction(1) / work[col][col]
+        work[col] = [x * inv for x in work[col]]
+        for r in range(col + 1, n):
+            if work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+    return int(det)
+
+
+@pytest.fixture(scope="session")
+def ref_rational_rank():
+    """ref_rational_rank(rows): the rank over Q, by Fraction elimination."""
+    return _ref_rational_rank
+
+
+@pytest.fixture(scope="session")
+def ref_integer_inverse():
+    """ref_integer_inverse(matrix): the integer inverse by Fraction solves,
+    raising NonUnimodular with the messages of lattice.integer_inverse."""
+    return _ref_integer_inverse
+
+
+@pytest.fixture(scope="session")
+def ref_determinant():
+    """ref_determinant(matrix): the determinant of a square integer matrix."""
+    return _ref_determinant

@@ -40,6 +40,13 @@ def test_census_growth():
         catalog.census(3, 6)
 
 
+@pytest.mark.parametrize("args", [(2.0, 6), (2, True), (2, 6.5), (True, 6), ("2", 6)])
+def test_census_refuses_non_int_arguments(args):
+    # nothing is coerced: a float or a bool is no dimension or ray bound
+    with pytest.raises(ValueError, match="is not an integer"):
+        catalog.census(*args)
+
+
 def test_census_classes_are_distinct_and_full(corpus):
     reps = catalog.census(2, 6)
     for rep in reps:

@@ -47,7 +47,7 @@ def test_validate_rejects_nonunimodular_cone():
     fan = Fan(2, ((1, 0), (1, 2), (-1, -1)), ((0, 1), (1, 2), (0, 2)))
     report = fan_mod.validate(fan)
     assert not report.accepted
-    assert any("determinant" in p for p in report.problems)
+    assert report.problems == ("cone (1, 2) is not unimodular",)
 
 
 def test_validate_rejects_incomplete_fan():
@@ -439,20 +439,66 @@ def test_primitive_data_matches_face_scan(corpus, f2, p3, bundle3, gl_image):
             assert got == ref_primitive_relation(fan, pd.set), (name, pd.set)
 
 
+def _counting_inverses(monkeypatch):
+    """The list that grows by one per call of lattice.integer_inverse."""
+    calls = []
+    inverse = lattice.integer_inverse
+    monkeypatch.setattr(lattice, "integer_inverse", lambda m: calls.append(1) or inverse(m))
+    return calls
+
+
 @pytest.mark.parametrize("factors", ["p1x6", "bl3p2xbl3p2xp1"])
-def test_one_elimination_per_maximal_cone(factors, monkeypatch):
-    # validation inverts each maximal cone once; the primitive relations and
-    # the shelling's point functionals read those inverses and solve nothing
+def test_one_from_scratch_inverse_per_fan(factors, monkeypatch):
+    # validation inverts one maximal cone and gets the others across walls;
+    # the primitive relations and the shelling's point functionals read
+    # those inverses and solve nothing
     p1, bl3 = catalog.projective_space(1), catalog.blowup_p2_three()
     fan = catalog.product(*{"p1x6": (p1,) * 6, "bl3p2xbl3p2xp1": (bl3, bl3, p1)}[factors])
-    calls = []
-    bareiss = lattice._bareiss
-    monkeypatch.setattr(lattice, "_bareiss", lambda rows: calls.append(1) or bareiss(rows))
+    calls = _counting_inverses(monkeypatch)
     clear_caches()
     assert fan_mod.validate(fan).accepted
     fan_mod.primitive_data(fan)
     cohomology.shelling(fan)
-    assert len(calls) == len(fan.max_cones) == {"p1x6": 64, "bl3p2xbl3p2xp1": 72}[factors]
+    assert len(calls) == 1
+    assert len(fan.max_cones) == {"p1x6": 64, "bl3p2xbl3p2xp1": 72}[factors]
+
+
+def test_cone_inverses_match_the_fraction_reference(
+    corpus, f2, p3, bundle3, gl_image, ref_integer_inverse
+):
+    from test_cohomology import PRODUCT_FACTORS
+
+    bl3 = catalog.blowup_p2_three()
+    base = list(corpus.values()) + [f2, p3, bundle3]
+    products = [catalog.product(*(make() for make in factors)) for factors in PRODUCT_FACTORS.values()]
+    products.append(catalog.product(bl3, bl3, bl3))
+    rng = random.Random(19)
+    images = [gl_image(fan, rng) for fan in base for _ in range(3)]
+    fans = base + products + images + [gl_image(fan, rng) for fan in products]
+    for fan in fans:
+        for mu in fan.max_cones:
+            mat = lattice.mat_from_columns(fan_mod.cone_generators(fan, mu))
+            assert fan_mod.cone_inverse(fan, mu) == tuple(map(tuple, ref_integer_inverse(mat)))
+
+
+def test_validate_walk_reports_each_nonunimodular_cone_once(monkeypatch):
+    calls = _counting_inverses(monkeypatch)
+    clear_caches()
+    # the first cone is fine; the walk reaches (1, 3), of determinant -2,
+    # across the wall (1,) and inverts nothing more
+    fan = Fan(2, ((1, 0), (0, 1), (-1, -2)), ((0, 1), (1, 2), (0, 2)))
+    assert fan_mod.validate(fan).problems == ("cone (1, 3) is not unimodular",)
+    assert len(calls) == 1
+    # every cone has determinant 2: each is a root that fails from scratch
+    calls.clear()
+    fan = Fan(2, ((1, 1), (-1, 1), (-1, -1), (1, -1)), ((0, 1), (1, 2), (2, 3), (0, 3)))
+    assert fan_mod.validate(fan).problems == (
+        "cone (1, 2) is not unimodular",
+        "cone (1, 4) is not unimodular",
+        "cone (2, 3) is not unimodular",
+        "cone (3, 4) is not unimodular",
+    )
+    assert len(calls) == 4
 
 
 def test_relation_kernel_and_homogeneity(corpus, f2, p3, bundle3):

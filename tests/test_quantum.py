@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from toricqh import catalog
+from toricqh import catalog, clear_caches
 from toricqh import cohomology as coho
 from toricqh import fan as fan_mod
 from toricqh import fano
@@ -462,6 +462,30 @@ def test_curve_classes_outside_the_packing_range_are_refused(p2):
     assert quantum.quantum_product(p2, QuantumClass({negative: h}), h2) == QuantumClass(
         {negative + line: unit}
     )
+
+
+def test_decoded_classes_reenter_the_engine_unchecked(bl3p2, p2, monkeypatch):
+    # a class the engine returned is a sum of checked classes: the next step
+    # of a power chain does not run fan.curve_class on it again
+    clear_caches()
+    h = coho.stratum_class(bl3p2, (0,))
+    for i in range(1, bl3p2.n_rays):
+        h = h + coho.stratum_class(bl3p2, (i,))
+    power = quantum.quantum_product(bl3p2, h, h)
+    power = quantum.quantum_product(bl3p2, power, h)
+    decoded = {beta.pairings for beta in power.parts if not beta.is_zero()}
+    assert decoded
+    calls = []
+    check = fan_mod.curve_class
+    monkeypatch.setattr(fan_mod, "curve_class", lambda fan, p: calls.append(tuple(p)) or check(fan, p))
+    quantum.quantum_product(bl3p2, power, h)
+    assert not decoded & set(calls)
+    # a decoded pairing of 2^37 or more is still refused when it re-enters
+    h, h2 = basis(p2)[1:]
+    edge = CurveClass((2**37 - 1,) * 3)
+    both = quantum.quantum_product(p2, QuantumClass({edge: h}), QuantumClass({edge: h2}))
+    with pytest.raises(PreconditionFailed, match="2\\^37"):
+        quantum.quantum_product(p2, both, h)
 
 
 def test_packed_keys_round_trip_at_the_digit_bounds():
