@@ -25,9 +25,8 @@ pinned basis and is checked against the shelling census.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import fan as fan_mod
 from . import fano, lattice
@@ -90,8 +89,7 @@ class CohomologyClass:
         return f"CohomologyClass({body})"
 
 
-@dataclass(frozen=True)
-class Shelling:
+class Shelling(NamedTuple):
     """Shelling order of the maximal cones with the cut-down cones tau."""
 
     perturbation: tuple[int, ...]

@@ -12,15 +12,14 @@ flag records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import fan as fan_mod, fano
 from .errors import LocateFailure, NotACone, PreconditionFailed, RingInconsistent
 from .fan import Cone, CurveClass, Fan
 
 
-@dataclass(frozen=True)
-class ToricTree:
+class ToricTree(NamedTuple):
     root: Cone
     target: int
     edges: tuple[tuple[Cone, int], ...]  # crossed wall and multiplicity, in order

@@ -22,10 +22,9 @@ empties.  Each module declares its own per-fan values.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import wraps
 from itertools import combinations, permutations
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
 from . import lattice
 from .errors import (
@@ -60,26 +59,51 @@ def _strict_int(x, what: str) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class Fan:
-    dim: int
-    rays: tuple[Vector, ...]
-    max_cones: tuple[Cone, ...]
+class _Frozen:
+    """Base of the slotted records: their constructors set each field once
+    with object.__setattr__, and after that no attribute can change."""
 
-    def __post_init__(self):
-        if type(self.dim) is not int or self.dim < 0:
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Fan(_Frozen):
+    """A fan; equality and hash are those of (dim, rays, max_cones)."""
+
+    __slots__ = ("dim", "rays", "max_cones", "_hash")
+
+    def __init__(self, dim: int, rays: Iterable[Iterable[int]], max_cones: Iterable[Iterable[int]]):
+        if type(dim) is not int or dim < 0:
             raise ValueError("dim must be a nonnegative integer")
-        rays = tuple(tuple(_strict_int(x, "ray entry") for x in ray) for ray in self.rays)
+        rays = tuple(tuple(_strict_int(x, "ray entry") for x in ray) for ray in rays)
         cones = tuple(
-            sorted(tuple(sorted(_strict_int(i, "cone index") for i in cone)) for cone in self.max_cones)
+            sorted(tuple(sorted(_strict_int(i, "cone index") for i in cone)) for cone in max_cones)
         )
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "max_cones", cones)
+        _set = object.__setattr__
+        _set(self, "dim", dim)
+        _set(self, "rays", rays)
+        _set(self, "max_cones", cones)
         # every per-fan cache lookup hashes the fan: hash the fields once
-        object.__setattr__(self, "_hash", hash((self.dim, rays, cones)))
+        _set(self, "_hash", hash((dim, rays, cones)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dim, self.rays, self.max_cones) == (other.dim, other.rays, other.max_cones)
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):
+        return self.__class__, (self.dim, self.rays, self.max_cones)
+
+    def __repr__(self) -> str:
+        return f"Fan(dim={self.dim!r}, rays={self.rays!r}, max_cones={self.max_cones!r})"
 
     @property
     def n_rays(self) -> int:
@@ -124,28 +148,41 @@ def load_fan(path: str) -> Fan:
         return fan_from_json(handle.read())
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     accepted: bool
     problems: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(_Frozen):
     """A curve class recorded by its intersection numbers with the divisors.
 
     The tuple entry i is the pairing with D_i; membership in the curve
     lattice means the weighted ray sum vanishes, which curve_class checks.
+    Equality and hash are those of (pairings,).
     """
 
-    pairings: tuple[int, ...]
+    __slots__ = ("pairings",)
 
-    def __post_init__(self):
-        pairings = tuple(self.pairings)
+    def __init__(self, pairings: Iterable[int]):
+        pairings = tuple(pairings)
         for x in pairings:  # one type test per entry: sums and decoded q-keys build classes
             if type(x) is not int:
                 _strict_int(x, "pairing")
         object.__setattr__(self, "pairings", pairings)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pairings == other.pairings
+
+    def __hash__(self) -> int:
+        return hash((self.pairings,))
+
+    def __reduce__(self):
+        return self.__class__, (self.pairings,)
+
+    def __repr__(self) -> str:
+        return f"CurveClass(pairings={self.pairings!r})"
 
     @property
     def degree(self) -> int:
@@ -186,8 +223,7 @@ def _relation_class(fan: Fan, lhs: Iterable[int], rhs: Iterable[tuple[int, int]]
     return curve_class(fan, pairings)
 
 
-@dataclass(frozen=True)
-class PrimitiveData:
+class PrimitiveData(NamedTuple):
     """A primitive set with its relation and associated curve class."""
 
     set: Cone

@@ -13,10 +13,9 @@ apply; every relation then reads rho_1 + ... + rho_k = rho_hat or = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import fan as fan_mod
 from . import lattice
@@ -39,16 +38,14 @@ class Tier(IntEnum):
         }[self]
 
 
-@dataclass(frozen=True)
-class RelationCertificate:
+class RelationCertificate(NamedTuple):
     pset: Cone
     coefficient_sum: int
     rhs_cone: Cone
     rhs_multiplicity: int  # how many relations share this rhs ray (0 if rhs empty)
 
 
-@dataclass(frozen=True)
-class ClassTier:
+class ClassTier(NamedTuple):
     tier: Tier
     certificates: tuple[RelationCertificate, ...]
 
@@ -108,8 +105,7 @@ def check_condition_iii(fan: Fan):
     return True, None
 
 
-@dataclass(frozen=True)
-class ExceptionalData:
+class ExceptionalData(NamedTuple):
     """Independent rays summing to the generator of another ray.
 
     cls pairs +1 with each member divisor and -1 with the exceptional one.

@@ -20,15 +20,16 @@ and decoded once per ring (_QuantumRing.curve).
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import cohomology, fan as fan_mod, fano
 from .cohomology import CohomologyClass, Monomial, Rational
 from .errors import NotFano, NotInClass, PreconditionFailed
 from .fan import Cone, CurveClass, Fan, PrimitiveData, Vector
+
+if TYPE_CHECKING:  # rng is only annotated: random stays out of the import
+    import random
 
 
 class QuantumClass:
@@ -84,8 +85,7 @@ class QuantumClass:
         return "QuantumClass(" + " + ".join(bits) + ")"
 
 
-@dataclass(frozen=True)
-class QuantumTerm:
+class QuantumTerm(NamedTuple):
     """One term of a q-polynomial in the divisor symbols."""
 
     curve: CurveClass
@@ -93,8 +93,7 @@ class QuantumTerm:
     coefficient: Rational
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     """Generators and relations of the quantum ring.
 
     linear holds one row per lattice coordinate, the row being the pairing

@@ -343,7 +343,7 @@ def test_normal_forms_match_batyrev_reference(name):
 
 _TAMPERED_SHELLING = textwrap.dedent(
     """
-    import dataclasses, sys
+    import sys
     from toricqh import catalog, clear_caches, cli, cohomology
     from toricqh.errors import FanNotAccepted, RingInconsistent
     from toricqh.fan import Fan
@@ -360,7 +360,7 @@ _TAMPERED_SHELLING = textwrap.dedent(
         "ends": ((), (0,), (2,), (0,)),
     }
     for name, tau in tampered.items():
-        cohomology._compute_shelling = lambda f, tau=tau: dataclasses.replace(good, tau=tau)
+        cohomology._compute_shelling = lambda f, tau=tau: good._replace(tau=tau)
         clear_caches()
         try:
             for d in range(fan.dim + 1):
