@@ -1,21 +1,27 @@
 """Quantum cohomology: presentation, structure constants, and invariants.
 
 The quantum ring is presented by the divisor symbols modulo the linear
-relations and one deformed monomial relation per primitive set.  Products
-are computed by rewriting monomials to normal form: a monomial whose
-support contains a primitive set trades it for the relation's right side
-at the cost of a q-shift, a repeated divisor is eliminated through the
-dual-basis linear relation of a containing cone, and a square-free
-monomial supported on a cone is evaluated in closed form through the
-exceptional-set expansion, kept in the one rewrite memo whatever the
-strategy (it leaves no free choice).  Everything stays exact and integral:
-the engine's one form is a dict packed curve class -> basis index -> int,
-Giambelli lifts are (packed class, monomial) pairs, and class objects are
-built only where a public function returns.  A curve class with pairings p
-is packed into one int, sum p_i * 2^(40 i) with balanced digits, so a
-q-shift is one integer addition; a class is packed once where it enters
-(_QuantumRing.check_curve, which refuses a pairing of size 2^37 or more)
-and decoded once per ring (_QuantumRing.curve).
+relations and one deformed monomial relation per primitive set.  Monomials
+are rewritten to normal form: a monomial whose support contains a primitive
+set trades it for the relation's right side at the cost of a q-shift, a
+repeated divisor is eliminated through the dual-basis linear relation of a
+containing cone, and a square-free monomial supported on a cone is
+evaluated in closed form through the exceptional-set expansion, kept in the
+one rewrite memo whatever the strategy (it leaves no free choice).  Below
+FullClass (a ray may head two primitive relations) the rewrite is not
+confluent, and its entry points raise NotInTier.  A product pushes the
+q-polynomial of each basis index i of its left operand through the folded
+row of its right operand, the sum of c_j q^beta_j (b_i * b_j) over its
+entries, b_i * b_j being the rewritten product of two Giambelli lifts; the
+ring keeps the rows of the last right operand, so a chain H^(k-1) * H folds
+H once.  Everything stays exact and integral: the engine's one form is a
+dict packed curve class -> basis index -> int, Giambelli lifts are (packed
+class, monomial) pairs, and class objects are built only where a public
+function returns.  A curve class with pairings p is packed into one int,
+sum p_i * 2^(40 i) with balanced digits, so a q-shift is one integer
+addition; a class is packed once where it enters (_QuantumRing.check_curve,
+which refuses a pairing of size 2^37 or more) and decoded once per ring
+(_QuantumRing.curve).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import cohomology, fan as fan_mod, fano
 from .cohomology import CohomologyClass, Monomial, Rational
-from .errors import NotFano, NotInClass, PreconditionFailed
+from .errors import NotFano, NotInClass, NotInTier, PreconditionFailed
 from .fan import Cone, CurveClass, Fan, PrimitiveData, Vector
 
 if TYPE_CHECKING:  # rng is only annotated: random stays out of the import
@@ -121,8 +127,9 @@ _Parts = dict[int, dict[int, int]]  # packed curve class -> basis index -> coeff
 # A curve class is keyed inside the engine by _pack(pairings), one int with
 # balanced base-2^40 digits.  Packing is additive, and a key decodes exactly
 # while every digit of a sum lies in [-2^39, 2^39).  A key sums at most two
-# boundary classes (a part of each operand of quantum_product; check_curve
-# refuses |p_i| >= 2^37, so two stay below 2^38) and one engine class.  An
+# boundary classes (a part of each operand of quantum_product: the right's in
+# its folded row, the left's where the row is pushed; check_curve refuses
+# |p_i| >= 2^37, so two stay below 2^38) and one engine class.  An
 # engine class sums primitive classes, at most one per unit of the rewritten
 # monomial's degree (a q-shift of a Fano relation lowers the degree), and up
 # to three families of at most n exceptional classes (a closed form and two
@@ -189,7 +196,8 @@ def _pruned(acc: _Parts) -> _Parts:
 
 class _QuantumRing:
     def __init__(self, fan: Fan):
-        if fano.classify(fan).tier < fano.Tier.FANO:
+        self.tier = fano.classify(fan).tier
+        if self.tier < fano.Tier.FANO:
             raise NotFano("quantum reduction needs a Fano fan")
         self.fan = fan
         # each primitive set with its class, packed: the rewrite's q-shift
@@ -197,6 +205,8 @@ class _QuantumRing:
         self.giambelli_cache: dict[Cone, tuple[tuple[int, Monomial], ...]] = {}
         self.reduce_memo: dict[Monomial, _Parts] = {}
         self.pair_cache: dict[tuple[int, int], _Parts] = {}
+        # the entries of the last product's right operand, with its rows
+        self.fold_slot: tuple[tuple, dict[int, _Parts]] = ((), {})
         self.effective_seen: set[Vector] = set()
         self.curve_keys: dict[Vector, int] = {}
         self.key_curves: dict[int, CurveClass] = {}
@@ -230,7 +240,15 @@ class _QuantumRing:
         return beta
 
     def to_class(self, parts: _Parts) -> QuantumClass:
-        return QuantumClass({self.curve(key): CohomologyClass(c) for key, c in parts.items()})
+        """The class of engine parts without zeros, built unchecked: engine
+        coefficients are int or Fraction already."""
+        out = QuantumClass()
+        for key, coords in parts.items():
+            kept = {i: c for i, c in coords.items() if c}
+            if kept:
+                cls = out.parts[self.curve(key)] = CohomologyClass.__new__(CohomologyClass)
+                cls.coords = kept
+        return out
 
     def family_class(self, family) -> Vector:
         # the sum of the family's classes, the zero class for the empty family
@@ -254,7 +272,7 @@ class _QuantumRing:
         cached = self.giambelli_cache.get(sigma)
         if cached is not None:
             return cached
-        if fano.classify(self.fan).tier < fano.Tier.FULL_CLASS:
+        if self.tier < fano.Tier.FULL_CLASS:
             raise NotInClass("the Giambelli expansion needs the full class")
         terms = []
         for family in self.families(sigma, "no_cycles"):
@@ -325,8 +343,32 @@ class _QuantumRing:
         out = self.pair_cache[key] = _pruned(acc)
         return out
 
+    def folded_rows(self, right: tuple, indices) -> dict[int, _Parts]:
+        """Rows i of the right operand's entries (packed beta_j, j, c_j,
+        type of c_j): the sum of c_j q^beta_j pair_product(i, j).  The key
+        holds the types, since Fraction(2) == 2 hash alike; rows keep their
+        zeros, since a Fraction zero still makes what it meets a Fraction."""
+        key, rows = self.fold_slot
+        if key != right:
+            rows = {}
+            self.fold_slot = (right, rows)
+        for i in indices:
+            if i not in rows:
+                row = rows[i] = {}
+                for shift, j, c, _ in right:
+                    _add_into(row, self.pair_product(i, j), c, shift)
+        return rows
+
 
 _qring = fan_mod.per_fan(_QuantumRing)
+
+
+def _rewrite_ring(fan: Fan) -> _QuantumRing:
+    """The ring, for the rewrite's entry points: NotInTier below FullClass."""
+    ring = _qring(fan)
+    if ring.tier < fano.Tier.FULL_CLASS:
+        raise NotInTier("the quantum rewrite is confluent only on FullClass fans")
+    return ring
 
 
 def presentation(fan: Fan) -> Presentation:
@@ -355,9 +397,9 @@ def divisor_product_closed_form(fan: Fan, sigma: Sequence[int]) -> QuantumClass:
 
     Families with distinct exceptional divisors and no overlaps contribute
     (-1)^t q^(sum of classes) times the stratum whose cone keeps the rays of
-    sigma the exponent does not meet with pairing one.
+    sigma the exponent does not meet with pairing one.  Needs the full class.
     """
-    ring = _qring(fan)
+    ring = _rewrite_ring(fan)
     return ring.to_class(ring.reduce(fan_mod._cone_key(fan, sigma), None))
 
 
@@ -372,10 +414,11 @@ def reduce_monomial(
     uses as a confluence audit.  Memoization only applies to the
     deterministic strategy.  A monomial of degree above MAX_REWRITE_DEGREE
     is refused with PreconditionFailed, an index that is not an int with
-    ValueError and one that names no ray with IndexOutOfRange.
+    ValueError and one that names no ray with IndexOutOfRange.  Below
+    FullClass the rewrite is not confluent, and NotInTier is raised.
     """
     mono = _check_monomial(fan, monomial)
-    ring = _qring(fan)
+    ring = _rewrite_ring(fan)
     return ring.to_class(ring.reduce(mono, rng))
 
 
@@ -386,9 +429,10 @@ def evaluate_terms(fan: Fan, terms: Sequence[QuantumTerm]) -> QuantumClass:
     fan.curve_class (ValueError unless a CurveClass, NotEffective for a wrong
     length or a nonzero ray sum, PreconditionFailed for a pairing of size
     2^37 or more, outside the packed q-keys) and term coefficients as in
-    normal_form (ValueError unless int or Fraction).
+    normal_form (ValueError unless int or Fraction).  Needs the full class,
+    as reduce_monomial does.
     """
-    ring = _qring(fan)
+    ring = _rewrite_ring(fan)
     acc: _Parts = {}
     for term in terms:
         coeff = cohomology._strict_rational(term.coefficient, "coefficient")
@@ -403,30 +447,34 @@ Multiplicand = Union[CohomologyClass, QuantumClass]
 def quantum_product(fan: Fan, a: Multiplicand, b: Multiplicand) -> QuantumClass:
     """Quantum product, bilinear over q-shifts; needs the full class.
 
-    Basis classes are lifted through their Giambelli polynomials, the lifts
-    are multiplied formally, and every monomial is rewritten to normal form.
-    Part curve classes are checked as in evaluate_terms (a key that is not a
-    CurveClass: ValueError), and every basis index of a part must name a
-    basis class (IndexOutOfRange).
+    The left operand is grouped by basis index i, and each index's
+    q-polynomial is pushed once through row i of the right operand
+    (_QuantumRing.folded_rows), which the next product with the same right
+    operand reuses.  Part curve classes are checked as in
+    evaluate_terms (a key that is not a CurveClass: ValueError), and every
+    basis index of a part must name a basis class (IndexOutOfRange).
     """
     ring, basis = _qring(fan), cohomology._ring(fan)
     qa = classical(fan, a) if isinstance(a, CohomologyClass) else a
     qb = classical(fan, b) if isinstance(b, CohomologyClass) else b
-    left = [(ring.check_curve(beta), basis.coords(cls)) for beta, cls in qa.parts.items()]
-    right = [(ring.check_curve(beta), basis.coords(cls)) for beta, cls in qb.parts.items()]
-    entries = [(shift_b, j, cb) for shift_b, coords_b in right for j, cb in coords_b.items()]
-    # the row of a left basis index i, the right operand folded on first use:
-    # the sum of c_b q^beta_b pair_product(i, j) over its entries
-    rows: dict[int, _Parts] = {}
+    # the left operand by basis index: i -> packed class -> coeff
+    left: dict[int, dict[int, Rational]] = {}
+    for beta, cls in qa.parts.items():
+        shift = ring.check_curve(beta)
+        for i, c in basis.coords(cls).items():
+            left.setdefault(i, {})[shift] = c
+    right = []
+    for beta, cls in qb.parts.items():
+        shift = ring.check_curve(beta)
+        right += [(shift, j, c, type(c)) for j, c in basis.coords(cls).items()]
+    rows = ring.folded_rows(tuple(right), left)
     acc: _Parts = {}
-    for shift_a, coords_a in left:
-        for i, ca in coords_a.items():
-            row = rows.get(i)
-            if row is None:
-                row = rows[i] = {}
-                for shift_b, j, cb in entries:
-                    _add_into(row, ring.pair_product(i, j), cb, shift_b)
-            _add_into(acc, row, ca, shift_a)
+    for i, poly in left.items():
+        for beta, coords in rows[i].items():
+            for shift, ca in poly.items():
+                part = acc.setdefault(beta + shift, {})
+                for k, c in coords.items():
+                    part[k] = part.get(k, 0) + ca * c
     return ring.to_class(acc)
 
 

@@ -70,6 +70,20 @@ def bundle3():
 
 
 @pytest.fixture(scope="session")
+def shared_head():
+    """SubvarietiesFano threefold and fourfold, outside FullClass: X is
+    P(O + O(1,1)) over P^1 x P^1, where the primitive sets {0, 1} and {2, 3}
+    both have rhs ray 4, and X x P^1.  On X, the quantum rewrite of
+    (0, 0, 0, 2, 5, 5) depends on its strategy."""
+    x = Fan(
+        3,
+        ((1, 0, 0), (-1, 0, 1), (0, 1, 0), (0, -1, 1), (0, 0, 1), (0, 0, -1)),
+        tuple((a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)),
+    )
+    return {"x": x, "xxp1": catalog.product(x, catalog.projective_space(1))}
+
+
+@pytest.fixture(scope="session")
 def not_fans():
     """Cone sets that are no fans although every facet lies in two of their
     unimodular cones and the facet graph is connected: the first winds twice

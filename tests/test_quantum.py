@@ -363,6 +363,32 @@ def test_tier_gates(f2, bundle3):
         quantum.quantum_product(bundle3, a, a)
 
 
+def test_rewrite_is_refused_below_full_class(shared_head):
+    # one ray heads two primitive relations, where the rewrite is not
+    # confluent: its entry points refuse the fan, the ring's products
+    # refuse it through the Giambelli expansion, the presentation stands
+    for name, fan in shared_head.items():
+        assert fano.classify(fan).tier is fano.Tier.SUBVARIETIES_FANO, name
+        heads = [pd.rhs_cone for pd in fan_mod.primitive_data(fan) if len(pd.set) == 2]
+        assert heads.count((4,)) == 2, name
+        assert quantum.presentation(fan).n_generators == fan.n_rays
+        zero = quantum.zero_curve(fan)
+        calls = [
+            lambda: quantum.reduce_monomial(fan, (0, 0, 0, 2, 5, 5)),
+            lambda: quantum.reduce_monomial(fan, (0, 0, 0, 2, 5, 5), random.Random(0)),
+            lambda: quantum.divisor_product_closed_form(fan, fan.max_cones[0]),
+            lambda: quantum.evaluate_terms(fan, [QuantumTerm(zero, (0,), 1)]),
+        ]
+        for call in calls:
+            with pytest.raises(NotInTier):
+                call()
+        a = coho.basis_class(fan, 1)
+        with pytest.raises(NotInClass):
+            quantum.quantum_product(fan, a, a)
+        with pytest.raises(NotInClass):
+            quantum.giambelli(fan, fan.max_cones[0])
+
+
 def test_quantum_class_algebra(p2):
     unit = coho.unit_class(p2)
     line = fan_mod.curve_class(p2, (1, 1, 1))
@@ -533,18 +559,58 @@ def _typed(qclass):
     return {(beta, i): type(c) for beta, cls in qclass.parts.items() for i, c in cls.coords.items()}
 
 
+def _divisor_power(fan, k):
+    """h = sum (r + 1) D_r with int coefficients, and the quantum power h^k."""
+    h = CohomologyClass()
+    for r in range(fan.n_rays):
+        h = h + coho.stratum_class(fan, (r,)).scaled(r + 1)
+    power = quantum.classical(fan, h)
+    for _ in range(k - 1):
+        power = quantum.quantum_product(fan, power, h)
+    return h, power
+
+
 def test_folded_product_matches_the_term_by_term_reference(corpus, threefolds):
     fans = {**corpus, **threefolds}
     for name, fan in sorted(fans.items()):
         if fano.classify(fan).tier < fano.Tier.FULL_CLASS:
             continue
         rng = random.Random(name)
-        for _ in range(8):
-            a, b = _random_quantum_class(fan, rng), _random_quantum_class(fan, rng)
-            got, want = quantum.quantum_product(fan, a, b), _reference_product(fan, a, b)
+        pairs = [(_random_quantum_class(fan, rng), _random_quantum_class(fan, rng)) for _ in range(8)]
+        # chain-shaped: a power of many parts times an int divisor class, then
+        # the same product with equal Fraction coefficients, computed one
+        # right after the other so that the second meets the first's folded rows
+        h, x = _divisor_power(fan, fan.dim + 2)
+        h_frac = CohomologyClass({i: Fraction(c) for i, c in h.coords.items()})
+        pairs += [(x, quantum.classical(fan, h)), (x, quantum.classical(fan, h_frac))]
+        products = [quantum.quantum_product(fan, a, b) for a, b in pairs]
+        for (a, b), got in zip(pairs, products):
+            want = _reference_product(fan, a, b)
             assert got == want, (name, a, b)
             assert _typed(got) == _typed(want), (name, a, b)
             assert quantum.quantum_product(fan, b, a) == got, (name, a, b)
+
+
+def test_a_repeated_right_operand_is_folded_once(bl3p2, threefolds, monkeypatch):
+    # counts pair products, not time: a chain H^(k-1) * H asks for each
+    # (i, j) once, and a repeated product asks for none
+    lookups = []
+    pair_product = quantum._QuantumRing.pair_product
+
+    def counted(ring, i, j):
+        lookups.append((i, j))
+        return pair_product(ring, i, j)
+
+    monkeypatch.setattr(quantum._QuantumRing, "pair_product", counted)
+    for fan in (bl3p2, threefolds["bl3p2xp1"]):
+        clear_caches()
+        lookups.clear()
+        h, x = _divisor_power(fan, 2 * fan.dim + 2)
+        assert lookups and len(lookups) == len(set(lookups))
+        once = quantum.quantum_product(fan, x, h)
+        lookups.clear()
+        assert quantum.quantum_product(fan, x, h) == once
+        assert lookups == []
 
 
 @pytest.mark.parametrize("index", [-1, 3, 99])
