@@ -60,6 +60,14 @@ class CohomologyClass:
                     clean[i] = c
         self.coords = clean
 
+    @classmethod
+    def _trusted(cls, coords: Mapping[int, Rational]) -> "CohomologyClass":
+        """The class of coordinates that are int or Fraction already, as an
+        engine makes them: zeros are dropped, nothing is checked again."""
+        out = cls.__new__(cls)
+        out.coords = {i: c for i, c in coords.items() if c}
+        return out
+
     def is_zero(self) -> bool:
         return not self.coords
 

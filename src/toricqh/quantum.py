@@ -244,10 +244,9 @@ class _QuantumRing:
         coefficients are int or Fraction already."""
         out = QuantumClass()
         for key, coords in parts.items():
-            kept = {i: c for i, c in coords.items() if c}
-            if kept:
-                cls = out.parts[self.curve(key)] = CohomologyClass.__new__(CohomologyClass)
-                cls.coords = kept
+            cls = CohomologyClass._trusted(coords)
+            if cls.coords:
+                out.parts[self.curve(key)] = cls
         return out
 
     def family_class(self, family) -> Vector:
@@ -354,9 +353,11 @@ class _QuantumRing:
             self.fold_slot = (right, rows)
         for i in indices:
             if i not in rows:
-                row = rows[i] = {}
+                # stored only once complete: a fill cut short leaves no row behind
+                row: _Parts = {}
                 for shift, j, c, _ in right:
                     _add_into(row, self.pair_product(i, j), c, shift)
+                rows[i] = row
         return rows
 
 
@@ -470,11 +471,8 @@ def quantum_product(fan: Fan, a: Multiplicand, b: Multiplicand) -> QuantumClass:
     rows = ring.folded_rows(tuple(right), left)
     acc: _Parts = {}
     for i, poly in left.items():
-        for beta, coords in rows[i].items():
-            for shift, ca in poly.items():
-                part = acc.setdefault(beta + shift, {})
-                for k, c in coords.items():
-                    part[k] = part.get(k, 0) + ca * c
+        for shift, ca in poly.items():
+            _add_into(acc, rows[i], ca, shift)
     return ring.to_class(acc)
 
 

@@ -613,6 +613,38 @@ def test_a_repeated_right_operand_is_folded_once(bl3p2, threefolds, monkeypatch)
         assert lookups == []
 
 
+def test_a_fold_cut_short_leaves_no_row_behind(bundle3, bl3p2, monkeypatch):
+    # a product that raises while it folds its right operand must not leave
+    # a partial row in the ring's slot for the next product to reuse
+    a = coho.basis_class(bundle3, 1)
+    for _ in range(2):
+        with pytest.raises(NotInClass):
+            quantum.quantum_product(bundle3, a, a)
+    clear_caches()
+    h, x = _divisor_power(bl3p2, 3)
+    left = quantum.classical(bl3p2, h)
+    want = _reference_product(bl3p2, left, x)
+    calls = []
+    pair_product = quantum._QuantumRing.pair_product
+
+    class Cut(Exception):
+        pass
+
+    def cut_on_the_third(ring, i, j):
+        calls.append((i, j))
+        if len(calls) == 3:
+            raise Cut
+        return pair_product(ring, i, j)
+
+    monkeypatch.setattr(quantum._QuantumRing, "pair_product", cut_on_the_third)
+    with pytest.raises(Cut):
+        quantum.quantum_product(bl3p2, left, x)
+    got = quantum.quantum_product(bl3p2, left, x)
+    assert len(calls) > 3
+    assert got == want
+    assert _typed(got) == _typed(want)
+
+
 @pytest.mark.parametrize("index", [-1, 3, 99])
 def test_basis_indices_are_checked_where_a_class_enters(p2, index):
     # P^2 has the basis b0, b1, b2: -1 must not wrap around to b2
