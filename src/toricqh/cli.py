@@ -52,7 +52,6 @@ from .errors import (
     NotACone,
     NotEffective,
     NotFano,
-    NotInClass,
     NotInTier,
     PreconditionFailed,
     RingInconsistent,
@@ -558,7 +557,7 @@ def _parser() -> argparse.ArgumentParser:
 _EXITS: tuple[tuple[tuple, int], ...] = (
     ((ExpressionError, NotACone, IndexOutOfRange, ValueError, OSError), 2),
     ((FanNotAccepted, LocateFailure, RingInconsistent), 3),
-    ((NotFano, NotInClass, NotInTier), 4),
+    ((NotFano, NotInTier), 4),
     ((NotEffective, PreconditionFailed, BlowDownInvalid, SearchBudgetExceeded), 5),
 )
 

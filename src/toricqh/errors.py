@@ -51,12 +51,17 @@ class NotFano(ToricError):
     """The fan fails the Fano inequality on some primitive relation."""
 
 
-class NotInClass(ToricError):
-    """The fan is outside the class these quantum formulas cover."""
-
-
 class NotInTier(ToricError):
     """The fan sits below the tier an operation requires."""
+
+
+class NotInClass(NotInTier):
+    """The fan is below FullClass, the class these quantum formulas cover.
+
+    The quantum ring raises it where it is built, so every quantum product,
+    GW invariant, Giambelli lift and rewrite refuses such a fan, whatever
+    its operands; blow-downs refuse it too.
+    """
 
 
 class RingInconsistent(ToricError):

@@ -161,7 +161,7 @@ class CurveClass(_Frozen):
     Equality and hash are those of (pairings,).
     """
 
-    __slots__ = ("pairings",)
+    __slots__ = ("pairings", "_hash")
 
     def __init__(self, pairings: Iterable[int]):
         pairings = tuple(pairings)
@@ -169,6 +169,8 @@ class CurveClass(_Frozen):
             if type(x) is not int:
                 _strict_int(x, "pairing")
         object.__setattr__(self, "pairings", pairings)
+        # every quantum part is keyed by its class: hash the field once
+        object.__setattr__(self, "_hash", hash((pairings,)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -176,7 +178,7 @@ class CurveClass(_Frozen):
         return self.pairings == other.pairings
 
     def __hash__(self) -> int:
-        return hash((self.pairings,))
+        return self._hash
 
     def __reduce__(self):
         return self.__class__, (self.pairings,)

@@ -7,14 +7,16 @@ set trades it for the relation's right side at the cost of a q-shift, a
 repeated divisor is eliminated through the dual-basis linear relation of a
 containing cone, and a square-free monomial supported on a cone is
 evaluated in closed form through the exceptional-set expansion, kept in the
-one rewrite memo whatever the strategy (it leaves no free choice).  Below
-FullClass (a ray may head two primitive relations) the rewrite is not
-confluent, and its entry points raise NotInTier.  A product pushes the
-q-polynomial of each basis index i of its left operand through the folded
-row of its right operand, the sum of c_j q^beta_j (b_i * b_j) over its
-entries, b_i * b_j being the rewritten product of two Giambelli lifts; the
-ring keeps the rows of the last right operand, so a chain H^(k-1) * H folds
-H once.  Everything stays exact and integral: the engine's one form is a
+one rewrite memo whatever the strategy (it leaves no free choice).  The
+ring is built only on FullClass fans, where the paper's formulas hold:
+below Fano it raises NotFano, below FullClass NotInClass, a NotInTier
+(there a ray may head two primitive relations and the rewrite is not
+confluent).  Every field of the ring is a memo of a function of the fan and
+its key, so no result depends on what ran before it.  A product pushes the
+q-polynomial of each basis index i of its left operand through row i of its
+right operand, the sum of c_j q^beta_j (b_i * b_j) over its entries,
+b_i * b_j being the rewritten product of two Giambelli lifts.
+Everything stays exact and integral: the engine's one form is a
 dict packed curve class -> basis index -> int, Giambelli lifts are (packed
 class, monomial) pairs, and class objects are built only where a public
 function returns.  A curve class with pairings p is packed into one int,
@@ -31,7 +33,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import cohomology, fan as fan_mod, fano
 from .cohomology import CohomologyClass, Monomial, Rational
-from .errors import NotFano, NotInClass, NotInTier, PreconditionFailed
+from .errors import NotFano, NotInClass, PreconditionFailed
 from .fan import Cone, CurveClass, Fan, PrimitiveData, Vector
 
 if TYPE_CHECKING:  # rng is only annotated: random stays out of the import
@@ -128,7 +130,7 @@ _Parts = dict[int, dict[int, int]]  # packed curve class -> basis index -> coeff
 # balanced base-2^40 digits.  Packing is additive, and a key decodes exactly
 # while every digit of a sum lies in [-2^39, 2^39).  A key sums at most two
 # boundary classes (a part of each operand of quantum_product: the right's in
-# its folded row, the left's where the row is pushed; check_curve refuses
+# its row, the left's where the row is pushed; check_curve refuses
 # |p_i| >= 2^37, so two stay below 2^38) and one engine class.  An
 # engine class sums primitive classes, at most one per unit of the rewritten
 # monomial's degree (a q-shift of a Fano relation lowers the degree), and up
@@ -196,17 +198,17 @@ def _pruned(acc: _Parts) -> _Parts:
 
 class _QuantumRing:
     def __init__(self, fan: Fan):
-        self.tier = fano.classify(fan).tier
-        if self.tier < fano.Tier.FANO:
+        tier = fano.classify(fan).tier
+        if tier < fano.Tier.FANO:
             raise NotFano("quantum reduction needs a Fano fan")
+        if tier < fano.Tier.FULL_CLASS:
+            raise NotInClass("the quantum ring needs a FullClass fan")
         self.fan = fan
         # each primitive set with its class, packed: the rewrite's q-shift
         self.pdata = [(pd, _pack(pd.cls.pairings)) for pd in fan_mod.primitive_data(fan)]
         self.giambelli_cache: dict[Cone, tuple[tuple[int, Monomial], ...]] = {}
         self.reduce_memo: dict[Monomial, _Parts] = {}
         self.pair_cache: dict[tuple[int, int], _Parts] = {}
-        # the entries of the last product's right operand, with its rows
-        self.fold_slot: tuple[tuple, dict[int, _Parts]] = ((), {})
         self.effective_seen: set[Vector] = set()
         self.curve_keys: dict[Vector, int] = {}
         self.key_curves: dict[int, CurveClass] = {}
@@ -271,8 +273,6 @@ class _QuantumRing:
         cached = self.giambelli_cache.get(sigma)
         if cached is not None:
             return cached
-        if self.tier < fano.Tier.FULL_CLASS:
-            raise NotInClass("the Giambelli expansion needs the full class")
         terms = []
         for family in self.families(sigma, "no_cycles"):
             removed = {i for exc in family for i in exc.set}
@@ -342,34 +342,8 @@ class _QuantumRing:
         out = self.pair_cache[key] = _pruned(acc)
         return out
 
-    def folded_rows(self, right: tuple, indices) -> dict[int, _Parts]:
-        """Rows i of the right operand's entries (packed beta_j, j, c_j,
-        type of c_j): the sum of c_j q^beta_j pair_product(i, j).  The key
-        holds the types, since Fraction(2) == 2 hash alike; rows keep their
-        zeros, since a Fraction zero still makes what it meets a Fraction."""
-        key, rows = self.fold_slot
-        if key != right:
-            rows = {}
-            self.fold_slot = (right, rows)
-        for i in indices:
-            if i not in rows:
-                # stored only once complete: a fill cut short leaves no row behind
-                row: _Parts = {}
-                for shift, j, c, _ in right:
-                    _add_into(row, self.pair_product(i, j), c, shift)
-                rows[i] = row
-        return rows
-
 
 _qring = fan_mod.per_fan(_QuantumRing)
-
-
-def _rewrite_ring(fan: Fan) -> _QuantumRing:
-    """The ring, for the rewrite's entry points: NotInTier below FullClass."""
-    ring = _qring(fan)
-    if ring.tier < fano.Tier.FULL_CLASS:
-        raise NotInTier("the quantum rewrite is confluent only on FullClass fans")
-    return ring
 
 
 def presentation(fan: Fan) -> Presentation:
@@ -400,7 +374,7 @@ def divisor_product_closed_form(fan: Fan, sigma: Sequence[int]) -> QuantumClass:
     (-1)^t q^(sum of classes) times the stratum whose cone keeps the rays of
     sigma the exponent does not meet with pairing one.  Needs the full class.
     """
-    ring = _rewrite_ring(fan)
+    ring = _qring(fan)
     return ring.to_class(ring.reduce(fan_mod._cone_key(fan, sigma), None))
 
 
@@ -416,10 +390,10 @@ def reduce_monomial(
     deterministic strategy.  A monomial of degree above MAX_REWRITE_DEGREE
     is refused with PreconditionFailed, an index that is not an int with
     ValueError and one that names no ray with IndexOutOfRange.  Below
-    FullClass the rewrite is not confluent, and NotInTier is raised.
+    FullClass the rewrite is not confluent, and NotInClass is raised.
     """
     mono = _check_monomial(fan, monomial)
-    ring = _rewrite_ring(fan)
+    ring = _qring(fan)
     return ring.to_class(ring.reduce(mono, rng))
 
 
@@ -433,7 +407,7 @@ def evaluate_terms(fan: Fan, terms: Sequence[QuantumTerm]) -> QuantumClass:
     normal_form (ValueError unless int or Fraction).  Needs the full class,
     as reduce_monomial does.
     """
-    ring = _rewrite_ring(fan)
+    ring = _qring(fan)
     acc: _Parts = {}
     for term in terms:
         coeff = cohomology._strict_rational(term.coefficient, "coefficient")
@@ -449,11 +423,10 @@ def quantum_product(fan: Fan, a: Multiplicand, b: Multiplicand) -> QuantumClass:
     """Quantum product, bilinear over q-shifts; needs the full class.
 
     The left operand is grouped by basis index i, and each index's
-    q-polynomial is pushed once through row i of the right operand
-    (_QuantumRing.folded_rows), which the next product with the same right
-    operand reuses.  Part curve classes are checked as in
-    evaluate_terms (a key that is not a CurveClass: ValueError), and every
-    basis index of a part must name a basis class (IndexOutOfRange).
+    q-polynomial is pushed once through row i of the right operand.  Part
+    curve classes are checked as in evaluate_terms (a key that is not a
+    CurveClass: ValueError), and every basis index of a part must name a
+    basis class (IndexOutOfRange).
     """
     ring, basis = _qring(fan), cohomology._ring(fan)
     qa = classical(fan, a) if isinstance(a, CohomologyClass) else a
@@ -464,16 +437,18 @@ def quantum_product(fan: Fan, a: Multiplicand, b: Multiplicand) -> QuantumClass:
         shift = ring.check_curve(beta)
         for i, c in basis.coords(cls).items():
             left.setdefault(i, {})[shift] = c
-    right = []
-    for beta, cls in qb.parts.items():
-        shift = ring.check_curve(beta)
-        right += [(shift, j, c, type(c)) for j, c in basis.coords(cls).items()]
-    rows = ring.folded_rows(tuple(right), left)
+    right = [(ring.check_curve(beta), basis.coords(cls)) for beta, cls in qb.parts.items()]
     acc: _Parts = {}
-    # _add_into(acc, rows[i], ca, shift) per left part, unrolled: the call per
-    # (index, part) costs about 6% of chain_s on quantum_powers (BENCH_21.json)
     for i, poly in left.items():
-        for beta, coords in rows[i].items():
+        # row i: sum of c_j q^beta_j (b_i * b_j); it keeps its zeros, since a
+        # Fraction zero still makes what it meets a Fraction
+        row: _Parts = {}
+        for shift, coords in right:
+            for j, c in coords.items():
+                _add_into(row, ring.pair_product(i, j), c, shift)
+        # _add_into(acc, row, ca, shift) per left part, unrolled: the call per
+        # (index, part) costs about 6% of chain_s on quantum_powers (BENCH_21.json)
+        for beta, coords in row.items():
             for shift, ca in poly.items():
                 part = acc.setdefault(beta + shift, {})
                 for k, c in coords.items():

@@ -165,6 +165,17 @@ def test_giambelli_tier_gate(capsys, tmp_path):
     assert code == 4 and "error:" in err
 
 
+def test_zero_operands_are_refused_below_full_class(capsys, tmp_path):
+    # the quantum ring refuses the fan where it is built, so a zero class
+    # is refused as D1 is
+    path = tmp_path / "bundle3.json"
+    path.write_text(fan_mod.fan_to_json(catalog.twisted_bundle_threefold()))
+    for args in (["multiply", "0", "D1"], ["multiply", "D1", "0"], ["gw", "0", "D1", "D1", "0,0,0,0,0"]):
+        code, out, err = run(capsys, args[0], "--fan", str(path), *args[1:])
+        assert (code, out) == (4, ""), args
+        assert "error:" in err, args
+
+
 def test_multiply_strata(capsys, fans_dir):
     code, out, _ = run(
         capsys, "multiply", "--fan", fan_path(fans_dir, "p2.json"), "[1,2]", "[1,2]"

@@ -358,35 +358,42 @@ def test_tier_gates(f2, bundle3):
         quantum.reduce_monomial(bundle3, (0, 0))
     with pytest.raises(NotInClass):
         quantum.giambelli(bundle3, bundle3.max_cones[0])
-    a = coho.basis_class(bundle3, 1)
+    # the ring refuses the fan where it is built, whatever the operands
+    a, zero = coho.basis_class(bundle3, 1), CohomologyClass()
+    for x, y in ((a, a), (zero, a), (a, zero), (zero, zero)):
+        with pytest.raises(NotInClass):
+            quantum.quantum_product(bundle3, x, y)
     with pytest.raises(NotInClass):
-        quantum.quantum_product(bundle3, a, a)
+        quantum.gw3(bundle3, zero, a, a, quantum.zero_curve(bundle3))
+    assert issubclass(NotInClass, NotInTier)
 
 
 def test_rewrite_is_refused_below_full_class(shared_head):
     # one ray heads two primitive relations, where the rewrite is not
-    # confluent: its entry points refuse the fan, the ring's products
-    # refuse it through the Giambelli expansion, the presentation stands
+    # confluent: every entry point of the quantum ring refuses the fan,
+    # whatever its operands, and the presentation stands
     for name, fan in shared_head.items():
         assert fano.classify(fan).tier is fano.Tier.SUBVARIETIES_FANO, name
         heads = [pd.rhs_cone for pd in fan_mod.primitive_data(fan) if len(pd.set) == 2]
         assert heads.count((4,)) == 2, name
         assert quantum.presentation(fan).n_generators == fan.n_rays
         zero = quantum.zero_curve(fan)
-        calls = [
+        a, nil = coho.basis_class(fan, 1), CohomologyClass()
+        calls = [  # the traceback's lambda line names the call that did not raise
             lambda: quantum.reduce_monomial(fan, (0, 0, 0, 2, 5, 5)),
             lambda: quantum.reduce_monomial(fan, (0, 0, 0, 2, 5, 5), random.Random(0)),
             lambda: quantum.divisor_product_closed_form(fan, fan.max_cones[0]),
             lambda: quantum.evaluate_terms(fan, [QuantumTerm(zero, (0,), 1)]),
+            lambda: quantum.evaluate_terms(fan, []),
+            lambda: quantum.quantum_product(fan, a, a),
+            lambda: quantum.quantum_product(fan, nil, a),
+            lambda: quantum.quantum_product(fan, a, nil),
+            lambda: quantum.gw3(fan, nil, a, a, zero),
+            lambda: quantum.giambelli(fan, fan.max_cones[0]),
         ]
         for call in calls:
-            with pytest.raises(NotInTier):
+            with pytest.raises(NotInClass):
                 call()
-        a = coho.basis_class(fan, 1)
-        with pytest.raises(NotInClass):
-            quantum.quantum_product(fan, a, a)
-        with pytest.raises(NotInClass):
-            quantum.giambelli(fan, fan.max_cones[0])
 
 
 def test_quantum_class_algebra(p2):
@@ -579,7 +586,7 @@ def test_folded_product_matches_the_term_by_term_reference(corpus, threefolds):
         pairs = [(_random_quantum_class(fan, rng), _random_quantum_class(fan, rng)) for _ in range(8)]
         # chain-shaped: a power of many parts times an int divisor class, then
         # the same product with equal Fraction coefficients, computed one
-        # right after the other so that the second meets the first's folded rows
+        # right after the other: the second must not take the first's types
         h, x = _divisor_power(fan, fan.dim + 2)
         h_frac = CohomologyClass({i: Fraction(c) for i, c in h.coords.items()})
         pairs += [(x, quantum.classical(fan, h)), (x, quantum.classical(fan, h_frac))]
@@ -591,58 +598,36 @@ def test_folded_product_matches_the_term_by_term_reference(corpus, threefolds):
             assert quantum.quantum_product(fan, b, a) == got, (name, a, b)
 
 
-def test_a_repeated_right_operand_is_folded_once(bl3p2, threefolds, monkeypatch):
-    # counts pair products, not time: a chain H^(k-1) * H asks for each
-    # (i, j) once, and a repeated product asks for none
-    lookups = []
-    pair_product = quantum._QuantumRing.pair_product
-
-    def counted(ring, i, j):
-        lookups.append((i, j))
-        return pair_product(ring, i, j)
-
-    monkeypatch.setattr(quantum._QuantumRing, "pair_product", counted)
-    for fan in (bl3p2, threefolds["bl3p2xp1"]):
-        clear_caches()
-        lookups.clear()
-        h, x = _divisor_power(fan, 2 * fan.dim + 2)
-        assert lookups and len(lookups) == len(set(lookups))
-        once = quantum.quantum_product(fan, x, h)
-        lookups.clear()
-        assert quantum.quantum_product(fan, x, h) == once
-        assert lookups == []
-
-
-def test_a_fold_cut_short_leaves_no_row_behind(bundle3, bl3p2, monkeypatch):
-    # a product that raises while it folds its right operand must not leave
-    # a partial row in the ring's slot for the next product to reuse
-    a = coho.basis_class(bundle3, 1)
-    for _ in range(2):
-        with pytest.raises(NotInClass):
-            quantum.quantum_product(bundle3, a, a)
-    clear_caches()
+def test_a_product_cut_short_leaves_no_partial_memo(bl3p2, monkeypatch):
+    # a product that raises part way, at any step of the rewrite, must leave
+    # nothing in the ring's memos that the next product would reuse
     h, x = _divisor_power(bl3p2, 3)
     left = quantum.classical(bl3p2, h)
     want = _reference_product(bl3p2, left, x)
-    calls = []
-    pair_product = quantum._QuantumRing.pair_product
+    steps, cut = [], 0
+    reduce = quantum._QuantumRing.reduce
 
     class Cut(Exception):
         pass
 
-    def cut_on_the_third(ring, i, j):
-        calls.append((i, j))
-        if len(calls) == 3:
+    def cut_short(ring, mono, rng):
+        steps.append(mono)
+        if len(steps) == cut:
             raise Cut
-        return pair_product(ring, i, j)
+        return reduce(ring, mono, rng)
 
-    monkeypatch.setattr(quantum._QuantumRing, "pair_product", cut_on_the_third)
-    with pytest.raises(Cut):
-        quantum.quantum_product(bl3p2, left, x)
-    got = quantum.quantum_product(bl3p2, left, x)
-    assert len(calls) > 3
-    assert got == want
-    assert _typed(got) == _typed(want)
+    monkeypatch.setattr(quantum._QuantumRing, "reduce", cut_short)
+    clear_caches()
+    quantum.quantum_product(bl3p2, left, x)
+    assert steps
+    for cut in range(1, len(steps) + 1):
+        clear_caches()
+        steps.clear()
+        with pytest.raises(Cut):
+            quantum.quantum_product(bl3p2, left, x)
+        got = quantum.quantum_product(bl3p2, left, x)
+        assert got == want, cut
+        assert _typed(got) == _typed(want), cut
 
 
 @pytest.mark.parametrize("index", [-1, 3, 99])
