@@ -3,7 +3,9 @@
 One table, _COMMANDS, names every subcommand with its handler, help text
 and arguments; build_parser reads it, and main loads the fan of a command
 that takes --fan once, then calls handler(fan, args).  main builds the
-parser on its first call and reuses it for the rest of the process.
+parser on its first call and reuses it for the rest of the process.  The
+module imports only fan and errors; each handler imports the layer it runs
+(fano, quantum, curves or catalog), so a fresh process compiles no other.
 
 All ray and divisor indices on the command line and in every rendering are
 1-based; the library itself is 0-based.  The CLI only parses and renders: it
@@ -38,11 +40,9 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import catalog, cohomology, curves, fan as fan_mod, fano, quantum
-from .cohomology import CohomologyClass
+from . import fan as fan_mod
 from .errors import (
     BlowDownInvalid,
     ExpressionError,
@@ -58,7 +58,12 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .fan import CurveClass, Fan
-from .quantum import QuantumClass
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .cohomology import CohomologyClass
+    from .quantum import QuantumClass
 
 
 # ---------------------------------------------------------------- rendering
@@ -77,6 +82,8 @@ def _curve_text(beta: CurveClass) -> str:
 
 
 def _coh_terms(fan: Fan, cls: CohomologyClass) -> list[tuple[tuple[int, ...], Fraction]]:
+    from . import cohomology
+
     taus = cohomology.basis_tau(fan)
     return sorted(((taus[i], c) for i, c in cls.coords.items()), key=lambda t: (len(t[0]), t[0]))
 
@@ -169,11 +176,18 @@ def _tokenize(text: str) -> list[tuple[str, Optional[int]]]:
     return out
 
 
-# mode -> (a stratum class into the mode's ring, the mode's product)
-_MODES = {
-    "quantum": (quantum.classical, quantum.quantum_product),
-    "classical": (lambda fan, cls: cls, cohomology.cup),
-}
+def _mode(mode: str):
+    """(the class of a cone's stratum in the ring of mode, its product)."""
+    from . import cohomology, quantum
+
+    return {
+        "quantum": (
+            lambda fan, cone: quantum.classical(fan, cohomology.stratum_class(fan, cone)),
+            quantum.quantum_product,
+        ),
+        "classical": (cohomology.stratum_class, cohomology.cup),
+    }[mode]
+
 
 # Deepest parenthesis nesting parse_expression accepts: each level costs three
 # frames (atom, expr, term), far below the default recursion limit of 1000.
@@ -191,10 +205,10 @@ class _Parser:
         self.pos = 0
         self.depth = 0  # open parentheses around the current position
         self.fan = fan
-        self.embed, self.product = _MODES[mode]
+        self.stratum_class, self.product = _mode(mode)
 
     def stratum(self, cone: tuple[int, ...]):
-        return self.embed(self.fan, cohomology.stratum_class(self.fan, cone))
+        return self.stratum_class(self.fan, cone)
 
     def peek(self) -> str:
         return self.toks[self.pos][0]
@@ -219,6 +233,8 @@ class _Parser:
         return obj.scaled(scalar) if scalar != 1 else obj
 
     def expr(self):
+        from fractions import Fraction
+
         value = self.term()
         while (op := self.peek()) in ("+", "-"):
             self.take()
@@ -250,6 +266,8 @@ class _Parser:
         return (sa * sb, self.product(self.fan, oa, ob))
 
     def atom(self):
+        from fractions import Fraction
+
         kind = self.peek()
         if kind not in self._STARTS:
             raise ExpressionError(f"expression cannot start with {kind!r}")
@@ -321,6 +339,8 @@ def cmd_validate(fan: Fan, args) -> int:
 
 
 def cmd_classify(fan: Fan, args) -> int:
+    from . import fano
+
     result = fano.classify(fan)
     lines = [f"tier: {result.tier.render()}"]
     rows = []
@@ -376,6 +396,8 @@ def cmd_primitive(fan: Fan, args) -> int:
 
 
 def cmd_present(fan: Fan, args) -> int:
+    from . import quantum
+
     pres = quantum.presentation(fan)
     lines = [f"generators: {pres.n_generators}"]
     for row in pres.linear:
@@ -400,6 +422,8 @@ def cmd_present(fan: Fan, args) -> int:
 
 
 def cmd_giambelli(fan: Fan, args) -> int:
+    from . import quantum
+
     sigma = tuple(sorted(v - 1 for v in _parse_index_list(args.cone)))
     terms = quantum.giambelli(fan, sigma)
     lines = []
@@ -422,6 +446,8 @@ def cmd_giambelli(fan: Fan, args) -> int:
 
 
 def cmd_multiply(fan: Fan, args) -> int:
+    from . import quantum
+
     left = parse_expression(fan, args.left, "quantum")
     right = parse_expression(fan, args.right, "quantum")
     result = quantum.quantum_product(fan, left, right)
@@ -430,6 +456,8 @@ def cmd_multiply(fan: Fan, args) -> int:
 
 
 def cmd_gw(fan: Fan, args) -> int:
+    from . import quantum
+
     a = parse_expression(fan, args.a, "classical")
     b = parse_expression(fan, args.b, "classical")
     c = parse_expression(fan, args.c, "classical")
@@ -440,6 +468,8 @@ def cmd_gw(fan: Fan, args) -> int:
 
 
 def cmd_tower(fan: Fan, args) -> int:
+    from . import fano
+
     order = None if args.order is None else [v - 1 for v in _parse_index_list(args.order)]
     stages = fano.blow_down_tower(fan, order)
     lines = []
@@ -461,6 +491,8 @@ def cmd_tower(fan: Fan, args) -> int:
 
 
 def cmd_tree(fan: Fan, args) -> int:
+    from . import curves
+
     beta = fan_mod.curve_class(fan, _parse_index_list(args.beta))
     trees = curves.tree_for_class(fan, beta)
     lines = [f"class {_curve_text(beta)} degree {beta.degree}"]
@@ -489,6 +521,8 @@ def cmd_tree(fan: Fan, args) -> int:
 
 
 def cmd_census(_fan: None, args) -> int:
+    from . import catalog
+
     reps = catalog.census(args.dim, args.max_rays)
     lines = [f"{len(reps)} equivalence classes"]
     rows = []

@@ -3,6 +3,9 @@ import contextlib
 import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -382,3 +385,56 @@ def test_one_parser_serves_every_call(fans_dir, tmp_path, monkeypatch):
     assert first[0][1].startswith("usage: toricqh")
     assert second == first
     assert len(built) == built_by_first_call
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_RING = {"toricqh.cohomology", "toricqh.quantum"}
+_OTHERS = {"toricqh.catalog", "toricqh.curves"}
+# one call per subcommand, each a case of tests/golden/cli.json but tree,
+# which has none there, with the modules its fresh process must not load
+FRESH_CASES = (
+    (("validate", "--fan", "fans/bl3p2.json"), _RING | _OTHERS | {"toricqh.fano", "fractions"}),
+    (("primitive", "--fan", "fans/bl3p2.json"), _RING | _OTHERS | {"toricqh.fano", "fractions"}),
+    (("classify", "--fan", "fans/bl3p2.json"), _RING | _OTHERS),
+    (("tower", "--fan", "fans/bl3p2.json", "--json"), _RING | _OTHERS),
+    (("present", "--fan", "fans/bl3p2.json"), _OTHERS),
+    (("giambelli", "--fan", "fans/bl3p2.json", "1,2"), _OTHERS),
+    (("multiply", "--fan", "fans/bl3p2.json", "D1", "D2"), _OTHERS),
+    (("gw", "--fan", "fans/p2.json", "1/2*D1", "2/2*D2", "--", "-(D1 - D2)+[]", "0,0,0"), _OTHERS),
+    (("tree", "--fan", "fans/p2.json", "1,1,1"), _RING | {"toricqh.catalog", "fractions"}),
+    (("census", "2", "8"), _RING | {"toricqh.curves"}),
+)
+# runs main in a fresh process, then writes the modules it loaded to argv[1]
+_FRESH_PROBE = """
+import sys
+from toricqh import cli
+code = cli.main(sys.argv[2:])
+sys.stdout.flush()
+with open(sys.argv[1], "w", encoding="utf-8") as out:
+    out.write(" ".join(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv, unloaded", FRESH_CASES, ids=[" ".join(a) for a, _ in FRESH_CASES])
+def test_each_subcommand_in_a_fresh_process(capsys, tmp_path, argv, unloaded):
+    # the golden cases share one process, so a handler that works only
+    # because an earlier command imported its layer would pass there
+    modules = tmp_path / "modules.txt"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _FRESH_PROBE, str(modules), *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    outcome = {"exit": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+    if argv[0] == "tree":
+        code = main([str(ROOT / a) if a.startswith("fans/") else a for a in argv])
+        captured = capsys.readouterr()
+        expected = {"exit": code, "stdout": captured.out, "stderr": captured.err}
+    else:
+        golden = json.loads((ROOT / "tests" / "golden" / "cli.json").read_text(encoding="utf-8"))
+        expected = golden[" ".join(argv)]
+    assert outcome == expected
+    loaded = set(modules.read_text(encoding="utf-8").split())
+    assert "toricqh.fan" in loaded
+    assert not loaded & unloaded

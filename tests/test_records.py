@@ -1,5 +1,5 @@
-"""Record types: their text, hashes and immutability, and a cold import
-that loads no dataclasses machinery.
+"""Record types: their text, hashes and immutability, and a cold import of
+every submodule that loads no dataclasses machinery.
 
 Fan and CurveClass are slotted classes; the other nine records are named
 tuples.  A record's hash is the hash of its field tuple, so the iteration
@@ -11,6 +11,7 @@ import copy
 import os
 import pathlib
 import pickle
+import pkgutil
 import subprocess
 import sys
 
@@ -139,16 +140,21 @@ def test_records_built_by_the_library_match_the_pinned_text():
 
 
 def test_cold_import_loads_no_dataclasses_machinery():
+    # every submodule, since the package namespace and the CLI import lazily;
     # -S keeps site out, which on some installs imports random by itself
+    names = [m.name for m in pkgutil.iter_modules([str(SRC / "toricqh")])]
     probe = (
-        "import sys; before = set(sys.modules); import toricqh.cli; "
+        "import sys; before = set(sys.modules)\n"
+        "for name in sys.argv[1:]: __import__('toricqh.' + name)\n"
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-S", "-c", probe, *names],
+        env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     added = set(proc.stdout.split())
-    assert "toricqh.cli" in added
+    assert {"cli", "quantum", "catalog"} <= set(names)
+    assert {f"toricqh.{name}" for name in names} <= added
     assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize", "random"}
