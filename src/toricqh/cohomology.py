@@ -167,25 +167,6 @@ def _compute_shelling(fan: Fan) -> Shelling:
     return Shelling(chosen, tuple(order), taus)
 
 
-def _linear_step(fan: Fan, mono: Monomial, rng=None) -> list[tuple[Monomial, int]]:
-    """Rewrite a monomial on a cone with a repeated D_i by the linear relation
-    D_i = -sum over j outside mu of <phi_i, v_j> D_j, mu a maximal cone over
-    the support and phi_i its inverse's row for ray i: every result has one
-    more support ray.  The first such i and mu are taken unless rng picks."""
-    support = tuple(dict.fromkeys(mono))
-    repeated = [i for i in support if mono.count(i) >= 2]
-    above = fan_mod._face_index(fan)[support]
-    if rng is None:
-        i, mu = repeated[0], above[0]
-    else:
-        i, mu = rng.choice(repeated), rng.choice(above)
-    phi = fan_mod.cone_inverse(fan, mu)[mu.index(i)]
-    rest = list(mono)
-    rest.remove(i)
-    pairs = ((j, lattice.dot(phi, ray)) for j, ray in enumerate(fan.rays) if j not in mu)
-    return [(tuple(sorted(rest + [j])), -c) for j, c in pairs if c]
-
-
 class _CohomologyRing:
     def __init__(self, fan: Fan):
         if fano.classify(fan).tier < fano.Tier.FANO:
@@ -205,6 +186,8 @@ class _CohomologyRing:
         # degree -> (faces minus echelon rank, face -> basis index -> coeff)
         self._tables: dict[int, tuple[int, dict[Cone, dict[int, int]]]] = {}
         self._forms: dict[Monomial, dict[int, int]] = {}
+        # (mu, i) -> linear_row(mu, i), filled on first use
+        self._linear_rows: dict[tuple[Cone, int], tuple[tuple[int, int], ...]] = {}
 
     def coords(self, cls: CohomologyClass) -> dict[int, Rational]:
         """The coordinates of cls, once every index names a basis class."""
@@ -253,6 +236,35 @@ class _CohomologyRing:
         self._tables[degree] = tab
         return tab
 
+    def linear_row(self, mu: Cone, i: int) -> tuple[tuple[int, int], ...]:
+        """The linear relation D_i = sum of c_j D_j over the rays j outside the
+        maximal cone mu, as (j, c_j) with c_j = -<phi_i, v_j> nonzero, phi_i
+        being the row of mu's inverse for ray i; memoized per (mu, i)."""
+        row = self._linear_rows.get((mu, i))
+        if row is None:
+            phi = fan_mod.cone_inverse(self.fan, mu)[mu.index(i)]
+            pairs = ((j, -lattice.dot(phi, ray)) for j, ray in enumerate(self.fan.rays) if j not in mu)
+            row = self._linear_rows[mu, i] = tuple((j, c) for j, c in pairs if c)
+        return row
+
+    def linear_step(self, mono: Monomial, rng=None) -> list[tuple[Monomial, int]]:
+        """Rewrite a sorted monomial on a cone with a repeated D_i by the
+        linear_row of i in a maximal cone mu over the support: every result
+        has one more support ray.  The first repeated i and the first such mu
+        are taken, unless rng draws i, then mu."""
+        support = tuple(dict.fromkeys(mono))
+        above = fan_mod._face_index(self.fan)[support]
+        # the repeated divisors, in order, from the adjacent duplicates
+        repeated = (a for a, b in zip(mono, mono[1:]) if a == b)
+        if rng is None:
+            i, mu = next(repeated), above[0]
+        else:
+            i = rng.choice(tuple(dict.fromkeys(repeated)))
+            mu = rng.choice(above)
+        rest = list(mono)
+        rest.remove(i)
+        return [(tuple(sorted(rest + [j])), c) for j, c in self.linear_row(mu, i)]
+
     def form(self, mono: Monomial) -> dict[int, int]:
         """Coordinates of a sorted monomial of degree at most n, memoized; each
         linear step lowers degree minus support size, so at most n steps."""
@@ -265,7 +277,7 @@ class _CohomologyRing:
                 out = self.table(len(mono))[1][mono]
             else:
                 acc: dict[int, int] = {}
-                for sub, c in _linear_step(self.fan, mono):
+                for sub, c in self.linear_step(mono):
                     for k, v in self.form(sub).items():
                         acc[k] = acc.get(k, 0) + c * v
                 out = {k: v for k, v in acc.items() if v}

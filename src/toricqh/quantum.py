@@ -6,17 +6,22 @@ are rewritten to normal form: a monomial whose support contains a primitive
 set trades it for the relation's right side at the cost of a q-shift, a
 repeated divisor is eliminated through the dual-basis linear relation of a
 containing cone, and a square-free monomial supported on a cone is
-evaluated in closed form through the exceptional-set expansion, kept in the
-one rewrite memo whatever the strategy (it leaves no free choice).  The
-ring is built only on FullClass fans, where the paper's formulas hold:
-below Fano it raises NotFano, below FullClass NotInClass, a NotInTier
-(there a ray may head two primitive relations and the rewrite is not
-confluent).  Every field of the ring is a memo of a function of the fan and
-its key, so no result depends on what ran before it.  A product pushes the
-q-polynomial of each basis index i of its left operand through row i of its
-right operand, the sum of c_j q^beta_j (b_i * b_j) over its entries,
-b_i * b_j being the rewritten product of two Giambelli lifts.
-Everything stays exact and integral: the engine's one form is a
+evaluated in closed form through the exceptional-set expansion.  One call
+expands each distinct monomial once under every strategy: the deterministic
+one shares the ring's rewrite memo across calls, a random one gets a fresh
+memo per call, and a cone monomial's closed form goes into the shared memo
+whatever the strategy (it leaves no free choice).  A step reads per-fan
+tables: each primitive set as a bitmask of its rays, tested against the
+monomial's support, and the linear rows of the cohomology ring
+(_CohomologyRing.linear_row), filled on first use.  The ring is built only
+on FullClass fans, where the paper's formulas hold: below Fano it raises
+NotFano, below FullClass NotInClass, a NotInTier (there a ray may head two
+primitive relations and the rewrite is not confluent).  Every field of the
+ring is a memo of a function of the fan and its key, so no result depends
+on what ran before it.  A product pushes the q-polynomial of each basis
+index i of its left operand through row i of its right operand, the sum of
+c_j q^beta_j (b_i * b_j) over its entries, b_i * b_j being the rewritten
+product of two Giambelli lifts.  Everything stays exact and integral: the engine's one form is a
 dict packed curve class -> basis index -> int, Giambelli lifts are (packed
 class, monomial) pairs, and class objects are built only where a public
 function returns.  A curve class with pairings p is packed into one int,
@@ -152,7 +157,11 @@ _PAIRING_CAP = 1 << 37
 # and the products of the benchmark, is at most 2.75 times the degree (1x on
 # P^n, 2.4x on Bl3P^2 for a pure power), so 128 keeps it near 350 frames,
 # well under the default recursion limit of 1000.  The benchmark rewrites up
-# to degree 4n = 20.
+# to degree 4n = 20.  One call expands each distinct sub-monomial once, under
+# a random strategy too, so its time follows the number of sub-monomials and
+# the size of their q-parts, not the number of rewrite paths: D1^18 on
+# Bl3P^2 takes about 0.1 s either way, but D1^32 already takes about 2 s
+# (Python 3.11.7), so the cap bounds the depth, not the time.
 MAX_REWRITE_DEGREE = 128
 
 
@@ -190,10 +199,15 @@ def _add_into(acc: _Parts, parts: Mapping, scale: Rational, shift: int = 0) -> N
             part[i] = part.get(i, 0) + scale * c
 
 
-def _pruned(acc: _Parts) -> _Parts:
-    """acc without zero coefficients and empty parts, as every cache holds it."""
-    parts = {beta: {i: c for i, c in coords.items() if c} for beta, coords in acc.items()}
-    return {beta: coords for beta, coords in parts.items() if coords}
+def _prune(acc: _Parts) -> _Parts:
+    """acc without zero coefficients and empty parts, as every cache holds
+    it; in place, so acc must own its part dicts (as _add_into makes them)."""
+    for beta, coords in list(acc.items()):
+        for i in [i for i, c in coords.items() if not c]:
+            del coords[i]
+        if not coords:
+            del acc[beta]
+    return acc
 
 
 class _QuantumRing:
@@ -204,8 +218,18 @@ class _QuantumRing:
         if tier < fano.Tier.FULL_CLASS:
             raise NotInClass("the quantum ring needs a FullClass fan")
         self.fan = fan
-        # each primitive set with its class, packed: the rewrite's q-shift
-        self.pdata = [(pd, _pack(pd.cls.pairings)) for pd in fan_mod.primitive_data(fan)]
+        # the rewrite's step per primitive set: its rays as a bitmask, the
+        # set, the rhs divisors with multiplicity and the packed class (the
+        # q-shift)
+        self.pdata = [
+            (
+                sum(1 << i for i in pd.set),
+                pd.set,
+                tuple(j for j, a in zip(pd.rhs_cone, pd.rhs_coeffs) for _ in range(a)),
+                _pack(pd.cls.pairings),
+            )
+            for pd in fan_mod.primitive_data(fan)
+        ]
         self.giambelli_cache: dict[Cone, tuple[tuple[int, Monomial], ...]] = {}
         self.reduce_memo: dict[Monomial, _Parts] = {}
         self.pair_cache: dict[tuple[int, int], _Parts] = {}
@@ -296,36 +320,49 @@ class _QuantumRing:
             # the stratum of the face of sigma off beta's pairing-one rays, as its face form
             tau = tuple(i for i in sigma if beta[i] != 1)
             _add_into(total, {_pack(beta): ring.form(tau)}, (-1) ** len(family))
-        total = self.reduce_memo[sigma] = _pruned(total)
+        total = self.reduce_memo[sigma] = _prune(total)
         return total
 
-    def reduce(self, mono: Monomial, rng: Optional[random.Random]) -> _Parts:
+    def reduce(
+        self,
+        mono: Monomial,
+        rng: Optional[random.Random] = None,
+        memo: Optional[dict[Monomial, _Parts]] = None,
+    ) -> _Parts:
+        """The normal form of a sorted monomial, memoized in memo: by default
+        reduce_memo for the deterministic strategy and a fresh dict for a
+        random one (reduce_monomial says why)."""
+        if memo is None:
+            memo = self.reduce_memo if rng is None else {}
+        cached = memo.get(mono)
+        if cached is not None:
+            return cached
+        support = 0
+        for i in mono:
+            support |= 1 << i
         if rng is None:
-            cached = self.reduce_memo.get(mono)
-            if cached is not None:
-                return cached
-        support = set(mono)
-        contained = [(pd, key) for pd, key in self.pdata if support.issuperset(pd.set)]
-        if contained:
-            pd, shift = contained[0] if rng is None else rng.choice(contained)
+            step = next((p for p in self.pdata if support & p[0] == p[0]), None)
+        else:
+            contained = [p for p in self.pdata if support & p[0] == p[0]]
+            step = rng.choice(contained) if contained else None
+        if step is not None:
+            _, removed, added, shift = step
             rest = list(mono)
-            for i in pd.set:
+            for i in removed:
                 rest.remove(i)
-            for j, a in zip(pd.rhs_cone, pd.rhs_coeffs):
-                rest.extend([j] * a)
+            rest.extend(added)
             # a primitive class is effective by itself (Batyrev: the rhs cone
             # misses the set), so this q-shift needs no effectivity check
-            sub = self.reduce(tuple(sorted(rest)), rng)
+            sub = self.reduce(tuple(sorted(rest)), rng, memo)
             result = {beta + shift: coords for beta, coords in sub.items()}
-        elif len(support) == len(mono):
+        elif support.bit_count() == len(mono):
             result = self.closed_form(mono)
         else:
             acc: _Parts = {}
-            for sub, c in cohomology._linear_step(self.fan, mono, rng):
-                _add_into(acc, self.reduce(sub, rng), c)
-            result = _pruned(acc)
-        if rng is None:
-            self.reduce_memo[mono] = result
+            for sub, c in cohomology._ring(self.fan).linear_step(mono, rng):
+                _add_into(acc, self.reduce(sub, rng, memo), c)
+            result = _prune(acc)
+        memo[mono] = result
         return result
 
     def pair_product(self, i: int, j: int) -> _Parts:
@@ -339,7 +376,7 @@ class _QuantumRing:
         for s_key, s_mono in self.giambelli(taus[key[0]]):
             for t_key, t_mono in self.giambelli(taus[key[1]]):
                 _add_into(acc, self.reduce(tuple(sorted(s_mono + t_mono)), None), 1, s_key + t_key)
-        out = self.pair_cache[key] = _pruned(acc)
+        out = self.pair_cache[key] = _prune(acc)
         return out
 
 
@@ -384,14 +421,30 @@ def reduce_monomial(
     """Normal form of a product of divisor symbols in the quantum ring.
 
     The optional rng randomizes every free choice in the rewrite (which
-    primitive set to trade, which repeated divisor to eliminate, in which
-    containing cone); the result must not depend on it, which the test suite
-    uses as a confluence audit.  Memoization only applies to the
-    deterministic strategy.  A monomial of degree above MAX_REWRITE_DEGREE
-    is refused with PreconditionFailed, an index that is not an int with
-    ValueError and one that names no ray with IndexOutOfRange.  Below
-    FullClass the rewrite is not confluent, and NotInClass is raised.
+    primitive set to trade, then which repeated divisor to eliminate, then
+    in which containing cone); the result must not depend on it, which the
+    test suite uses as a confluence audit.  rng must be None or an object
+    with a callable choice, such as random.Random (ValueError otherwise).
+
+    Every strategy is memoized.  The deterministic one shares the ring's
+    memo across calls.  A random one gets a fresh memo for this call, so
+    each distinct sub-monomial is expanded once, with its choices drawn at
+    its first visit: within the call the strategy is a function of the
+    monomial.  The audit loses no power by this.  If some strategies,
+    however they choose, disagree on a monomial, take a least monomial
+    below it in the rewrite order (well founded, since the rewrite ends) on
+    which some disagree.  Every strategy agrees below that one, so its
+    result there is fixed by its choice there alone, and two strategies
+    that depend only on the monomial and make those two choices disagree
+    too.  So some strategies disagree exactly when two such strategies do.
+
+    A monomial of degree above MAX_REWRITE_DEGREE is refused with
+    PreconditionFailed, an index that is not an int with ValueError and one
+    that names no ray with IndexOutOfRange.  Below FullClass the rewrite is
+    not confluent, and NotInClass is raised.
     """
+    if rng is not None and not callable(getattr(rng, "choice", None)):
+        raise ValueError(f"rng {rng!r} is neither None nor an object with a choice method")
     mono = _check_monomial(fan, monomial)
     ring = _qring(fan)
     return ring.to_class(ring.reduce(mono, rng))

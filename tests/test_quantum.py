@@ -325,9 +325,86 @@ def test_confluence_audit_threefolds(threefolds):
                 assert quantum.reduce_monomial(fan, mono, rng) == expected, (name, mono, seed)
 
 
+class _NotAStrategy:
+    choice = 0
+
+
+@pytest.mark.parametrize("rng", [5, 1.5, "seed", object(), _NotAStrategy()])
+def test_rewrite_refuses_a_strategy_without_choice(p2, rng):
+    # 5 used to pass where the rewrite drew nothing, (0, 1), and to fail
+    # with a bare AttributeError where it drew, (0, 0, 1)
+    for mono in ((0, 1), (0, 0, 1)):
+        with pytest.raises(ValueError, match="choice"):
+            quantum.reduce_monomial(p2, mono, rng)
+
+
+def test_audit_still_catches_the_shared_head_defect(shared_head, monkeypatch):
+    # X's ring, built past its FullClass gate: a random strategy draws once
+    # per distinct monomial per call, and still disagrees with the
+    # deterministic one exactly where drawing afresh at every visit did
+    x = shared_head["x"]
+    classify = fano.classify
+
+    def as_full_class(fan):
+        out = classify(fan)
+        return out._replace(tier=fano.Tier.FULL_CLASS) if fan == x else out
+
+    monkeypatch.setattr(fano, "classify", as_full_class)
+    clear_caches()
+    try:
+        found = []
+        for degree in range(1, 7):
+            for mono in combinations_with_replacement(range(x.n_rays), degree):
+                expected = quantum.reduce_monomial(x, mono)
+                for seed in range(4):
+                    if quantum.reduce_monomial(x, mono, random.Random(seed)) != expected:
+                        found.append((mono, seed))
+        assert ((0, 0, 0, 2, 5, 5), 0) in found
+        assert len(found) == 10, found
+    finally:
+        clear_caches()  # X's ring must not outlive the patch
+
+
+def test_a_random_rewrite_expands_each_monomial_once(bl3p2, monkeypatch):
+    # counted, not timed: drawn afresh at every visit, D1^16 took minutes
+    reduce = quantum._QuantumRing.reduce
+    expanded = []
+
+    def counted(ring, mono, rng=None, memo=None):
+        if memo is None or mono not in memo:
+            expanded.append(mono)
+        return reduce(ring, mono, rng, memo)
+
+    monkeypatch.setattr(quantum._QuantumRing, "reduce", counted)
+    for k in range(2, 19, 4):
+        for seed in range(3):
+            expanded.clear()
+            quantum.reduce_monomial(bl3p2, (0,) * k, random.Random(seed))
+            assert expanded[0] == (0,) * k
+            assert len(expanded) == len(set(expanded)), (k, seed)
+
+
+def test_a_random_rewrite_of_a_high_power_agrees(bl3p2, deadline):
+    with deadline(30.0):
+        expected = quantum.reduce_monomial(bl3p2, (0,) * 18)
+        for seed in range(3):
+            assert quantum.reduce_monomial(bl3p2, (0,) * 18, random.Random(seed)) == expected, seed
+
+
+def _oracle_linear_row(fan, mu, i):
+    """(j, -<phi_i, v_j>) for the rays j outside mu, zeros dropped, phi_i
+    from the direct elimination on mu's generators."""
+    inverse = lattice.integer_inverse(lattice.mat_from_columns(fan_mod.cone_generators(fan, mu)))
+    pairs = [(j, -lattice.dot(inverse[mu.index(i)], ray)) for j, ray in enumerate(fan.rays) if j not in mu]
+    return tuple((j, c) for j, c in pairs if c)
+
+
 def test_lattice_functional_kronecker(corpus, threefolds):
-    # the rewrite's dual functional of ray i in mu is row mu.index(i) of the cone inverse
+    # the rewrite's dual functional of ray i in mu is row mu.index(i) of the
+    # cone inverse, and its memoized linear row holds -<phi_i, v_j> for
+    # every ray j outside mu
     for fan in list(corpus.values()) + list(threefolds.values()):
+        ring = coho._ring(fan)
         for mu in fan.max_cones:
             # the direct elimination on the cone's generators is the oracle
             inverse = lattice.integer_inverse(lattice.mat_from_columns(fan_mod.cone_generators(fan, mu)))
@@ -336,6 +413,8 @@ def test_lattice_functional_kronecker(corpus, threefolds):
                 assert phi == tuple(inverse[k])
                 for j in mu:
                     assert lattice.dot(phi, fan.rays[j]) == (1 if i == j else 0)
+                assert ring.linear_row(mu, i) == _oracle_linear_row(fan, mu, i), (mu, i)
+        assert len(ring._linear_rows) == len(fan.max_cones) * fan.dim
 
 
 def test_evaluate_terms(p2):
@@ -599,35 +678,76 @@ def test_folded_product_matches_the_term_by_term_reference(corpus, threefolds):
 
 
 def test_a_product_cut_short_leaves_no_partial_memo(bl3p2, monkeypatch):
-    # a product that raises part way, at any step of the rewrite, must leave
-    # nothing in the ring's memos that the next product would reuse
+    # a product or a random rewrite that raises part way, at any step of the
+    # rewrite or while a linear-rows entry is filled, must leave nothing in
+    # the ring's memos that the next call would reuse
     h, x = _divisor_power(bl3p2, 3)
     left = quantum.classical(bl3p2, h)
     want = _reference_product(bl3p2, left, x)
-    steps, cut = [], 0
-    reduce = quantum._QuantumRing.reduce
+    mono = (0,) * 6 + (3, 3)
+    want_mono = quantum.reduce_monomial(bl3p2, mono)
+    steps, cut, filling = [], 0, [False]
+    reduce, linear_row, dot = quantum._QuantumRing.reduce, coho._CohomologyRing.linear_row, lattice.dot
 
     class Cut(Exception):
         pass
 
-    def cut_short(ring, mono, rng):
-        steps.append(mono)
+    def step():
+        steps.append(None)
         if len(steps) == cut:
             raise Cut
-        return reduce(ring, mono, rng)
 
-    monkeypatch.setattr(quantum._QuantumRing, "reduce", cut_short)
-    clear_caches()
-    quantum.quantum_product(bl3p2, left, x)
-    assert steps
-    for cut in range(1, len(steps) + 1):
+    def cut_reduce(ring, mono, rng=None, memo=None):
+        step()
+        return reduce(ring, mono, rng, memo)
+
+    def cut_fill(ring, mu, i):
+        filling[0] = True
+        try:
+            return linear_row(ring, mu, i)
+        finally:
+            filling[0] = False
+
+    def cut_dot(u, v):
+        if filling[0]:
+            step()
+        return dot(u, v)
+
+    def product():
+        return quantum.quantum_product(bl3p2, left, x)
+
+    def random_rewrite():
+        return quantum.reduce_monomial(bl3p2, mono, random.Random(0))
+
+    for where, call, expected in [
+        ("rewrite step", product, want),
+        ("rewrite step", random_rewrite, want_mono),
+        ("linear row", product, want),
+    ]:
+        if where == "rewrite step":
+            monkeypatch.setattr(quantum._QuantumRing, "reduce", cut_reduce)
+        else:
+            monkeypatch.setattr(coho._CohomologyRing, "linear_row", cut_fill)
+            monkeypatch.setattr(lattice, "dot", cut_dot)
+        cut = 0
         clear_caches()
         steps.clear()
-        with pytest.raises(Cut):
-            quantum.quantum_product(bl3p2, left, x)
-        got = quantum.quantum_product(bl3p2, left, x)
-        assert got == want, cut
-        assert _typed(got) == _typed(want), cut
+        call()
+        assert steps, where
+        for cut in range(1, len(steps) + 1):
+            clear_caches()
+            steps.clear()
+            with pytest.raises(Cut):
+                call()
+            got = call()
+            assert got == expected, (where, cut)
+            assert _typed(got) == _typed(expected), (where, cut)
+            assert quantum.reduce_monomial(bl3p2, mono) == want_mono, (where, cut)
+            # every filled row is whole
+            ring = coho._ring(bl3p2)
+            for (mu, i), row in ring._linear_rows.items():
+                assert row == _oracle_linear_row(bl3p2, mu, i), (where, cut)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("index", [-1, 3, 99])
