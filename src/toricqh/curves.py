@@ -106,9 +106,10 @@ def tree_for_class(fan: Fan, beta: CurveClass) -> tuple[tuple[ToricTree, int], .
     The divisors beta meets negatively must span a face of a maximal cone mu
     (the first one above it in the face index); each divisor met positively
     outside mu contributes its pairing many copies of the greedy chain from mu.
+    A beta that is not a CurveClass is refused with ValueError.
     """
     fan_mod.require_accepted(fan)
-    beta = fan_mod.curve_class(fan, beta.pairings)
+    beta = fan_mod.curve_class(fan, fan_mod._strict_instance(beta, CurveClass, "beta").pairings)
     negatives = tuple(i for i, b in enumerate(beta.pairings) if b < 0)
     above = fan_mod._face_index(fan).get(negatives)
     if above is None:

@@ -68,7 +68,8 @@ class RingInconsistent(ToricError):
     """An internal consistency check failed: data computed along two routes
     disagree (shelling census against quotient dimension, a pinned basis
     monomial that the relations eliminate, a non-unimodular wall crossing,
-    a ring-table coordinate that is not an integer)."""
+    a ring-table coordinate that is not an integer, a closed form whose q^0
+    part is not its basis class)."""
 
 
 class PreconditionFailed(ToricError):

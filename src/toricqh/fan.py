@@ -59,6 +59,13 @@ def _strict_int(x, what: str) -> int:
     return x
 
 
+def _strict_instance(x, kind: type, what: str):
+    # an instance of kind, else refused by the argument's name, never read as one
+    if not isinstance(x, kind):
+        raise ValueError(f"{what} {x!r} is not a {kind.__name__}")
+    return x
+
+
 class _Frozen:
     """Base of the slotted records: their constructors set each field once
     with object.__setattr__, and after that no attribute can change."""
@@ -610,10 +617,10 @@ def decompose_effective(fan: Fan, beta: CurveClass) -> tuple[tuple[PrimitiveData
     greedy loop takes at most SEARCH_NODE_BUDGET batches and the
     search visits at most as many states; past that either raises
     SearchBudgetExceeded, which proves nothing about beta, so it is not a
-    NotEffective.
+    NotEffective.  A beta that is not a CurveClass is refused with ValueError.
     """
     require_accepted(fan)
-    curve_class(fan, beta.pairings)
+    curve_class(fan, _strict_instance(beta, CurveClass, "beta").pairings)
     if beta.is_zero():
         return ()
     pdata = primitive_data(fan)

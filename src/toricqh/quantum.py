@@ -20,11 +20,15 @@ primitive relations and the rewrite is not confluent).  Every field of the
 ring is a memo of a function of the fan and its key, so no result depends
 on what ran before it.  A product pushes the q-polynomial of each basis
 index i of its left operand through row i of its right operand, the sum of
-c_j q^beta_j (b_i * b_j) over its entries, b_i * b_j being the rewritten
-product of two Giambelli lifts.  Everything stays exact and integral: the engine's one form is a
-dict packed curve class -> basis index -> int, Giambelli lifts are (packed
-class, monomial) pairs, and class objects are built only where a public
-function returns.  A curve class with pairings p is packed into one int,
+c_j q^beta_j (b_i * b_j) over its entries.  b_i * b_j comes from the closed
+forms alone: the closed form of the cone tau_k is x_k = b_k plus q-terms of
+lower degree, the rewrite of tau_i + tau_j is x_i * x_j, and b_i * b_j is
+that rewrite less the products of lower degree it holds besides (a
+unitriangular inversion).  The Giambelli lift is the paper's inverse
+formula; it is built by `giambelli` alone and is on no product path.
+Everything stays exact and integral: the engine's one form is a dict packed
+curve class -> basis index -> int, and class objects are built only where a
+public function returns.  A curve class with pairings p is packed into one int,
 sum p_i * 2^(40 i) with balanced digits, so a q-shift is one integer
 addition; a class is packed once where it enters (_QuantumRing.check_curve,
 which refuses a pairing of size 2^37 or more) and decoded once per ring
@@ -33,12 +37,12 @@ which refuses a pairing of size 2^37 or more) and decoded once per ring
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import cohomology, fan as fan_mod, fano
 from .cohomology import CohomologyClass, Monomial, Rational
-from .errors import NotFano, NotInClass, PreconditionFailed
+from .errors import NotFano, NotInClass, PreconditionFailed, RingInconsistent
 from .fan import Cone, CurveClass, Fan, PrimitiveData, Vector
 
 if TYPE_CHECKING:  # rng is only annotated: random stays out of the import
@@ -137,16 +141,18 @@ _Parts = dict[int, dict[int, int]]  # packed curve class -> basis index -> coeff
 # boundary classes (a part of each operand of quantum_product: the right's in
 # its row, the left's where the row is pushed; check_curve refuses
 # |p_i| >= 2^37, so two stay below 2^38) and one engine class.  An
-# engine class sums primitive classes, at most one per unit of the rewritten
-# monomial's degree (a q-shift of a Fano relation lowers the degree), and up
-# to three families of at most n exceptional classes (a closed form and two
-# Giambelli terms), each of distinct exceptional divisors of a cone.  Every
-# primitive or exceptional class pairs within [-n, 1] with each divisor (the
-# rhs coefficients of a Fano primitive relation sum to less than |P| <= n + 1).
-# A rewritten monomial has degree at most MAX_REWRITE_DEGREE (evaluate_terms)
-# or 2n (a pair product), so an engine digit is at most
-# (max(MAX_REWRITE_DEGREE, 2n) + 3n) * n, below 2^38 for any dimension n
-# below 2^17.
+# engine class sums primitive classes (the rewrite's q-shifts) and the
+# exceptional classes of closed-form families.  A pair product's class is one
+# too: a class of a rewrite, or the closed-form classes s + t plus a class of
+# a lower pair product.  Each summand has degree >= 1 (a primitive class as
+# the fan is Fano, an exceptional class as |S| - 1 >= 1), and the class lies
+# in a part of degree at most that of what was rewritten: MAX_REWRITE_DEGREE
+# for evaluate_terms, |tau_i| + |tau_j| <= 2n for a pair product, which
+# therefore recurses at most 2n levels deep.  So a class sums at most
+# max(MAX_REWRITE_DEGREE, 2n) classes, each pairing within [-n, 1] with each
+# divisor (the rhs coefficients of a Fano primitive relation sum to less than
+# |P| <= n + 1), and an engine digit is at most max(MAX_REWRITE_DEGREE, 2n) * n,
+# below 2^38 for any dimension n below 2^18.
 _DIGIT_BITS = 40
 _HALF_DIGIT = 1 << (_DIGIT_BITS - 1)
 _DIGIT_MASK = (1 << _DIGIT_BITS) - 1
@@ -230,7 +236,6 @@ class _QuantumRing:
             )
             for pd in fan_mod.primitive_data(fan)
         ]
-        self.giambelli_cache: dict[Cone, tuple[tuple[int, Monomial], ...]] = {}
         self.reduce_memo: dict[Monomial, _Parts] = {}
         self.pair_cache: dict[tuple[int, int], _Parts] = {}
         self.effective_seen: set[Vector] = set()
@@ -241,8 +246,7 @@ class _QuantumRing:
         """The packed key of a class entering the engine, checked once per
         class: ValueError unless a CurveClass, fan.curve_class's NotEffective,
         and PreconditionFailed for a pairing outside the packing range."""
-        if not isinstance(beta, CurveClass):
-            raise ValueError(f"quantum class key {beta!r} is not a CurveClass")
+        fan_mod._strict_instance(beta, CurveClass, "quantum class key")
         key = self.curve_keys.get(beta.pairings)
         if key is None:
             fan_mod.curve_class(self.fan, beta.pairings)
@@ -291,19 +295,6 @@ class _QuantumRing:
                 if preds["distinct_exc"] and preds[predicate]:
                     out.append(family)
         return out
-
-    def giambelli(self, sigma: Cone) -> tuple[tuple[int, Monomial], ...]:
-        """sigma's Giambelli terms, each (packed class, monomial) with coefficient one."""
-        cached = self.giambelli_cache.get(sigma)
-        if cached is not None:
-            return cached
-        terms = []
-        for family in self.families(sigma, "no_cycles"):
-            removed = {i for exc in family for i in exc.set}
-            mono = tuple(i for i in sigma if i not in removed)
-            terms.append((_pack(self.family_class(family)), mono))
-        result = self.giambelli_cache[sigma] = tuple(terms)
-        return result
 
     def closed_form(self, sigma: Cone) -> _Parts:
         # reduce's memo: a cone monomial leaves no free choice, so its entry serves every strategy
@@ -366,16 +357,30 @@ class _QuantumRing:
         return result
 
     def pair_product(self, i: int, j: int) -> _Parts:
+        """b_i * b_j from the closed forms alone.
+
+        With x_k = closed_form(tau_k) = b_k + sum over s != 0 of q^s c_s,
+        reduce(tau_i + tau_j) is x_i * x_j, the sum of q^(s+t) c_s * d_t over
+        the parts of x_i and x_j.  Every term but b_i * b_j (s = t = 0) has a
+        lower degree, as the fan is Fano, so taking them off recurses at most
+        2n levels.  RingInconsistent unless the q^0 part of each closed form
+        is its basis class."""
         key = (i, j) if i <= j else (j, i)
         cached = self.pair_cache.get(key)
         if cached is not None:
             return cached
         taus = cohomology.basis_tau(self.fan)
+        x, y = self.closed_form(taus[i]), self.closed_form(taus[j])
+        for k, form in ((i, x), (j, y)):
+            if form.get(0) != {k: 1}:
+                raise RingInconsistent(f"the closed form of basis cone {k} has q^0 part {form.get(0)}")
         acc: _Parts = {}
-        # a family class sums checked exceptional classes, within the packing bound
-        for s_key, s_mono in self.giambelli(taus[key[0]]):
-            for t_key, t_mono in self.giambelli(taus[key[1]]):
-                _add_into(acc, self.reduce(tuple(sorted(s_mono + t_mono)), None), 1, s_key + t_key)
+        _add_into(acc, self.reduce(tuple(sorted(taus[i] + taus[j]))), 1)
+        # s and t are closed-form family classes, checked effective there
+        for (s, cs), (t, dt) in product(x.items(), y.items()):
+            if s or t:
+                for (k, c), (m, d) in product(cs.items(), dt.items()):
+                    _add_into(acc, self.pair_product(k, m), -c * d, s + t)
         out = self.pair_cache[key] = _prune(acc)
         return out
 
@@ -399,9 +404,10 @@ def giambelli(fan: Fan, sigma: Sequence[int]) -> tuple[QuantumTerm, ...]:
     family curve classes as q-exponent, and the product of the divisors of
     sigma not absorbed by the family.  Requires the full class.
     """
-    ring = _qring(fan)
-    terms = ring.giambelli(fan_mod._cone_key(fan, sigma))
-    return tuple(QuantumTerm(ring.curve(key), mono, 1) for key, mono in terms)
+    ring, sigma = _qring(fan), fan_mod._cone_key(fan, sigma)
+    families = ring.families(sigma, "no_cycles")
+    monomials = [tuple(i for i in sigma if all(i not in exc.set for exc in f)) for f in families]
+    return tuple(QuantumTerm(CurveClass(ring.family_class(f)), m, 1) for f, m in zip(families, monomials))
 
 
 def divisor_product_closed_form(fan: Fan, sigma: Sequence[int]) -> QuantumClass:
@@ -520,7 +526,11 @@ def gw3(
 
     Extracted from the small quantum product: the q^beta coefficient of
     a * b, paired classically against c.  beta must be zero or effective.
+    An operand that is not a CohomologyClass (a QuantumClass too) or a beta
+    that is not a CurveClass is refused with ValueError naming it.
     """
+    for name, cls in zip("abc", (a, b, c)):
+        fan_mod._strict_instance(cls, CohomologyClass, f"operand {name}")
     fan_mod.decompose_effective(fan, beta)  # runs fan.curve_class first
     piece = quantum_product(fan, a, b).coefficient(beta)
     return cohomology.integrate(fan, cohomology.cup(fan, piece, c))

@@ -430,6 +430,17 @@ def test_cohomology_class_is_strict(p2, bad):
     assert coho.unit_class(p2).scaled(Fraction(-1, 3)) == CohomologyClass({0: Fraction(-1, 3)})
 
 
+def test_cohomology_class_difference_repr_and_hash():
+    a = CohomologyClass({0: 2, 2: Fraction(-1, 2)})
+    assert a - CohomologyClass({0: 2}) == CohomologyClass({2: Fraction(-1, 2)})
+    assert (a - a).is_zero()
+    assert repr(a) == "CohomologyClass(2*b0 + -1/2*b2)"
+    assert repr(CohomologyClass()) == "CohomologyClass(0)"
+    # equal classes built in another order hash alike
+    twin = CohomologyClass({2: Fraction(-1, 2), 0: 2})
+    assert hash(twin) == hash(a) and len({a, twin}) == 1
+
+
 def test_integrate_and_degrees(p2, p3):
     assert coho.integrate(p2, coho.point_class(p2)) == 1
     assert coho.integrate(p2, coho.unit_class(p2)) == 0

@@ -190,6 +190,12 @@ def test_tree_for_class_rejects(p2, bl1p2):
         curves.tree_total(())
 
 
+def test_tree_for_class_refuses_a_beta_that_is_no_curve_class(p2):
+    with pytest.raises(ValueError, match=r"^beta \(1, 1, 1\) is not a CurveClass$"):
+        curves.tree_for_class(p2, (1, 1, 1))
+    assert curves.tree_for_class(p2, CurveClass((1, 1, 1)))
+
+
 def test_tree_for_class_validates():
     # P^2 missing its cone {1,3}: the zero class has no trees to find
     bad = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2)))

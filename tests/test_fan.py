@@ -840,6 +840,20 @@ def test_is_isomorphic(corpus, p3):
         assert fan_mod.is_isomorphic(fan, fan)
 
 
+def test_zero_dimensional_fans_are_isomorphic():
+    # the point: no rays and one maximal cone, the empty one
+    point = Fan(0, (), ((),))
+    assert fan_mod.validate(point).accepted
+    assert fan_mod.is_isomorphic(point, Fan(0, (), ((),)))
+
+
+def test_decompose_effective_refuses_a_beta_that_is_no_curve_class(p2):
+    # a tuple of pairings is refused by name, not read through .pairings
+    with pytest.raises(ValueError, match=r"^beta \(1, 1, 1\) is not a CurveClass$"):
+        fan_mod.decompose_effective(p2, (1, 1, 1))
+    assert fan_mod.decompose_effective(p2, CurveClass((1, 1, 1)))
+
+
 def test_clear_caches_empties_the_context_and_recomputes_the_same(bl3p2):
     def snapshot():
         basis = [cohomology.basis_class(bl3p2, i) for i in range(len(cohomology.basis_tau(bl3p2)))]

@@ -21,6 +21,7 @@ from toricqh.errors import (
     NotInClass,
     NotInTier,
     PreconditionFailed,
+    RingInconsistent,
 )
 from toricqh.fan import CurveClass
 from toricqh.quantum import QuantumClass, QuantumTerm
@@ -168,8 +169,10 @@ def test_giambelli_oracles(p2, bl1p2, bl3p2):
         quantum.giambelli(bl1p2, (0, 1))
 
 
-def test_giambelli_duality(corpus):
-    for fan in corpus.values():
+def test_giambelli_duality(corpus, threefolds):
+    # the paper's Giambelli formula against the rewrite, which uses no
+    # Giambelli lift
+    for fan in [*corpus.values(), *threefolds.values()]:
         for sigma in fan_mod.faces(fan):
             lifted = quantum.evaluate_terms(fan, quantum.giambelli(fan, sigma))
             expected = quantum.classical(fan, coho.stratum_class(fan, sigma))
@@ -280,6 +283,24 @@ def test_gw_oracles(p2, p1xp1, bl1p2):
     e = coho.stratum_class(bl1p2, (3,))
     fiber = fan_mod.curve_class(bl1p2, (1, 1, 0, -1))
     assert quantum.gw3(bl1p2, e, e, e, fiber) == -1
+
+
+def test_gw_refuses_operands_of_the_wrong_type_by_name(p2):
+    # a QuantumClass operand is not multiplied or paired as a class, and a
+    # tuple beta is not read through .pairings: each is refused by name
+    h, pt = coho.basis_class(p2, 1), coho.point_class(p2)
+    line = fan_mod.curve_class(p2, (1, 1, 1))
+    q_h = quantum.classical(p2, h).shifted(line)
+    calls = {  # the traceback's lambda line names the call that did not raise
+        "operand a": lambda: quantum.gw3(p2, q_h, pt, h, line),
+        "operand b": lambda: quantum.gw3(p2, pt, q_h, h, line),
+        "operand c": lambda: quantum.gw3(p2, h, pt, q_h, line),
+        "beta": lambda: quantum.gw3(p2, h, pt, h, (1, 1, 1)),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=f"^{name} .* is not a (CohomologyClass|CurveClass)$"):
+            call()
+    assert quantum.gw3(p2, pt, pt, h, line) == 1
 
 
 def test_gw_rejects_bad_classes(p2, p1xp1):
@@ -486,6 +507,14 @@ def test_quantum_class_algebra(p2):
     assert shifted.scaled(3).coefficient(line) == unit.scaled(3)
     total = x + shifted
     assert total.curves() == [quantum.zero_curve(p2), line]
+    assert total - x == shifted
+    assert repr(total) == (
+        "QuantumClass(q^(0, 0, 0)*(CohomologyClass(1*b0)) + q^(1, 1, 1)*(CohomologyClass(1*b0)))"
+    )
+    assert repr(QuantumClass()) == "QuantumClass(0)"
+    # equal classes built in another order hash alike
+    twin = shifted + x
+    assert hash(twin) == hash(total) and len({total, twin}) == 1
 
 
 def _integral_contract_fans():
@@ -675,6 +704,65 @@ def test_folded_product_matches_the_term_by_term_reference(corpus, threefolds):
             assert got == want, (name, a, b)
             assert _typed(got) == _typed(want), (name, a, b)
             assert quantum.quantum_product(fan, b, a) == got, (name, a, b)
+
+
+def _giambelli_pair_product(fan, i, j):
+    """b_i * b_j by the Giambelli route, from public calls: the rewrite of
+    each product of a Giambelli term of tau_i with one of tau_j, its class
+    the sum of theirs."""
+    taus = coho.basis_tau(fan)
+    return quantum.evaluate_terms(fan, [
+        QuantumTerm(s.curve + t.curve, s.monomial + t.monomial, s.coefficient * t.coefficient)
+        for s in quantum.giambelli(fan, taus[i])
+        for t in quantum.giambelli(fan, taus[j])
+    ])
+
+
+def test_pair_products_match_the_giambelli_reference(corpus, threefolds):
+    # the engine inverts the closed forms and uses no Giambelli lift: every
+    # basis pair must equal the rewritten product of the two lifts
+    p1 = catalog.projective_space(1)
+    fans = {**corpus, **threefolds, "p1^4": catalog.product(p1, p1, p1, p1)}
+    for name, fan in sorted(fans.items()):
+        classes = basis(fan)
+        for i, j in combinations_with_replacement(range(len(classes)), 2):
+            got = quantum.quantum_product(fan, classes[i], classes[j])
+            want = _giambelli_pair_product(fan, i, j)
+            assert got == want, (name, i, j)
+            assert _typed(got) == _typed(want), (name, i, j)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda k, form: {k: 2},
+    lambda k, form: {**form, k + 1: 1},
+    lambda k, form: None,
+], ids=["doubled", "extra index", "missing"])
+def test_a_closed_form_off_its_basis_class_is_refused(bl1p2, monkeypatch, corrupt):
+    # the inversion is sound only if the q^0 part of the closed form of tau_k
+    # is b_k; any other makes every product wrong, so it raises (no assert,
+    # which python -O would strip)
+    taus, closed_form = coho.basis_tau(bl1p2), quantum._QuantumRing.closed_form
+    k = next(k for k, tau in enumerate(taus) if len(tau) == 1)
+
+    def tampered(ring, sigma):
+        form = dict(closed_form(ring, sigma))
+        if sigma == taus[k]:
+            form[0] = corrupt(k, form[0])
+            if form[0] is None:
+                del form[0]
+        return form
+
+    clear_caches()
+    monkeypatch.setattr(quantum._QuantumRing, "closed_form", tampered)
+    try:
+        with pytest.raises(RingInconsistent, match=f"closed form of basis cone {k}"):
+            quantum.quantum_product(bl1p2, coho.basis_class(bl1p2, k), coho.unit_class(bl1p2))
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert quantum.quantum_product(bl1p2, coho.unit_class(bl1p2), coho.basis_class(bl1p2, k)) == (
+        quantum.classical(bl1p2, coho.basis_class(bl1p2, k))
+    )
 
 
 def test_a_product_cut_short_leaves_no_partial_memo(bl3p2, monkeypatch):
