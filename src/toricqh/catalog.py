@@ -30,7 +30,7 @@ def projective_plane() -> Fan:
 
 
 def product_p1p1() -> Fan:
-    return Fan(2, ((1, 0), (-1, 0), (0, 1), (0, -1)), ((0, 2), (0, 3), (1, 2), (1, 3)))
+    return hirzebruch(0)
 
 
 def hirzebruch(a: int) -> Fan:

@@ -7,6 +7,12 @@ parser on its first call and reuses it for the rest of the process.  The
 module imports only fan and errors; each handler imports the layer it runs
 (fano, quantum, curves or catalog), so a fresh process compiles no other.
 
+Each handler walks the library's result once, into the JSON payload that
+--json prints, and renders its text output from that payload alone; text
+that needs data the payload lacks, such as the class and degree in the
+header of `tree`, takes it from the handler's own values, not from an added
+payload key.
+
 All ray and divisor indices on the command line and in every rendering are
 1-based; the library itself is 0-based.  The CLI only parses and renders: it
 shifts indices by one and leaves every check to the library, which words an
@@ -60,9 +66,6 @@ from .errors import (
 from .fan import CurveClass, Fan
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
-    from .cohomology import CohomologyClass
     from .quantum import QuantumClass
 
 
@@ -73,64 +76,66 @@ def _one(based: Sequence[int]) -> list[int]:
     return [i + 1 for i in based]
 
 
-def _cone_text(cone: Sequence[int]) -> str:
-    return "{" + ",".join(str(i + 1) for i in cone) + "}"
+def _braces(ks: Sequence[int]) -> str:
+    """A cone by its 1-based rays, '{1,2}'."""
+    return "{" + ",".join(map(str, ks)) + "}"
 
 
-def _curve_text(beta: CurveClass) -> str:
-    return "(" + ",".join(str(b) for b in beta.pairings) + ")"
-
-
-def _coh_terms(fan: Fan, cls: CohomologyClass) -> list[tuple[tuple[int, ...], Fraction]]:
-    from . import cohomology
-
-    taus = cohomology.basis_tau(fan)
-    return sorted(((taus[i], c) for i, c in cls.coords.items()), key=lambda t: (len(t[0]), t[0]))
-
-
-def _coh_text(fan: Fan, cls: CohomologyClass) -> str:
-    terms = _coh_terms(fan, cls)
-    if not terms:
-        return "0"
-    bits = []
-    for tau, coeff in terms:
-        if not tau:
-            bits.append(str(coeff))
-        elif coeff == 1:
-            bits.append("X" + _cone_text(tau))
-        else:
-            bits.append(f"{coeff}*X" + _cone_text(tau))
-    return " + ".join(bits)
-
-
-def _coh_json(fan: Fan, cls: CohomologyClass) -> list[dict]:
-    return [
-        {"tau": _one(tau), "coeff": str(coeff)} for tau, coeff in _coh_terms(fan, cls)
-    ]
-
-
-def _quantum_text(fan: Fan, qc: QuantumClass) -> str:
-    if qc.is_zero():
-        return "0"
-    lines = []
-    for beta in qc.curves():
-        body = _coh_text(fan, qc.parts[beta])
-        if beta.is_zero():
-            lines.append(body)
-        else:
-            lines.append(f"q^{_curve_text(beta)} * ({body})")
-    return "\n".join(lines)
+def _parens(ks: Sequence[int]) -> str:
+    """A curve class by its pairings, '(1,0,-1)'."""
+    return "(" + ",".join(map(str, ks)) + ")"
 
 
 def _quantum_json(fan: Fan, qc: QuantumClass) -> list[dict]:
-    return [
-        {
-            "q": list(beta.pairings),
-            "degree": beta.degree,
-            "value": _coh_json(fan, qc.parts[beta]),
-        }
-        for beta in qc.curves()
-    ]
+    from . import cohomology
+
+    taus = cohomology.basis_tau(fan)
+    rows = []
+    for beta in qc.curves():
+        coords = qc.parts[beta].coords
+        # basis terms by codimension, then by cone
+        order = sorted(coords, key=lambda i: (len(taus[i]), taus[i]))
+        value = [{"tau": _one(taus[i]), "coeff": str(coords[i])} for i in order]
+        rows.append({"q": list(beta.pairings), "degree": beta.degree, "value": value})
+    return rows
+
+
+def _quantum_text(rows: list[dict]) -> str:
+    """The text of _quantum_json rows: one line per curve class."""
+    lines = []
+    for row in rows:
+        bits = []
+        for term in row["value"]:
+            tau, coeff = term["tau"], term["coeff"]
+            if not tau:
+                bits.append(coeff)
+            elif coeff == "1":
+                bits.append("X" + _braces(tau))
+            else:
+                bits.append(f"{coeff}*X" + _braces(tau))
+        body = " + ".join(bits)
+        lines.append(f"q^{_parens(row['q'])} * ({body})" if any(row["q"]) else body)
+    return "\n".join(lines) or "0"
+
+
+def _relation_row(pd) -> dict:
+    return {
+        "set": _one(pd.set),
+        "rhs": [[j + 1, a] for j, a in zip(pd.rhs_cone, pd.rhs_coeffs)],
+        "class": list(pd.cls.pairings),
+        "degree": pd.cls.degree,
+    }
+
+
+def _relation_text(row: dict) -> str:
+    lhs = "*".join(f"D{i}" for i in row["set"])
+    rhs = "*".join(f"D{j}" + (f"^{a}" if a > 1 else "") for j, a in row["rhs"])
+    return f"{lhs} = q^{_parens(row['class'])}" + (f" * {rhs}" if rhs else "")
+
+
+def _fan_text(row: dict) -> tuple[str, str]:
+    """The rays and the maximal cones of a Fan.to_json_dict row."""
+    return " ".join(str(tuple(r)) for r in row["rays"]), " ".join(map(_braces, row["max_cones"]))
 
 
 # ---------------------------------------------------------------- expressions
@@ -332,9 +337,10 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def cmd_validate(fan: Fan, args) -> int:
     report = fan_mod.validate(fan)
-    lines = ["accepted" if report.accepted else "rejected"]
-    lines += [f"  - {p}" for p in report.problems]
-    _emit(args, {"accepted": report.accepted, "problems": list(report.problems)}, "\n".join(lines))
+    payload = {"accepted": report.accepted, "problems": list(report.problems)}
+    lines = ["accepted" if payload["accepted"] else "rejected"]
+    lines += [f"  - {p}" for p in payload["problems"]]
+    _emit(args, payload, "\n".join(lines))
     return 0 if report.accepted else 3
 
 
@@ -342,56 +348,34 @@ def cmd_classify(fan: Fan, args) -> int:
     from . import fano
 
     result = fano.classify(fan)
-    lines = [f"tier: {result.tier.render()}"]
-    rows = []
-    for cert in result.certificates:
-        rhs = _cone_text(cert.rhs_cone) if cert.rhs_cone else "{}"
-        lines.append(
-            f"  {_cone_text(cert.pset)}: coefficient sum {cert.coefficient_sum},"
-            f" rhs {rhs}, rhs multiplicity {cert.rhs_multiplicity}"
-        )
-        rows.append(
-            {
-                "set": _one(cert.pset),
-                "coefficient_sum": cert.coefficient_sum,
-                "rhs": _one(cert.rhs_cone),
-                "rhs_multiplicity": cert.rhs_multiplicity,
-            }
-        )
-    _emit(args, {"tier": result.tier.render(), "relations": rows}, "\n".join(lines))
+    rows = [
+        {
+            "set": _one(cert.pset),
+            "coefficient_sum": cert.coefficient_sum,
+            "rhs": _one(cert.rhs_cone),
+            "rhs_multiplicity": cert.rhs_multiplicity,
+        }
+        for cert in result.certificates
+    ]
+    payload = {"tier": result.tier.render(), "relations": rows}
+    lines = [f"tier: {payload['tier']}"]
+    lines += [
+        f"  {_braces(r['set'])}: coefficient sum {r['coefficient_sum']},"
+        f" rhs {_braces(r['rhs'])}, rhs multiplicity {r['rhs_multiplicity']}"
+        for r in rows
+    ]
+    _emit(args, payload, "\n".join(lines))
     return 0
 
 
-def _relation_text(pd) -> str:
-    lhs = "*".join(f"D{i + 1}" for i in pd.set)
-    if pd.rhs_cone:
-        rhs = "*".join(
-            f"D{j + 1}" + (f"^{a}" if a > 1 else "")
-            for j, a in zip(pd.rhs_cone, pd.rhs_coeffs)
-        )
-    else:
-        rhs = "1"
-    return f"{lhs} = q^{_curve_text(pd.cls)}" + (f" * {rhs}" if rhs != "1" else "")
-
-
 def cmd_primitive(fan: Fan, args) -> int:
-    data = fan_mod.primitive_data(fan)
-    lines = []
-    rows = []
-    for pd in data:
-        lines.append(
-            f"{_cone_text(pd.set)}: {_relation_text(pd)}"
-            f" | class {_curve_text(pd.cls)} degree {pd.cls.degree}"
-        )
-        rows.append(
-            {
-                "set": _one(pd.set),
-                "rhs": [[j + 1, a] for j, a in zip(pd.rhs_cone, pd.rhs_coeffs)],
-                "class": list(pd.cls.pairings),
-                "degree": pd.cls.degree,
-            }
-        )
-    _emit(args, {"primitive_sets": rows}, "\n".join(lines) if lines else "none")
+    rows = [_relation_row(pd) for pd in fan_mod.primitive_data(fan)]
+    lines = [
+        f"{_braces(r['set'])}: {_relation_text(r)}"
+        f" | class {_parens(r['class'])} degree {r['degree']}"
+        for r in rows
+    ]
+    _emit(args, {"primitive_sets": rows}, "\n".join(lines) or "none")
     return 0
 
 
@@ -399,24 +383,17 @@ def cmd_present(fan: Fan, args) -> int:
     from . import quantum
 
     pres = quantum.presentation(fan)
-    lines = [f"generators: {pres.n_generators}"]
-    for row in pres.linear:
-        body = " + ".join(f"{c}*D{i + 1}" for i, c in enumerate(row) if c)
-        lines.append(f"  linear: {body} = 0")
-    for pd in pres.deformed:
-        lines.append(f"  deformed: {_relation_text(pd)}")
+    rows = [_relation_row(pd) for pd in pres.deformed]
     payload = {
         "generators": pres.n_generators,
         "linear": [list(r) for r in pres.linear],
-        "deformed": [
-            {
-                "set": _one(pd.set),
-                "q": list(pd.cls.pairings),
-                "rhs": [[j + 1, a] for j, a in zip(pd.rhs_cone, pd.rhs_coeffs)],
-            }
-            for pd in pres.deformed
-        ],
+        "deformed": [{"set": r["set"], "q": r["class"], "rhs": r["rhs"]} for r in rows],
     }
+    lines = [f"generators: {payload['generators']}"]
+    for row in payload["linear"]:
+        body = " + ".join(f"{c}*D{i + 1}" for i, c in enumerate(row) if c)
+        lines.append(f"  linear: {body} = 0")
+    lines += [f"  deformed: {_relation_text(r)}" for r in rows]
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -425,22 +402,18 @@ def cmd_giambelli(fan: Fan, args) -> int:
     from . import quantum
 
     sigma = tuple(sorted(v - 1 for v in _parse_index_list(args.cone)))
-    terms = quantum.giambelli(fan, sigma)
+    rows = [
+        {
+            "q": list(term.curve.pairings),
+            "monomial": _one(term.monomial),
+            "coeff": str(term.coefficient),
+        }
+        for term in quantum.giambelli(fan, sigma)
+    ]
     lines = []
-    rows = []
-    for term in terms:
-        mono = "*".join(f"D{i + 1}" for i in term.monomial) if term.monomial else "1"
-        if term.curve.is_zero():
-            lines.append(mono)
-        else:
-            lines.append(f"q^{_curve_text(term.curve)} * {mono}")
-        rows.append(
-            {
-                "q": list(term.curve.pairings),
-                "monomial": _one(term.monomial),
-                "coeff": str(term.coefficient),
-            }
-        )
+    for row in rows:
+        mono = "*".join(f"D{i}" for i in row["monomial"]) or "1"
+        lines.append(f"q^{_parens(row['q'])} * {mono}" if any(row["q"]) else mono)
     _emit(args, {"cone": _one(sigma), "terms": rows}, "\n".join(lines))
     return 0
 
@@ -450,8 +423,8 @@ def cmd_multiply(fan: Fan, args) -> int:
 
     left = parse_expression(fan, args.left, "quantum")
     right = parse_expression(fan, args.right, "quantum")
-    result = quantum.quantum_product(fan, left, right)
-    _emit(args, {"product": _quantum_json(fan, result)}, _quantum_text(fan, result))
+    rows = _quantum_json(fan, quantum.quantum_product(fan, left, right))
+    _emit(args, {"product": rows}, _quantum_text(rows))
     return 0
 
 
@@ -462,8 +435,8 @@ def cmd_gw(fan: Fan, args) -> int:
     b = parse_expression(fan, args.b, "classical")
     c = parse_expression(fan, args.c, "classical")
     beta = fan_mod.curve_class(fan, _parse_index_list(args.beta))
-    value = quantum.gw3(fan, a, b, c, beta)
-    _emit(args, {"value": str(value)}, str(value))
+    payload = {"value": str(quantum.gw3(fan, a, b, c, beta))}
+    _emit(args, payload, payload["value"])
     return 0
 
 
@@ -472,20 +445,20 @@ def cmd_tower(fan: Fan, args) -> int:
 
     order = None if args.order is None else [v - 1 for v in _parse_index_list(args.order)]
     stages = fano.blow_down_tower(fan, order)
-    lines = []
-    rows = []
-    for k, stage in enumerate(stages):
-        tier = fano.classify(stage).tier.render()
-        lines.append(f"stage {k}: {stage.n_rays} rays, tier {tier}")
-        lines.append("  rays: " + " ".join(str(r) for r in stage.rays))
-        lines.append("  cones: " + " ".join(_cone_text(c) for c in stage.max_cones))
-        rows.append({**stage.to_json_dict(), "tier": tier})
+    rows = [{**s.to_json_dict(), "tier": fano.classify(s).tier.render()} for s in stages]
     is_prod, dims = fano.is_product_of_projective_spaces(stages[-1])
-    if is_prod:
-        lines.append("terminal: product of projective spaces " + str(tuple(dims)))
+    payload = {"stages": rows, "product": {"is_product": is_prod, "dims": list(dims)}}
+    lines = []
+    for k, row in enumerate(rows):
+        rays, cones = _fan_text(row)
+        lines.append(f"stage {k}: {len(row['rays'])} rays, tier {row['tier']}")
+        lines.append("  rays: " + rays)
+        lines.append("  cones: " + cones)
+    product = payload["product"]
+    if product["is_product"]:
+        lines.append("terminal: product of projective spaces " + str(tuple(product["dims"])))
     else:
         lines.append("terminal: not a product of projective spaces")
-    payload = {"stages": rows, "product": {"is_product": is_prod, "dims": list(dims)}}
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -495,46 +468,42 @@ def cmd_tree(fan: Fan, args) -> int:
 
     beta = fan_mod.curve_class(fan, _parse_index_list(args.beta))
     trees = curves.tree_for_class(fan, beta)
-    lines = [f"class {_curve_text(beta)} degree {beta.degree}"]
-    rows = []
-    for tree, count in trees:
-        edges = ", ".join(f"{_cone_text(w)} x{m}" for w, m in tree.edges)
-        lines.append(
-            f"  {count} x tree to D{tree.target + 1} from {_cone_text(tree.root)}:"
-            f" edges [{edges}] class {_curve_text(tree.cls)}"
-        )
-        rows.append(
-            {
-                "root": _one(tree.root),
-                "target": tree.target + 1,
-                "count": count,
-                "edges": [{"wall": _one(w), "mult": m} for w, m in tree.edges],
-                "class": list(tree.cls.pairings),
-                "degree_verified": tree.degree_verified,
-            }
-        )
+    rows = [
+        {
+            "root": _one(tree.root),
+            "target": tree.target + 1,
+            "count": count,
+            "edges": [{"wall": _one(w), "mult": m} for w, m in tree.edges],
+            "class": list(tree.cls.pairings),
+            "degree_verified": tree.degree_verified,
+        }
+        for tree, count in trees
+    ]
     total = curves.tree_total(trees) if trees else CurveClass((0,) * fan.n_rays)
-    match = total == beta
-    lines.append(f"total {_curve_text(total)} matches: {'yes' if match else 'no'}")
-    _emit(args, {"trees": rows, "total": list(total.pairings), "matches": match}, "\n".join(lines))
+    payload = {"trees": rows, "total": list(total.pairings), "matches": total == beta}
+    # the class asked for is not in the payload, so the header reads beta
+    lines = [f"class {_parens(beta.pairings)} degree {beta.degree}"]
+    for row in rows:
+        edges = ", ".join(f"{_braces(e['wall'])} x{e['mult']}" for e in row["edges"])
+        lines.append(
+            f"  {row['count']} x tree to D{row['target']} from {_braces(row['root'])}:"
+            f" edges [{edges}] class {_parens(row['class'])}"
+        )
+    matches = "yes" if payload["matches"] else "no"
+    lines.append(f"total {_parens(payload['total'])} matches: {matches}")
+    _emit(args, payload, "\n".join(lines))
     return 0
 
 
 def cmd_census(_fan: None, args) -> int:
     from . import catalog
 
-    reps = catalog.census(args.dim, args.max_rays)
-    lines = [f"{len(reps)} equivalence classes"]
-    rows = []
-    for rep in reps:
-        lines.append(
-            f"  {rep.n_rays} rays: "
-            + " ".join(str(r) for r in rep.rays)
-            + " cones "
-            + " ".join(_cone_text(c) for c in rep.max_cones)
-        )
-        rows.append(rep.to_json_dict())
-    _emit(args, {"count": len(reps), "classes": rows}, "\n".join(lines))
+    rows = [rep.to_json_dict() for rep in catalog.census(args.dim, args.max_rays)]
+    lines = [f"{len(rows)} equivalence classes"]
+    for row in rows:
+        rays, cones = _fan_text(row)
+        lines.append(f"  {len(row['rays'])} rays: {rays} cones {cones}")
+    _emit(args, {"count": len(rows), "classes": rows}, "\n".join(lines))
     return 0
 
 

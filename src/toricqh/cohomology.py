@@ -189,9 +189,10 @@ class _CohomologyRing:
         # (mu, i) -> linear_row(mu, i), filled on first use
         self._linear_rows: dict[tuple[Cone, int], tuple[tuple[int, int], ...]] = {}
 
-    def coords(self, cls: CohomologyClass) -> dict[int, Rational]:
-        """The coordinates of cls, once every index names a basis class."""
-        for i in cls.coords:
+    def coords(self, cls: CohomologyClass, what: str = "class") -> dict[int, Rational]:
+        """The coordinates of cls, once it is a CohomologyClass (else
+        ValueError naming it as what) and every index names a basis class."""
+        for i in fan_mod._strict_instance(cls, CohomologyClass, what).coords:
             if not 0 <= i < len(self.basis_tau):
                 raise IndexOutOfRange(f"basis index {i} out of range")
         return cls.coords
@@ -353,7 +354,7 @@ def cup(fan: Fan, a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
     """Classical cup product in the pinned basis."""
     ring = _ring(fan)
     poly: dict[Monomial, Rational] = {}
-    a_coords, b_coords = ring.coords(a), ring.coords(b)
+    a_coords, b_coords = ring.coords(a, "operand a"), ring.coords(b, "operand b")
     for i, ca in a_coords.items():
         for j, cb in b_coords.items():
             mono = tuple(sorted(ring.basis_tau[i] + ring.basis_tau[j]))
@@ -370,4 +371,4 @@ def stratum_class(fan: Fan, sigma: Sequence[int]) -> CohomologyClass:
 def integrate(fan: Fan, a: CohomologyClass) -> Rational:
     """Evaluation against the fundamental class: the point-class coefficient."""
     ring = _ring(fan)
-    return ring.coords(a).get(ring.top_index, 0)
+    return ring.coords(a, "operand a").get(ring.top_index, 0)

@@ -554,14 +554,13 @@ def star(fan: Fan, sigma: Sequence[int]) -> Fan:
     exactly on span(sigma) and send those rays to the standard basis.  Every
     star ray lies in a maximal cone containing sigma, whose other rays map
     to a basis too, so its image is already primitive; validating the result
-    checks it.  The star of the empty cone is the fan itself.
+    checks it.  The star of the empty cone is the fan itself; that of a
+    maximal cone comes out of the same route as the point fan Fan(0, (), ((),)).
     """
     key = _cone_key(fan, sigma)
     if not key:
         return fan
     k = len(key)
-    if k == fan.dim:
-        return Fan(0, (), ((),))
     member = set(key)
     above = _face_index(fan)[key]
     mu = above[0]
@@ -621,8 +620,6 @@ def decompose_effective(fan: Fan, beta: CurveClass) -> tuple[tuple[PrimitiveData
     """
     require_accepted(fan)
     curve_class(fan, _strict_instance(beta, CurveClass, "beta").pairings)
-    if beta.is_zero():
-        return ()
     pdata = primitive_data(fan)
     negatives = tuple(i for i, b in enumerate(beta.pairings) if b < 0)
     if is_cone(fan, negatives):
@@ -716,8 +713,6 @@ def is_isomorphic(a: Fan, b: Fan) -> bool:
     require_accepted(b)
     if a.n_rays != b.n_rays or len(a.max_cones) != len(b.max_cones):
         return False
-    if a.dim == 0:
-        return True
     # the map sending the anchor cone's generators to perm's is G_b(perm) * G_a^-1
     coords = [coords_in_basis(a, a.max_cones[0], ray) for ray in a.rays]
     cones_b = set(b.max_cones)

@@ -58,6 +58,7 @@ class QuantumClass:
         clean: dict[CurveClass, CohomologyClass] = {}
         if parts:
             for beta, cls in parts.items():
+                fan_mod._strict_instance(cls, CohomologyClass, "quantum class part")
                 if not cls.is_zero():
                     clean[beta] = cls
         self.parts = clean
@@ -485,11 +486,14 @@ def quantum_product(fan: Fan, a: Multiplicand, b: Multiplicand) -> QuantumClass:
     q-polynomial is pushed once through row i of the right operand.  Part
     curve classes are checked as in evaluate_terms (a key that is not a
     CurveClass: ValueError), and every basis index of a part must name a
-    basis class (IndexOutOfRange).
+    basis class (IndexOutOfRange).  An operand that is neither a
+    CohomologyClass nor a QuantumClass is refused with ValueError naming it.
     """
     ring, basis = _qring(fan), cohomology._ring(fan)
     qa = classical(fan, a) if isinstance(a, CohomologyClass) else a
     qb = classical(fan, b) if isinstance(b, CohomologyClass) else b
+    fan_mod._strict_instance(qa, QuantumClass, "operand a")
+    fan_mod._strict_instance(qb, QuantumClass, "operand b")
     # the left operand by basis index: i -> packed class -> coeff
     left: dict[int, dict[int, Rational]] = {}
     for beta, cls in qa.parts.items():
@@ -538,10 +542,11 @@ def gw3(
 
 def quantum_degrees(fan: Fan, qc: QuantumClass) -> set[int]:
     """Complex degrees present in a quantum class; q^beta carries beta's
-    anticanonical degree and a basis class its codimension."""
+    anticanonical degree and a basis class its codimension.  A qc that is
+    not a QuantumClass is refused with ValueError naming it."""
     ring = cohomology._ring(fan)
     out = set()
-    for beta, cls in qc.parts.items():
+    for beta, cls in fan_mod._strict_instance(qc, QuantumClass, "qc").parts.items():
         for i in ring.coords(cls):
             out.add(beta.degree + len(ring.basis_tau[i]))
     return out

@@ -303,6 +303,38 @@ def test_gw_refuses_operands_of_the_wrong_type_by_name(p2):
     assert quantum.gw3(p2, pt, pt, h, line) == 1
 
 
+# (call, the name its ValueError gives the operand, the type it asks for)
+WRONG_TYPED_CALLS = {
+    "quantum_product left": (
+        lambda p2, h: quantum.quantum_product(p2, (1, 2), h), "operand a", QuantumClass
+    ),
+    "quantum_product right": (
+        lambda p2, h: quantum.quantum_product(p2, h, 3), "operand b", QuantumClass
+    ),
+    "cup": (
+        lambda p2, h: coho.cup(p2, quantum.classical(p2, h), h), "operand a", CohomologyClass
+    ),
+    "integrate": (
+        lambda p2, h: coho.integrate(p2, quantum.classical(p2, h)), "operand a", CohomologyClass
+    ),
+    "class_degrees": (
+        lambda p2, h: coho.class_degrees(p2, quantum.classical(p2, h)), "class", CohomologyClass
+    ),
+    "quantum_degrees": (lambda p2, h: quantum.quantum_degrees(p2, h), "qc", QuantumClass),
+    "QuantumClass part": (
+        lambda p2, h: QuantumClass({quantum.zero_curve(p2): 5}), "quantum class part", CohomologyClass
+    ),
+}
+
+
+@pytest.mark.parametrize("call, name, kind", WRONG_TYPED_CALLS.values(), ids=WRONG_TYPED_CALLS)
+def test_operands_of_the_wrong_type_are_refused_by_name(p2, call, name, kind):
+    # each used to end in AttributeError on the operand's missing .parts,
+    # .coords or .is_zero
+    with pytest.raises(ValueError, match=f"^{name} .* is not a {kind.__name__}$"):
+        call(p2, coho.basis_class(p2, 1))
+
+
 def test_gw_rejects_bad_classes(p2, p1xp1):
     pt = coho.point_class(p1xp1)
     with pytest.raises(NotEffective):
