@@ -4,7 +4,7 @@ The census relies on the coordinate bound that the stronger tiers impose:
 once one maximal cone is normalized to the standard basis, every ray of an
 admissible surface fan has both coordinates in {-1, 0, 1}, so complete
 nonsingular surface fans in the class are subsets of the eight candidate
-rays, walked in cyclic order with consecutive determinants equal to one.
+rays, walked in cyclic order; validation decides which subsets are fans.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .fan import Fan
 
 def projective_space(n: int) -> Fan:
     """P^n: the standard basis rays plus their negated sum."""
-    if n < 1:
+    if fan_mod._strict_int(n, "projective space dimension") < 1:
         raise ValueError("projective space needs positive dimension")
     rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     rays.append(tuple(-1 for _ in range(n)))
@@ -35,7 +35,7 @@ def product_p1p1() -> Fan:
 
 def hirzebruch(a: int) -> Fan:
     """The surface fibered over P^1 with twist a; a = 0 is P^1 x P^1."""
-    if a < 0:
+    if fan_mod._strict_int(a, "twist") < 0:
         raise ValueError("twist must be nonnegative")
     return Fan(2, ((1, 0), (-1, a), (0, 1), (0, -1)), ((0, 2), (0, 3), (1, 2), (1, 3)))
 
@@ -80,7 +80,7 @@ def product(*factors: Fan) -> Fan:
     factor.  Rays are numbered factor by factor."""
     if not factors:
         raise ValueError("a product needs at least one factor")
-    dim = sum(f.dim for f in factors)
+    dim = sum(fan_mod._strict_instance(f, Fan, "factor").dim for f in factors)
     rays: list[tuple[int, ...]] = []
     cones: list[tuple[int, ...]] = [()]
     before = 0  # coordinates taken by the earlier factors
@@ -122,14 +122,6 @@ def census(dim: int, max_rays: int) -> list[Fan]:
         for extra in combinations([v for v in _CYCLE if v not in base], size - 2):
             chosen = base | set(extra)
             rays = tuple(v for v in _CYCLE if v in chosen)
-            ok = True
-            for t in range(len(rays)):
-                u, w = rays[t], rays[(t + 1) % len(rays)]
-                if u[0] * w[1] - u[1] * w[0] != 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
             cones = tuple(
                 tuple(sorted((t, (t + 1) % len(rays)))) for t in range(len(rays))
             )

@@ -137,7 +137,7 @@ class Fan(_Frozen):
 
 
 def fan_to_json(fan: Fan) -> str:
-    return json.dumps(fan.to_json_dict())
+    return json.dumps(_strict_instance(fan, Fan, "fan").to_json_dict())
 
 
 def fan_from_json(text: str) -> Fan:
@@ -213,7 +213,7 @@ class CurveClass(_Frozen):
 
 def curve_class(fan: Fan, pairings: Sequence[int]) -> CurveClass:
     """Build a CurveClass, checking the kernel condition sum b_i rho_i = 0."""
-    if len(pairings) != fan.n_rays:
+    if len(pairings) != _strict_instance(fan, Fan, "fan").n_rays:
         raise NotEffective("pairing vector length does not match the ray count")
     cls = CurveClass(tuple(pairings))
     if any(sum(b * ray[t] for b, ray in zip(cls.pairings, fan.rays)) for t in range(fan.dim)):
@@ -256,8 +256,8 @@ def per_fan(compute: Callable[[Fan], T]) -> Callable[[Fan], T]:
     @wraps(compute, updated=())
     def memoized(fan: Fan) -> T:
         memo = _DERIVED.get(fan)
-        if memo is None:
-            memo = _DERIVED[fan] = {}
+        if memo is None:  # the miss path alone checks the argument's type
+            memo = _DERIVED[_strict_instance(fan, Fan, "fan")] = {}
         elif compute in memo:
             return memo[compute]
         value = memo[compute] = compute(fan)
@@ -445,7 +445,7 @@ def _ray_indices(fan: Fan, indices: Iterable[int], what: str) -> tuple[int, ...]
     for i in out:  # one type test per index: normal forms call this per monomial
         if type(i) is not int:
             _strict_int(i, what)
-    m = fan.n_rays
+    m = _strict_instance(fan, Fan, "fan").n_rays
     for i in out:
         if not 0 <= i < m:
             raise IndexOutOfRange(
@@ -592,12 +592,21 @@ def _sign_prune(fan: Fan) -> tuple[tuple, tuple]:
 def decompose_effective(fan: Fan, beta: CurveClass) -> tuple[tuple[PrimitiveData, int], ...]:
     """Write beta as a nonnegative integer combination of primitive classes.
 
-    When the divisors beta meets negatively span a cone, the greedy
-    subtraction is guaranteed to succeed exactly when beta is effective.
-    It subtracts the first primitive class whose set lies in the positive
+    When the divisors beta meets negatively span a cone sigma, a greedy
+    loop subtracts the first primitive class whose set lies in the positive
     support, in batches: each batch takes that class as many times in a
     row as one subtraction per step would, so the result is the same and
-    any multiple of one primitive class costs one batch.
+    any multiple of one primitive class costs one batch.  The loop never
+    stalls.  For beta != 0, sum(beta_i v_i, beta_i > 0) equals
+    sum(|beta_i| v_i, beta_i < 0), a point of sigma.  Were the positive
+    support a cone, the point would lie in its relative interior, so the
+    cone would meet sigma in a common face that is the whole cone and lie
+    in sigma; yet it misses sigma's rays, so it would be {0} and beta a
+    nonzero relation among the independent rays of sigma.  So the positive
+    support spans no cone and holds a primitive set.  Subtracting that
+    set's class lowers only positive entries, by one each, and raises only
+    its rhs entries, so the negative support stays inside sigma.  The
+    NotEffective the loop raises without such a set is a guard.
     Otherwise a depth-first search picks the multiplicity of each primitive
     class in turn, smallest first; on Fano fans the positive degrees of
     primitive classes bound it sharply, and on other fans classes of degree
@@ -707,7 +716,7 @@ def decompose_effective(fan: Fan, beta: CurveClass) -> tuple[tuple[PrimitiveData
 def is_isomorphic(a: Fan, b: Fan) -> bool:
     """Decide unimodular equivalence by anchoring a maximal cone of one fan
     to each generator-permuted maximal cone of the other."""
-    if a.dim != b.dim:
+    if _strict_instance(a, Fan, "fan a").dim != _strict_instance(b, Fan, "fan b").dim:
         raise DimensionMismatch(f"fans have dimensions {a.dim} and {b.dim}")
     require_accepted(a)
     require_accepted(b)

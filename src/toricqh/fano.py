@@ -165,26 +165,19 @@ def family_predicates(family: Sequence[ExceptionalData]) -> dict[str, bool]:
     excs = [e.exc for e in family]
     distinct = len(set(excs)) == len(excs)
     overlaps = any(e.exc in f.set for e in family for f in family)
-    t = len(family)
-    adj = [[f.exc in family[i].set for f in family] for i in range(t)]
-    state = [0] * t  # 0 unseen, 1 active, 2 done
-
-    def dfs(i: int) -> bool:
-        state[i] = 1
-        for j in range(t):
-            if adj[i][j]:
-                if state[j] == 1:
-                    return True
-                if state[j] == 0 and dfs(j):
-                    return True
-        state[i] = 2
-        return False
-
-    cyclic = any(state[i] == 0 and dfs(i) for i in range(t))
+    # peel off the members with no incoming edge (no remaining member's set
+    # holds their exceptional ray): the digraph is acyclic exactly when that
+    # empties the family
+    rest = list(family)
+    while True:
+        kept = [e for e in rest if any(e.exc in f.set for f in rest)]
+        if len(kept) == len(rest):
+            break
+        rest = kept
     return {
         "distinct_exc": distinct,
         "no_overlaps": not overlaps,
-        "no_cycles": not cyclic,
+        "no_cycles": not rest,
     }
 
 
@@ -205,7 +198,7 @@ def blow_down(fan: Fan, exc: ExceptionalData) -> Fan:
     through it is rebuilt over the member rays."""
     if classify(fan).tier < Tier.FULL_CLASS:
         raise NotInClass("blow-down is defined on FullClass fans")
-    if exc not in primitive_exceptional_sets(fan):
+    if fan_mod._strict_instance(exc, ExceptionalData, "exc") not in primitive_exceptional_sets(fan):
         raise BlowDownInvalid(
             f"{tuple(i + 1 for i in exc.set)} -> {exc.exc + 1} is not primitive exceptional data"
         )

@@ -18,12 +18,14 @@ on FullClass fans, where the paper's formulas hold: below Fano it raises
 NotFano, below FullClass NotInClass, a NotInTier (there a ray may head two
 primitive relations and the rewrite is not confluent).  Every field of the
 ring is a memo of a function of the fan and its key, so no result depends
-on what ran before it.  A product pushes the q-polynomial of each basis
-index i of its left operand through row i of its right operand, the sum of
-c_j q^beta_j (b_i * b_j) over its entries.  b_i * b_j comes from the closed
-forms alone: the closed form of the cone tau_k is x_k = b_k plus q-terms of
-lower degree, the rewrite of tau_i + tau_j is x_i * x_j, and b_i * b_j is
-that rewrite less the products of lower degree it holds besides (a
+on what ran before it.  One kernel, _QuantumRing.mul, multiplies engine
+parts: it pushes the q-polynomial of each basis index i of its left operand
+through row i of its right operand, the sum of c_j q^beta_j (b_i * b_j) over
+its entries.  quantum_product is mul on its two packed operands.  b_i * b_j
+comes from the closed forms alone: the closed form of the cone tau_k is
+x_k = b_k plus q-terms of lower degree, the rewrite of tau_i + tau_j is
+x_i * x_j, and b_i * b_j is x_i * x_j less its lower terms,
+(x_i - b_i) * x_j + b_i * (x_j - b_j), two products through mul (a
 unitriangular inversion).  The Giambelli lift is the paper's inverse
 formula; it is built by `giambelli` alone and is on no product path.
 Everything stays exact and integral: the engine's one form is a dict packed
@@ -37,7 +39,7 @@ which refuses a pairing of size 2^37 or more) and decoded once per ring
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import cohomology, fan as fan_mod, fano
@@ -126,7 +128,7 @@ class Presentation(NamedTuple):
 
 
 def zero_curve(fan: Fan) -> CurveClass:
-    return CurveClass((0,) * fan.n_rays)
+    return CurveClass((0,) * fan_mod._strict_instance(fan, Fan, "fan").n_rays)
 
 
 def classical(fan: Fan, cls: CohomologyClass) -> QuantumClass:
@@ -139,14 +141,15 @@ _Parts = dict[int, dict[int, int]]  # packed curve class -> basis index -> coeff
 # A curve class is keyed inside the engine by _pack(pairings), one int with
 # balanced base-2^40 digits.  Packing is additive, and a key decodes exactly
 # while every digit of a sum lies in [-2^39, 2^39).  A key sums at most two
-# boundary classes (a part of each operand of quantum_product: the right's in
-# its row, the left's where the row is pushed; check_curve refuses
-# |p_i| >= 2^37, so two stay below 2^38) and one engine class.  An
+# boundary classes (a part of each operand of quantum_product, through mul:
+# the right's in its row, the left's where the row is pushed; check_curve
+# refuses |p_i| >= 2^37, so two stay below 2^38) and one engine class.  An
 # engine class sums primitive classes (the rewrite's q-shifts) and the
 # exceptional classes of closed-form families.  A pair product's class is one
-# too: a class of a rewrite, or the closed-form classes s + t plus a class of
-# a lower pair product.  Each summand has degree >= 1 (a primitive class as
-# the fan is Fano, an exceptional class as |S| - 1 >= 1), and the class lies
+# too: a class of a rewrite, or the closed-form classes s + t (of a part mul
+# pushes and of a part it takes a row of) plus a class of a lower pair
+# product.  Each summand has degree >= 1 (a primitive class as the fan is
+# Fano, an exceptional class as |S| - 1 >= 1), and the class lies
 # in a part of degree at most that of what was rewritten: MAX_REWRITE_DEGREE
 # for evaluate_terms, |tau_i| + |tau_j| <= 2n for a pair product, which
 # therefore recurses at most 2n levels deep.  So a class sums at most
@@ -358,14 +361,14 @@ class _QuantumRing:
         return result
 
     def pair_product(self, i: int, j: int) -> _Parts:
-        """b_i * b_j from the closed forms alone.
+        """b_i * b_j from the closed forms alone; called by mul alone.
 
         With x_k = closed_form(tau_k) = b_k + sum over s != 0 of q^s c_s,
-        reduce(tau_i + tau_j) is x_i * x_j, the sum of q^(s+t) c_s * d_t over
-        the parts of x_i and x_j.  Every term but b_i * b_j (s = t = 0) has a
-        lower degree, as the fan is Fano, so taking them off recurses at most
-        2n levels.  RingInconsistent unless the q^0 part of each closed form
-        is its basis class."""
+        reduce(tau_i + tau_j) is x_i * x_j, so
+        b_i * b_j = reduce(tau_i + tau_j) - (x_i - b_i) * x_j - b_i * (x_j - b_j).
+        Every product taken off has a lower degree, as the fan is Fano, so
+        the recursion through mul is at most 2n levels deep.  RingInconsistent
+        unless the q^0 part of each closed form is its basis class."""
         key = (i, j) if i <= j else (j, i)
         cached = self.pair_cache.get(key)
         if cached is not None:
@@ -377,13 +380,38 @@ class _QuantumRing:
                 raise RingInconsistent(f"the closed form of basis cone {k} has q^0 part {form.get(0)}")
         acc: _Parts = {}
         _add_into(acc, self.reduce(tuple(sorted(taus[i] + taus[j]))), 1)
-        # s and t are closed-form family classes, checked effective there
-        for (s, cs), (t, dt) in product(x.items(), y.items()):
-            if s or t:
-                for (k, c), (m, d) in product(cs.items(), dt.items()):
-                    _add_into(acc, self.pair_product(k, m), -c * d, s + t)
+        # the q-terms of x_i negated, and -b_i against those of x_j; their
+        # classes are closed-form family classes, checked effective there
+        self.mul({s: {k: -c for k, c in cs.items()} for s, cs in x.items() if s}, y, acc)
+        self.mul({0: {i: -1}}, {t: dt for t, dt in y.items() if t}, acc)
         out = self.pair_cache[key] = _prune(acc)
         return out
+
+    def mul(self, a: _Parts, b: _Parts, acc: _Parts) -> _Parts:
+        """acc += a * b for engine parts, in place; returns acc.  The one
+        product kernel: the left operand is grouped by basis index i, and
+        each index's q-polynomial is pushed once through row i of the right
+        operand."""
+        # the left operand by basis index: i -> packed class -> coeff
+        left: dict[int, dict[int, Rational]] = {}
+        for shift, coords in a.items():
+            for i, c in coords.items():
+                left.setdefault(i, {})[shift] = c
+        for i, poly in left.items():
+            # row i: sum of c_j q^beta_j (b_i * b_j); it keeps its zeros, since a
+            # Fraction zero still makes what it meets a Fraction
+            row: _Parts = {}
+            for shift, coords in b.items():
+                for j, c in coords.items():
+                    _add_into(row, self.pair_product(i, j), c, shift)
+            # _add_into(acc, row, ca, shift) per left part, unrolled: the call per
+            # (index, part) costs about 6% of chain_s on quantum_powers (BENCH_21.json)
+            for beta, coords in row.items():
+                for shift, ca in poly.items():
+                    part = acc.setdefault(beta + shift, {})
+                    for k, c in coords.items():
+                        part[k] = part.get(k, 0) + ca * c
+        return acc
 
 
 _qring = fan_mod.per_fan(_QuantumRing)
@@ -482,8 +510,9 @@ Multiplicand = Union[CohomologyClass, QuantumClass]
 def quantum_product(fan: Fan, a: Multiplicand, b: Multiplicand) -> QuantumClass:
     """Quantum product, bilinear over q-shifts; needs the full class.
 
-    The left operand is grouped by basis index i, and each index's
-    q-polynomial is pushed once through row i of the right operand.  Part
+    The packed operands go through _QuantumRing.mul: the left operand is
+    grouped by basis index i, and each index's q-polynomial is pushed once
+    through row i of the right operand.  Part
     curve classes are checked as in evaluate_terms (a key that is not a
     CurveClass: ValueError), and every basis index of a part must name a
     basis class (IndexOutOfRange).  An operand that is neither a
@@ -494,29 +523,9 @@ def quantum_product(fan: Fan, a: Multiplicand, b: Multiplicand) -> QuantumClass:
     qb = classical(fan, b) if isinstance(b, CohomologyClass) else b
     fan_mod._strict_instance(qa, QuantumClass, "operand a")
     fan_mod._strict_instance(qb, QuantumClass, "operand b")
-    # the left operand by basis index: i -> packed class -> coeff
-    left: dict[int, dict[int, Rational]] = {}
-    for beta, cls in qa.parts.items():
-        shift = ring.check_curve(beta)
-        for i, c in basis.coords(cls).items():
-            left.setdefault(i, {})[shift] = c
-    right = [(ring.check_curve(beta), basis.coords(cls)) for beta, cls in qb.parts.items()]
-    acc: _Parts = {}
-    for i, poly in left.items():
-        # row i: sum of c_j q^beta_j (b_i * b_j); it keeps its zeros, since a
-        # Fraction zero still makes what it meets a Fraction
-        row: _Parts = {}
-        for shift, coords in right:
-            for j, c in coords.items():
-                _add_into(row, ring.pair_product(i, j), c, shift)
-        # _add_into(acc, row, ca, shift) per left part, unrolled: the call per
-        # (index, part) costs about 6% of chain_s on quantum_powers (BENCH_21.json)
-        for beta, coords in row.items():
-            for shift, ca in poly.items():
-                part = acc.setdefault(beta + shift, {})
-                for k, c in coords.items():
-                    part[k] = part.get(k, 0) + ca * c
-    return ring.to_class(acc)
+    pa = {ring.check_curve(beta): basis.coords(cls) for beta, cls in qa.parts.items()}
+    pb = {ring.check_curve(beta): basis.coords(cls) for beta, cls in qb.parts.items()}
+    return ring.to_class(ring.mul(pa, pb, {}))
 
 
 def gw3(

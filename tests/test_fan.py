@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+import toricqh
 from toricqh import catalog, clear_caches, cohomology, curves, fan as fan_mod, fano, lattice, quantum
 from toricqh.errors import (
     DimensionMismatch,
@@ -823,6 +825,37 @@ def test_greedy_batches_match_one_step_loop(corpus):
     assert compared >= 2000
 
 
+def test_the_greedy_branch_decomposes_every_class_whose_negative_support_is_a_cone(
+    corpus, p3, bundle3, f2
+):
+    # the argument in decompose_effective's docstring: the positive support
+    # of such a class holds a primitive set, and subtracting its class keeps
+    # the negative support in the cone, so the greedy branch never stalls.
+    # Each class takes seeded entries in 0..3 off a maximal cone mu and the
+    # entries on mu that make it a curve class; F2, F3, F5 and the blown-up
+    # planes are not Fano
+    p1, p2, bl3 = catalog.projective_space(1), catalog.projective_plane(), catalog.blowup_p2_three()
+    fans = [
+        *corpus.values(), p3, catalog.product(p2, p1), bundle3, f2, catalog.hirzebruch(3),
+        catalog.hirzebruch(5), *(_blown_up_plane(m) for m in (7, 10, 14)),
+        catalog.product(bl3, p1), catalog.product(f2, p1), catalog.product(bl3, bl3),
+    ]
+    rng = random.Random(27)
+    for fan in fans:
+        for _ in range(300):
+            mu = rng.choice(fan.max_cones)
+            pairings = [0 if i in mu else rng.randint(0, 3) for i in range(fan.n_rays)]
+            point = [sum(b * ray[t] for b, ray in zip(pairings, fan.rays)) for t in range(fan.dim)]
+            for i, x in zip(mu, fan_mod.coords_in_basis(fan, mu, point)):
+                pairings[i] = -x
+            beta = CurveClass(pairings)
+            total = beta.scaled(0)
+            for pd, count in fan_mod.decompose_effective(fan, beta):
+                assert count > 0
+                total = total + pd.cls.scaled(count)
+            assert total == beta, (fan, beta)
+
+
 def test_is_isomorphic(corpus, p3):
     hexagon2 = Fan(
         2,
@@ -900,3 +933,60 @@ def test_per_fan_memoizes_values_and_not_exceptions(p2, f2):
     point = Fan(0, (), ((),))
     assert fan_mod.primitive_sets(point) == ()
     assert fan_mod._DERIVED[point][fan_mod.primitive_sets.__wrapped__] == ()
+
+
+# an argument for each parameter of an export that takes a fan first, valid on
+# P^2, so that the wrong-typed fan is the first thing refused
+_P2_ARGUMENTS = {
+    "ray_indices": (0,), "pairings": (1, 1, 1), "pset": (0, 1, 2), "sigma": (0,), "mu": (0, 1),
+    "wall": (0,), "rho_index": 0, "d": 0, "index": 0, "degree": 1, "monomial": (0,), "rng": None,
+    "order": None, "terms": [], "poly": {(): 1}, "beta": CurveClass((1, 1, 1)),
+    "a": cohomology.CohomologyClass({0: 1}), "b": cohomology.CohomologyClass({0: 1}),
+    "c": cohomology.CohomologyClass({0: 1}), "cls": cohomology.CohomologyClass({0: 1}),
+    "qc": quantum.QuantumClass(), "exc": None,
+}
+_FAN_FIRST = sorted(
+    name
+    for name in toricqh.__all__
+    if inspect.isfunction(getattr(toricqh, name))
+    and next(iter(inspect.signature(getattr(toricqh, name)).parameters), None) == "fan"
+)
+
+
+def _export_call(name):
+    function = getattr(toricqh, name)
+    rest = list(inspect.signature(function).parameters)[1:]
+    return lambda p2, bl1p2: function("p2", *(_P2_ARGUMENTS[p] for p in rest))
+
+
+def _blow_down_with(wrap):
+    return lambda p2, bl1p2: fano.blow_down(bl1p2, wrap(fano.primitive_exceptional_sets(bl1p2)[0]))
+
+
+# (id, call on the p2 and bl1p2 fixtures, the argument's name, its type)
+_WRONG_TYPED = [
+    *((name, _export_call(name), "fan", "Fan") for name in _FAN_FIRST),
+    ("is_isomorphic-a", lambda p2, bl1p2: fan_mod.is_isomorphic("p2", p2), "fan a", "Fan"),
+    ("is_isomorphic-b", lambda p2, bl1p2: fan_mod.is_isomorphic(p2, "p2"), "fan b", "Fan"),
+    ("product", lambda p2, bl1p2: catalog.product(p2, "p1"), "factor", "Fan"),
+    ("blow_down-None", _blow_down_with(lambda exc: None), "exc", "ExceptionalData"),
+    # a plain tuple equals the record, so it used to pass the membership test
+    ("blow_down-tuple", _blow_down_with(tuple), "exc", "ExceptionalData"),
+    (
+        "projective_space",
+        lambda p2, bl1p2: catalog.projective_space(2.0),
+        "projective space dimension",
+        "integer",
+    ),
+    ("hirzebruch", lambda p2, bl1p2: catalog.hirzebruch("1"), "twist", "integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, name, kind", [case[1:] for case in _WRONG_TYPED], ids=[case[0] for case in _WRONG_TYPED]
+)
+def test_wrong_typed_fans_records_and_integers_are_refused_by_name(p2, bl1p2, call, name, kind):
+    # each used to end in AttributeError or TypeError
+    assert len(_FAN_FIRST) == 44  # the walk reaches every export that takes a fan first
+    with pytest.raises(ValueError, match=f"^{name} .* is not an? {kind}$"):
+        call(p2, bl1p2)

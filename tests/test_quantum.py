@@ -227,6 +227,25 @@ def test_commutativity_and_associativity(corpus):
             assert left == right
 
 
+def test_pair_tables_agree_when_every_pair_is_first_asked_transposed(corpus, threefolds):
+    # pair_cache keys by the sorted pair, so b_j * b_i reads the entry of
+    # b_i * b_j and the transposes above compare an entry with itself; two
+    # cold builds, one asking each pair first as (i, j) in ascending order and
+    # one as (j, i) in descending order, compute the pair products apart
+    for name, fan in sorted({**corpus, **threefolds}.items()):
+        b = len(coho.basis_tau(fan))
+        ascending = [(i, j) for i in range(b) for j in range(i, b)]
+        tables = []
+        for pairs in (ascending, [(j, i) for i, j in reversed(ascending)]):
+            clear_caches()
+            classes = basis(fan)
+            tables.append({
+                (min(i, j), max(i, j)): quantum.quantum_product(fan, classes[i], classes[j])
+                for i, j in pairs
+            })
+        assert tables[0] == tables[1], name
+
+
 def test_grading(corpus):
     for fan in corpus.values():
         taus = coho.basis_tau(fan)
