@@ -61,11 +61,12 @@ class CohomologyClass:
         self.coords = clean
 
     @classmethod
-    def _trusted(cls, coords: Mapping[int, Rational]) -> "CohomologyClass":
-        """The class of coordinates that are int or Fraction already, as an
-        engine makes them: zeros are dropped, nothing is checked again."""
+    def _trusted(cls, coords: dict[int, Rational]) -> "CohomologyClass":
+        """The class of nonzero coordinates that are int or Fraction already,
+        as an engine makes them: the dict is taken as it is, nothing is
+        checked or copied again."""
         out = cls.__new__(cls)
-        out.coords = {i: c for i, c in coords.items() if c}
+        out.coords = coords
         return out
 
     def is_zero(self) -> bool:

@@ -255,7 +255,10 @@ def per_fan(compute: Callable[[Fan], T]) -> Callable[[Fan], T]:
 
     @wraps(compute, updated=())
     def memoized(fan: Fan) -> T:
-        memo = _DERIVED.get(fan)
+        try:
+            memo = _DERIVED.get(fan)
+        except TypeError:  # unhashable, so no Fan: the miss path refuses it by name
+            memo = None
         if memo is None:  # the miss path alone checks the argument's type
             memo = _DERIVED[_strict_instance(fan, Fan, "fan")] = {}
         elif compute in memo:

@@ -19,22 +19,27 @@ NotFano, below FullClass NotInClass, a NotInTier (there a ray may head two
 primitive relations and the rewrite is not confluent).  Every field of the
 ring is a memo of a function of the fan and its key, so no result depends
 on what ran before it.  One kernel, _QuantumRing.mul, multiplies engine
-parts: it pushes the q-polynomial of each basis index i of its left operand
+values: it pushes the q-polynomial of each basis index i of its left operand
 through row i of its right operand, the sum of c_j q^beta_j (b_i * b_j) over
-its entries.  quantum_product is mul on its two packed operands.  b_i * b_j
-comes from the closed forms alone: the closed form of the cone tau_k is
-x_k = b_k plus q-terms of lower degree, the rewrite of tau_i + tau_j is
-x_i * x_j, and b_i * b_j is x_i * x_j less its lower terms,
+its entries; an index with a single q-part adds its pair products straight
+into the sum, with no row.  quantum_product is mul on its two packed
+operands.  b_i * b_j comes from the closed forms alone: the closed form of
+the cone tau_k is x_k = b_k plus q-terms of lower degree, the rewrite of
+tau_i + tau_j is x_i * x_j, and b_i * b_j is x_i * x_j less its lower terms,
 (x_i - b_i) * x_j + b_i * (x_j - b_j), two products through mul (a
 unitriangular inversion).  The Giambelli lift is the paper's inverse
 formula; it is built by `giambelli` alone and is on no product path.
-Everything stays exact and integral: the engine's one form is a dict packed
-curve class -> basis index -> int, and class objects are built only where a
-public function returns.  A curve class with pairings p is packed into one int,
-sum p_i * 2^(40 i) with balanced digits, so a q-shift is one integer
-addition; a class is packed once where it enters (_QuantumRing.check_curve,
-which refuses a pairing of size 2^37 or more) and decoded once per ring
-(_QuantumRing.curve).
+Everything stays exact and integral.  The engine's one form is a flat dict
+key -> int or Fraction, and class objects are built only where a public
+function returns.  A key carries exactly one basis index and one curve class:
+(packed class << bits) + index, with bits = _key_bits(basis size), so the
+q^0 keys are the basis indices themselves, [0, 2^bits), and a form of the
+cohomology ring is already an engine value.  A curve class with pairings p is
+packed into one int, sum p_i * 2^(40 i) with balanced digits; a q-shift is
+packed << bits, whose index is 0, so shifting a key is one integer addition
+that keeps its index.  A class is packed once where it enters
+(_QuantumRing.check_curve, which refuses a pairing of size 2^37 or more) and
+decoded once per ring (_QuantumRing.curve).
 """
 
 from __future__ import annotations
@@ -136,27 +141,29 @@ def classical(fan: Fan, cls: CohomologyClass) -> QuantumClass:
     return QuantumClass({zero_curve(fan): cls})
 
 
-_Parts = dict[int, dict[int, int]]  # packed curve class -> basis index -> coeff
+_Parts = dict[int, Rational]  # (packed curve class << bits) + basis index -> coeff
 
-# A curve class is keyed inside the engine by _pack(pairings), one int with
-# balanced base-2^40 digits.  Packing is additive, and a key decodes exactly
-# while every digit of a sum lies in [-2^39, 2^39).  A key sums at most two
-# boundary classes (a part of each operand of quantum_product, through mul:
-# the right's in its row, the left's where the row is pushed; check_curve
-# refuses |p_i| >= 2^37, so two stay below 2^38) and one engine class.  An
-# engine class sums primitive classes (the rewrite's q-shifts) and the
-# exceptional classes of closed-form families.  A pair product's class is one
-# too: a class of a rewrite, or the closed-form classes s + t (of a part mul
-# pushes and of a part it takes a row of) plus a class of a lower pair
-# product.  Each summand has degree >= 1 (a primitive class as the fan is
-# Fano, an exceptional class as |S| - 1 >= 1), and the class lies
-# in a part of degree at most that of what was rewritten: MAX_REWRITE_DEGREE
-# for evaluate_terms, |tau_i| + |tau_j| <= 2n for a pair product, which
-# therefore recurses at most 2n levels deep.  So a class sums at most
-# max(MAX_REWRITE_DEGREE, 2n) classes, each pairing within [-n, 1] with each
-# divisor (the rhs coefficients of a Fano primitive relation sum to less than
-# |P| <= n + 1), and an engine digit is at most max(MAX_REWRITE_DEGREE, 2n) * n,
-# below 2^38 for any dimension n below 2^18.
+# A key is (c << bits) + i for one basis index i in [0, 2^bits) and one packed
+# class c; a q-shift is (c << bits) with index 0, so adding one to a key moves
+# its class and keeps its index, and key & mask, key >> bits split it again.
+# The class c is _pack(pairings), one int with balanced base-2^40 digits.
+# Packing is additive, and a class decodes exactly while every digit of a
+# sum lies in [-2^39, 2^39).  A key sums at most two boundary classes (a part
+# of each operand of quantum_product, through mul: the right's in its row,
+# the left's where the row is pushed; check_curve refuses |p_i| >= 2^37, so
+# two stay below 2^38) and one engine class.  An engine class sums primitive
+# classes (the rewrite's q-shifts) and the exceptional classes of closed-form
+# families.  A pair product's class is one too: a class of a rewrite, or the
+# closed-form classes s + t (of a part mul pushes and of a part it takes a row
+# of) plus a class of a lower pair product.  Each summand has degree >= 1 (a
+# primitive class as the fan is Fano, an exceptional class as |S| - 1 >= 1),
+# and the class lies in a part of degree at most that of what was rewritten:
+# MAX_REWRITE_DEGREE for evaluate_terms, |tau_i| + |tau_j| <= 2n for a pair
+# product, which therefore recurses at most 2n levels deep.  So a class sums
+# at most max(MAX_REWRITE_DEGREE, 2n) classes, each pairing within [-n, 1]
+# with each divisor (the rhs coefficients of a Fano primitive relation sum to
+# less than |P| <= n + 1), and an engine digit is at most
+# max(MAX_REWRITE_DEGREE, 2n) * n, below 2^38 for any dimension n below 2^18.
 _DIGIT_BITS = 40
 _HALF_DIGIT = 1 << (_DIGIT_BITS - 1)
 _DIGIT_MASK = (1 << _DIGIT_BITS) - 1
@@ -185,6 +192,11 @@ def _check_monomial(fan: Fan, monomial: Sequence[int]) -> Monomial:
     return tuple(sorted(fan_mod._ray_indices(fan, monomial, "divisor index")))
 
 
+def _key_bits(size: int) -> int:
+    """The low bits of a flat key that hold a basis index below size."""
+    return max(size - 1, 1).bit_length()
+
+
 def _pack(pairings: Vector) -> int:
     key = 0
     for p in reversed(pairings):
@@ -192,32 +204,25 @@ def _pack(pairings: Vector) -> int:
     return key
 
 
-def _unpack(key: int, n: int) -> Vector:
-    digits = []
-    for _ in range(n):
-        digit = ((key + _HALF_DIGIT) & _DIGIT_MASK) - _HALF_DIGIT
-        digits.append(digit)
-        key = (key - digit) >> _DIGIT_BITS
-    return tuple(digits)
+def _unpack(key: int, n: int, bias: int) -> Vector:
+    """The n pairings of a packed class; bias is _pack((_HALF_DIGIT,) * n),
+    which makes every digit of key + bias nonnegative."""
+    key += bias
+    return tuple(
+        ((key >> shift) & _DIGIT_MASK) - _HALF_DIGIT for shift in range(0, n * _DIGIT_BITS, _DIGIT_BITS)
+    )
 
 
-def _add_into(acc: _Parts, parts: Mapping, scale: Rational, shift: int = 0) -> None:
-    """acc += scale * q^shift * parts, in place; shift is a packed class."""
-    for beta, coords in parts.items():
-        part = acc.setdefault(beta + shift, {})
-        for i, c in coords.items():
-            part[i] = part.get(i, 0) + scale * c
+def _add_into(acc: _Parts, parts: _Parts, scale: Rational, shift: int = 0) -> None:
+    """acc += scale * q^shift * parts, in place; shift is a packed class << bits."""
+    for k, c in parts.items():
+        k += shift
+        acc[k] = acc.get(k, 0) + scale * c
 
 
 def _prune(acc: _Parts) -> _Parts:
-    """acc without zero coefficients and empty parts, as every cache holds
-    it; in place, so acc must own its part dicts (as _add_into makes them)."""
-    for beta, coords in list(acc.items()):
-        for i in [i for i, c in coords.items() if not c]:
-            del coords[i]
-        if not coords:
-            del acc[beta]
-    return acc
+    """acc without zero coefficients, as every cache holds it."""
+    return {k: c for k, c in acc.items() if c}
 
 
 class _QuantumRing:
@@ -228,15 +233,19 @@ class _QuantumRing:
         if tier < fano.Tier.FULL_CLASS:
             raise NotInClass("the quantum ring needs a FullClass fan")
         self.fan = fan
+        # the basis has one class per maximal cone (a shelling cuts one tau
+        # from each), so its indices fit the low bits of a key
+        self.bits = _key_bits(len(fan.max_cones))
+        self.mask = (1 << self.bits) - 1
+        self.bias = _pack((_HALF_DIGIT,) * fan.n_rays)
         # the rewrite's step per primitive set: its rays as a bitmask, the
-        # set, the rhs divisors with multiplicity and the packed class (the
-        # q-shift)
+        # set, the rhs divisors with multiplicity and the q-shift
         self.pdata = [
             (
                 sum(1 << i for i in pd.set),
                 pd.set,
                 tuple(j for j, a in zip(pd.rhs_cone, pd.rhs_coeffs) for _ in range(a)),
-                _pack(pd.cls.pairings),
+                _pack(pd.cls.pairings) << self.bits,
             )
             for pd in fan_mod.primitive_data(fan)
         ]
@@ -247,8 +256,8 @@ class _QuantumRing:
         self.key_curves: dict[int, CurveClass] = {}
 
     def check_curve(self, beta: CurveClass) -> int:
-        """The packed key of a class entering the engine, checked once per
-        class: ValueError unless a CurveClass, fan.curve_class's NotEffective,
+        """The packed pairings of a class entering the engine, checked once
+        per class (a key adds them shifted by bits): ValueError unless a CurveClass, fan.curve_class's NotEffective,
         and PreconditionFailed for a pairing outside the packing range."""
         fan_mod._strict_instance(beta, CurveClass, "quantum class key")
         key = self.curve_keys.get(beta.pairings)
@@ -263,24 +272,36 @@ class _QuantumRing:
         return key
 
     def curve(self, key: int) -> CurveClass:
-        """The class of a packed key, decoded once per ring.  It sums checked
-        classes: check_curve passes it unchecked if its pairings fit a key."""
+        """The class of packed pairings (a key >> bits), decoded once per
+        ring.  It sums checked classes: check_curve passes it unchecked if
+        its pairings fit a key."""
         beta = self.key_curves.get(key)
         if beta is None:
-            pairings = _unpack(key, self.fan.n_rays)
+            pairings = _unpack(key, self.fan.n_rays, self.bias)
             beta = self.key_curves[key] = CurveClass(pairings)
-            if all(-_PAIRING_CAP < p < _PAIRING_CAP for p in pairings):
+            if -_PAIRING_CAP < min(pairings) and max(pairings) < _PAIRING_CAP:
                 self.curve_keys[pairings] = key
         return beta
 
-    def to_class(self, parts: _Parts) -> QuantumClass:
-        """The class of engine parts without zeros, built unchecked: engine
-        coefficients are int or Fraction already."""
+    def to_class(self, flat: _Parts) -> QuantumClass:
+        """The class of an engine value, zeros dropped, built unchecked:
+        engine coefficients are int or Fraction already.  The keys are
+        grouped by class and each class is decoded once."""
+        bits, mask = self.bits, self.mask
+        parts: dict[int, dict[int, Rational]] = {}
+        for k, c in flat.items():
+            if c:
+                key = k >> bits
+                coords = parts.get(key)
+                if coords is None:
+                    parts[key] = {k & mask: c}
+                else:
+                    coords[k & mask] = c
+        decoded, trusted = self.key_curves, CohomologyClass._trusted
         out = QuantumClass()
-        for key, coords in parts.items():
-            cls = CohomologyClass._trusted(coords)
-            if cls.coords:
-                out.parts[self.curve(key)] = cls
+        out.parts = {
+            decoded.get(key) or self.curve(key): trusted(coords) for key, coords in parts.items()
+        }
         return out
 
     def family_class(self, family) -> Vector:
@@ -312,9 +333,10 @@ class _QuantumRing:
             if beta not in self.effective_seen:
                 fan_mod.decompose_effective(self.fan, CurveClass(beta))
                 self.effective_seen.add(beta)
-            # the stratum of the face of sigma off beta's pairing-one rays, as its face form
+            # the stratum of the face of sigma off beta's pairing-one rays, as
+            # its face form, a q^0 engine value
             tau = tuple(i for i in sigma if beta[i] != 1)
-            _add_into(total, {_pack(beta): ring.form(tau)}, (-1) ** len(family))
+            _add_into(total, ring.form(tau), (-1) ** len(family), _pack(beta) << self.bits)
         total = self.reduce_memo[sigma] = _prune(total)
         return total
 
@@ -349,7 +371,7 @@ class _QuantumRing:
             # a primitive class is effective by itself (Batyrev: the rhs cone
             # misses the set), so this q-shift needs no effectivity check
             sub = self.reduce(tuple(sorted(rest)), rng, memo)
-            result = {beta + shift: coords for beta, coords in sub.items()}
+            result = {k + shift: c for k, c in sub.items()}
         elif support.bit_count() == len(mono):
             result = self.closed_form(mono)
         else:
@@ -368,49 +390,60 @@ class _QuantumRing:
         b_i * b_j = reduce(tau_i + tau_j) - (x_i - b_i) * x_j - b_i * (x_j - b_j).
         Every product taken off has a lower degree, as the fan is Fano, so
         the recursion through mul is at most 2n levels deep.  RingInconsistent
-        unless the q^0 part of each closed form is its basis class."""
+        unless the q^0 part of each closed form, its keys in [0, 2^bits), is
+        its basis class."""
         key = (i, j) if i <= j else (j, i)
         cached = self.pair_cache.get(key)
         if cached is not None:
             return cached
-        taus = cohomology.basis_tau(self.fan)
+        taus, top = cohomology.basis_tau(self.fan), 1 << self.bits
         x, y = self.closed_form(taus[i]), self.closed_form(taus[j])
         for k, form in ((i, x), (j, y)):
-            if form.get(0) != {k: 1}:
-                raise RingInconsistent(f"the closed form of basis cone {k} has q^0 part {form.get(0)}")
-        acc: _Parts = {}
-        _add_into(acc, self.reduce(tuple(sorted(taus[i] + taus[j]))), 1)
+            q0 = {m: c for m, c in form.items() if 0 <= m < top}
+            if q0 != {k: 1}:
+                raise RingInconsistent(f"the closed form of basis cone {k} has q^0 part {q0}")
+        acc = dict(self.reduce(tuple(sorted(taus[i] + taus[j]))))
         # the q-terms of x_i negated, and -b_i against those of x_j; their
         # classes are closed-form family classes, checked effective there
-        self.mul({s: {k: -c for k, c in cs.items()} for s, cs in x.items() if s}, y, acc)
-        self.mul({0: {i: -1}}, {t: dt for t, dt in y.items() if t}, acc)
+        self.mul({m: -c for m, c in x.items() if not 0 <= m < top}, y, acc)
+        self.mul({i: -1}, {m: c for m, c in y.items() if not 0 <= m < top}, acc)
         out = self.pair_cache[key] = _prune(acc)
         return out
 
     def mul(self, a: _Parts, b: _Parts, acc: _Parts) -> _Parts:
-        """acc += a * b for engine parts, in place; returns acc.  The one
+        """acc += a * b for engine values, in place; returns acc.  The one
         product kernel: the left operand is grouped by basis index i, and
         each index's q-polynomial is pushed once through row i of the right
-        operand."""
-        # the left operand by basis index: i -> packed class -> coeff
-        left: dict[int, dict[int, Rational]] = {}
-        for shift, coords in a.items():
-            for i, c in coords.items():
-                left.setdefault(i, {})[shift] = c
+        operand; an index with one q-part sends its pair products straight
+        into acc."""
+        mask = self.mask
+        # the left operand by basis index: i -> [(q-shift, coeff)]
+        left: dict[int, list[tuple[int, Rational]]] = {}
+        for k, c in a.items():
+            i = k & mask
+            poly = left.get(i)
+            if poly is None:
+                left[i] = [(k - i, c)]
+            else:
+                poly.append((k - i, c))
+        right = [(k & mask, k - (k & mask), c) for k, c in b.items()]
         for i, poly in left.items():
+            if len(poly) == 1:
+                [(shift, ca)] = poly
+                for j, t, c in right:
+                    _add_into(acc, self.pair_product(i, j), ca * c, shift + t)
+                continue
             # row i: sum of c_j q^beta_j (b_i * b_j); it keeps its zeros, since a
             # Fraction zero still makes what it meets a Fraction
             row: _Parts = {}
-            for shift, coords in b.items():
-                for j, c in coords.items():
-                    _add_into(row, self.pair_product(i, j), c, shift)
+            for j, t, c in right:
+                _add_into(row, self.pair_product(i, j), c, t)
             # _add_into(acc, row, ca, shift) per left part, unrolled: the call per
             # (index, part) costs about 6% of chain_s on quantum_powers (BENCH_21.json)
-            for beta, coords in row.items():
-                for shift, ca in poly.items():
-                    part = acc.setdefault(beta + shift, {})
-                    for k, c in coords.items():
-                        part[k] = part.get(k, 0) + ca * c
+            for k, c in row.items():
+                for shift, ca in poly:
+                    m = k + shift
+                    acc[m] = acc.get(m, 0) + ca * c
         return acc
 
 
@@ -500,7 +533,7 @@ def evaluate_terms(fan: Fan, terms: Sequence[QuantumTerm]) -> QuantumClass:
     for term in terms:
         coeff = cohomology._strict_rational(term.coefficient, "coefficient")
         red = ring.reduce(_check_monomial(fan, term.monomial), None)
-        _add_into(acc, red, coeff, ring.check_curve(term.curve))
+        _add_into(acc, red, coeff, ring.check_curve(term.curve) << ring.bits)
     return ring.to_class(acc)
 
 
@@ -523,8 +556,12 @@ def quantum_product(fan: Fan, a: Multiplicand, b: Multiplicand) -> QuantumClass:
     qb = classical(fan, b) if isinstance(b, CohomologyClass) else b
     fan_mod._strict_instance(qa, QuantumClass, "operand a")
     fan_mod._strict_instance(qb, QuantumClass, "operand b")
-    pa = {ring.check_curve(beta): basis.coords(cls) for beta, cls in qa.parts.items()}
-    pb = {ring.check_curve(beta): basis.coords(cls) for beta, cls in qb.parts.items()}
+    pa, pb, bits = {}, {}, ring.bits
+    for flat, qc in ((pa, qa), (pb, qb)):
+        for beta, cls in qc.parts.items():
+            shift = ring.check_curve(beta) << bits
+            for i, c in basis.coords(cls).items():
+                flat[shift + i] = c
     return ring.to_class(ring.mul(pa, pb, {}))
 
 

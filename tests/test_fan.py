@@ -990,3 +990,16 @@ def test_wrong_typed_fans_records_and_integers_are_refused_by_name(p2, bl1p2, ca
     assert len(_FAN_FIRST) == 44  # the walk reaches every export that takes a fan first
     with pytest.raises(ValueError, match=f"^{name} .* is not an? {kind}$"):
         call(p2, bl1p2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fano.classify([1]),
+    lambda: fano.classify({}),
+    lambda: fano.classify(set()),
+    lambda: fan_mod.primitive_data([1]),
+    lambda: cohomology.basis_tau({}),
+], ids=["classify-list", "classify-dict", "classify-set", "primitive_data-list", "basis_tau-dict"])
+def test_unhashable_fan_arguments_are_refused_by_name(call):
+    # the per-fan memo's lookup used to end in TypeError: unhashable type
+    with pytest.raises(ValueError, match=r"^fan .* is not a Fan$"):
+        call()

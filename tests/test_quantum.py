@@ -680,10 +680,30 @@ def test_decoded_classes_reenter_the_engine_unchecked(bl3p2, p2, monkeypatch):
         quantum.quantum_product(p2, both, h)
 
 
-def test_packed_keys_round_trip_at_the_digit_bounds():
+def test_packed_keys_round_trip_at_the_digit_bounds(bl3p2):
+    # a flat key is (packed class << bits) + basis index; both parts decode
+    # exactly at the extreme digits and the extreme indices, for basis sizes
+    # 1, 2, 6 and 216 ((Bl3P^2)^3), through _unpack as to_class does
     half = 2**39
-    for pairings in [(0,), (half - 1, -half, 0, 1, -1), (-half, -half, half - 1), (7, 0, 0, -3)]:
-        assert quantum._unpack(quantum._pack(pairings), len(pairings)) == pairings
+    vectors = [(0,), (half - 1, -half, 0, 1, -1), (-half, -half, half - 1), (7, 0, 0, -3)]
+    for size, bits in ((1, 1), (2, 1), (6, 3), (216, 8)):
+        assert quantum._key_bits(size) == bits
+        for pairings in vectors:
+            n = len(pairings)
+            bias = quantum._pack((quantum._HALF_DIGIT,) * n)
+            assert quantum._unpack(quantum._pack(pairings), n, bias) == pairings
+            for index in (0, 2**bits - 1):
+                key = (quantum._pack(pairings) << bits) + index
+                assert (quantum._unpack(key >> bits, n, bias), key & (2**bits - 1)) == (pairings, index)
+    # and through to_class itself, on the six rays of Bl3P^2 (basis size 6)
+    clear_caches()
+    ring = quantum._qring(bl3p2)
+    assert ring.bits == 3
+    for pairings in [(half - 1, -half, 0, 1, -1, half - 1), (-half,) * 6, (0,) * 6]:
+        for index in (0, 7):
+            got = ring.to_class({(quantum._pack(pairings) << 3) + index: 1})
+            assert got.parts == {CurveClass(pairings): CohomologyClass({index: 1})}
+    clear_caches()
 
 
 def _reference_product(fan, a, b):
@@ -784,23 +804,22 @@ def test_pair_products_match_the_giambelli_reference(corpus, threefolds):
 
 
 @pytest.mark.parametrize("corrupt", [
-    lambda k, form: {k: 2},
-    lambda k, form: {**form, k + 1: 1},
-    lambda k, form: None,
+    lambda form, k: form.update({k: 2 * form[k]}),
+    lambda form, k: form.update({k + 1: 1}),
+    lambda form, k: form.pop(k),
 ], ids=["doubled", "extra index", "missing"])
 def test_a_closed_form_off_its_basis_class_is_refused(bl1p2, monkeypatch, corrupt):
-    # the inversion is sound only if the q^0 part of the closed form of tau_k
-    # is b_k; any other makes every product wrong, so it raises (no assert,
-    # which python -O would strip)
+    # the inversion is sound only if the q^0 part of the closed form of tau_k,
+    # its keys below 2^bits, is b_k; any other makes every product wrong, so
+    # it raises (no assert, which python -O would strip)
     taus, closed_form = coho.basis_tau(bl1p2), quantum._QuantumRing.closed_form
     k = next(k for k, tau in enumerate(taus) if len(tau) == 1)
 
     def tampered(ring, sigma):
         form = dict(closed_form(ring, sigma))
         if sigma == taus[k]:
-            form[0] = corrupt(k, form[0])
-            if form[0] is None:
-                del form[0]
+            assert form[k] == 1 and k + 1 not in form and k + 1 < 2**ring.bits
+            corrupt(form, k)
         return form
 
     clear_caches()
