@@ -6,17 +6,22 @@ and all CLI output are 1-based).  Validation returns a report instead of
 raising so rejected inputs can be inspected; everything downstream insists
 on an accepted fan.  Validation also inverts every maximal cone, most of
 them across a wall, and the inverses answer every coordinate question
-(cone_inverse).  It builds the face index too, which answers every cone
-question: each cone, by dimension then lexicographically, mapped to the
-maximal cones containing it in fan.max_cones order.  _ray_indices is the
+(cone_inverse).  What validation reads off the maximal cones alone, and
+not the rays, is built once per complex, the fan's dimension, ray count and
+maximal cones, and shared by every fan with that complex (_complex): the
+cone shape checks, the facet and ray cover checks, the walls, the
+primitive sets and the face index, which answers every cone question: each
+cone, by dimension then lexicographically, mapped to the maximal cones
+containing it in fan.max_cones order.  _ray_indices is the
 one check of a caller's ray or divisor indices, and _cone_key, built on
 it, the one check that turns a caller's cone argument into its sorted key;
 both word an index out of range 1-based.
 
 Whatever is computed once per fan, here or in a module built on this one,
 is a function of the fan decorated with per_fan: its value is memoized in
-one per-fan memo keyed by the fan and the function, which clear_caches
-empties.  Each module declares its own per-fan values.
+one memo keyed by the fan and the function, which clear_caches empties.
+Each module declares its own per-fan values.  The per-complex values live
+in the same memo, keyed by the complex instead of the fan.
 """
 
 from __future__ import annotations
@@ -216,7 +221,8 @@ def curve_class(fan: Fan, pairings: Sequence[int]) -> CurveClass:
     if len(pairings) != _strict_instance(fan, Fan, "fan").n_rays:
         raise NotEffective("pairing vector length does not match the ray count")
     cls = CurveClass(tuple(pairings))
-    if any(sum(b * ray[t] for b, ray in zip(cls.pairings, fan.rays)) for t in range(fan.dim)):
+    terms = [(b, ray) for b, ray in zip(cls.pairings, fan.rays) if b]
+    if any(sum(b * ray[t] for b, ray in terms) for t in range(fan.dim)):
         raise NotEffective("pairings do not define a curve class (ray sum is nonzero)")
     return cls
 
@@ -241,11 +247,13 @@ class PrimitiveData(NamedTuple):
     cls: CurveClass
 
 
-# The one per-fan memo: fan -> compute -> compute(fan), filled only by
-# per_fan.  Unbounded: a pass over the benchmark's fan zoo touches about a
+# The one memo: fan -> compute -> compute(fan), filled by per_fan, and
+# complex (dim, n_rays, max_cones) -> _build_complex -> its _Complex, filled
+# by _complex; a Fan never equals a tuple, so the two kinds of key never
+# meet.  Unbounded: a pass over the benchmark's fan zoo touches about a
 # thousand distinct fans and revisits them uniformly, so any bound it reaches
 # turns revisits into rebuilds.
-_DERIVED: dict[Fan, dict[Callable, object]] = {}
+_DERIVED: dict[object, dict[Callable, object]] = {}
 
 
 def per_fan(compute: Callable[[Fan], T]) -> Callable[[Fan], T]:
@@ -270,7 +278,7 @@ def per_fan(compute: Callable[[Fan], T]) -> Callable[[Fan], T]:
 
 
 def clear_caches() -> None:
-    """Forget everything computed for every fan."""
+    """Forget everything computed for every fan and every complex."""
     _DERIVED.clear()
 
 
@@ -284,7 +292,8 @@ def validate(fan: Fan) -> ValidationReport:
     determinant is c_k times the near one, and if |c_k| = 1 the far rows
     are phi = c_k phi_k at the far ray and phi_t - c_t phi at the others.
     That the cones cover the space without overlapping is certified on the
-    face index by three conditions:
+    face index by three conditions, the first read off the fan's complex
+    alone:
 
     (1) every facet of a maximal cone lies in exactly two maximal cones;
     (2) every wall separates its two cones: the ray of one cone opposite the
@@ -312,7 +321,8 @@ def validate(fan: Fan) -> ValidationReport:
 @per_fan
 def _validated(fan: Fan) -> tuple[ValidationReport, Optional[dict], Optional[dict]]:
     """The validation report, with the face index and the cone inverses
-    (maximal cone -> cone_inverse) once the fan is accepted, else None."""
+    (maximal cone -> cone_inverse) once the fan is accepted, else None.
+    The checks that read only the cones come from the fan's _complex."""
     problems: list[str] = []
     n, m = fan.dim, fan.n_rays
 
@@ -331,64 +341,107 @@ def _validated(fan: Fan) -> tuple[ValidationReport, Optional[dict], Optional[dic
     if len(set(fan.rays)) != m:
         problems.append("ray generators are not pairwise distinct")
 
-    if not fan.max_cones:
-        problems.append("no maximal cones")
-    if len(set(fan.max_cones)) != len(fan.max_cones):
-        problems.append("maximal cones are not distinct")
-
-    structurally_ok = not problems
-    index = inverses = None
-    for cone in fan.max_cones:
-        if len(cone) != n or len(set(cone)) != n:
-            problems.append(f"cone {_one_based(cone)} does not have {n} distinct generators")
-            structurally_ok = False
-            continue
-        if any(i < 0 or i >= m for i in cone):
-            problems.append(f"cone {_one_based(cone)} has a ray index out of range")
-            structurally_ok = False
-
-    if structurally_ok:
-        above: dict[Cone, list[Cone]] = {}
-        for cone in fan.max_cones:
-            for k in range(n + 1):
-                for face in combinations(cone, k):
-                    above.setdefault(face, []).append(cone)
-        inverses = _walk_inverses(fan, above)
-        bad = [cone for cone in fan.max_cones if inverses[cone] is None]
-        problems += [f"cone {_one_based(cone)} is not unimodular" for cone in bad]
-        for i in range(m):
-            if (i,) not in above:
-                problems.append(f"ray {i + 1} lies in no maximal cone")
-        index = {face: above[face] for face in sorted(above, key=lambda f: (len(f), f))}
-        for facet, owners in index.items():
-            if len(facet) == n - 1 and len(owners) != 2:
-                problems.append(
-                    f"facet {_one_based(facet)} lies in {len(owners)} maximal cones, expected 2"
-                )
-        if not problems:
-            for facet, owners in index.items():
-                if len(facet) == n - 1:
-                    first, second = owners
-                    # each cone is the facet and one ray more
-                    mine, theirs = sum(first) - sum(facet), sum(second) - sum(facet)
-                    row = inverses[first][first.index(mine)]
-                    if lattice.dot(row, fan.rays[theirs]) != -1:
-                        problems.append(
-                            f"maximal cones {_one_based(first)} and {_one_based(second)}"
-                            f" lie on one side of their facet {_one_based(facet)}"
-                        )
-        if not problems:
-            first = fan.max_cones[0]
-            inside = tuple(map(sum, zip(*cone_generators(fan, first))))
-            for cone in fan.max_cones[1:]:
-                if all(lattice.dot(row, inside) >= 0 for row in inverses[cone]):
-                    problems.append(f"maximal cones {_one_based(first)} and {_one_based(cone)} overlap")
+    cx = _complex(fan)
+    problems += cx.shape_problems
     if problems:
         return ValidationReport(False, tuple(problems)), None, None
-    return ValidationReport(True, ()), index, inverses
+    inverses = _walk_inverses(fan, cx.across)
+    bad = [cone for cone in fan.max_cones if inverses[cone] is None]
+    problems += [f"cone {_one_based(cone)} is not unimodular" for cone in bad]
+    problems += cx.cover_problems
+    if not problems:
+        for facet, first, k, second, theirs in cx.walls:
+            if lattice.dot(inverses[first][k], fan.rays[theirs]) != -1:
+                problems.append(
+                    f"maximal cones {_one_based(first)} and {_one_based(second)}"
+                    f" lie on one side of their facet {_one_based(facet)}"
+                )
+    if not problems:
+        first = fan.max_cones[0]
+        inside = tuple(map(sum, zip(*cone_generators(fan, first))))
+        for cone in fan.max_cones[1:]:
+            if all(lattice.dot(row, inside) >= 0 for row in inverses[cone]):
+                problems.append(f"maximal cones {_one_based(first)} and {_one_based(cone)} overlap")
+    if problems:
+        return ValidationReport(False, tuple(problems)), None, None
+    return ValidationReport(True, ()), cx.index, inverses
 
 
-def _walk_inverses(fan: Fan, above: dict[Cone, list[Cone]]) -> dict[Cone, Optional[tuple]]:
+class _Complex(NamedTuple):
+    """What validation reads off the maximal cones alone, shared by every
+    fan with the same dimension, ray count and maximal cones.
+
+    shape_problems: no cones, repeated cones, cones of the wrong size or
+    with an index out of range; while there are any, the rest is empty.
+    index: the face index (module docstring).  cover_problems: rays in no
+    maximal cone and facets not in exactly two; while there are any, psets
+    is empty.  across: per maximal cone, per position k, the cone across
+    the facet opposite its k-th ray and that cone's other ray, None unless
+    the facet lies in exactly two cones.  walls: per facet in two cones,
+    in index order, (facet, first, k, second, ray): first's k-th ray is the
+    one off the facet, and ray is second's.  psets: the primitive sets."""
+
+    shape_problems: tuple[str, ...]
+    index: dict[Cone, list[Cone]]
+    cover_problems: tuple[str, ...]
+    across: dict[Cone, list[Optional[tuple[Cone, int]]]]
+    walls: tuple[tuple[Cone, Cone, int, Cone, int], ...]
+    psets: tuple[Cone, ...]
+
+
+def _complex(fan: Fan) -> _Complex:
+    """The fan's _Complex, built once per complex and kept in the one memo."""
+    key = (fan.dim, fan.n_rays, fan.max_cones)
+    memo = _DERIVED.get(key)
+    if memo is None:
+        memo = _DERIVED[key] = {_build_complex: _build_complex(*key)}
+    return memo[_build_complex]
+
+
+def _build_complex(n: int, m: int, max_cones: tuple[Cone, ...]) -> _Complex:
+    """The _Complex of the fans with these maximal cones in dimension n on
+    m rays; validate's condition (1) is one of its cover_problems."""
+    problems: list[str] = []
+    if not max_cones:
+        problems.append("no maximal cones")
+    if len(set(max_cones)) != len(max_cones):
+        problems.append("maximal cones are not distinct")
+    for cone in max_cones:
+        if len(cone) != n or len(set(cone)) != n:
+            problems.append(f"cone {_one_based(cone)} does not have {n} distinct generators")
+        elif any(i < 0 or i >= m for i in cone):
+            problems.append(f"cone {_one_based(cone)} has a ray index out of range")
+    if problems:
+        return _Complex(tuple(problems), {}, (), {}, (), ())
+
+    above: dict[Cone, list[Cone]] = {}
+    for cone in max_cones:
+        for k in range(n + 1):
+            for face in combinations(cone, k):
+                above.setdefault(face, []).append(cone)
+    cover = [f"ray {i + 1} lies in no maximal cone" for i in range(m) if (i,) not in above]
+    index = {face: above[face] for face in sorted(above, key=lambda f: (len(f), f))}
+    across: dict[Cone, list[Optional[tuple[Cone, int]]]] = {cone: [None] * n for cone in max_cones}
+    walls = []
+    for facet, owners in index.items():
+        if len(facet) != n - 1:
+            continue
+        if len(owners) != 2:
+            cover.append(
+                f"facet {_one_based(facet)} lies in {len(owners)} maximal cones, expected 2"
+            )
+            continue
+        first, second = owners
+        # each cone is the facet and one ray more
+        mine, theirs = sum(first) - sum(facet), sum(second) - sum(facet)
+        k, j = first.index(mine), second.index(theirs)
+        across[first][k], across[second][j] = (second, theirs), (first, mine)
+        walls.append((facet, first, k, second, theirs))
+    psets = () if cover else _primitive_sets(index, m)
+    return _Complex((), index, tuple(cover), across, tuple(walls), psets)
+
+
+def _walk_inverses(fan: Fan, across: dict[Cone, list]) -> dict[Cone, Optional[tuple]]:
     """Every maximal cone's inverse, None for one that is not unimodular (validate)."""
     inverses: dict[Cone, Optional[tuple[Vector, ...]]] = {}
     for root in fan.max_cones:
@@ -404,12 +457,10 @@ def _walk_inverses(fan: Fan, above: dict[Cone, list[Cone]]) -> dict[Cone, Option
         while stack:
             near = stack.pop()
             inv = inverses[near]
-            for k in range(len(near)):
-                owners = above[near[:k] + near[k + 1 :]]
-                far = owners[-1] if owners[0] == near else owners[0]
-                if len(owners) != 2 or far in inverses:
+            for k, step in enumerate(across[near]):
+                if step is None or step[0] in inverses:
                     continue
-                ray = sum(far) - sum(near) + near[k]  # far is the wall and this ray
+                far, ray = step
                 c = lattice.mat_vec(inv, fan.rays[ray])
                 if c[k] not in (1, -1):
                     inverses[far] = None
@@ -433,8 +484,9 @@ def require_accepted(fan: Fan) -> None:
 
 
 def _face_index(fan: Fan) -> dict[Cone, list[Cone]]:
-    """The face index of an accepted fan (module docstring); read only.
-    FanNotAccepted, carrying the report, for a rejected fan."""
+    """The face index of an accepted fan (module docstring); read only, since
+    every fan of its complex shares it, owner lists included.  FanNotAccepted,
+    carrying the report, for a rejected fan."""
     report, index, _ = _validated(fan)
     if index is None:
         raise FanNotAccepted(report)
@@ -510,12 +562,16 @@ def coords_in_basis(fan: Fan, max_cone: Cone, v: Sequence[int]) -> tuple[int, ..
 @per_fan
 def primitive_sets(fan: Fan) -> tuple[Cone, ...]:
     """All primitive sets: minimal collections of rays spanning no cone."""
+    _face_index(fan)
+    return _complex(fan).psets
+
+
+def _primitive_sets(index: dict[Cone, list[Cone]], m: int) -> tuple[Cone, ...]:
     # a primitive set minus its largest ray is a nonempty face: extending each
     # nonempty face by each larger ray meets every candidate once, in index order
-    index = _face_index(fan)
     found: list[Cone] = []
     for face in index:
-        for i in range(face[-1] + 1, fan.n_rays) if face else ():
+        for i in range(face[-1] + 1, m) if face else ():
             cand = face + (i,)
             if cand not in index and all(sub in index for sub in combinations(cand, len(face))):
                 found.append(cand)
@@ -532,9 +588,15 @@ def primitive_relation(fan: Fan, pset: Sequence[int]) -> PrimitiveData:
     key = tuple(sorted(_ray_indices(fan, pset, "ray index")))
     if key not in primitive_sets(fan):
         raise PreconditionFailed(f"{_one_based(key)} is not a primitive set")
+    return _relation(fan, _validated(fan)[2], key)
+
+
+def _relation(fan: Fan, inverses: dict[Cone, tuple], key: Cone) -> PrimitiveData:
+    """primitive_relation of the primitive set key, read off the inverses of
+    the accepted fan's maximal cones."""
     total = tuple(map(sum, zip(*(fan.rays[i] for i in key))))
     for cone in fan.max_cones:
-        coords = coords_in_basis(fan, cone, total)
+        coords = lattice.mat_vec(inverses[cone], total)
         if any(c < 0 for c in coords):
             continue
         face = tuple(i for i, c in zip(cone, coords) if c > 0)
@@ -545,7 +607,9 @@ def primitive_relation(fan: Fan, pset: Sequence[int]) -> PrimitiveData:
 
 @per_fan
 def primitive_data(fan: Fan) -> tuple[PrimitiveData, ...]:
-    return tuple(primitive_relation(fan, p) for p in primitive_sets(fan))
+    psets = primitive_sets(fan)  # FanNotAccepted first
+    inverses = _validated(fan)[2]
+    return tuple(_relation(fan, inverses, p) for p in psets)
 
 
 def star(fan: Fan, sigma: Sequence[int]) -> Fan:

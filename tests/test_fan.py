@@ -308,6 +308,89 @@ def test_equal_fans_share_one_context(bl3p2):
     assert Fan(2, bl3p2.rays[::-1], bl3p2.max_cones) != bl3p2
 
 
+def _cyclic_surfaces():
+    """The candidates `census 2 8` screens: each ray set of the coordinate
+    cycle holding (1, 0) and (0, 1), in cycle order, with the cones of
+    neighbours; the 63 fans fall into 6 complexes, one per ray count."""
+    cycle = catalog._CYCLE
+    out = []
+    for size in range(3, len(cycle) + 1):
+        for extra in combinations(cycle[1:2] + cycle[3:], size - 2):
+            rays = tuple(v for v in cycle if v in {(1, 0), (0, 1)} | set(extra))
+            out.append(Fan(2, rays, tuple(tuple(sorted((t, (t + 1) % size))) for t in range(size))))
+    return out
+
+
+def _results(fan):
+    """validate, faces, primitive_sets and primitive_data of the fan, each
+    an exception's type and text where it raises."""
+    out = [fan_mod.validate(fan)]
+    for call in (fan_mod.faces, fan_mod.primitive_sets, fan_mod.primitive_data):
+        try:
+            out.append(call(fan))
+        except FanNotAccepted as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def test_warm_results_equal_cold_across_shared_complexes(corpus, threefolds, gl_image, not_fans):
+    # fans of one complex (dim, ray count, maximal cones) share its face
+    # index and primitive sets; each fan must get what it gets alone
+    hirzebruch = [catalog.hirzebruch(a) for a in range(4)]
+    census = _cyclic_surfaces()
+    assert len(census) == 63
+    assert len({(f.dim, f.n_rays, f.max_cones) for f in census}) == 6
+    rng = random.Random(29)
+    base = list(corpus.values()) + list(threefolds.values()) + hirzebruch
+    accepted = base + [gl_image(fan, rng) for fan in base for _ in range(3)]
+    # rejected for their rays alone: a ray that is not primitive, a cone
+    # that is not unimodular, two cones on one side of a wall, and cones
+    # winding twice around the origin, each on an accepted fan's complex
+    p2, bl3p2 = corpus["p2"], corpus["bl3p2"]
+    failing = [
+        Fan(2, ((2, 0),) + bl3p2.rays[1:], bl3p2.max_cones),
+        Fan(2, p2.rays[:2] + ((-1, -2),), p2.max_cones),
+        not_fans["fold"],
+        not_fans["double winding"],
+    ]
+    complexes = {(f.dim, f.n_rays, f.max_cones) for f in accepted + census}
+    assert all((f.dim, f.n_rays, f.max_cones) in complexes for f in failing)
+    fans = accepted + census + failing
+    for order in (fans, fans[::-1]):
+        clear_caches()
+        warm = [_results(fan) for fan in order]
+        shared = {key for key in fan_mod._DERIVED if not isinstance(key, Fan)}
+        assert shared == {(f.dim, f.n_rays, f.max_cones) for f in order}
+        for fan, expected in zip(order, warm):
+            clear_caches()
+            assert _results(fan) == expected, fan
+    assert [r[0].problems for r in map(_results, failing)] == [
+        ("ray 1 = (2, 0) is not primitive",),
+        ("cone (1, 3) is not unimodular",),
+        fan_mod.validate(not_fans["fold"]).problems,
+        fan_mod.validate(not_fans["double winding"]).problems,
+    ]
+
+
+def test_the_complex_is_built_once_for_images_of_one_fan(bl3p2, gl_image, monkeypatch):
+    builds = []
+    build = fan_mod._build_complex
+    monkeypatch.setattr(fan_mod, "_build_complex", lambda *key: builds.append(key) or build(*key))
+    monkeypatch.setattr(fan_mod, "_DERIVED", {})  # no entry of the counting builder outlives the test
+    rng = random.Random(20)
+    images = [gl_image(bl3p2, rng) for _ in range(20)]
+    assert len(set(images)) > 10
+    for image in images:
+        assert fan_mod.validate(image).accepted
+        fan_mod.primitive_data(image)
+        assert fan_mod._face_index(image) is fan_mod._face_index(images[0])
+    assert len(builds) == 1
+    clear_caches()
+    assert fan_mod._DERIVED == {}
+    fan_mod.primitive_sets(images[-1])
+    assert len(builds) == 2
+
+
 def test_primitive_sets_oracles(corpus):
     expected = {
         "p2": ((0, 1, 2),),

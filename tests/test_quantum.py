@@ -633,6 +633,14 @@ def test_curve_classes_are_checked_at_the_boundary(p2, bad):
     line = fan_mod.curve_class(p2, (1, 1, 1))
     assert quantum.evaluate_terms(p2, [QuantumTerm(line, (0,), 1)]).curves() == [line]
     assert quantum.quantum_product(p2, qc(((1, 1, 1), unit)), unit).curves() == [line]
+    # the ring now holds the line's key, and the tuple (pairings,) hashes as
+    # the line does: it is still no CurveClass
+    key = (line.pairings,)
+    assert hash(key) == hash(line)
+    with pytest.raises(ValueError, match=re.escape(f"{key!r} is not a CurveClass")):
+        quantum.quantum_product(p2, QuantumClass({key: unit}), unit)
+    with pytest.raises(ValueError, match=re.escape(f"{key!r} is not a CurveClass")):
+        quantum.quantum_product(p2, unit, QuantumClass({key: unit}))
 
 
 def test_curve_classes_outside_the_packing_range_are_refused(p2):
@@ -670,7 +678,13 @@ def test_decoded_classes_reenter_the_engine_unchecked(bl3p2, p2, monkeypatch):
     calls = []
     check = fan_mod.curve_class
     monkeypatch.setattr(fan_mod, "curve_class", lambda fan, p: calls.append(tuple(p)) or check(fan, p))
-    quantum.quantum_product(bl3p2, power, h)
+    after = quantum.quantum_product(bl3p2, power, h)
+    assert not decoded & set(calls)
+    # a class the caller builds equal to a decoded one is the same key
+    rebuilt = QuantumClass({CurveClass(beta.pairings): cls for beta, cls in power.parts.items()})
+    assert all(a is not b for a, b in zip(rebuilt.parts, power.parts))
+    assert quantum.quantum_product(bl3p2, rebuilt, h) == after
+    assert quantum.quantum_product(bl3p2, h, rebuilt) == after
     assert not decoded & set(calls)
     # a decoded pairing of 2^37 or more is still refused when it re-enters
     h, h2 = basis(p2)[1:]
@@ -925,5 +939,13 @@ def test_basis_indices_are_checked_where_a_class_enters(p2, index):
         lambda: quantum.gw3(p2, unit, unit, bad, line),
     ]
     for call in calls:
+        with pytest.raises(IndexOutOfRange, match=f"basis index {index} out of range"):
+            call()
+    # beside indices in range, the bad one is still the one named
+    mixed = CohomologyClass({0: 1, index: 2, 2: 3})
+    for call in (
+        lambda: quantum.quantum_product(p2, mixed, unit),
+        lambda: quantum.quantum_product(p2, unit, qc(((1, 1, 1), mixed))),
+    ):
         with pytest.raises(IndexOutOfRange, match=f"basis index {index} out of range"):
             call()
