@@ -80,12 +80,12 @@ class CohomologyClass:
 
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
         out = dict(self.coords)
-        for i, c in other.coords.items():
+        for i, c in fan_mod._strict_instance(other, CohomologyClass, "operand").coords.items():
             out[i] = out.get(i, 0) + c
         return CohomologyClass(out)
 
     def __sub__(self, other: "CohomologyClass") -> "CohomologyClass":
-        return self + other.scaled(-1)
+        return self + fan_mod._strict_instance(other, CohomologyClass, "operand").scaled(-1)
 
     def scaled(self, c) -> "CohomologyClass":
         c = _strict_rational(c, "scale factor")

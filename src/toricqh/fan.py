@@ -207,13 +207,15 @@ class CurveClass(_Frozen):
         return all(x == 0 for x in self.pairings)
 
     def __add__(self, other: "CurveClass") -> "CurveClass":
+        other = _strict_instance(other, CurveClass, "operand")
         return CurveClass(lattice.vadd(self.pairings, other.pairings))
 
     def __sub__(self, other: "CurveClass") -> "CurveClass":
+        other = _strict_instance(other, CurveClass, "operand")
         return CurveClass(lattice.vsub(self.pairings, other.pairings))
 
     def scaled(self, c: int) -> "CurveClass":
-        return CurveClass(lattice.vscale(c, self.pairings))
+        return CurveClass(lattice.vscale(_strict_int(c, "scale factor"), self.pairings))
 
 
 def curve_class(fan: Fan, pairings: Sequence[int]) -> CurveClass:

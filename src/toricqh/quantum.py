@@ -30,16 +30,20 @@ tau_i + tau_j is x_i * x_j, and b_i * b_j is x_i * x_j less its lower terms,
 unitriangular inversion).  The Giambelli lift is the paper's inverse
 formula; it is built by `giambelli` alone and is on no product path.
 Everything stays exact and integral.  The engine's one form is a flat dict
-key -> int or Fraction, and class objects are built only where a public
-function returns.  A key carries exactly one basis index and one curve class:
-(packed class << bits) + index, with bits = _key_bits(basis size), so the
-q^0 keys are the basis indices themselves, [0, 2^bits), and a form of the
-cohomology ring is already an engine value.  A curve class with pairings p is
-packed into one int, sum p_i * 2^(40 i) with balanced digits; a q-shift is
-packed << bits, whose index is 0, so shifting a key is one integer addition
-that keeps its index.  A class is packed once where it enters
-(_QuantumRing.check_curve, which refuses a pairing of size 2^37 or more) and
-decoded once per ring (_QuantumRing.curve).
+key -> int or Fraction.  A public function returns it wrapped, unread, in a
+QuantumClass, whose parts are decoded where the caller reads them; an
+unread class re-enters quantum_product and quantum_degrees as it is, so a
+power chain neither checks nor decodes its own steps.  A key carries exactly
+one basis index and one curve class: (packed class << bits) + index, with
+bits = _key_bits(basis size), so the q^0 keys are the basis indices
+themselves, [0, 2^bits), and a form of the cohomology ring is already an
+engine value.  A curve class with pairings p is packed into one int, sum
+p_i * 2^(40 i) with balanced digits; a q-shift is packed << bits, whose
+index is 0, so shifting a key is one integer addition that keeps its index.
+A class is packed once where it enters (_QuantumRing.check_curve, which
+refuses a pairing of size 2^37 or more, or _QuantumRing.pack, which checks
+each class of an unread value once per ring) and decoded once per ring
+(_QuantumRing.curve).
 """
 
 from __future__ import annotations
@@ -57,23 +61,41 @@ if TYPE_CHECKING:  # rng is only annotated: random stays out of the import
 
 
 class QuantumClass:
-    """An element of the quantum ring: map curve class -> cohomology class."""
+    """An element of the quantum ring: map curve class -> cohomology class.
 
-    __slots__ = ("parts",)
+    An immutable value, engine-backed until read.  A class the engine
+    returns holds the engine's flat form and its ring, and nothing else;
+    `parts` decodes it on first read, keeps the decoded parts and drops the
+    flat form, so a class the caller has seen (and could have mutated) is
+    never taken on trust again.  A class built here holds its parts alone:
+    each key must be a CurveClass and each value a CohomologyClass
+    (ValueError naming it), and zero values are dropped.
+    """
+
+    __slots__ = ("_parts", "_flat", "_ring")
 
     def __init__(self, parts: Optional[Mapping[CurveClass, CohomologyClass]] = None):
         clean: dict[CurveClass, CohomologyClass] = {}
         if parts:
             for beta, cls in parts.items():
+                fan_mod._strict_instance(beta, CurveClass, "quantum class key")
                 fan_mod._strict_instance(cls, CohomologyClass, "quantum class part")
                 if not cls.is_zero():
                     clean[beta] = cls
-        self.parts = clean
+        self._parts, self._flat, self._ring = clean, None, None
+
+    @property
+    def parts(self) -> dict[CurveClass, CohomologyClass]:
+        if self._flat is not None:
+            self._parts = self._ring.decode(self._flat)
+            self._flat = self._ring = None
+        return self._parts
 
     def is_zero(self) -> bool:
         return not self.parts
 
     def coefficient(self, beta: CurveClass) -> CohomologyClass:
+        fan_mod._strict_instance(beta, CurveClass, "beta")
         return self.parts.get(beta, CohomologyClass())
 
     def curves(self) -> list[CurveClass]:
@@ -87,20 +109,25 @@ class QuantumClass:
 
     def __add__(self, other: "QuantumClass") -> "QuantumClass":
         out = dict(self.parts)
-        for beta, cls in other.parts.items():
+        for beta, cls in fan_mod._strict_instance(other, QuantumClass, "operand").parts.items():
             cur = out.get(beta)
             out[beta] = cls if cur is None else cur + cls
         return QuantumClass(out)
 
     def __sub__(self, other: "QuantumClass") -> "QuantumClass":
-        return self + other.scaled(-1)
+        return self + fan_mod._strict_instance(other, QuantumClass, "operand").scaled(-1)
 
     def scaled(self, c) -> "QuantumClass":
         c = cohomology._strict_rational(c, "scale factor")
         return QuantumClass({b: cls.scaled(c) for b, cls in self.parts.items()})
 
     def shifted(self, beta: CurveClass) -> "QuantumClass":
+        fan_mod._strict_instance(beta, CurveClass, "shift")
         return QuantumClass({b + beta: cls for b, cls in self.parts.items()})
+
+    def __reduce__(self):
+        # a copy or a pickle carries the parts, never the engine's ring
+        return QuantumClass, (self.parts,)
 
     def __repr__(self):
         if not self.parts:
@@ -254,11 +281,14 @@ class _QuantumRing:
         self.effective_seen: set[Vector] = set()
         self.curve_keys: dict[Vector, int] = {}
         self.key_curves: dict[int, CurveClass] = {}
+        # the packed classes whose pairings fit a key: curve_keys' values
+        self.fits: set[int] = set()
 
     def check_curve(self, beta: CurveClass) -> int:
         """The packed pairings of a class entering the engine, checked once
-        per class (a key adds them shifted by bits): ValueError unless a CurveClass, fan.curve_class's NotEffective,
-        and PreconditionFailed for a pairing outside the packing range."""
+        per class (a key adds them shifted by bits): ValueError unless a
+        CurveClass, fan.curve_class's NotEffective, and PreconditionFailed
+        for a pairing outside the packing range."""
         fan_mod._strict_instance(beta, CurveClass, "quantum class key")
         key = self.curve_keys.get(beta.pairings)
         if key is None:
@@ -269,22 +299,31 @@ class _QuantumRing:
                     " outside the range of the packed q-keys"
                 )
             key = self.curve_keys[beta.pairings] = _pack(beta.pairings)
+            self.fits.add(key)
         return key
 
     def curve(self, key: int) -> CurveClass:
         """The class of packed pairings (a key >> bits), decoded once per
-        ring.  It sums checked classes: check_curve passes it unchecked if
-        its pairings fit a key."""
+        ring.  It sums checked classes: check_curve and pack pass it
+        unchecked if its pairings fit a key."""
         beta = self.key_curves.get(key)
         if beta is None:
             pairings = _unpack(key, self.fan.n_rays, self.bias)
             beta = self.key_curves[key] = CurveClass(pairings)
             if -_PAIRING_CAP < min(pairings) and max(pairings) < _PAIRING_CAP:
                 self.curve_keys[pairings] = key
+                self.fits.add(key)
         return beta
 
     def to_class(self, flat: _Parts) -> QuantumClass:
-        """The class of an engine value, zeros dropped, built unchecked:
+        """The class of an engine value, unread: the flat dict is kept as it
+        is, zeros included, until QuantumClass.parts decodes it."""
+        out = QuantumClass.__new__(QuantumClass)
+        out._parts, out._flat, out._ring = None, flat, self
+        return out
+
+    def decode(self, flat: _Parts) -> dict[CurveClass, CohomologyClass]:
+        """The parts of an engine value, zeros dropped, built unchecked:
         engine coefficients are int or Fraction already.  The keys are
         grouped by class and each class is decoded once."""
         bits, mask = self.bits, self.mask
@@ -298,11 +337,31 @@ class _QuantumRing:
                 else:
                     coords[k & mask] = c
         decoded, trusted = self.key_curves, CohomologyClass._trusted
-        out = QuantumClass()
-        out.parts = {
+        return {
             decoded.get(key) or self.curve(key): trusted(coords) for key, coords in parts.items()
         }
-        return out
+
+    def pack(self, qc: QuantumClass) -> _Parts:
+        """The engine value of an operand.  An unread class of this ring
+        enters as it is, with its zeros pruned; a class of it that no key
+        has fitted before is decoded, and check_curve refuses it if it has
+        left the packing range (a sum of checked classes may).  Any other
+        class enters part by part through check_curve and the cohomology
+        ring's coords."""
+        if qc._ring is self:
+            flat = qc._flat if all(qc._flat.values()) else _prune(qc._flat)
+            bits, fits = self.bits, self.fits
+            for key in {k >> bits for k in flat} - fits:
+                beta = self.curve(key)
+                if key not in fits:
+                    self.check_curve(beta)  # raises PreconditionFailed
+            return flat
+        flat, bits, basis = {}, self.bits, cohomology._ring(self.fan)
+        for beta, cls in qc.parts.items():
+            shift = self.check_curve(beta) << bits
+            for i, c in basis.coords(cls).items():
+                flat[shift + i] = c
+        return flat
 
     def family_class(self, family) -> Vector:
         # the sum of the family's classes, the zero class for the empty family
@@ -543,26 +602,22 @@ Multiplicand = Union[CohomologyClass, QuantumClass]
 def quantum_product(fan: Fan, a: Multiplicand, b: Multiplicand) -> QuantumClass:
     """Quantum product, bilinear over q-shifts; needs the full class.
 
-    The packed operands go through _QuantumRing.mul: the left operand is
-    grouped by basis index i, and each index's q-polynomial is pushed once
-    through row i of the right operand.  Part
-    curve classes are checked as in evaluate_terms (a key that is not a
+    The operands enter through _QuantumRing.pack and multiply through
+    _QuantumRing.mul: the left operand is grouped by basis index i, and each
+    index's q-polynomial is pushed once through row i of the right operand.
+    An unread class this fan's ring returned enters as it is.  Any other
+    part's curve class is checked as in evaluate_terms (a key that is not a
     CurveClass: ValueError), and every basis index of a part must name a
     basis class (IndexOutOfRange).  An operand that is neither a
     CohomologyClass nor a QuantumClass is refused with ValueError naming it.
+    The product is returned unread.
     """
-    ring, basis = _qring(fan), cohomology._ring(fan)
+    ring = _qring(fan)
     qa = classical(fan, a) if isinstance(a, CohomologyClass) else a
     qb = classical(fan, b) if isinstance(b, CohomologyClass) else b
     fan_mod._strict_instance(qa, QuantumClass, "operand a")
     fan_mod._strict_instance(qb, QuantumClass, "operand b")
-    pa, pb, bits = {}, {}, ring.bits
-    for flat, qc in ((pa, qa), (pb, qb)):
-        for beta, cls in qc.parts.items():
-            shift = ring.check_curve(beta) << bits
-            for i, c in basis.coords(cls).items():
-                flat[shift + i] = c
-    return ring.to_class(ring.mul(pa, pb, {}))
+    return ring.to_class(ring.mul(ring.pack(qa), ring.pack(qb), {}))
 
 
 def gw3(
@@ -591,8 +646,22 @@ def quantum_degrees(fan: Fan, qc: QuantumClass) -> set[int]:
     anticanonical degree and a basis class its codimension.  A qc that is
     not a QuantumClass is refused with ValueError naming it."""
     ring = cohomology._ring(fan)
+    fan_mod._strict_instance(qc, QuantumClass, "qc")
+    qring = qc._ring
+    if qring is not None and qring.fan == fan:
+        # an unread engine value of this fan: its keys are read as they are
+        bits, mask, codims = qring.bits, qring.mask, [len(tau) for tau in ring.basis_tau]
+        degrees: dict[int, int] = {}  # packed class -> its degree
+        out = set()
+        for k, c in qc._flat.items():
+            if c:
+                d = degrees.get(k >> bits)
+                if d is None:
+                    d = degrees[k >> bits] = qring.curve(k >> bits).degree
+                out.add(d + codims[k & mask])
+        return out
     out = set()
-    for beta, cls in fan_mod._strict_instance(qc, QuantumClass, "qc").parts.items():
+    for beta, cls in qc.parts.items():
         for i in ring.coords(cls):
             out.add(beta.degree + len(ring.basis_tau[i]))
     return out

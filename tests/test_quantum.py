@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -343,14 +345,34 @@ WRONG_TYPED_CALLS = {
     "QuantumClass part": (
         lambda p2, h: QuantumClass({quantum.zero_curve(p2): 5}), "quantum class part", CohomologyClass
     ),
+    # the value classes' own operands; a tuple key, coefficient or shift used
+    # to be kept or read as a miss, and a bool scale factor was coerced
+    "QuantumClass key": (
+        lambda p2, h: QuantumClass({(1, 1, 1): h}), "quantum class key", CurveClass
+    ),
+    "QuantumClass.coefficient": (
+        lambda p2, h: quantum.classical(p2, h).coefficient((1, 1, 1)), "beta", CurveClass
+    ),
+    "QuantumClass.shifted": (
+        lambda p2, h: quantum.classical(p2, h).shifted((1, 1, 1)), "shift", CurveClass
+    ),
+    "QuantumClass +": (lambda p2, h: quantum.classical(p2, h) + 3, "operand", QuantumClass),
+    "QuantumClass -": (lambda p2, h: quantum.classical(p2, h) - h, "operand", QuantumClass),
+    "CohomologyClass +": (lambda p2, h: h + 3, "operand", CohomologyClass),
+    "CohomologyClass -": (lambda p2, h: h - (1,), "operand", CohomologyClass),
+    "CurveClass +": (lambda p2, h: CurveClass((1, 1, 1)) + (1, 1, 1), "operand", CurveClass),
+    "CurveClass -": (lambda p2, h: CurveClass((1, 1, 1)) - 1, "operand", CurveClass),
+    "CurveClass.scaled": (lambda p2, h: CurveClass((1, 1, 1)).scaled(True), "scale factor", int),
 }
 
 
 @pytest.mark.parametrize("call, name, kind", WRONG_TYPED_CALLS.values(), ids=WRONG_TYPED_CALLS)
 def test_operands_of_the_wrong_type_are_refused_by_name(p2, call, name, kind):
     # each used to end in AttributeError on the operand's missing .parts,
-    # .coords or .is_zero
-    with pytest.raises(ValueError, match=f"^{name} .* is not a {kind.__name__}$"):
+    # .coords or .is_zero, or to pass unnoticed; an int operand is refused
+    # as fan._strict_int words it
+    noun = "an integer" if kind is int else f"a {kind.__name__}"
+    with pytest.raises(ValueError, match=f"^{name} .* is not {noun}$"):
         call(p2, coho.basis_class(p2, 1))
 
 
@@ -694,10 +716,135 @@ def test_decoded_classes_reenter_the_engine_unchecked(bl3p2, p2, monkeypatch):
         quantum.quantum_product(p2, both, h)
 
 
+def _counted_checks(monkeypatch):
+    """Counters of the two checks a part of an operand passes on entry."""
+    calls = {"check_curve": 0, "coords": 0}
+    check_curve, coords = quantum._QuantumRing.check_curve, coho._CohomologyRing.coords
+
+    def counted_check_curve(ring, beta):
+        calls["check_curve"] += 1
+        return check_curve(ring, beta)
+
+    def counted_coords(ring, cls, what="class"):
+        calls["coords"] += 1
+        return coords(ring, cls, what)
+
+    monkeypatch.setattr(quantum._QuantumRing, "check_curve", counted_check_curve)
+    monkeypatch.setattr(coho._CohomologyRing, "coords", counted_coords)
+    return calls
+
+
+def _read(qclass):
+    """qclass once its parts are read, as a caller reads them."""
+    qclass.parts  # the read decodes the flat form and drops it
+    return qclass
+
+
+def test_an_unread_product_reenters_the_engine_unchecked(bl3p2, monkeypatch):
+    # a power chain checks only its right operand: each product goes on to
+    # the next step as the engine's flat form, and is decoded only when read
+    h, _ = _divisor_power(bl3p2, 1)
+    power, read = quantum.quantum_product(bl3p2, h, h), _read(quantum.quantum_product(bl3p2, h, h))
+    calls = _counted_checks(monkeypatch)
+    for _ in range(4):
+        power = quantum.quantum_product(bl3p2, power, h)
+    assert calls == {"check_curve": 4, "coords": 4}  # h, once per step
+    assert quantum.quantum_degrees(bl3p2, power) == {6}
+    assert calls == {"check_curve": 4, "coords": 4}
+    # a class read at every step re-enters part by part, and ends equal
+    for _ in range(4):
+        read = _read(quantum.quantum_product(bl3p2, read, h))
+    assert _typed(power) == _typed(read) and power == read
+    # once read, the same class re-enters through the checks, one per part
+    calls.update(check_curve=0, coords=0)
+    nxt = quantum.quantum_product(bl3p2, power, h)
+    n = len(power.parts)
+    assert n > 1 and calls == {"check_curve": n + 1, "coords": n + 1}
+    assert nxt == quantum.quantum_product(bl3p2, read, h)
+
+
+def test_a_flat_form_is_trusted_on_its_own_ring_alone(bl3p2, gl_image, monkeypatch):
+    # the keys of a flat form name basis indices of the ring that made it:
+    # on a GL image of the fan (whose shelling pins another basis here) or
+    # on the fan's ring rebuilt after clear_caches(), an unread class
+    # re-enters through the checks like any other
+    clear_caches()
+    h, _ = _divisor_power(bl3p2, 1)
+    image = gl_image(bl3p2, random.Random(0))
+    assert coho.basis_tau(image) != coho.basis_tau(bl3p2)
+    h_image, _ = _divisor_power(image, 1)
+    square = _read(quantum.quantum_product(bl3p2, h, h))
+    unread = [quantum.quantum_product(bl3p2, h, h) for _ in range(3)]
+    want_image = _read(quantum.quantum_product(image, square, h_image))
+    assert quantum.quantum_degrees(image, square) == quantum.quantum_degrees(image, unread[0])
+    calls = _counted_checks(monkeypatch)
+    n = len(square.parts)
+    assert quantum.quantum_product(image, unread[1], h_image) == want_image
+    assert calls == {"check_curve": n + 1, "coords": n + 1}
+    monkeypatch.undo()
+    clear_caches()
+    want = _read(quantum.quantum_product(bl3p2, square, h))
+    calls = _counted_checks(monkeypatch)
+    got = quantum.quantum_product(bl3p2, unread[2], h)
+    assert calls == {"check_curve": n + 1, "coords": n + 1}
+    assert _typed(got) == _typed(want) and got == want
+    monkeypatch.undo()
+    clear_caches()
+
+
+def test_an_unread_class_equals_and_hashes_as_its_decoded_twin(bl3p2):
+    h, _ = _divisor_power(bl3p2, 1)
+    first, second = (quantum.quantum_product(bl3p2, h, h) for _ in range(2))
+    twin = _read(quantum.quantum_product(bl3p2, h, h))
+    assert hash(first) == hash(twin) and first == twin and twin == second
+    assert len({quantum.quantum_product(bl3p2, h, h), twin}) == 1
+    # a copy or a pickle of an unread class is its decoded twin, with no ring
+    for copied in (
+        pickle.loads(pickle.dumps(quantum.quantum_product(bl3p2, h, h))),
+        copy.deepcopy(quantum.quantum_product(bl3p2, h, h)),
+    ):
+        assert copied._ring is None and copied == twin
+    zero = quantum.quantum_product(bl3p2, h, coho.CohomologyClass())
+    assert zero == QuantumClass() and hash(zero) == hash(QuantumClass()) and zero.is_zero()
+
+
+def test_zero_entries_of_an_unread_class_do_not_reenter(p1xp1):
+    # on P^1 x P^1, with h1, h2 the two rulings, (h1 - h2)(h1 + h2) leaves a
+    # Fraction zero on the point class (h1 h2 - h2 h1, the first a Fraction);
+    # times h1 + h2 it must not turn the int q2 h1 entry into a Fraction
+    h1, h2 = coho.stratum_class(p1xp1, (0,)), coho.stratum_class(p1xp1, (2,))
+    (i1,), (i2,) = h1.coords, h2.coords
+    left = CohomologyClass({i1: Fraction(1), i2: -1})
+    unread = quantum.quantum_product(p1xp1, left, h1 + h2)
+    assert any(c == 0 and type(c) is Fraction for c in unread._flat.values())
+    read = _read(quantum.quantum_product(p1xp1, left, h1 + h2))
+    got = quantum.quantum_product(p1xp1, unread, h1 + h2)
+    want = quantum.quantum_product(p1xp1, read, h1 + h2)
+    assert _typed(got) == _typed(want) and got == want
+    assert int in _typed(got).values() and Fraction in _typed(got).values()
+
+
+def test_a_power_chain_equals_the_rewrite(corpus, threefolds):
+    # D_i^k as k - 1 products by D_i, each step unread, equals the rewrite of
+    # the monomial (i,) * k up to k = 3n, coefficient types included
+    for name, fan in sorted({**corpus, **threefolds}.items()):
+        if fano.classify(fan).tier < fano.Tier.FULL_CLASS:
+            continue
+        for i in range(fan.n_rays):
+            d = coho.stratum_class(fan, (i,))
+            powers = [quantum.classical(fan, d)]
+            for _ in range(3 * fan.dim - 1):
+                powers.append(quantum.quantum_product(fan, powers[-1], d))
+            for k, power in enumerate(powers, 1):
+                want = quantum.reduce_monomial(fan, (i,) * k)
+                assert _typed(power) == _typed(want), (name, i, k)
+                assert power == want, (name, i, k)
+
+
 def test_packed_keys_round_trip_at_the_digit_bounds(bl3p2):
     # a flat key is (packed class << bits) + basis index; both parts decode
     # exactly at the extreme digits and the extreme indices, for basis sizes
-    # 1, 2, 6 and 216 ((Bl3P^2)^3), through _unpack as to_class does
+    # 1, 2, 6 and 216 ((Bl3P^2)^3), through _unpack as decode does
     half = 2**39
     vectors = [(0,), (half - 1, -half, 0, 1, -1), (-half, -half, half - 1), (7, 0, 0, -3)]
     for size, bits in ((1, 1), (2, 1), (6, 3), (216, 8)):
@@ -709,7 +856,8 @@ def test_packed_keys_round_trip_at_the_digit_bounds(bl3p2):
             for index in (0, 2**bits - 1):
                 key = (quantum._pack(pairings) << bits) + index
                 assert (quantum._unpack(key >> bits, n, bias), key & (2**bits - 1)) == (pairings, index)
-    # and through to_class itself, on the six rays of Bl3P^2 (basis size 6)
+    # and through to_class and a read of its parts, on the six rays of
+    # Bl3P^2 (basis size 6)
     clear_caches()
     ring = quantum._qring(bl3p2)
     assert ring.bits == 3
