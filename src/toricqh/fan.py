@@ -9,7 +9,8 @@ them across a wall, and the inverses answer every coordinate question
 (cone_inverse).  What validation reads off the maximal cones alone, and
 not the rays, is built once per complex, the fan's dimension, ray count and
 maximal cones, and shared by every fan with that complex (_complex): the
-cone shape checks, the facet and ray cover checks, the walls, the
+cone shape checks, the facet and ray cover checks, the walls, the plan of
+the wall walk (each step's far cone, new ray and row sources), the
 primitive sets and the face index, which answers every cone question: each
 cone, by dimension then lexicographically, mapped to the maximal cones
 containing it in fan.max_cones order.  _ray_indices is the
@@ -29,6 +30,7 @@ from __future__ import annotations
 import json
 from functools import wraps
 from itertools import combinations, permutations
+from operator import mul
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
 from . import lattice
@@ -292,10 +294,10 @@ def validate(fan: Fan) -> ValidationReport:
     walls gets the others (kept for cone_inverse): with c the coordinates
     in the near cone of the far ray, which replaces its k-th ray, the far
     determinant is c_k times the near one, and if |c_k| = 1 the far rows
-    are phi = c_k phi_k at the far ray and phi_t - c_t phi at the others.
-    That the cones cover the space without overlapping is certified on the
-    face index by three conditions, the first read off the fan's complex
-    alone:
+    are phi = c_k phi_k at the far ray and phi_t - c_t phi at the others,
+    placed by the step's row sources, which the complex holds.  That the
+    cones cover the space without overlapping is certified on the face
+    index by three conditions, the first read off the fan's complex alone:
 
     (1) every facet of a maximal cone lies in exactly two maximal cones;
     (2) every wall separates its two cones: the ray of one cone opposite the
@@ -353,7 +355,7 @@ def _validated(fan: Fan) -> tuple[ValidationReport, Optional[dict], Optional[dic
     problems += cx.cover_problems
     if not problems:
         for facet, first, k, second, theirs in cx.walls:
-            if lattice.dot(inverses[first][k], fan.rays[theirs]) != -1:
+            if sum(map(mul, inverses[first][k], fan.rays[theirs])) != -1:
                 problems.append(
                     f"maximal cones {_one_based(first)} and {_one_based(second)}"
                     f" lie on one side of their facet {_one_based(facet)}"
@@ -362,7 +364,10 @@ def _validated(fan: Fan) -> tuple[ValidationReport, Optional[dict], Optional[dic
         first = fan.max_cones[0]
         inside = tuple(map(sum, zip(*cone_generators(fan, first))))
         for cone in fan.max_cones[1:]:
-            if all(lattice.dot(row, inside) >= 0 for row in inverses[cone]):
+            for row in inverses[cone]:
+                if sum(map(mul, row, inside)) < 0:
+                    break
+            else:
                 problems.append(f"maximal cones {_one_based(first)} and {_one_based(cone)} overlap")
     if problems:
         return ValidationReport(False, tuple(problems)), None, None
@@ -377,11 +382,13 @@ class _Complex(NamedTuple):
     with an index out of range; while there are any, the rest is empty.
     index: the face index (module docstring).  cover_problems: rays in no
     maximal cone and facets not in exactly two; while there are any, psets
-    is empty.  across: per maximal cone, per position k, the cone across
-    the facet opposite its k-th ray and that cone's other ray, None unless
-    the facet lies in exactly two cones.  walls: per facet in two cones,
-    in index order, (facet, first, k, second, ray): first's k-th ray is the
-    one off the facet, and ray is second's.  psets: the primitive sets."""
+    is empty.  across: the walk plan; per maximal cone, per position k, the
+    cone across the facet opposite its k-th ray, that cone's other ray and
+    the row sources (per position of that cone, the position here of its
+    ray, k for the other ray), None unless the facet lies in two cones.
+    walls: per facet in two cones, in index order, (facet, first, k,
+    second, ray): first's k-th ray is the one off the facet, and ray is
+    second's.  psets: the primitive sets."""
 
     shape_problems: tuple[str, ...]
     index: dict[Cone, list[Cone]]
@@ -437,7 +444,9 @@ def _build_complex(n: int, m: int, max_cones: tuple[Cone, ...]) -> _Complex:
         # each cone is the facet and one ray more
         mine, theirs = sum(first) - sum(facet), sum(second) - sum(facet)
         k, j = first.index(mine), second.index(theirs)
-        across[first][k], across[second][j] = (second, theirs), (first, mine)
+        to_second = tuple(k if i == theirs else first.index(i) for i in second)
+        to_first = tuple(j if i == mine else second.index(i) for i in first)
+        across[first][k], across[second][j] = (second, theirs, to_second), (first, mine, to_first)
         walls.append((facet, first, k, second, theirs))
     psets = () if cover else _primitive_sets(index, m)
     return _Complex((), index, tuple(cover), across, tuple(walls), psets)
@@ -462,17 +471,19 @@ def _walk_inverses(fan: Fan, across: dict[Cone, list]) -> dict[Cone, Optional[tu
             for k, step in enumerate(across[near]):
                 if step is None or step[0] in inverses:
                     continue
-                far, ray = step
-                c = lattice.mat_vec(inv, fan.rays[ray])
+                far, ray, sources = step
+                v = fan.rays[ray]
+                c = [sum(map(mul, row, v)) for row in inv]
                 if c[k] not in (1, -1):
                     inverses[far] = None
                     continue
-                phi = tuple(c[k] * x for x in inv[k])
-                rows = {ray: phi}
-                for t, (i, f) in enumerate(zip(near, c)):
-                    if t != k:
-                        rows[i] = tuple(a - f * b for a, b in zip(inv[t], phi)) if f else inv[t]
-                inverses[far] = tuple(rows[i] for i in far)
+                phi = inv[k] if c[k] == 1 else tuple([-x for x in inv[k]])
+                inverses[far] = tuple([
+                    phi if t == k
+                    else tuple([a - c[t] * b for a, b in zip(inv[t], phi)]) if c[t]
+                    else inv[t]
+                    for t in sources
+                ])
                 stack.append(far)
     return inverses
 
@@ -598,12 +609,16 @@ def _relation(fan: Fan, inverses: dict[Cone, tuple], key: Cone) -> PrimitiveData
     the accepted fan's maximal cones."""
     total = tuple(map(sum, zip(*(fan.rays[i] for i in key))))
     for cone in fan.max_cones:
-        coords = lattice.mat_vec(inverses[cone], total)
-        if any(c < 0 for c in coords):
-            continue
-        face = tuple(i for i, c in zip(cone, coords) if c > 0)
-        coeffs = tuple(c for c in coords if c > 0)
-        return PrimitiveData(key, face, coeffs, _relation_class(fan, key, zip(face, coeffs)))
+        coords = []
+        for row in inverses[cone]:  # a cone is passed over at its first negative coordinate
+            c = sum(map(mul, row, total))
+            if c < 0:
+                break
+            coords.append(c)
+        else:
+            face = tuple(i for i, c in zip(cone, coords) if c > 0)
+            coeffs = tuple(c for c in coords if c > 0)
+            return PrimitiveData(key, face, coeffs, _relation_class(fan, key, zip(face, coeffs)))
     raise LocateFailure(f"sum over {_one_based(key)} lies in no cone; fan is not complete")
 
 

@@ -181,15 +181,24 @@ def family_predicates(family: Sequence[ExceptionalData]) -> dict[str, bool]:
     }
 
 
+@fan_mod.per_fan
 def primitive_exceptional_sets(fan: Fan) -> tuple[ExceptionalData, ...]:
-    """Exceptional sets that are also primitive sets, i.e. blow-down data."""
-    prims = {pd.set: pd for pd in fan_mod.primitive_data(fan)}
-    out = []
-    for exc in exceptional_sets(fan):
-        pd = prims.get(exc.set)
-        if pd is not None and pd.rhs_cone == (exc.exc,) and pd.rhs_coeffs == (1,):
-            out.append(exc)
-    return tuple(out)
+    """Exceptional sets that are also primitive sets, i.e. blow-down data,
+    read off the primitive relations in their order, which is that of
+    exceptional_sets: each relation whose right side is one ray rho with
+    coefficient 1 and whose set P is independent (so |P| <= n), with its
+    class; rho is not in P, as the rhs cone misses the set.  Needs the
+    SubvarietiesFano tier."""
+    pdata = fan_mod.primitive_data(fan)
+    if classify(fan).tier < Tier.SUBVARIETIES_FANO:
+        raise NotInTier("exceptional sets need the SubvarietiesFano tier")
+    return tuple(
+        ExceptionalData(pd.set, pd.rhs_cone[0], pd.cls)
+        for pd in pdata
+        if pd.rhs_coeffs == (1,)
+        and len(pd.set) <= fan.dim
+        and lattice.rank([fan.rays[i] for i in pd.set]) == len(pd.set)
+    )
 
 
 def blow_down(fan: Fan, exc: ExceptionalData) -> Fan:

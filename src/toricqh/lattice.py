@@ -40,9 +40,7 @@ def vscale(c: int, v: Sequence[int]) -> Vector:
 
 def primitive_vector(v: Sequence[int]) -> Vector:
     """Divide a nonzero integer vector by the gcd of its entries."""
-    g = 0
-    for a in v:
-        g = gcd(g, abs(a))
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive part")
     return tuple(a // g for a in v)

@@ -560,10 +560,27 @@ def test_cone_inverses_match_the_fraction_reference(
     rng = random.Random(19)
     images = [gl_image(fan, rng) for fan in base for _ in range(3)]
     fans = base + products + images + [gl_image(fan, rng) for fan in products]
+    # the walk's row sources on larger complexes: three images each of P^4,
+    # P^5, P^2 x P^2 and (P^1)^4
+    p1, p2 = catalog.projective_space(1), catalog.projective_plane()
+    larger = [catalog.projective_space(4), catalog.projective_space(5)]
+    larger += [catalog.product(p2, p2), catalog.product(p1, p1, p1, p1)]
+    fans += [gl_image(fan, rng) for fan in larger for _ in range(3)]
     for fan in fans:
         for mu in fan.max_cones:
             mat = lattice.mat_from_columns(fan_mod.cone_generators(fan, mu))
             assert fan_mod.cone_inverse(fan, mu) == tuple(map(tuple, ref_integer_inverse(mat)))
+
+
+def test_walk_plan_row_sources_name_the_far_cone_rays(corpus, threefolds):
+    # each step of the complex's walk plan lists, per position of the far
+    # cone, the near position of the same ray, or k for the ray it brings
+    for fan in list(corpus.values()) + list(threefolds.values()):
+        for near, steps in fan_mod._complex(fan).across.items():
+            for k, (far, ray, sources) in enumerate(steps):
+                assert sorted(sources) == list(range(fan.dim))
+                assert [ray if t == k else near[t] for t in sources] == list(far)
+                assert ray not in near and near[k] not in far
 
 
 def test_validate_walk_reports_each_nonunimodular_cone_once(monkeypatch):

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ from toricqh import fan as fan_mod
 from toricqh import fano
 from toricqh.errors import (
     BlowDownInvalid,
+    FanNotAccepted,
     IndexOutOfRange,
     NotACone,
     NotInClass,
@@ -215,3 +217,71 @@ def test_is_product_of_projective_spaces(corpus, p3, bl1p2):
         tuple((a,) + rest for a in (0, 1) for rest in ((2, 3), (2, 4), (3, 4))),
     )
     assert fano.is_product_of_projective_spaces(p1xp2) == (True, (1, 2))
+
+
+def _enumerated_primitive_exceptional_sets(fan):
+    """The blow-down data by the subset enumeration: the exceptional sets
+    that are primitive sets whose relation has their exceptional ray, with
+    coefficient 1, as its whole right-hand side."""
+    prims = {pd.set: pd for pd in fan_mod.primitive_data(fan)}
+    return tuple(
+        e
+        for e in fano.exceptional_sets(fan)
+        if e.set in prims and (prims[e.set].rhs_cone, prims[e.set].rhs_coeffs) == ((e.exc,), (1,))
+    )
+
+
+def _blow_down_fans(gl_image):
+    from test_cohomology import PRODUCT_FACTORS
+
+    p1, p2 = catalog.projective_space(1), catalog.projective_plane()
+    fans = dict(catalog.corpus())
+    fans.update(
+        p3=catalog.projective_space(3),
+        p2xp1=catalog.product(p2, p1),
+        p1x3=catalog.product(p1, p1, p1),
+        bl3p2xp1=catalog.product(catalog.blowup_p2_three(), p1),
+    )
+    for k, fan in enumerate(catalog.census(2, 8)):
+        if fano.classify(fan).tier is Tier.FULL_CLASS:
+            fans[f"census{k}"] = fan
+    for name, factors in PRODUCT_FACTORS.items():
+        fans[name] = catalog.product(*(make() for make in factors))
+    for name in list(fans):
+        rng = random.Random(name)
+        for k in range(3):
+            fans[f"{name}@{k}"] = gl_image(fans[name], rng)
+    return fans
+
+
+def test_primitive_exceptional_sets_match_the_enumeration(gl_image):
+    # read off the primitive relations, the blow-down data equals the
+    # filter of the subset enumeration, order included, at every stage of
+    # the default tower; each stage is the blow-down of the reference's
+    # first choice, the exceptional ray of smallest index
+    stages = 0
+    for name, fan in _blow_down_fans(gl_image).items():
+        tower = fano.blow_down_tower(fan)
+        for k, stage in enumerate(tower):
+            got = fano.primitive_exceptional_sets(stage)
+            want = _enumerated_primitive_exceptional_sets(stage)
+            assert got == want, (name, k)
+            if k + 1 < len(tower):
+                chosen = min(want, key=lambda e: e.exc)
+                assert tower[k + 1] == fano.blow_down(stage, chosen), (name, k)
+            else:
+                assert want == (), name
+            stages += 1
+    assert stages == 192
+
+
+def test_primitive_exceptional_sets_keep_the_tier_gate(f2, bundle3):
+    # below SubvarietiesFano both routes refuse; a rejected fan is refused first
+    for fan in (f2, bundle3):
+        assert fano.classify(fan).tier < Tier.SUBVARIETIES_FANO
+        for route in (fano.primitive_exceptional_sets, _enumerated_primitive_exceptional_sets):
+            with pytest.raises(NotInTier):
+                route(fan)
+    rejected = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2)))
+    with pytest.raises(FanNotAccepted):
+        fano.primitive_exceptional_sets(rejected)
