@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from functools import wraps
 from itertools import combinations, permutations
-from operator import mul
+from operator import add, mul, sub
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
 from . import lattice
@@ -210,14 +210,14 @@ class CurveClass(_Frozen):
 
     def __add__(self, other: "CurveClass") -> "CurveClass":
         other = _strict_instance(other, CurveClass, "operand")
-        return CurveClass(lattice.vadd(self.pairings, other.pairings))
+        return CurveClass(tuple(map(add, self.pairings, other.pairings)))
 
     def __sub__(self, other: "CurveClass") -> "CurveClass":
         other = _strict_instance(other, CurveClass, "operand")
-        return CurveClass(lattice.vsub(self.pairings, other.pairings))
+        return CurveClass(tuple(map(sub, self.pairings, other.pairings)))
 
     def scaled(self, c: int) -> "CurveClass":
-        return CurveClass(lattice.vscale(_strict_int(c, "scale factor"), self.pairings))
+        return CurveClass(tuple(_strict_int(c, "scale factor") * a for a in self.pairings))
 
 
 def curve_class(fan: Fan, pairings: Sequence[int]) -> CurveClass:
@@ -355,7 +355,7 @@ def _validated(fan: Fan) -> tuple[ValidationReport, Optional[dict], Optional[dic
     problems += cx.cover_problems
     if not problems:
         for facet, first, k, second, theirs in cx.walls:
-            if sum(map(mul, inverses[first][k], fan.rays[theirs])) != -1:
+            if lattice.dot(inverses[first][k], fan.rays[theirs]) != -1:
                 problems.append(
                     f"maximal cones {_one_based(first)} and {_one_based(second)}"
                     f" lie on one side of their facet {_one_based(facet)}"
@@ -364,10 +364,7 @@ def _validated(fan: Fan) -> tuple[ValidationReport, Optional[dict], Optional[dic
         first = fan.max_cones[0]
         inside = tuple(map(sum, zip(*cone_generators(fan, first))))
         for cone in fan.max_cones[1:]:
-            for row in inverses[cone]:
-                if sum(map(mul, row, inside)) < 0:
-                    break
-            else:
+            if all(lattice.dot(row, inside) >= 0 for row in inverses[cone]):
                 problems.append(f"maximal cones {_one_based(first)} and {_one_based(cone)} overlap")
     if problems:
         return ValidationReport(False, tuple(problems)), None, None
@@ -393,7 +390,7 @@ class _Complex(NamedTuple):
     shape_problems: tuple[str, ...]
     index: dict[Cone, list[Cone]]
     cover_problems: tuple[str, ...]
-    across: dict[Cone, list[Optional[tuple[Cone, int]]]]
+    across: dict[Cone, list[Optional[tuple[Cone, int, tuple[int, ...]]]]]
     walls: tuple[tuple[Cone, Cone, int, Cone, int], ...]
     psets: tuple[Cone, ...]
 
@@ -430,7 +427,9 @@ def _build_complex(n: int, m: int, max_cones: tuple[Cone, ...]) -> _Complex:
                 above.setdefault(face, []).append(cone)
     cover = [f"ray {i + 1} lies in no maximal cone" for i in range(m) if (i,) not in above]
     index = {face: above[face] for face in sorted(above, key=lambda f: (len(f), f))}
-    across: dict[Cone, list[Optional[tuple[Cone, int]]]] = {cone: [None] * n for cone in max_cones}
+    across: dict[Cone, list[Optional[tuple[Cone, int, tuple[int, ...]]]]] = {
+        cone: [None] * n for cone in max_cones
+    }
     walls = []
     for facet, owners in index.items():
         if len(facet) != n - 1:
@@ -610,7 +609,7 @@ def _relation(fan: Fan, inverses: dict[Cone, tuple], key: Cone) -> PrimitiveData
     total = tuple(map(sum, zip(*(fan.rays[i] for i in key))))
     for cone in fan.max_cones:
         coords = []
-        for row in inverses[cone]:  # a cone is passed over at its first negative coordinate
+        for row in inverses[cone]:
             c = sum(map(mul, row, total))
             if c < 0:
                 break

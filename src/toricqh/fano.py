@@ -183,12 +183,9 @@ def family_predicates(family: Sequence[ExceptionalData]) -> dict[str, bool]:
 
 @fan_mod.per_fan
 def primitive_exceptional_sets(fan: Fan) -> tuple[ExceptionalData, ...]:
-    """Exceptional sets that are also primitive sets, i.e. blow-down data,
-    read off the primitive relations in their order, which is that of
-    exceptional_sets: each relation whose right side is one ray rho with
-    coefficient 1 and whose set P is independent (so |P| <= n), with its
-    class; rho is not in P, as the rhs cone misses the set.  Needs the
-    SubvarietiesFano tier."""
+    """Exceptional sets that are also primitive sets, i.e. blow-down data:
+    the primitive relations, in order, whose right side is one ray with
+    coefficient 1 and whose set is independent.  Needs the SubvarietiesFano tier."""
     pdata = fan_mod.primitive_data(fan)
     if classify(fan).tier < Tier.SUBVARIETIES_FANO:
         raise NotInTier("exceptional sets need the SubvarietiesFano tier")
@@ -211,22 +208,10 @@ def blow_down(fan: Fan, exc: ExceptionalData) -> Fan:
         raise BlowDownInvalid(
             f"{tuple(i + 1 for i in exc.set)} -> {exc.exc + 1} is not primitive exceptional data"
         )
-    drop = exc.exc
-    relabel = {}
-    new_rays = []
-    for i, ray in enumerate(fan.rays):
-        if i == drop:
-            continue
-        relabel[i] = len(new_rays)
-        new_rays.append(ray)
-    new_cones = set()
-    for cone in fan.max_cones:
-        if drop in cone:
-            merged = sorted(set(cone) - {drop} | set(exc.set))
-        else:
-            merged = cone
-        new_cones.add(tuple(sorted(relabel[i] for i in merged)))
-    result = Fan(fan.dim, tuple(new_rays), tuple(sorted(new_cones)))
+    drop = exc.exc  # the rays past it move down by one
+    merged = (set(cone) - {drop} | set(exc.set) if drop in cone else cone for cone in fan.max_cones)
+    new_cones = {tuple(sorted(i - (i > drop) for i in cone)) for cone in merged}
+    result = Fan(fan.dim, fan.rays[:drop] + fan.rays[drop + 1:], tuple(sorted(new_cones)))
     report = fan_mod.validate(result)
     if not report.accepted:
         raise BlowDownInvalid("blow-down produced an invalid fan: " + "; ".join(report.problems))
@@ -253,11 +238,7 @@ def blow_down_tower(fan: Fan, order: Optional[Sequence[int]] = None) -> list[Fan
         available = primitive_exceptional_sets(current)
         if step < len(pending):
             wanted = pending[step]
-            chosen = None
-            for exc in available:
-                if current.rays[exc.exc] == wanted:
-                    chosen = exc
-                    break
+            chosen = next((exc for exc in available if current.rays[exc.exc] == wanted), None)
             if chosen is None:
                 raise BlowDownInvalid(
                     f"ray {wanted} does not head a primitive exceptional relation at step {step}"

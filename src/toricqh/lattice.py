@@ -12,7 +12,7 @@ rational.
 from __future__ import annotations
 
 from math import gcd
-from operator import add, mul
+from operator import mul
 from typing import Hashable, Mapping, Sequence
 
 from .errors import NonUnimodular, RingInconsistent
@@ -24,18 +24,6 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
     if len(u) != len(v):
         raise ValueError("length mismatch in pairing")
     return sum(map(mul, u, v))
-
-
-def vadd(u: Sequence[int], v: Sequence[int]) -> Vector:
-    return tuple(map(add, u, v))
-
-
-def vsub(u: Sequence[int], v: Sequence[int]) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c: int, v: Sequence[int]) -> Vector:
-    return tuple(c * a for a in v)
 
 
 def primitive_vector(v: Sequence[int]) -> Vector:

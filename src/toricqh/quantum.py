@@ -32,9 +32,8 @@ formula; it is built by `giambelli` alone and is on no product path.
 Everything stays exact and integral.  The engine's one form is a flat dict
 key -> int or Fraction.  A public function returns it wrapped, unread, in a
 QuantumClass, whose parts are decoded where the caller reads them; an
-unread class re-enters quantum_product and quantum_degrees as it is, and
-adds to one of its ring flat, so a power chain neither checks nor decodes
-its own steps, nor a sum of them its terms.  A key carries exactly
+unread class re-enters quantum_product and quantum_degrees as it is, so a
+power chain neither checks nor decodes its own steps.  A key carries exactly
 one basis index and one curve class: (packed class << bits) + index, with
 bits = _key_bits(basis size), so the q^0 keys are the basis indices
 themselves, [0, 2^bits), and a form of the cohomology ring is already an
@@ -109,23 +108,14 @@ class QuantumClass:
         return hash(frozenset((b, c) for b, c in self.parts.items()))
 
     def __add__(self, other: "QuantumClass") -> "QuantumClass":
-        return self._plus(other, 1)
-
-    def __sub__(self, other: "QuantumClass") -> "QuantumClass":
-        return self._plus(other, -1)
-
-    def _plus(self, other: "QuantumClass", sign: int) -> "QuantumClass":
-        ring = fan_mod._strict_instance(other, QuantumClass, "operand")._ring
-        if ring is not None and ring is self._ring:
-            # unread classes of one ring add flat; zeros drop before, as decode drops them, and after
-            acc = _prune(self._flat)
-            _add_into(acc, _prune(other._flat), sign)
-            return ring.to_class(_prune(acc))
         out = dict(self.parts)
-        for beta, cls in (other if sign > 0 else other.scaled(-1)).parts.items():
+        for beta, cls in fan_mod._strict_instance(other, QuantumClass, "operand").parts.items():
             cur = out.get(beta)
             out[beta] = cls if cur is None else cur + cls
         return QuantumClass(out)
+
+    def __sub__(self, other: "QuantumClass") -> "QuantumClass":
+        return self + fan_mod._strict_instance(other, QuantumClass, "operand").scaled(-1)
 
     def scaled(self, c) -> "QuantumClass":
         c = cohomology._strict_rational(c, "scale factor")
@@ -647,8 +637,7 @@ def gw3(
     for name, cls in zip("abc", (a, b, c)):
         fan_mod._strict_instance(cls, CohomologyClass, f"operand {name}")
     fan_mod.decompose_effective(fan, beta)  # runs fan.curve_class first
-    # beta's q-part, off the unread product's keys: packing is one to one
-    # on digits in [-2^39, 2^39), where every engine class lies
+    # beta's q-part off the unread product's keys; every engine class packs one to one
     packed = _pack(beta.pairings) if all(abs(p) < _HALF_DIGIT for p in beta.pairings) else None
     ring, flat = _qring(fan), quantum_product(fan, a, b)._flat
     piece = {k & ring.mask: x for k, x in flat.items() if x and k >> ring.bits == packed}
