@@ -25,8 +25,9 @@ pinned basis and is checked against the shelling census.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import fan as fan_mod
 from . import fano, lattice
@@ -309,8 +310,9 @@ def normal_form(fan: Fan, poly: Mapping[Monomial, Rational]) -> CohomologyClass:
 
     Keys are monomials as sorted tuples of divisor indices with multiplicity
     (the empty tuple is the constant term); values are ints or Fractions.
+    A poly that is not a mapping is refused with ValueError.
     """
-    return _ring(fan).normal_form(poly)
+    return _ring(fan).normal_form(fan_mod._strict_instance(poly, Mapping, "poly"))
 
 
 def basis_tau(fan: Fan) -> tuple[Cone, ...]:

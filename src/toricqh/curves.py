@@ -124,10 +124,11 @@ def tree_for_class(fan: Fan, beta: CurveClass) -> tuple[tuple[ToricTree, int], .
 
 def tree_total(trees: tuple[tuple[ToricTree, int], ...]) -> CurveClass:
     """Sum of the tree classes with multiplicity; empty input gives nothing
-    to size the zero class by, so callers handle that case."""
+    to size the zero class by, so callers handle that case.  A tree that is
+    not a ToricTree is refused with ValueError."""
     if not trees:
         raise PreconditionFailed("no trees to total")
-    total = trees[0][0].cls.scaled(0)
-    for tree, count in trees:
-        total = total + tree.cls.scaled(count)
-    return total
+    classes = [
+        fan_mod._strict_instance(tree, ToricTree, "tree").cls.scaled(count) for tree, count in trees
+    ]
+    return sum(classes[1:], classes[0])

@@ -9,12 +9,16 @@ rho_1 + ... + rho_k = sum a_j rho'_j:
 
 FullClass is the regime in which all the quantum formulas of this package
 apply; every relation then reads rho_1 + ... + rho_k = rho_hat or = 0.
+
+From the SubvarietiesFano tier on, every exceptional set is read off the
+primitive relations (Batyrev, Tohoku Math. J. 43, 1991): the blow-down
+data are the relations whose right side is one ray, and the other sets
+follow from them by substitution, so no subset of the rays is searched.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
-from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from . import fan as fan_mod
@@ -118,26 +122,35 @@ class ExceptionalData(NamedTuple):
 
 @fan_mod.per_fan
 def exceptional_sets(fan: Fan) -> tuple[ExceptionalData, ...]:
-    """All exceptional sets of the fan.
+    """All exceptional sets of the fan, sorted by (size, set).  Requires the
+    SubvarietiesFano tier.
 
-    Independence caps the subset size at the lattice dimension, so the
-    subset search is shallow.  Requires the SubvarietiesFano tier.
+    They are the closure of the primitive exceptional sets under one step:
+    a member h of a set found is replaced by the set P' of a relation
+    sum P' = rho_h, and the result is kept when its rays, listed with
+    repetition, are independent, which also rejects a P' that meets the
+    rest or holds the exceptional ray.  The closure misses none.  An
+    exceptional set S of e (independent, sum S = rho_e) spans no cone, or
+    rho_e would be one of its members, so S contains a primitive set P.  On
+    this tier P's relation reads sum P = 0, impossible as S is independent,
+    or sum P = rho_h, where h is not in S, again by independence.  Then
+    either h = e and S = P, or (S - P) + {h} is a smaller exceptional set
+    of e, and the step with P rebuilds S from it.
     """
-    if classify(fan).tier < Tier.SUBVARIETIES_FANO:
-        raise NotInTier("exceptional sets need the SubvarietiesFano tier")
-    ray_index = {ray: i for i, ray in enumerate(fan.rays)}
-    out = []
-    for k in range(2, fan.dim + 1):
-        for cand in combinations(range(fan.n_rays), k):
-            vecs = [fan.rays[i] for i in cand]
-            hit = ray_index.get(tuple(map(sum, zip(*vecs))))
-            # a sum equal to a member leaves the others summing to zero
-            if hit is None or hit in cand:
+    prims = primitive_exceptional_sets(fan)
+    found = {p.set: p for p in prims}
+    todo = list(prims)
+    while todo:
+        s, e, _ = todo.pop()
+        for p in prims:
+            if p.exc not in s:
                 continue
-            if lattice.rank(vecs) != k:
-                continue
-            out.append(ExceptionalData(cand, hit, fan_mod._relation_class(fan, cand, ((hit, 1),))))
-    return tuple(out)
+            cand = [i for i in s if i != p.exc] + list(p.set)
+            key = tuple(sorted(cand))
+            if key not in found and lattice.rank([fan.rays[i] for i in cand]) == len(cand):
+                found[key] = ExceptionalData(key, e, fan_mod._relation_class(fan, key, ((e, 1),)))
+                todo.append(found[key])
+    return tuple(sorted(found.values(), key=lambda x: (len(x.set), x.set)))
 
 
 def special_exceptional_sets(fan: Fan, sigma: Sequence[int]) -> tuple[ExceptionalData, ...]:
@@ -160,9 +173,10 @@ def family_predicates(family: Sequence[ExceptionalData]) -> dict[str, bool]:
     no_overlaps: no exceptional divisor of one member lies in another member
     (or in its own set).  no_cycles: the digraph with an edge S -> T whenever
     the exceptional divisor of T lies in S is acyclic; overlap-freeness
-    implies cycle-freeness.
+    implies cycle-freeness.  A member that is not an ExceptionalData is
+    refused by name with ValueError.
     """
-    excs = [e.exc for e in family]
+    excs = [fan_mod._strict_instance(e, ExceptionalData, "family member").exc for e in family]
     distinct = len(set(excs)) == len(excs)
     overlaps = any(e.exc in f.set for e in family for f in family)
     # peel off the members with no incoming edge (no remaining member's set
@@ -185,16 +199,19 @@ def family_predicates(family: Sequence[ExceptionalData]) -> dict[str, bool]:
 def primitive_exceptional_sets(fan: Fan) -> tuple[ExceptionalData, ...]:
     """Exceptional sets that are also primitive sets, i.e. blow-down data:
     the primitive relations, in order, whose right side is one ray with
-    coefficient 1 and whose set is independent.  Needs the SubvarietiesFano tier."""
+    coefficient 1.  Needs the SubvarietiesFano tier.
+
+    Such a set P is independent, so no rank test is needed.  A relation
+    sum l_p rho_p = 0 on P with mixed signs would put one point in the
+    relative interiors of the cones of P+ and P-, two faces of the fan; one
+    of a single sign would put rho_e in the cone of some P - {x}, so e
+    would lie in P and the other members of P would sum to zero.
+    """
     pdata = fan_mod.primitive_data(fan)
     if classify(fan).tier < Tier.SUBVARIETIES_FANO:
         raise NotInTier("exceptional sets need the SubvarietiesFano tier")
     return tuple(
-        ExceptionalData(pd.set, pd.rhs_cone[0], pd.cls)
-        for pd in pdata
-        if pd.rhs_coeffs == (1,)
-        and len(pd.set) <= fan.dim
-        and lattice.rank([fan.rays[i] for i in pd.set]) == len(pd.set)
+        ExceptionalData(pd.set, pd.rhs_cone[0], pd.cls) for pd in pdata if pd.rhs_coeffs == (1,)
     )
 
 

@@ -310,7 +310,7 @@ class _QuantumRing:
         if beta is None:
             pairings = _unpack(key, self.fan.n_rays, self.bias)
             beta = self.key_curves[key] = CurveClass(pairings)
-            if -_PAIRING_CAP < min(pairings) and max(pairings) < _PAIRING_CAP:
+            if -_PAIRING_CAP < min(pairings, default=0) and max(pairings, default=0) < _PAIRING_CAP:
                 self.curve_keys[pairings] = key
                 self.fits.add(key)
         return beta
@@ -580,16 +580,19 @@ def reduce_monomial(
 def evaluate_terms(fan: Fan, terms: Sequence[QuantumTerm]) -> QuantumClass:
     """Evaluate a q-polynomial in the divisor symbols to a quantum class.
 
-    Term monomials are checked as in reduce_monomial, term curves by
-    fan.curve_class (ValueError unless a CurveClass, NotEffective for a wrong
-    length or a nonzero ray sum, PreconditionFailed for a pairing of size
-    2^37 or more, outside the packed q-keys) and term coefficients as in
-    normal_form (ValueError unless int or Fraction).  Needs the full class,
-    as reduce_monomial does.
+    A term that is not a QuantumTerm (a plain tuple included) is refused
+    with ValueError.  Term monomials are checked as in reduce_monomial,
+    term curves by fan.curve_class (ValueError unless a CurveClass,
+    NotEffective for a wrong length or a nonzero ray sum,
+    PreconditionFailed for a pairing of size 2^37 or more, outside the
+    packed q-keys) and term coefficients as in normal_form (ValueError
+    unless int or Fraction).  Needs the full class, as reduce_monomial
+    does.
     """
     ring = _qring(fan)
     acc: _Parts = {}
     for term in terms:
+        fan_mod._strict_instance(term, QuantumTerm, "term")
         coeff = cohomology._strict_rational(term.coefficient, "coefficient")
         red = ring.reduce(_check_monomial(fan, term.monomial), None)
         _add_into(acc, red, coeff, ring.check_curve(term.curve) << ring.bits)

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from toricqh import catalog, lattice
+from toricqh import catalog, fano, lattice
+from toricqh import fan as fan_mod
 from toricqh.errors import NonUnimodular
 from toricqh.fan import Fan
 
@@ -62,6 +63,46 @@ def threefolds(p3):
         "p1x3": catalog.product(p1, p1, p1),
         "bl3p2xp1": catalog.product(catalog.blowup_p2_three(), p1),
     }
+
+
+def blow_up(fan, cone):
+    """The star subdivision of the fan at a cone: a new last ray, the sum of
+    the cone's rays, and each maximal cone through the cone replaced by the
+    cones that swap one of the cone's rays for the new one."""
+    new = fan.n_rays
+    ray = tuple(map(sum, zip(*(fan.rays[i] for i in cone))))
+    cones = []
+    for mc in fan.max_cones:
+        if set(cone) <= set(mc):
+            cones.extend(tuple(sorted(set(mc) - {i} | {new})) for i in cone)
+        else:
+            cones.append(mc)
+    return Fan(fan.dim, fan.rays + (ray,), cones)
+
+
+@pytest.fixture(scope="session")
+def fano_threefolds(threefolds):
+    """The Fano threefolds that star subdivisions reach, breadth-first, from
+    P^3, P^2 x P^1 and (P^1)^3, one per isomorphism class.  A name is its
+    parent's name and the blown-up cone, 1-based: "p3.12" blows up the cone
+    (1, 2) of P^3."""
+    found = {name: threefolds[name] for name in ("p3", "p2xp1", "p1x3")}
+    queue = list(found)
+    while queue:
+        parent = queue.pop(0)
+        for cone in fan_mod.faces(found[parent]):
+            if len(cone) < 2:
+                continue
+            fan = blow_up(found[parent], cone)
+            if fano.classify(fan).tier < fano.Tier.FANO or any(
+                old.n_rays == fan.n_rays and fan_mod.is_isomorphic(fan, old)
+                for old in found.values()
+            ):
+                continue
+            name = f"{parent}.{''.join(str(i + 1) for i in cone)}"
+            found[name] = fan
+            queue.append(name)
+    return found
 
 
 @pytest.fixture(scope="session")

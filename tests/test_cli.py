@@ -56,6 +56,14 @@ def test_validate_json_flag(capsys, fans_dir):
     assert json.loads(out) == {"accepted": True, "problems": []}
 
 
+def test_multiply_on_the_point_fan(capsys, tmp_path):
+    # from cold caches: the first read of a product on this fan used to exit 2
+    path = tmp_path / "point.json"
+    path.write_text(fan_mod.fan_to_json(fan_mod.Fan(0, (), ((),))))
+    fan_mod.clear_caches()
+    assert run(capsys, "multiply", "--fan", str(path), "1", "1") == (0, "1\n", "")
+
+
 def test_unreadable_inputs(capsys, tmp_path):
     code, _, err = run(capsys, "validate", "--fan", str(tmp_path / "missing.json"))
     assert code == 2 and "error:" in err

@@ -451,6 +451,53 @@ def test_integrate_and_degrees(p2, p3):
     assert coho.class_degrees(p2, CohomologyClass()) == set()
 
 
+# integer weights for the localization oracle, truncated to the dimension
+LOCALIZATION_WEIGHTS = ((1, 7, 53, 379, 2711), (2, 11, 97, 601, 4099))
+
+
+def _localized_integral(fan, monomial, xi):
+    """The integral of the divisor monomial by torus localization at the
+    weight xi, without the presentation: the sum over maximal cones sigma of
+    prod w(sigma, i) over the monomial divided by prod w(sigma, j) over
+    sigma, where w(sigma, i) pairs xi with the row of sigma's inverse for
+    ray i, and is 0 for a ray outside sigma.  None if some w(sigma, j) of
+    a denominator is 0."""
+    total = Fraction(0)
+    for sigma in fan.max_cones:
+        w = {
+            j: sum(a * b for a, b in zip(row, xi))
+            for j, row in zip(sigma, fan_mod.cone_inverse(fan, sigma))
+        }
+        den = 1
+        for value in w.values():
+            den *= value
+        if den == 0:
+            return None
+        num = 1
+        for i in monomial:
+            num *= w.get(i, 0)
+        total += Fraction(num, den)
+    return total
+
+
+def test_integrals_match_the_localization_formula(corpus, threefolds, fano_threefolds):
+    # every degree-n divisor monomial integrates, through normal_form, to its
+    # localization sum at each usable weight, exactly
+    fans = {**corpus, **threefolds, **fano_threefolds}
+    for name in ("p4", "p2xp2", "p1x4"):
+        fans[name] = catalog.product(*(make() for make in PRODUCT_FACTORS[name]))
+    checked = 0
+    for name, fan in fans.items():
+        for monomial in combinations_with_replacement(range(fan.n_rays), fan.dim):
+            want = coho.integrate(fan, coho.normal_form(fan, {monomial: 1}))
+            sums = [_localized_integral(fan, monomial, xi[: fan.dim]) for xi in LOCALIZATION_WEIGHTS]
+            usable = [v for v in sums if v is not None]
+            assert usable, name
+            assert all(v == want for v in usable), (name, monomial, want, sums)
+            checked += 1
+    assert checked == 1745
+
+
 def test_basis_class_bounds(p2):
     with pytest.raises(IndexOutOfRange):
         coho.basis_class(p2, 3)

@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from toricqh import catalog, clear_caches, lattice
+from toricqh import catalog, lattice
 from toricqh import fan as fan_mod
 from toricqh import fano
 from toricqh.errors import (
@@ -73,32 +74,6 @@ def test_exceptional_sets_oracles(corpus, p3):
         (3, 4): 1, (3, 5): 0, (4, 5): 2,
     }
     assert fano.exceptional_sets(p3) == ()
-
-
-@pytest.mark.parametrize("factors", ["p1x6", "bl3p2xbl3p2xp1"])
-def test_exceptional_sets_rank_only_independent_candidates(
-    factors, monkeypatch, ref_rational_rank
-):
-    # a ray sum equal to a member leaves the other rays summing to zero; such
-    # candidates are dropped before any elimination runs
-    p1, bl3 = catalog.projective_space(1), catalog.blowup_p2_three()
-    fan = catalog.product(*{"p1x6": (p1,) * 6, "bl3p2xbl3p2xp1": (bl3, bl3, p1)}[factors])
-    ray_index = {ray: i for i, ray in enumerate(fan.rays)}
-    want = []
-    for k in range(2, fan.dim + 1):
-        for cand in combinations(range(fan.n_rays), k):
-            vecs = [fan.rays[i] for i in cand]
-            hit = ray_index.get(tuple(map(sum, zip(*vecs))))
-            if hit is not None and ref_rational_rank(vecs) == k:
-                want.append((cand, hit))
-    clear_caches()
-    fano.classify(fan)
-    calls = []
-    rank = lattice.rank
-    monkeypatch.setattr(lattice, "rank", lambda rows: calls.append(1) or rank(rows))
-    found = fano.exceptional_sets(fan)
-    assert [(e.set, e.exc) for e in found] == want
-    assert (len(found), len(calls)) == {"p1x6": (0, 0), "bl3p2xbl3p2xp1": (12, 84)}[factors]
 
 
 def test_exceptional_class_pairings(bl3p2):
@@ -219,14 +194,31 @@ def test_is_product_of_projective_spaces(corpus, p3, bl1p2):
     assert fano.is_product_of_projective_spaces(p1xp2) == (True, (1, 2))
 
 
+def _enumerated_exceptional_sets(fan):
+    """The exceptional sets by the subset search: every set of 2 to n rays,
+    in order of (size, set), that is independent and sums to another ray."""
+    if fano.classify(fan).tier < Tier.SUBVARIETIES_FANO:
+        raise NotInTier("exceptional sets need the SubvarietiesFano tier")
+    ray_index = {ray: i for i, ray in enumerate(fan.rays)}
+    out = []
+    for k in range(2, fan.dim + 1):
+        for cand in combinations(range(fan.n_rays), k):
+            vecs = [fan.rays[i] for i in cand]
+            hit = ray_index.get(tuple(map(sum, zip(*vecs))))
+            if hit is not None and hit not in cand and lattice.rank(vecs) == k:
+                cls = fan_mod._relation_class(fan, cand, ((hit, 1),))
+                out.append(ExceptionalData(cand, hit, cls))
+    return tuple(out)
+
+
 def _enumerated_primitive_exceptional_sets(fan):
-    """The blow-down data by the subset enumeration: the exceptional sets
+    """The blow-down data by the subset search: the exceptional sets
     that are primitive sets whose relation has their exceptional ray, with
     coefficient 1, as its whole right-hand side."""
     prims = {pd.set: pd for pd in fan_mod.primitive_data(fan)}
     return tuple(
         e
-        for e in fano.exceptional_sets(fan)
+        for e in _enumerated_exceptional_sets(fan)
         if e.set in prims and (prims[e.set].rhs_cone, prims[e.set].rhs_coeffs) == ((e.exc,), (1,))
     )
 
@@ -285,3 +277,81 @@ def test_primitive_exceptional_sets_keep_the_tier_gate(f2, bundle3):
     rejected = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2)))
     with pytest.raises(FanNotAccepted):
         fano.primitive_exceptional_sets(rejected)
+
+
+def test_star_subdivisions_reach_sixteen_fano_threefolds(fano_threefolds, bundle3, shared_head):
+    # with the twisted bundle and X they are the 18 classes of toric Fano
+    # threefolds of Batyrev and Watanabe-Watanabe
+    fans = list(fano_threefolds.values())
+    assert len(fans) == 16
+    assert Counter(fan.n_rays for fan in fans) == {4: 1, 5: 3, 6: 6, 7: 4, 8: 2}
+    assert Counter(fano.classify(fan).tier for fan in fans) == {
+        Tier.FULL_CLASS: 12, Tier.SUBVARIETIES_FANO: 3, Tier.FANO: 1,
+    }
+    for a, b in combinations(fans + [bundle3, shared_head["x"]], 2):
+        assert a.n_rays != b.n_rays or not fan_mod.is_isomorphic(a, b)
+    # the only fans of the suite with exceptional sets that are not
+    # primitive sets, which the substitution step alone finds
+    beyond = {}
+    for name, fan in fano_threefolds.items():
+        if fano.classify(fan).tier >= Tier.SUBVARIETIES_FANO:
+            prims = set(fan_mod.primitive_sets(fan))
+            count = sum(e.set not in prims for e in fano.exceptional_sets(fan))
+            if count:
+                beyond[name] = count
+    assert beyond == {
+        "p3.12.35": 1, "p3.12.35.45": 2, "p2xp1.12.34": 1, "p2xp1.12.46": 1, "p2xp1.12.34.56": 2,
+    }
+
+
+def _special_reference(sets, sigma):
+    """The sets special for sigma: all members but one and the exceptional
+    ray lie in sigma."""
+    return tuple(e for e in sets if e.exc in sigma and sum(i not in sigma for i in e.set) <= 1)
+
+
+def test_exceptional_sets_match_the_subset_search(
+    gl_image, threefolds, shared_head, fano_threefolds
+):
+    # the closure of the primitive exceptional sets equals the subset search,
+    # value and order, and so do the blow-down data and the special sets of
+    # every face; the default tower of a FullClass fan blows down the
+    # reference's first choice at every stage
+    from test_cohomology import PRODUCT_FACTORS
+
+    fans = {**catalog.corpus(), **threefolds, **shared_head, **fano_threefolds}
+    for name, factors in PRODUCT_FACTORS.items():
+        fans[name] = catalog.product(*(make() for make in factors))
+    for k, fan in enumerate(catalog.census(2, 8)):
+        fans[f"census{k}"] = fan
+    for name in list(fans):
+        rng = random.Random(name)
+        for k in range(2):
+            fans[f"{name}@{k}"] = gl_image(fans[name], rng)
+    checked = refused = sets = beyond = 0
+    for name, fan in fans.items():
+        tier = fano.classify(fan).tier
+        if tier < Tier.SUBVARIETIES_FANO:
+            for route in (fano.exceptional_sets, _enumerated_exceptional_sets):
+                with pytest.raises(NotInTier):
+                    route(fan)
+            refused += 1
+            continue
+        want = _enumerated_exceptional_sets(fan)
+        assert fano.exceptional_sets(fan) == want, name
+        assert fano.primitive_exceptional_sets(fan) == _enumerated_primitive_exceptional_sets(fan), name
+        for sigma in fan_mod.faces(fan):
+            assert fano.special_exceptional_sets(fan, sigma) == _special_reference(want, sigma), (
+                name, sigma,
+            )
+        if tier is Tier.FULL_CLASS:
+            tower = fano.blow_down_tower(fan)
+            for stage, below in zip(tower, tower[1:]):
+                chosen = min(_enumerated_primitive_exceptional_sets(stage), key=lambda e: e.exc)
+                assert below == fano.blow_down(stage, chosen), name
+            assert _enumerated_primitive_exceptional_sets(tower[-1]) == (), name
+        prims = set(fan_mod.primitive_sets(fan))
+        checked += 1
+        sets += len(want)
+        beyond += sum(e.set not in prims for e in want)
+    assert (checked, refused, sets, beyond) == (108, 3, 297, 21)

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -9,6 +10,7 @@ import pytest
 
 from toricqh import catalog, clear_caches
 from toricqh import cohomology as coho
+from toricqh import curves
 from toricqh import fan as fan_mod
 from toricqh import fano
 from toricqh import lattice
@@ -306,6 +308,19 @@ def test_gw_oracles(p2, p1xp1, bl1p2):
     assert quantum.gw3(bl1p2, e, e, e, fiber) == -1
 
 
+def test_the_point_fan_multiplies_from_cold_caches():
+    # the 0-dimensional fan has one class and one curve class, with no
+    # pairings; its first decoded read used to raise ValueError from min() of
+    # the empty pairings, after which a second read passed
+    point = fan_mod.Fan(0, (), ((),))
+    for _ in range(2):
+        clear_caches()
+        unit = quantum.classical(point, coho.unit_class(point))
+        product = quantum.quantum_product(point, unit, unit)
+        assert product.parts == {quantum.zero_curve(point): coho.unit_class(point)}
+        assert product == unit
+
+
 def test_gw_refuses_operands_of_the_wrong_type_by_name(p2):
     # a QuantumClass operand is not multiplied or paired as a class, and a
     # tuple beta is not read through .pairings: each is refused by name
@@ -363,6 +378,20 @@ WRONG_TYPED_CALLS = {
     "CurveClass +": (lambda p2, h: CurveClass((1, 1, 1)) + (1, 1, 1), "operand", CurveClass),
     "CurveClass -": (lambda p2, h: CurveClass((1, 1, 1)) - 1, "operand", CurveClass),
     "CurveClass.scaled": (lambda p2, h: CurveClass((1, 1, 1)).scaled(True), "scale factor", int),
+    # each of these used to end in AttributeError
+    "evaluate_terms term": (
+        lambda p2, h: quantum.evaluate_terms(p2, [(quantum.zero_curve(p2), (0,), 1)]),
+        "term",
+        QuantumTerm,
+    ),
+    "family_predicates member": (
+        lambda p2, h: fano.family_predicates([((0, 1), 2)]), "family member", fano.ExceptionalData
+    ),
+    "tree_total entry": (
+        lambda p2, h: curves.tree_total(((CurveClass((1, 1, 1)), 1),)), "tree", curves.ToricTree
+    ),
+    "normal_form list": (lambda p2, h: coho.normal_form(p2, [((0,), 1)]), "poly", Mapping),
+    "normal_form None": (lambda p2, h: coho.normal_form(p2, None), "poly", Mapping),
 }
 
 
