@@ -15,12 +15,21 @@ Sturmfels, Topology 36, 1997): H^k is spanned by the face monomials x_tau,
 |tau| = k, modulo r(sigma, u) = sum of <u, v_i> x_(sigma + i) over the faces
 sigma + i, for each (k-1)-face sigma and each u in a basis of its
 annihilator (the rows of a maximal cone's inverse for its rays outside
-sigma).  These rows go into a sparse exact echelon with the pinned faces
-tau_i last, so none of them pivots, and back substitution gives every face
-int coordinates (the strata are a Z-basis; an inexact division raises
-RingInconsistent).  Other monomials are rewritten by `_CohomologyRing.form`.
-The quotient dimension, faces minus echelon rank, does not depend on the
-pinned basis and is checked against the shelling census.
+sigma).  The shelling makes these relations triangular, so no elimination
+is needed.  Each face f lies in one interval [tau_i, mu_i], i the first
+cone of the order that contains f.  Taking the faces by decreasing i,
+tau_i is its basis vector and any other f is x_(f-j) D_j for a ray j of f
+outside tau_i, rewritten by the linear row of j in mu_i: every face
+(f-j)+l on the right lies outside mu_i, so in a later interval, and its
+int coordinates are known.  These relations, one per face off the basis
+and unitriangular in interval order, bound the rank of the relations from
+below; every r(sigma, u) is then checked to vanish on the result, which
+bounds it from above.  So the quotient dimension is exactly the number of
+basis faces, is checked against the shelling census, and every coordinate
+is an int (the strata are a Z-basis).  A face that does not contain tau_i,
+a face needed that is not later, and a relation that does not vanish each
+raise RingInconsistent.  Other monomials are rewritten by
+`_CohomologyRing.form`.
 """
 
 from __future__ import annotations
@@ -176,6 +185,10 @@ class _CohomologyRing:
         self.fan = fan
         self.shelling = _compute_shelling(fan)
         self.basis_tau = self.shelling.tau
+        if len(self.basis_tau) != len(self.shelling.order):
+            raise RingInconsistent(
+                f"shelling census: {len(self.basis_tau)} taus for {len(self.shelling.order)} maximal cones"
+            )
         self.by_degree: dict[int, list[int]] = {}
         for i, tau in enumerate(self.basis_tau):
             self.by_degree.setdefault(len(tau), []).append(i)
@@ -185,7 +198,8 @@ class _CohomologyRing:
             raise RingInconsistent("shelling census lost uniqueness at the ends")
         self.top_index = tops[0]
         self.unit_index = zeros[0]
-        # degree -> (faces minus echelon rank, face -> basis index -> coeff)
+        # degree -> (quotient dimension, face -> basis index -> coeff), each
+        # read off the shelling and certified by every relation among the faces
         self._tables: dict[int, tuple[int, dict[Cone, dict[int, int]]]] = {}
         self._forms: dict[Monomial, dict[int, int]] = {}
         # (mu, i) -> linear_row(mu, i), filled on first use
@@ -206,37 +220,70 @@ class _CohomologyRing:
         tab = self._tables.get(degree)
         if tab is not None:
             return tab
-        fan, index = self.fan, fan_mod._face_index(self.fan)
-        faces = [f for f in index if len(f) == degree]
+        index, taus, order = fan_mod._face_index(self.fan), self.basis_tau, self.shelling.order
         ids = self.by_degree.get(degree, [])
-        pinned = {self.basis_tau[i]: i for i in ids}
-        if len(pinned) != len(ids):
+        if len({taus[i] for i in ids}) != len(ids):
             raise RingInconsistent(f"degree {degree}: duplicate tau monomial")
-        columns = [f for f in faces if f not in pinned] + sorted(pinned)
-        col_of = {f: j for j, f in enumerate(columns)}
+        # each face's interval: the position of the first shelling cone over it
+        position = {mu: k for k, mu in enumerate(order)}
+        interval = {f: min(map(position.__getitem__, index[f])) for f in index if len(f) == degree}
+        # the faces sigma + l over each (degree - 1)-face sigma, by l; a
+        # missing l means sigma + l is no face, and x of it is 0
+        up: dict[Cone, dict[int, Cone]] = {}
+        for f in interval:
+            for a, r in enumerate(f):
+                up.setdefault(f[:a] + f[a + 1 :], {})[r] = f
 
-        # r(sigma, u) for each (k-1)-face sigma: its extensions sigma + i by column
-        link: dict[Cone, list[tuple[int, int]]] = {}
-        for tau in faces:
-            for i in tau:
-                link.setdefault(tuple(j for j in tau if j != i), []).append((i, col_of[tau]))
-        ech = lattice.Echelon()
-        for sigma, ext in link.items():
+        # decreasing interval: tau_i is its basis vector, any other face f is
+        # x_(f-j) D_j by the linear row of a ray j of f outside tau_i in mu_i,
+        # whose faces (f-j)+l lie outside mu_i and so in later intervals
+        values: dict[Cone, dict[int, int]] = {}
+        for f in sorted(interval, key=interval.__getitem__, reverse=True):
+            i = interval[f]
+            tau = taus[i]
+            if f == tau:
+                values[f] = {i: 1}
+                continue
+            if not set(tau) < set(f):
+                raise RingInconsistent(f"degree {degree}: the face {f} does not contain tau_{i} {tau}")
+            j = next(r for r in f if r not in tau)
+            over = up[tuple(r for r in f if r != j)]
+            acc: dict[int, int] = {}
+            for l, c in self.linear_row(order[i], j):
+                face = over.get(l)
+                if face is None:
+                    continue
+                if interval[face] <= i:
+                    raise RingInconsistent(
+                        f"degree {degree}: the face {face} that {f} needs is not in a later interval"
+                    )
+                for k, v in values[face].items():
+                    acc[k] = acc.get(k, 0) + c * v
+            values[f] = {k: v for k, v in acc.items() if v}
+
+        # every r(sigma, u) vanishes: x_(sigma+r) = sum of c_l x_(sigma+l)
+        # over the linear row of r in the first maximal cone over sigma
+        for sigma, over in up.items():
             mu = index[sigma][0]
-            for r, u in zip(mu, fan_mod.cone_inverse(fan, mu)):
-                if r not in sigma:
-                    ech.insert({j: lattice.dot(u, fan.rays[i]) for i, j in ext})
-
-        if any(p >= len(columns) - len(pinned) for p in ech.rows):
-            raise RingInconsistent(f"degree {degree}: a pinned monomial pivoted")
-        if len(columns) - ech.rank != len(pinned):
+            for r in mu:
+                if r in sigma:
+                    continue
+                acc = dict(values[over[r]])
+                for l, c in self.linear_row(mu, r):
+                    face = over.get(l)
+                    if face is not None:
+                        for k, v in values[face].items():
+                            acc[k] = acc.get(k, 0) - c * v
+                if any(acc.values()):
+                    raise RingInconsistent(
+                        f"degree {degree}: the relation of ray {r} over the face {sigma} does not vanish"
+                    )
+        dim = sum(1 for f, i in interval.items() if f == taus[i])
+        if dim != len(ids):
             raise RingInconsistent(
-                f"degree {degree}: quotient dimension {len(columns) - ech.rank}"
-                f" does not match the shelling census {len(pinned)}"
+                f"degree {degree}: quotient dimension {dim} does not match the shelling census {len(ids)}"
             )
-        values = ech.solve({col_of[tau]: {i: 1} for tau, i in pinned.items()})
-        tab = (len(columns) - ech.rank, {columns[j]: v for j, v in values.items()})
-        self._tables[degree] = tab
+        tab = self._tables[degree] = (dim, values)
         return tab
 
     def linear_row(self, mu: Cone, i: int) -> tuple[tuple[int, int], ...]:
@@ -339,11 +386,12 @@ def betti_census(fan: Fan) -> dict[int, int]:
 
 
 def degree_dimension(fan: Fan, degree: int) -> int:
-    """Dimension of the degree-d quotient computed by elimination alone.
-
-    Counts the k-faces minus the rank of the echelon of the relations
-    r(sigma, u) among them (Fulton-Sturmfels), which does not depend on the
-    pinned basis, so it can be compared against the shelling census.
+    """Dimension of the degree-d quotient of the faces by the relations
+    r(sigma, u) among them (Fulton-Sturmfels), certified with no
+    elimination: one triangular relation per face outside the shelling
+    basis bounds the rank from below, and the vanishing of every r(sigma,
+    u) on the table bounds it from above.  It is compared against the
+    shelling census, and a mismatch raises RingInconsistent.
     """
     return _ring(fan).quotient_dimension(degree)
 

@@ -124,11 +124,15 @@ def tree_for_class(fan: Fan, beta: CurveClass) -> tuple[tuple[ToricTree, int], .
 
 def tree_total(trees: tuple[tuple[ToricTree, int], ...]) -> CurveClass:
     """Sum of the tree classes with multiplicity; empty input gives nothing
-    to size the zero class by, so callers handle that case.  A tree that is
-    not a ToricTree is refused with ValueError."""
+    to size the zero class by, so callers handle that case.  An entry that
+    is not a (tree, count) pair, or a tree that is not a ToricTree, is
+    refused with ValueError."""
     if not trees:
         raise PreconditionFailed("no trees to total")
-    classes = [
-        fan_mod._strict_instance(tree, ToricTree, "tree").cls.scaled(count) for tree, count in trees
-    ]
+    classes = []
+    for entry in trees:
+        if not isinstance(entry, tuple) or len(entry) != 2:
+            raise ValueError(f"tree entry {entry!r} is not a (tree, count) pair")
+        tree, count = entry
+        classes.append(fan_mod._strict_instance(tree, ToricTree, "tree").cls.scaled(count))
     return sum(classes[1:], classes[0])

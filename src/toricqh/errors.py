@@ -66,10 +66,12 @@ class NotInClass(NotInTier):
 
 class RingInconsistent(ToricError):
     """An internal consistency check failed: data computed along two routes
-    disagree (shelling census against quotient dimension, a pinned basis
-    monomial that the relations eliminate, a non-unimodular wall crossing,
-    a ring-table coordinate that is not an integer, a closed form whose q^0
-    part is not its basis class)."""
+    disagree (shelling census against quotient dimension, a repeated or
+    misplaced pinned basis face, a face that does not contain the basis
+    face of its shelling interval or needs a face that is not in a later
+    interval, a Fulton-Sturmfels relation that does not vanish on a ring
+    table, a non-unimodular wall crossing, a closed form whose q^0 part is
+    not its basis class)."""
 
 
 class PreconditionFailed(ToricError):

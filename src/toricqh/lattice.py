@@ -3,9 +3,10 @@
 Everything here runs on arbitrary-precision integers; no floating point is
 ever involved.  Matrices are lists of rows, vectors are tuples, and lattice
 vectors stay integer end to end.  There is one elimination kernel, the
-sparse echelon, behind the ring build, the rank and the inverse; its back
-substitution divides exactly or raises RingInconsistent.  There is no
-solve: fan.cone_inverse answers coordinate questions.  Nothing here is
+sparse echelon, behind the rank and the inverse; the inverse's back
+substitution divides exactly or raises NonUnimodular.  There is no solve:
+fan.cone_inverse answers coordinate questions, and the ring build reads
+its tables off the shelling with no elimination.  Nothing here is
 rational.
 """
 
@@ -13,9 +14,9 @@ from __future__ import annotations
 
 from math import gcd
 from operator import mul
-from typing import Hashable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .errors import NonUnimodular, RingInconsistent
+from .errors import NonUnimodular
 
 Vector = tuple[int, ...]
 
@@ -88,29 +89,6 @@ class Echelon:
                 else:
                     del work[c]
 
-    def solve(self, free: Mapping[int, Mapping[Hashable, int]]) -> dict[int, dict]:
-        """The value of every column, given the values of the non-pivot ones.
-
-        Values are sparse integer vectors (dicts); a pivot column gets the
-        value that makes its row vanish, by back substitution from the
-        highest pivot down.  free must give a value for every column that is
-        not a pivot.  Every division must be exact, as it is when the free
-        columns are a Z-basis of the quotient; otherwise RingInconsistent.
-        """
-        values: dict[int, dict] = {c: dict(v) for c, v in free.items()}
-        for col in sorted(self.rows, reverse=True):
-            row = self.rows[col]
-            acc: dict = {}
-            for j, r in row.items():
-                if j != col:
-                    for k, x in values[j].items():
-                        acc[k] = acc.get(k, 0) + r * x
-            lead = -row[col]
-            if any(x % lead for x in acc.values()):
-                raise RingInconsistent(f"column {col}: division by {lead} is not exact")
-            values[col] = {k: x // lead for k, x in acc.items() if x}
-        return values
-
 
 def rank(rows: Sequence[Sequence[int]]) -> int:
     ech = Echelon()
@@ -120,9 +98,14 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
 
 
 def integer_inverse(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Inverse of a unimodular integer matrix, as an integer matrix: the
-    rows [matrix | -I] solved with e_j on the free unit columns give column
-    j, and the division is exact exactly when the matrix is unimodular."""
+    """Inverse of a unimodular integer matrix, as an integer matrix.
+
+    The rows [matrix | -I] go into the echelon; the matrix is singular
+    unless every pivot lies in its columns.  Back substitution from the
+    last pivot up, with e_j on the unit column j, gives row c of the inverse
+    from pivot row c, and each division by a pivot is exact exactly when
+    the matrix is unimodular; otherwise NonUnimodular.
+    """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise NonUnimodular("matrix is not square")
@@ -131,8 +114,16 @@ def integer_inverse(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
         ech.insert({**dict(enumerate(row)), n + i: -1})
     if any(col >= n for col in ech.rows):
         raise NonUnimodular("matrix is singular")
-    try:
-        values = ech.solve({n + j: {j: 1} for j in range(n)})
-    except RingInconsistent:
-        raise NonUnimodular("matrix determinant is not +-1") from None
-    return [[values[c].get(j, 0) for j in range(n)] for c in range(n)]
+    inverse: list[list[int]] = [[]] * n
+    for c in range(n - 1, -1, -1):
+        acc = [0] * n
+        for j, r in ech.rows[c].items():
+            if j >= n:
+                acc[j - n] += r
+            elif j != c:
+                acc = [a + r * x for a, x in zip(acc, inverse[j])]
+        lead = -ech.rows[c][c]
+        if any(a % lead for a in acc):
+            raise NonUnimodular("matrix determinant is not +-1")
+        inverse[c] = [a // lead for a in acc]
+    return inverse

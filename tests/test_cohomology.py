@@ -10,7 +10,7 @@ import pytest
 
 from toricqh import catalog, cohomology as coho, fan as fan_mod, lattice, quantum
 from toricqh.cohomology import CohomologyClass
-from toricqh.errors import IndexOutOfRange, NotACone, NotFano, PreconditionFailed
+from toricqh.errors import IndexOutOfRange, NotACone, NotFano, PreconditionFailed, RingInconsistent
 
 
 def test_shelling_oracles(p2, bl1p2, p1xp1):
@@ -288,6 +288,52 @@ def test_product_fan_rings(name, ref_determinant):
     assert abs(_pairing_determinant(fan, ref_determinant)) == 1
 
 
+def _solve(ech, free):
+    """The value of every column of an echelon, given the values of the
+    non-pivot ones.  Values are sparse integer vectors (dicts); a pivot
+    column gets the value that makes its row vanish, by back substitution
+    from the highest pivot down.  free must give a value for every column
+    that is not a pivot.  Every division must be exact, as it is when the
+    free columns are a Z-basis of the quotient; otherwise RingInconsistent."""
+    values = {c: dict(v) for c, v in free.items()}
+    for col in sorted(ech.rows, reverse=True):
+        row = ech.rows[col]
+        acc = {}
+        for j, r in row.items():
+            if j != col:
+                for k, x in values[j].items():
+                    acc[k] = acc.get(k, 0) + r * x
+        lead = -row[col]
+        if any(x % lead for x in acc.values()):
+            raise RingInconsistent(f"column {col}: division by {lead} is not exact")
+        values[col] = {k: x // lead for k, x in acc.items() if x}
+    return values
+
+
+def test_echelon_solve_kills_every_row():
+    # an integral system: the free columns are a Z-basis of the quotient
+    rows = [[1, 2, 0, 3], [0, 1, 1, 1], [1, 3, 1, 4]]
+    ech = lattice.Echelon()
+    for row in rows:
+        ech.insert(dict(enumerate(row)))
+    assert sorted(ech.rows) == [0, 1]
+    values = _solve(ech, {2: {"a": 1}, 3: {"b": 1}})
+    assert values[0] == {"a": 2, "b": -1} and values[1] == {"a": -1, "b": -1}
+    assert all(type(x) is int for v in values.values() for x in v.values())
+    for row in rows:
+        total = {}
+        for j, r in enumerate(row):
+            for k, x in values[j].items():
+                total[k] = total.get(k, 0) + r * x
+        assert all(x == 0 for x in total.values())
+    # pivot 2 on column 1: back substitution would need a half
+    ech = lattice.Echelon()
+    for row in ([1, 2, 0, 3], [0, 2, 1, 1]):
+        ech.insert(dict(enumerate(row)))
+    with pytest.raises(RingInconsistent, match="not exact"):
+        _solve(ech, {2: {"a": 1}, 3: {"b": 1}})
+
+
 def _batyrev_forms(fan, degree):
     """Reference normal forms of every monomial of one degree, from the
     all-monomial Batyrev presentation: the primitive monomials times every
@@ -313,8 +359,60 @@ def _batyrev_forms(fan, degree):
             ech.insert(row)
     assert all(p < len(columns) - len(pinned) for p in ech.rows)
     assert len(columns) - ech.rank == len(pinned)
-    values = ech.solve({col_of[mo]: {i: 1} for mo, i in pinned.items()})
+    values = _solve(ech, {col_of[mo]: {i: 1} for mo, i in pinned.items()})
     return {columns[j]: v for j, v in values.items()}
+
+
+def _eliminated_table(fan, degree):
+    """Reference table of one degree by elimination: the relations r(sigma,
+    u) among the degree-d faces, for each (d-1)-face sigma and each row u of
+    the inverse of the first maximal cone over sigma for a ray outside
+    sigma, in one echelon whose last columns are the pinned faces tau_i,
+    then back substitution.  Returns (faces minus rank, face -> coords) and
+    asserts that no pinned face pivots and that the rank matches the
+    census."""
+    index = fan_mod._face_index(fan)
+    faces = [f for f in index if len(f) == degree]
+    pinned = {tau: i for i, tau in enumerate(coho.basis_tau(fan)) if len(tau) == degree}
+    columns = [f for f in faces if f not in pinned] + sorted(pinned)
+    col_of = {f: j for j, f in enumerate(columns)}
+    link = {}
+    for tau in faces:
+        for i in tau:
+            link.setdefault(tuple(j for j in tau if j != i), []).append((i, col_of[tau]))
+    ech = lattice.Echelon()
+    for sigma, ext in link.items():
+        mu = index[sigma][0]
+        for r, u in zip(mu, fan_mod.cone_inverse(fan, mu)):
+            if r not in sigma:
+                ech.insert({j: lattice.dot(u, fan.rays[i]) for i, j in ext})
+    assert all(p < len(columns) - len(pinned) for p in ech.rows)
+    assert len(columns) - ech.rank == len(pinned)
+    values = _solve(ech, {col_of[tau]: {i: 1} for tau, i in pinned.items()})
+    return len(columns) - ech.rank, {columns[j]: v for j, v in values.items()}
+
+
+def test_tables_match_the_elimination(corpus, threefolds, fano_threefolds, gl_image):
+    # each degree's table read off the shelling's triangular relations is
+    # the echelon's, dimension and every face's coordinates, on the corpus,
+    # the threefolds, the blow-up threefolds, the products and census(2, 8),
+    # each with two seeded GL(n, Z) images
+    fans = {**corpus, **threefolds, **fano_threefolds}
+    for name, factors in PRODUCT_FACTORS.items():
+        fans[name] = catalog.product(*(make() for make in factors))
+    for k, fan in enumerate(catalog.census(2, 8)):
+        fans[f"census{k}"] = fan
+    for name, fan in list(fans.items()):
+        rng = random.Random(name)
+        fans[name + "'"] = gl_image(fan, rng)
+        fans[name + "''"] = gl_image(fan, rng)
+    ring_tables = 0
+    for name, fan in fans.items():
+        ring = coho._ring(fan)
+        for d in range(fan.dim + 1):
+            assert ring.table(d) == _eliminated_table(fan, d), (name, d)
+            ring_tables += 1
+    assert (len(fans), ring_tables) == (3 * 35, 432)
 
 
 def _reference_fans():
@@ -327,18 +425,19 @@ def _reference_fans():
     return fans
 
 
-@pytest.mark.parametrize("name", sorted(_reference_fans()))
-def test_normal_forms_match_batyrev_reference(name):
-    # faces through the face echelon, every other monomial through the
+@pytest.mark.parametrize("name", sorted(_reference_fans()) + ["fano_threefolds"])
+def test_normal_forms_match_batyrev_reference(name, fano_threefolds):
+    # faces through the shelling's tables, every other monomial through the
     # classical rewrite: both must give the all-monomial echelon's forms
-    fan = _reference_fans()[name]
-    census = coho.betti_census(fan)
-    for d in range(fan.dim + 1):
-        assert coho.degree_dimension(fan, d) == census[d]
-        reference = _batyrev_forms(fan, d)
-        assert len(reference) == comb(fan.n_rays + d - 1, d)
-        for mono, form in reference.items():
-            assert coho.normal_form(fan, {mono: 1}) == CohomologyClass(form), (name, mono)
+    fans = fano_threefolds if name == "fano_threefolds" else {name: _reference_fans()[name]}
+    for label, fan in fans.items():
+        census = coho.betti_census(fan)
+        for d in range(fan.dim + 1):
+            assert coho.degree_dimension(fan, d) == census[d]
+            reference = _batyrev_forms(fan, d)
+            assert len(reference) == comb(fan.n_rays + d - 1, d)
+            for mono, form in reference.items():
+                assert coho.normal_form(fan, {mono: 1}) == CohomologyClass(form), (label, mono)
 
 
 _TAMPERED_SHELLING = textwrap.dedent(
@@ -375,6 +474,7 @@ _TAMPERED_SHELLING = textwrap.dedent(
     print("exit", code)
 
     # a vector that ties the cone pairings, and a cone of a rejected fan
+    lex_vector = cohomology._lex_vector
     cohomology._lex_vector = lambda base, bound: (0,) * len(base)
     try:
         compute_shelling(catalog.product_p1p1())
@@ -382,6 +482,7 @@ _TAMPERED_SHELLING = textwrap.dedent(
         print("tie raised:", exc)
     else:
         sys.exit("tie: not detected")
+    cohomology._lex_vector = lex_vector
     half = Fan(2, ((2, 0), (0, 1)), ((0, 1),))
     try:
         cohomology._cone_point_functional(half, (0, 1))
@@ -389,6 +490,40 @@ _TAMPERED_SHELLING = textwrap.dedent(
         print("functional raised:", exc)
     else:
         sys.exit("functional: not detected")
+
+    # on P^3, tau_2 = (3,) lies in the earlier cone (0, 1, 3), so the face
+    # (2, 3) of its interval needs (1, 3), which is not later; tau_2 = (0,)
+    # is no face of its interval, so degree 1 gets one basis face for two taus
+    p3 = catalog.projective_space(3)
+    good = compute_shelling(p3)
+    if good.tau != ((), (3,), (2, 3), (1, 2, 3)):
+        sys.exit("the p3 shelling moved: " + repr(good.tau))
+    for name, tau, degree in [
+        ("not later", ((), (0,), (3,), (1, 2, 3)), 2),
+        ("census", ((), (3,), (0,), (1, 2, 3)), 1),
+    ]:
+        cohomology._compute_shelling = lambda f, tau=tau: good._replace(tau=tau)
+        clear_caches()
+        try:
+            cohomology.degree_dimension(p3, degree)
+        except RingInconsistent as exc:
+            print(name, "raised:", exc)
+        else:
+            sys.exit(name + ": not detected")
+
+    # a linear row that the bl1p2 fill of the face (0, 2) reads, doubled:
+    # no relation checked over a face reads it, and one of them fails
+    cohomology._compute_shelling = compute_shelling
+    clear_caches()
+    ring = cohomology._ring(fan)
+    row = ring.linear_row((0, 2), 0)
+    ring._linear_rows[(0, 2), 0] = tuple((j, 2 * c) for j, c in row)
+    try:
+        cohomology.degree_dimension(fan, 2)
+    except RingInconsistent as exc:
+        print("relation raised:", exc)
+    else:
+        sys.exit("relation: not detected")
     """
 )
 
@@ -410,6 +545,13 @@ def test_tampered_shelling_raises_under_optimize(tmp_path):
     assert lines[4] == "exit 3"
     assert lines[5].startswith("tie raised: perturbation (0, 0)")
     assert lines[6].startswith("functional raised:")
+    assert [line.split(" raised:")[0] for line in lines[7:]] == ["not later", "census", "relation"]
+    assert "is not in a later interval" in lines[7]
+    assert "quotient dimension 1 does not match the shelling census 2" in lines[8]
+    assert "does not vanish" in lines[9]
+    # and the four bl1p2 shellings, each by its own check
+    assert "does not contain tau_2" in lines[0]
+    assert "taus for 4 maximal cones" in lines[1]
     assert "error:" in proc.stderr
 
 

@@ -190,6 +190,17 @@ def test_tree_for_class_rejects(p2, bl1p2):
         curves.tree_total(())
 
 
+def test_tree_total_refuses_an_entry_that_is_no_pair(p2):
+    # a bare tree used to fail in the unpacking, a non-iterable entry with a
+    # TypeError, neither naming the argument
+    line = fan_mod.curve_class(p2, (1, 1, 1))
+    (tree, count), = curves.tree_for_class(p2, line)
+    for entry in (tree, 3, (tree,), (tree, 1, 1)):
+        with pytest.raises(ValueError, match=r"^tree entry .* is not a \(tree, count\) pair$"):
+            curves.tree_total(((tree, count), entry))
+    assert curves.tree_total(((tree, count), (tree, 2))) == line.scaled(3)
+
+
 def test_tree_for_class_refuses_a_beta_that_is_no_curve_class(p2):
     with pytest.raises(ValueError, match=r"^beta \(1, 1, 1\) is not a CurveClass$"):
         curves.tree_for_class(p2, (1, 1, 1))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from toricqh import lattice
-from toricqh.errors import NonUnimodular, RingInconsistent
+from toricqh.errors import NonUnimodular
 
 
 def mat_mul(a, b):
@@ -30,31 +30,12 @@ def test_echelon_rank_matches_rational_rank(ref_rational_rank):
             assert min(row) == col and row[col] > 0
 
 
-def test_echelon_solve_kills_every_row():
-    # an integral system: the free columns are a Z-basis of the quotient
-    rows = [[1, 2, 0, 3], [0, 1, 1, 1], [1, 3, 1, 4]]
-    ech = lattice.Echelon()
-    for row in rows:
-        ech.insert(dict(enumerate(row)))
-    assert sorted(ech.rows) == [0, 1]
-    values = ech.solve({2: {"a": 1}, 3: {"b": 1}})
-    assert values[0] == {"a": 2, "b": -1} and values[1] == {"a": -1, "b": -1}
-    assert all(type(x) is int for v in values.values() for x in v.values())
-    for row in rows:
-        total = {}
-        for j, r in enumerate(row):
-            for k, x in values[j].items():
-                total[k] = total.get(k, 0) + r * x
-        assert all(x == 0 for x in total.values())
-
-
-def test_echelon_solve_refuses_an_inexact_division():
-    # pivot 2 on column 1: back substitution would need a half
-    ech = lattice.Echelon()
-    for row in ([1, 2, 0, 3], [0, 2, 1, 1]):
-        ech.insert(dict(enumerate(row)))
-    with pytest.raises(RingInconsistent, match="not exact"):
-        ech.solve({2: {"a": 1}, 3: {"b": 1}})
+def test_integer_inverse_refuses_an_inexact_division():
+    # pivot 2 on column 1 of [m | -I]: back substitution would need a half
+    with pytest.raises(NonUnimodular, match="determinant is not"):
+        lattice.integer_inverse([[1, 2], [0, 2]])
+    with pytest.raises(NonUnimodular, match="determinant is not"):
+        lattice.integer_inverse([[1, 2, 0], [0, 2, 1], [0, 0, 1]])
 
 
 def test_integer_inverse_round_trip():
