@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import groupby
 from typing import NamedTuple, Optional, Sequence
 
 from . import fan as fan_mod
@@ -198,6 +199,10 @@ class _CohomologyRing:
             raise RingInconsistent("shelling census lost uniqueness at the ends")
         self.top_index = tops[0]
         self.unit_index = zeros[0]
+        # each maximal cone's shelling position, and the faces of each degree,
+        # which the face index lists by size: one pass per ring, read by table
+        self.position = {mu: k for k, mu in enumerate(self.shelling.order)}
+        self.faces = {d: list(fs) for d, fs in groupby(fan_mod._face_index(fan), len)}
         # degree -> (quotient dimension, face -> basis index -> coeff), each
         # read off the shelling and certified by every relation among the faces
         self._tables: dict[int, tuple[int, dict[Cone, dict[int, int]]]] = {}
@@ -225,8 +230,8 @@ class _CohomologyRing:
         if len({taus[i] for i in ids}) != len(ids):
             raise RingInconsistent(f"degree {degree}: duplicate tau monomial")
         # each face's interval: the position of the first shelling cone over it
-        position = {mu: k for k, mu in enumerate(order)}
-        interval = {f: min(map(position.__getitem__, index[f])) for f in index if len(f) == degree}
+        position = self.position
+        interval = {f: min(map(position.__getitem__, index[f])) for f in self.faces.get(degree, ())}
         # the faces sigma + l over each (degree - 1)-face sigma, by l; a
         # missing l means sigma + l is no face, and x of it is 0
         up: dict[Cone, dict[int, Cone]] = {}

@@ -278,7 +278,6 @@ class _QuantumRing:
         ]
         self.reduce_memo: dict[Monomial, _Parts] = {}
         self.pair_cache: dict[tuple[int, int], _Parts] = {}
-        self.effective_seen: set[Vector] = set()
         self.curve_keys: dict[Vector, int] = {}
         self.key_curves: dict[int, CurveClass] = {}
         # the packed classes whose pairings fit a key: curve_keys' values
@@ -341,13 +340,16 @@ class _QuantumRing:
             decoded.get(key) or self.curve(key): trusted(coords) for key, coords in parts.items()
         }
 
-    def pack(self, qc: QuantumClass) -> _Parts:
-        """The engine value of an operand.  An unread class of this ring
-        enters as it is, with its zeros pruned; a class of it that no key
-        has fitted before is decoded, and check_curve refuses it if it has
-        left the packing range (a sum of checked classes may).  Any other
-        class enters part by part through check_curve and the cohomology
-        ring's coords."""
+    def pack(self, qc: Multiplicand) -> _Parts:
+        """The engine value of an operand.  A CohomologyClass is a q^0 value:
+        its coordinates, checked by the cohomology ring's coords, are its keys
+        as they are.  An unread class of this ring enters as it is, with its
+        zeros pruned; a class of it that no key has fitted before is decoded,
+        and check_curve refuses it if it has left the packing range (a sum of
+        checked classes may).  Any other class enters part by part through
+        check_curve and coords."""
+        if isinstance(qc, CohomologyClass):
+            return cohomology._ring(self.fan).coords(qc)
         if qc._ring is self:
             flat = qc._flat if all(qc._flat.values()) else _prune(qc._flat)
             bits, fits = self.bits, self.fits
@@ -388,10 +390,8 @@ class _QuantumRing:
         ring = cohomology._ring(self.fan)
         total: _Parts = {}
         for family in self.families(sigma, "no_overlaps"):
+            # a sum of exceptional classes, so effective: no check (reduce says why)
             beta = self.family_class(family)
-            if beta not in self.effective_seen:
-                fan_mod.decompose_effective(self.fan, CurveClass(beta))
-                self.effective_seen.add(beta)
             # the stratum of the face of sigma off beta's pairing-one rays, as
             # its face form, a q^0 engine value
             tau = tuple(i for i in sigma if beta[i] != 1)
@@ -428,7 +428,14 @@ class _QuantumRing:
                 rest.remove(i)
             rest.extend(added)
             # a primitive class is effective by itself (Batyrev: the rhs cone
-            # misses the set), so this q-shift needs no effectivity check
+            # misses the set), so this q-shift needs no effectivity check.  Nor
+            # does a closed form's family class, a sum of exceptional classes:
+            # fano.exceptional_sets builds each exceptional set S' from a
+            # primitive exceptional set, whose class is a primitive class, by
+            # steps S' = S - {h} + P' over relations sum P' = rho_h, and
+            # class(S') = class(S) + class(P'), so every exceptional class is a
+            # sum of primitive classes.  decompose_effective could fail on it
+            # only by its node budget, which would refuse a well-defined product.
             sub = self.reduce(tuple(sorted(rest)), rng, memo)
             result = {k + shift: c for k, c in sub.items()}
         elif support.bit_count() == len(mono):
@@ -463,7 +470,7 @@ class _QuantumRing:
                 raise RingInconsistent(f"the closed form of basis cone {k} has q^0 part {q0}")
         acc = dict(self.reduce(tuple(sorted(taus[i] + taus[j]))))
         # the q-terms of x_i negated, and -b_i against those of x_j; their
-        # classes are closed-form family classes, checked effective there
+        # classes are closed-form family classes, effective (see reduce)
         self.mul({m: -c for m, c in x.items() if not 0 <= m < top}, y, acc)
         self.mul({i: -1}, {m: c for m, c in y.items() if not 0 <= m < top}, acc)
         out = self.pair_cache[key] = _prune(acc)
@@ -608,19 +615,19 @@ def quantum_product(fan: Fan, a: Multiplicand, b: Multiplicand) -> QuantumClass:
     The operands enter through _QuantumRing.pack and multiply through
     _QuantumRing.mul: the left operand is grouped by basis index i, and each
     index's q-polynomial is pushed once through row i of the right operand.
-    An unread class this fan's ring returned enters as it is.  Any other
-    part's curve class is checked as in evaluate_terms (a key that is not a
-    CurveClass: ValueError), and every basis index of a part must name a
-    basis class (IndexOutOfRange).  An operand that is neither a
+    A CohomologyClass enters as its coordinates, and an unread class this
+    fan's ring returned as it is.  Any other part's curve class is checked
+    as in evaluate_terms (a key that is not a CurveClass: ValueError), and
+    every basis index of a part or a CohomologyClass must name a basis
+    class (IndexOutOfRange).  An operand that is neither a
     CohomologyClass nor a QuantumClass is refused with ValueError naming it.
     The product is returned unread.
     """
     ring = _qring(fan)
-    qa = classical(fan, a) if isinstance(a, CohomologyClass) else a
-    qb = classical(fan, b) if isinstance(b, CohomologyClass) else b
-    fan_mod._strict_instance(qa, QuantumClass, "operand a")
-    fan_mod._strict_instance(qb, QuantumClass, "operand b")
-    return ring.to_class(ring.mul(ring.pack(qa), ring.pack(qb), {}))
+    for name, x in (("operand a", a), ("operand b", b)):
+        if not isinstance(x, CohomologyClass):
+            fan_mod._strict_instance(x, QuantumClass, name)
+    return ring.to_class(ring.mul(ring.pack(a), ring.pack(b), {}))
 
 
 def gw3(
