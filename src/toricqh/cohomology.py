@@ -2,8 +2,8 @@
 
 The basis comes from a line shelling of the maximal cones: a generic
 lattice vector orders the cones, and each cone mu_i is cut down to tau_i by
-intersecting with its later facet-neighbors, read off the face index (one
-lookup per facet of mu_i).  The order is closed-form, with
+intersecting with its later facet-neighbors, which the walk plan of the
+fan's complex names, one per facet of mu_i.  The order is closed-form, with
 no search: the key (f . raysum, f_1, ..., f_n) of the cones' point
 functionals f, decreasing lexicographically, which the integer vector
 T^n * raysum + (T^(n-1), ..., T, 1) reproduces once T > 2 max|f|.  It costs
@@ -154,7 +154,8 @@ def shelling(fan: Fan) -> Shelling:
     return _ring(fan).shelling
 
 
-def _compute_shelling(fan: Fan) -> Shelling:
+def _compute_shelling(fan: Fan) -> tuple[Shelling, dict[Cone, int]]:
+    """The shelling, with each maximal cone's position in its order."""
     funcs = {cone: _cone_point_functional(fan, cone) for cone in fan.max_cones}
     if len(set(funcs.values())) != len(funcs):
         raise PreconditionFailed(
@@ -169,14 +170,14 @@ def _compute_shelling(fan: Fan) -> Shelling:
     if any(a <= b for a, b in zip(values, values[1:])):
         raise RingInconsistent(f"perturbation {chosen} ties or misorders two cone pairings")
 
-    # mu keeps ray i unless the cone across the facet opposite i comes later
-    index = fan_mod._face_index(fan)
+    # mu keeps ray i unless the cone across from it in the walk plan comes later
+    across = fan_mod._complex(fan).across
     position = {mu: k for k, mu in enumerate(order)}
     taus = tuple(
-        tuple(i for i in mu if all(position[c] <= k for c in index[tuple(j for j in mu if j != i)]))
+        tuple(i for i, step in zip(mu, across[mu]) if position[step[0]] < k)
         for k, mu in enumerate(order)
     )
-    return Shelling(chosen, tuple(order), taus)
+    return Shelling(chosen, tuple(order), taus), position
 
 
 class _CohomologyRing:
@@ -184,7 +185,7 @@ class _CohomologyRing:
         if fano.classify(fan).tier < fano.Tier.FANO:
             raise NotFano("the stratum basis needs a Fano fan")
         self.fan = fan
-        self.shelling = _compute_shelling(fan)
+        self.shelling, self.position = _compute_shelling(fan)
         self.basis_tau = self.shelling.tau
         if len(self.basis_tau) != len(self.shelling.order):
             raise RingInconsistent(
@@ -199,9 +200,8 @@ class _CohomologyRing:
             raise RingInconsistent("shelling census lost uniqueness at the ends")
         self.top_index = tops[0]
         self.unit_index = zeros[0]
-        # each maximal cone's shelling position, and the faces of each degree,
-        # which the face index lists by size: one pass per ring, read by table
-        self.position = {mu: k for k, mu in enumerate(self.shelling.order)}
+        # the faces of each degree, which the face index lists by size: one
+        # pass per ring, read by table
         self.faces = {d: list(fs) for d, fs in groupby(fan_mod._face_index(fan), len)}
         # degree -> (quotient dimension, face -> basis index -> coeff), each
         # read off the shelling and certified by every relation among the faces

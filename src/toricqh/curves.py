@@ -77,26 +77,22 @@ def min_tree(fan: Fan, mu: Cone, d: int) -> ToricTree:
     edges: list[tuple[Cone, int]] = []
     total = CurveClass((0,) * fan.n_rays)
     current = root
+    across = fan_mod._complex(fan).across  # the cone across each facet
     seen: set[Cone] = set()  # the next cone depends on the current one alone
     while d not in current:
         if current in seen:
             raise LocateFailure(f"wall-crossing walk toward ray {d + 1} runs in a loop")
         seen.add(current)
         coords = fan_mod.coords_in_basis(fan, current, fan.rays[d])
-        drop = None
-        for t, i in enumerate(current):
-            if coords[t] < 0:
-                drop = (i, -coords[t])
-                break
-        if drop is None:
+        t = next((t for t, c in enumerate(coords) if c < 0), None)
+        if t is None:
             raise LocateFailure(
                 f"ray {d + 1} lies inside cone {tuple(i + 1 for i in current)}"
             )
-        wall = tuple(i for i in current if i != drop[0])
-        edges.append((wall, drop[1]))
-        total = total + wall_curve_class(fan, wall).scaled(drop[1])
-        first, second = fan_mod._face_index(fan)[wall]
-        current = first if first != current else second
+        wall = current[:t] + current[t + 1 :]
+        edges.append((wall, -coords[t]))
+        total = total + wall_curve_class(fan, wall).scaled(-coords[t])
+        current = across[current][t][0]
     return ToricTree(root, d, tuple(edges), total, verified)
 
 

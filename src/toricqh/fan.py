@@ -382,10 +382,11 @@ class _Complex(NamedTuple):
     is empty.  across: the walk plan; per maximal cone, per position k, the
     cone across the facet opposite its k-th ray, that cone's other ray and
     the row sources (per position of that cone, the position here of its
-    ray, k for the other ray), None unless the facet lies in two cones.
-    walls: per facet in two cones, in index order, (facet, first, k,
-    second, ray): first's k-th ray is the one off the facet, and ray is
-    second's.  psets: the primitive sets."""
+    ray, k for the other ray), None unless the facet lies in two cones; the
+    inverse walk, the shelling's taus and the tree walk read it.  walls: per
+    facet in two cones, in index order, (facet, first, k, second, ray):
+    first's k-th ray is the one off the facet, and ray is second's.  psets:
+    the primitive sets."""
 
     shape_problems: tuple[str, ...]
     index: dict[Cone, list[Cone]]
@@ -662,14 +663,16 @@ def star(fan: Fan, sigma: Sequence[int]) -> Fan:
 @per_fan
 def _sign_prune(fan: Fan) -> tuple[tuple, tuple]:
     """Per search index k, the rays on which no class of primitive_data[k:]
-    pairs positively, and those on which none pairs negatively."""
-    pdata = primitive_data(fan)
-    nonpos, nonneg = [], []
-    for k in range(len(pdata) + 1):
-        rest = [pd.cls.pairings for pd in pdata[k:]]
-        nonpos.append(tuple(i for i in range(fan.n_rays) if all(p[i] <= 0 for p in rest)))
-        nonneg.append(tuple(i for i in range(fan.n_rays) if all(p[i] >= 0 for p in rest)))
-    return tuple(nonpos), tuple(nonneg)
+    pairs positively, and those on which none pairs negatively; each
+    suffix's lists are filtered from the next's."""
+    nonpos = nonneg = tuple(range(fan.n_rays))
+    table = [(nonpos, nonneg)]
+    for pd in reversed(primitive_data(fan)):
+        p = pd.cls.pairings
+        nonpos = tuple(i for i in nonpos if p[i] <= 0)
+        nonneg = tuple(i for i in nonneg if p[i] >= 0)
+        table.append((nonpos, nonneg))
+    return tuple(zip(*reversed(table)))
 
 
 def decompose_effective(fan: Fan, beta: CurveClass) -> tuple[tuple[PrimitiveData, int], ...]:
@@ -699,7 +702,8 @@ def decompose_effective(fan: Fan, beta: CurveClass) -> tuple[tuple[PrimitiveData
     - Sign prune: a remainder that pairs positively with a divisor no later
       class pairs positively with (or negatively where none pairs
       negatively) is dropped, since a sum of the later classes with
-      nonnegative multiplicities has no such entry.
+      nonnegative multiplicities has no such entry.  Its table is built once
+      per fan in one linear pass, before the node budget starts.
     - Failure memo: a state (index, remainder, degree budget) whose subtree
       held no decomposition is never searched again.
 

@@ -18,6 +18,7 @@ follow from them by substitution, so no subset of the rays is searched.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import IntEnum
 from typing import NamedTuple, Optional, Sequence
 
@@ -59,36 +60,22 @@ def classify(fan: Fan) -> ClassTier:
     """Certify the strongest tier the fan satisfies."""
     fan_mod.require_accepted(fan)
     pdata = fan_mod.primitive_data(fan)
-    head_count: dict[int, int] = {}
-    for pd in pdata:
-        if len(pd.rhs_cone) == 1 and pd.rhs_coeffs[0] == 1:
-            head = pd.rhs_cone[0]
-            head_count[head] = head_count.get(head, 0) + 1
-
+    heads = Counter(pd.rhs_cone[0] for pd in pdata if pd.rhs_coeffs == (1,))
     certs = []
-    fano = sub = full = True
     for pd in pdata:
-        s = sum(pd.rhs_coeffs)
-        if s >= len(pd.set):
-            fano = False
-        if s > 1:
-            sub = False
-        mult = 0
-        if len(pd.rhs_cone) == 1 and pd.rhs_coeffs[0] == 1:
-            mult = head_count[pd.rhs_cone[0]]
-            if mult > 1:
-                full = False
-        certs.append(RelationCertificate(pd.set, s, pd.rhs_cone, mult))
+        mult = heads[pd.rhs_cone[0]] if pd.rhs_coeffs == (1,) else 0
+        certs.append(RelationCertificate(pd.set, sum(pd.rhs_coeffs), pd.rhs_cone, mult))
+    # the ladder's conditions nest, so the fan's tier is its weakest relation's
+    return ClassTier(min(map(_relation_tier, certs), default=Tier.FULL_CLASS), tuple(certs))
 
-    if not fano:
-        tier = Tier.NOT_FANO
-    elif not sub:
-        tier = Tier.FANO
-    elif not full:
-        tier = Tier.SUBVARIETIES_FANO
-    else:
-        tier = Tier.FULL_CLASS
-    return ClassTier(tier, tuple(certs))
+
+def _relation_tier(cert: RelationCertificate) -> Tier:
+    """The strongest tier one relation allows (module docstring)."""
+    if cert.coefficient_sum >= len(cert.pset):
+        return Tier.NOT_FANO
+    if cert.coefficient_sum > 1:
+        return Tier.FANO
+    return Tier.SUBVARIETIES_FANO if cert.rhs_multiplicity > 1 else Tier.FULL_CLASS
 
 
 def check_condition_iii(fan: Fan):

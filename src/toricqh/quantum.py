@@ -42,8 +42,10 @@ p_i * 2^(40 i) with balanced digits; a q-shift is packed << bits, whose
 index is 0, so shifting a key is one integer addition that keeps its index.
 A class is packed once where it enters (_QuantumRing.check_curve, which
 refuses a pairing of size 2^37 or more, or _QuantumRing.pack, which checks
-each class of an unread value once per ring) and decoded once per ring
-(_QuantumRing.curve).
+each class of an unread value once per ring).  Outside mul and pack, one
+reader splits keys: _QuantumRing.split groups a value by packed class for
+decode, quantum_degrees and gw3, and _QuantumRing.curve decodes a class,
+kept in key_curves if its pairings fit a key.
 """
 
 from __future__ import annotations
@@ -278,10 +280,10 @@ class _QuantumRing:
         ]
         self.reduce_memo: dict[Monomial, _Parts] = {}
         self.pair_cache: dict[tuple[int, int], _Parts] = {}
+        # pairings -> packed class, for the classes check_curve passed and
+        # those decoded that fit a key; packed class -> class, for the latter
         self.curve_keys: dict[Vector, int] = {}
         self.key_curves: dict[int, CurveClass] = {}
-        # the packed classes whose pairings fit a key: curve_keys' values
-        self.fits: set[int] = set()
 
     def check_curve(self, beta: CurveClass) -> int:
         """The packed pairings of a class entering the engine, checked once
@@ -298,20 +300,18 @@ class _QuantumRing:
                     " outside the range of the packed q-keys"
                 )
             key = self.curve_keys[beta.pairings] = _pack(beta.pairings)
-            self.fits.add(key)
         return key
 
     def curve(self, key: int) -> CurveClass:
-        """The class of packed pairings (a key >> bits), decoded once per
-        ring.  It sums checked classes: check_curve and pack pass it
-        unchecked if its pairings fit a key."""
+        """The class of packed pairings (a key >> bits).  It sums checked
+        classes: if its pairings fit a key, it is kept in key_curves, decoded
+        once per ring, and check_curve and pack pass it unchecked."""
         beta = self.key_curves.get(key)
         if beta is None:
             pairings = _unpack(key, self.fan.n_rays, self.bias)
-            beta = self.key_curves[key] = CurveClass(pairings)
+            beta = CurveClass(pairings)
             if -_PAIRING_CAP < min(pairings, default=0) and max(pairings, default=0) < _PAIRING_CAP:
-                self.curve_keys[pairings] = key
-                self.fits.add(key)
+                self.curve_keys[pairings], self.key_curves[key] = key, beta
         return beta
 
     def to_class(self, flat: _Parts) -> QuantumClass:
@@ -321,41 +321,46 @@ class _QuantumRing:
         out._parts, out._flat, out._ring = None, flat, self
         return out
 
-    def decode(self, flat: _Parts) -> dict[CurveClass, CohomologyClass]:
-        """The parts of an engine value, zeros dropped, built unchecked:
-        engine coefficients are int or Fraction already.  The keys are
-        grouped by class and each class is decoded once."""
+    def split(self, flat: _Parts) -> dict[int, dict[int, Rational]]:
+        """An engine value by packed class: class -> basis index -> its
+        coefficient, zeros dropped.  Outside mul and pack, the one reader of
+        the key layout."""
         bits, mask = self.bits, self.mask
         parts: dict[int, dict[int, Rational]] = {}
         for k, c in flat.items():
             if c:
-                key = k >> bits
-                coords = parts.get(key)
+                coords = parts.get(k >> bits)
                 if coords is None:
-                    parts[key] = {k & mask: c}
+                    parts[k >> bits] = {k & mask: c}
                 else:
                     coords[k & mask] = c
+        return parts
+
+    def decode(self, flat: _Parts) -> dict[CurveClass, CohomologyClass]:
+        """The parts of an engine value, built unchecked: engine
+        coefficients are int or Fraction already.  Each class is decoded once."""
         decoded, trusted = self.key_curves, CohomologyClass._trusted
         return {
-            decoded.get(key) or self.curve(key): trusted(coords) for key, coords in parts.items()
+            decoded.get(key) or self.curve(key): trusted(coords)
+            for key, coords in self.split(flat).items()
         }
 
     def pack(self, qc: Multiplicand) -> _Parts:
         """The engine value of an operand.  A CohomologyClass is a q^0 value:
         its coordinates, checked by the cohomology ring's coords, are its keys
         as they are.  An unread class of this ring enters as it is, with its
-        zeros pruned; a class of it that no key has fitted before is decoded,
-        and check_curve refuses it if it has left the packing range (a sum of
+        zeros pruned; a class of it not yet in key_curves is decoded, and
+        check_curve refuses it if it has left the packing range (a sum of
         checked classes may).  Any other class enters part by part through
         check_curve and coords."""
         if isinstance(qc, CohomologyClass):
             return cohomology._ring(self.fan).coords(qc)
         if qc._ring is self:
             flat = qc._flat if all(qc._flat.values()) else _prune(qc._flat)
-            bits, fits = self.bits, self.fits
-            for key in {k >> bits for k in flat} - fits:
+            bits, decoded = self.bits, self.key_curves
+            for key in {k >> bits for k in flat}.difference(decoded):
                 beta = self.curve(key)
-                if key not in fits:
+                if key not in decoded:
                     self.check_curve(beta)  # raises PreconditionFailed
             return flat
         flat, bits, basis = {}, self.bits, cohomology._ring(self.fan)
@@ -647,10 +652,9 @@ def gw3(
     for name, cls in zip("abc", (a, b, c)):
         fan_mod._strict_instance(cls, CohomologyClass, f"operand {name}")
     fan_mod.decompose_effective(fan, beta)  # runs fan.curve_class first
-    # beta's q-part off the unread product's keys; every engine class packs one to one
+    # beta's q-part off the unread product; every engine class packs one to one
     packed = _pack(beta.pairings) if all(abs(p) < _HALF_DIGIT for p in beta.pairings) else None
-    ring, flat = _qring(fan), quantum_product(fan, a, b)._flat
-    piece = {k & ring.mask: x for k, x in flat.items() if x and k >> ring.bits == packed}
+    piece = _qring(fan).split(quantum_product(fan, a, b)._flat).get(packed, {})
     return cohomology.integrate(fan, cohomology.cup(fan, CohomologyClass._trusted(piece), c))
 
 
@@ -662,19 +666,8 @@ def quantum_degrees(fan: Fan, qc: QuantumClass) -> set[int]:
     fan_mod._strict_instance(qc, QuantumClass, "qc")
     qring = qc._ring
     if qring is not None and qring.fan == fan:
-        # an unread engine value of this fan: its keys are read as they are
-        bits, mask, codims = qring.bits, qring.mask, [len(tau) for tau in ring.basis_tau]
-        degrees: dict[int, int] = {}  # packed class -> its degree
-        out = set()
-        for k, c in qc._flat.items():
-            if c:
-                d = degrees.get(k >> bits)
-                if d is None:
-                    d = degrees[k >> bits] = qring.curve(k >> bits).degree
-                out.add(d + codims[k & mask])
-        return out
-    out = set()
-    for beta, cls in qc.parts.items():
-        for i in ring.coords(cls):
-            out.add(beta.degree + len(ring.basis_tau[i]))
-    return out
+        # an unread engine value of this fan, read by class as it is
+        parts = ((qring.curve(key).degree, coords) for key, coords in qring.split(qc._flat).items())
+    else:
+        parts = ((beta.degree, ring.coords(cls)) for beta, cls in qc.parts.items())
+    return {d + len(ring.basis_tau[i]) for d, coords in parts for i in coords}

@@ -68,7 +68,7 @@ def _reference_shelling(fan):
 
 
 def _check_against_reference(fan, label):
-    s = coho._compute_shelling(fan)
+    s, _ = coho._compute_shelling(fan)
     order, taus, funcs = _reference_shelling(fan)
     assert (s.order, s.tau) == (order, taus), label
     values = [lattice.dot(funcs[c], s.perturbation) for c in s.order]
@@ -104,6 +104,35 @@ def test_shelling_matches_reference_sort_on_gl_images(corpus, p3, bundle3, gl_im
             _check_against_reference(image, (name, image))
             checked += 1
     assert checked == 20 * 8
+
+
+def _face_index_taus(fan, order):
+    """Reference taus: mu keeps ray i unless a maximal cone over the facet
+    opposite i, looked up in the face index, comes later in the order."""
+    index = fan_mod._face_index(fan)
+    position = {mu: k for k, mu in enumerate(order)}
+    return tuple(
+        tuple(i for i in mu if all(position[c] <= k for c in index[tuple(j for j in mu if j != i)]))
+        for k, mu in enumerate(order)
+    )
+
+
+def test_shelling_taus_match_the_face_index(corpus, threefolds, fano_threefolds, gl_image):
+    # the taus come from the complex's walk plan, and the position map comes
+    # with the order; the corpus, the threefolds, the blow-up threefolds and
+    # the products, each with two seeded GL(n, Z) images
+    fans = {**corpus, **threefolds, **fano_threefolds}
+    for name, factors in PRODUCT_FACTORS.items():
+        fans[name] = catalog.product(*(make() for make in factors))
+    for name, fan in list(fans.items()):
+        rng = random.Random(name)
+        fans[name + "'"] = gl_image(fan, rng)
+        fans[name + "''"] = gl_image(fan, rng)
+    for name, fan in fans.items():
+        s, position = coho._compute_shelling(fan)
+        assert position == {mu: k for k, mu in enumerate(s.order)}, name
+        assert s.tau == _face_index_taus(fan, s.order), name
+    assert len(fans) == 3 * 30
 
 
 @pytest.mark.parametrize(
@@ -449,7 +478,7 @@ _TAMPERED_SHELLING = textwrap.dedent(
 
     fan = catalog.blowup_p2_one()
     compute_shelling = cohomology._compute_shelling
-    good = compute_shelling(fan)
+    good, position = compute_shelling(fan)
     if good.tau != ((), (1,), (2,), (1, 2)):
         sys.exit("the bl1p2 shelling moved: " + repr(good.tau))
     tampered = {
@@ -459,7 +488,7 @@ _TAMPERED_SHELLING = textwrap.dedent(
         "ends": ((), (0,), (2,), (0,)),
     }
     for name, tau in tampered.items():
-        cohomology._compute_shelling = lambda f, tau=tau: good._replace(tau=tau)
+        cohomology._compute_shelling = lambda f, tau=tau: (good._replace(tau=tau), position)
         clear_caches()
         try:
             for d in range(fan.dim + 1):
@@ -495,14 +524,14 @@ _TAMPERED_SHELLING = textwrap.dedent(
     # (2, 3) of its interval needs (1, 3), which is not later; tau_2 = (0,)
     # is no face of its interval, so degree 1 gets one basis face for two taus
     p3 = catalog.projective_space(3)
-    good = compute_shelling(p3)
+    good, position = compute_shelling(p3)
     if good.tau != ((), (3,), (2, 3), (1, 2, 3)):
         sys.exit("the p3 shelling moved: " + repr(good.tau))
     for name, tau, degree in [
         ("not later", ((), (0,), (3,), (1, 2, 3)), 2),
         ("census", ((), (3,), (0,), (1, 2, 3)), 1),
     ]:
-        cohomology._compute_shelling = lambda f, tau=tau: good._replace(tau=tau)
+        cohomology._compute_shelling = lambda f, tau=tau: (good._replace(tau=tau), position)
         clear_caches()
         try:
             cohomology.degree_dimension(p3, degree)

@@ -1,10 +1,10 @@
 import inspect
 import json
 import random
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from conftest import _ref_solve_columns
 
 import toricqh
 from toricqh import catalog, clear_caches, cohomology, curves, fan as fan_mod, fano, lattice, quantum
@@ -12,7 +12,6 @@ from toricqh.errors import (
     DimensionMismatch,
     FanNotAccepted,
     IndexOutOfRange,
-    LocateFailure,
     NotACone,
     NotEffective,
     NotFano,
@@ -468,32 +467,14 @@ def test_primitive_relation_refuses_non_int_indices(p2, bad):
         fan_mod.primitive_relation(p2, (bad, 1, 2))
 
 
-def ref_fraction_solve(columns, target):
-    """Exact x with sum_j x_j * columns[j] == target for independent
-    columns, by Gauss-Jordan over Fraction; None when there is none."""
-    k = len(columns)
-    rows = [[Fraction(c[i]) for c in columns] + [Fraction(t)] for i, t in enumerate(target)]
-    for col in range(k):
-        piv = next(r for r in range(col, len(rows)) if rows[r][col])
-        rows[col], rows[piv] = rows[piv], rows[col]
-        rows[col] = [x / rows[col][col] for x in rows[col]]
-        for r in range(len(rows)):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    if any(row[k] for row in rows[k:]):
-        return None
-    return [rows[i][k] for i in range(k)]
-
-
 def ref_primitive_relation(fan, pset):
     """The relation found by scanning every cone, by dimension and then
     lexicographically, for the first that holds the ray sum of pset in its
-    relative interior."""
+    relative interior, solved over Fraction (a face's rays are independent)."""
     total = [sum(fan.rays[i][t] for i in pset) for t in range(fan.dim)]
     faces = {f for cone in fan.max_cones for k in range(fan.dim + 1) for f in combinations(cone, k)}
     for face in sorted(faces, key=lambda f: (len(f), f)):
-        coeffs = ref_fraction_solve([fan.rays[i] for i in face], total)
+        coeffs = _ref_solve_columns([fan.rays[i] for i in face], total)
         if coeffs is not None and all(c > 0 for c in coeffs):
             assert all(c.denominator == 1 for c in coeffs), (pset, face)
             pairings = [1 if i in pset else 0 for i in range(fan.n_rays)]
@@ -715,8 +696,9 @@ def test_decompose_effective_rejects(p2, p1xp1):
 
 
 def _exhaustive_decompose(fan, beta):
-    """The effectivity search without prune, memo or budget: the reference
-    the pruned search must match tuple for tuple."""
+    """The effectivity search without prune, memo or budget, its greedy half
+    _one_step_greedy: the reference the pruned search must match tuple for
+    tuple."""
     fan_mod.require_accepted(fan)
     if len(beta.pairings) != fan.n_rays:
         raise NotEffective("pairing vector length does not match the ray count")
@@ -726,25 +708,7 @@ def _exhaustive_decompose(fan, beta):
     pdata = fan_mod.primitive_data(fan)
     negatives = tuple(i for i, b in enumerate(beta.pairings) if b < 0)
     if fan_mod.is_cone(fan, negatives):
-        counts = {}
-        current = list(beta.pairings)
-        guard = 0
-        while any(x != 0 for x in current):
-            guard += 1
-            if guard > 10_000:
-                raise LocateFailure("greedy decomposition failed to terminate")
-            positives = {i for i, b in enumerate(current) if b > 0}
-            chosen = None
-            for pd in pdata:
-                if set(pd.set).issubset(positives):
-                    chosen = pd
-                    break
-            if chosen is None:
-                raise NotEffective("no primitive set lies in the positive support")
-            counts[chosen.set] = counts.get(chosen.set, 0) + 1
-            current = [x - y for x, y in zip(current, chosen.cls.pairings)]
-        by_set = {pd.set: pd for pd in pdata}
-        return tuple((by_set[s], c) for s, c in sorted(counts.items()))
+        return _one_step_greedy(fan, beta)
 
     degree = beta.degree
     crude_cap = sum(abs(b) for b in beta.pairings) + 4
@@ -858,6 +822,30 @@ def test_decompose_effective_is_not_bounded_by_recursion_depth():
     for pd, count in found:
         total = total + pd.cls.scaled(count)
     assert total == beta
+
+
+def _per_suffix_sign_prune(fan):
+    """Reference for fan._sign_prune: each suffix of the primitive classes
+    scanned on its own, for the rays none of them pairs positively with and
+    those none pairs negatively with."""
+    pdata = fan_mod.primitive_data(fan)
+    nonpos, nonneg = [], []
+    for k in range(len(pdata) + 1):
+        rest = [pd.cls.pairings for pd in pdata[k:]]
+        nonpos.append(tuple(i for i in range(fan.n_rays) if all(p[i] <= 0 for p in rest)))
+        nonneg.append(tuple(i for i in range(fan.n_rays) if all(p[i] >= 0 for p in rest)))
+    return tuple(nonpos), tuple(nonneg)
+
+
+def test_sign_table_matches_the_per_suffix_scan(corpus, f2, p3):
+    # built in one backward pass; F2 and the blown-up planes are not Fano,
+    # and the 60-ray plane has 1710 primitive classes
+    p1 = catalog.projective_space(1)
+    fans = [*corpus.values(), f2, p3, catalog.product(catalog.blowup_p2_three(), p1)]
+    fans += [_blown_up_plane(m) for m in (7, 10, 14, 60)]
+    for fan in fans:
+        assert fan_mod._sign_prune(fan) == _per_suffix_sign_prune(fan), fan
+    assert len(fan_mod._sign_prune(fans[-1])[0]) == 1711
 
 
 def test_decompose_effective_node_budget(p2, bl1p2, bl3p2, monkeypatch):
