@@ -30,6 +30,15 @@ is an int (the strata are a Z-basis).  A face that does not contain tau_i,
 a face needed that is not later, and a relation that does not vanish each
 raise RingInconsistent.  Other monomials are rewritten by
 `_CohomologyRing.form`.
+
+Inside a rewrite, here and in the quantum ring, a monomial is one int, its
+packed form (`_CohomologyRing.pack`): the exponent of D_i sits in the field of
+_FIELD_BITS bits at bit _FIELD_BITS * i.  Packing is additive, so trading
+divisors is one integer addition.  A field's exponent is never above
+MAX_REWRITE_DEGREE (see there), and the tests on a packed monomial need
+that: adding 2^(_FIELD_BITS - 1) - t to a field sets its top bit exactly
+when its exponent is at least t (t = 1 for the support, 2 for a repeated
+divisor), with no carry into the next field.
 """
 
 from __future__ import annotations
@@ -46,6 +55,37 @@ from .fan import Cone, Fan
 
 Monomial = tuple[int, ...]  # sorted divisor indices with multiplicity
 Rational = int | Fraction  # a coefficient: int unless a caller supplied a Fraction
+
+# Highest monomial degree the quantum rewrite's entry points accept, and so the
+# highest exponent of a packed monomial: no rewrite step raises the degree,
+# and a classical form's monomials have degree at most n, far below 128 for
+# any fan whose face index (2^n faces per maximal cone) fits in memory.
+# The rewrite recurses once per step; its depth, measured over the corpus,
+# P^3 and the products of the benchmark, is at most 2.75 times the degree (1x
+# on P^n, 2.4x on Bl3P^2 for a pure power), so 128 keeps it near 350 frames,
+# well under the default recursion limit of 1000.  The benchmark rewrites up
+# to degree 4n = 20.  One call expands each distinct sub-monomial once, under
+# a random strategy too, so its time follows the number of sub-monomials and
+# the size of their q-parts, not the number of rewrite paths.  In process on
+# a shared 2-vCPU box (Python 3.11.7, cold caches), D1^18 on Bl3P^2 takes
+# 0.09-0.15 s deterministic and 0.07-0.12 s under a random strategy, and D1^32
+# takes 1.5-2.3 s and 0.8-1.3 s, nearly all of it in q-part arithmetic; so the
+# cap bounds the depth, not the time.
+MAX_REWRITE_DEGREE = 128
+# The width of an exponent field: the least with MAX_REWRITE_DEGREE + (2^(w-1) - 1)
+# below 2^w, so a mask test adds at most 2^(w-1) - 1 to an exponent of at most
+# MAX_REWRITE_DEGREE and the field cannot carry; 8 bits for 128.
+_FIELD_BITS = (MAX_REWRITE_DEGREE - 1).bit_length() + 1
+
+
+def _rays(mask: int) -> list[int]:
+    """The rays whose field top bits a mask sets, increasing."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append((low.bit_length() - 1) // _FIELD_BITS)
+        mask -= low
+    return out
 
 
 def _strict_rational(c, what: str) -> Rational:
@@ -206,9 +246,22 @@ class _CohomologyRing:
         # degree -> (quotient dimension, face -> basis index -> coeff), each
         # read off the shelling and certified by every relation among the faces
         self._tables: dict[int, tuple[int, dict[Cone, dict[int, int]]]] = {}
-        self._forms: dict[Monomial, dict[int, int]] = {}
+        # packed monomial -> its coordinates, filled by form
+        self._forms: dict[int, dict[int, int]] = {}
         # (mu, i) -> linear_row(mu, i), filled on first use
         self._linear_rows: dict[tuple[Cone, int], tuple[tuple[int, int], ...]] = {}
+        # the packed D_i; the top bit of every field; and what, added to a
+        # packed monomial, sets a field's top bit where its exponent is >= 1,
+        # resp. >= 2 (module docstring)
+        self.units = [1 << (_FIELD_BITS * i) for i in range(fan.n_rays)]
+        ones = sum(self.units)
+        self.high = ones << (_FIELD_BITS - 1)
+        self.at_least_one = self.high - ones
+        self.at_least_two = self.at_least_one - ones
+        # support mask (the top bits of a packed monomial's nonzero fields) ->
+        # (its rays, the maximal cones over them, empty if they span no cone),
+        # filled on first use
+        self._supports: dict[int, tuple[Cone, list[Cone]]] = {}
 
     def coords(self, cls: CohomologyClass, what: str = "class") -> dict[int, Rational]:
         """The coordinates of cls, once it is a CohomologyClass (else
@@ -302,41 +355,50 @@ class _CohomologyRing:
             row = self._linear_rows[mu, i] = tuple((j, c) for j, c in pairs if c)
         return row
 
-    def linear_step(self, mono: Monomial, rng=None) -> list[tuple[Monomial, int]]:
-        """Rewrite a sorted monomial on a cone with a repeated D_i by the
-        linear_row of i in a maximal cone mu over the support: every result
-        has one more support ray.  The first repeated i and the first such mu
-        are taken, unless rng draws i, then mu."""
-        support = tuple(dict.fromkeys(mono))
-        above = fan_mod._face_index(self.fan)[support]
-        # the repeated divisors, in order, from the adjacent duplicates
-        repeated = (a for a, b in zip(mono, mono[1:]) if a == b)
-        if rng is None:
-            i, mu = next(repeated), above[0]
-        else:
-            i = rng.choice(tuple(dict.fromkeys(repeated)))
-            mu = rng.choice(above)
-        rest = list(mono)
-        rest.remove(i)
-        return [(tuple(sorted(rest + [j])), c) for j, c in self.linear_row(mu, i)]
+    def pack(self, mono: Sequence[int]) -> int:
+        """The packed form of a monomial given by its divisor indices, in any
+        order, of degree at most MAX_REWRITE_DEGREE."""
+        units = self.units
+        return sum(units[i] for i in mono)
 
-    def form(self, mono: Monomial) -> dict[int, int]:
-        """Coordinates of a sorted monomial of degree at most n, memoized; each
-        linear step lowers degree minus support size, so at most n steps."""
-        out = self._forms.get(mono)
+    def support(self, key: int) -> tuple[Cone, list[Cone]]:
+        """The support of a packed monomial, as a sorted cone key, with the
+        maximal cones over it (empty if it spans no cone)."""
+        mask = (key + self.at_least_one) & self.high
+        entry = self._supports.get(mask)
+        if entry is None:
+            rays = tuple(_rays(mask))
+            entry = self._supports[mask] = (rays, fan_mod._face_index(self.fan).get(rays, []))
+        return entry
+
+    def linear_step(self, key: int, i: int, mu: Cone) -> list[tuple[int, int]]:
+        """The packed monomial with one D_i traded by the linear_row of i in
+        a maximal cone mu over its support: each result, one addition, has a
+        D_j off mu in place of the D_i, so one more support ray if D_i was
+        repeated.  The one linear step of form and the quantum rewrite."""
+        units = self.units
+        key -= units[i]
+        return [(key + units[j], c) for j, c in self.linear_row(mu, i)]
+
+    def form(self, key: int) -> dict[int, int]:
+        """Coordinates of a packed monomial of degree at most n, memoized; each
+        linear step (the lowest repeated ray, in the first maximal cone over
+        the support) lowers degree minus support size, so at most n steps."""
+        out = self._forms.get(key)
         if out is None:
-            support = tuple(dict.fromkeys(mono))
-            if support not in fan_mod._face_index(self.fan):
+            rays, above = self.support(key)
+            repeated = (key + self.at_least_two) & self.high
+            if not above:
                 out = {}
-            elif len(support) == len(mono):
-                out = self.table(len(mono))[1][mono]
+            elif not repeated:
+                out = self.table(len(rays))[1][rays]
             else:
                 acc: dict[int, int] = {}
-                for sub, c in self.linear_step(mono):
+                for sub, c in self.linear_step(key, _rays(repeated)[0], above[0]):
                     for k, v in self.form(sub).items():
                         acc[k] = acc.get(k, 0) + c * v
                 out = {k: v for k, v in acc.items() if v}
-            self._forms[mono] = out
+            self._forms[key] = out
         return out
 
     def quotient_dimension(self, degree: int) -> int:
@@ -345,11 +407,11 @@ class _CohomologyRing:
     def normal_form(self, poly: Mapping[Monomial, Rational]) -> CohomologyClass:
         coords: dict[int, Rational] = {}
         for mono, coeff in poly.items():
-            key = tuple(sorted(fan_mod._ray_indices(self.fan, mono, "divisor index")))
+            indices = fan_mod._ray_indices(self.fan, mono, "divisor index")
             coeff = _strict_rational(coeff, "coefficient")
-            if coeff == 0 or len(key) > self.fan.dim:
+            if coeff == 0 or len(indices) > self.fan.dim:
                 continue
-            for i, c in self.form(key).items():
+            for i, c in self.form(self.pack(indices)).items():
                 coords[i] = coords.get(i, 0) + coeff * c
         return CohomologyClass(coords)
 

@@ -6,19 +6,30 @@ are rewritten to normal form: a monomial whose support contains a primitive
 set trades it for the relation's right side at the cost of a q-shift, a
 repeated divisor is eliminated through the dual-basis linear relation of a
 containing cone, and a square-free monomial supported on a cone is
-evaluated in closed form through the exceptional-set expansion.  One call
-expands each distinct monomial once under every strategy: the deterministic
-one shares the ring's rewrite memo across calls, a random one gets a fresh
-memo per call, and a cone monomial's closed form goes into the shared memo
-whatever the strategy (it leaves no free choice).  A step reads per-fan
-tables: each primitive set as a bitmask of its rays, tested against the
-monomial's support, and the linear rows of the cohomology ring
-(_CohomologyRing.linear_row), filled on first use.  The ring is built only
-on FullClass fans, where the paper's formulas hold: below Fano it raises
-NotFano, below FullClass NotInClass, a NotInTier (there a ray may head two
-primitive relations and the rewrite is not confluent).  Every field of the
-ring is a memo of a function of the fan and its key, so no result depends
-on what ran before it.  One kernel, _QuantumRing.mul, multiplies engine
+evaluated in closed form through the exceptional-set expansion.  Inside the
+rewrite a monomial is one int, packed by the cohomology ring
+(_CohomologyRing.pack): the exponent of D_i in the field of 8 bits at bit
+8 i.  The entry points pack once; a primitive-set step adds the set's
+delta (the packed rhs less the packed set), and the linear step, which the
+classical forms share (_CohomologyRing.linear_step), adds one packed D_j - D_i
+per entry of a linear row.  The tests are mask arithmetic: adding 127 to
+every field sets a field's top bit where its exponent is >= 1 (the support,
+which contains a primitive set where it holds the top bits of the set's
+fields), and adding 126 where it is >= 2 (a repeated divisor).  No field
+carries: the rewrite never raises the degree, so every exponent is at most
+MAX_REWRITE_DEGREE = 128, and 128 + 127 < 2^8.  One call expands each
+distinct monomial once under every strategy: the deterministic one shares
+the ring's rewrite memo, keyed by the packed monomial, across calls, a
+random one gets a fresh memo per call and draws only where a step has more
+than one option, and a cone monomial's closed form goes into the shared memo
+whatever the strategy (it leaves no free choice).  The linear rows of the
+cohomology ring (_CohomologyRing.linear_row) and its lookup from a support
+mask to the maximal cones over the support are filled on first use.  The
+ring is built only on FullClass fans, where the paper's formulas hold: below
+Fano it raises NotFano, below FullClass NotInClass, a NotInTier (there a
+ray may head two primitive relations and the rewrite is not confluent).
+Every field of the ring is a memo of a function of the fan and its key, so
+no result depends on what ran before it.  One kernel, _QuantumRing.mul, multiplies engine
 values: it pushes the q-polynomial of each basis index i of its left operand
 through row i of its right operand, the sum of c_j q^beta_j (b_i * b_j) over
 its entries; an index with a single q-part adds its pair products straight
@@ -54,7 +65,7 @@ from itertools import combinations
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import cohomology, fan as fan_mod, fano
-from .cohomology import CohomologyClass, Monomial, Rational
+from .cohomology import MAX_REWRITE_DEGREE, CohomologyClass, Monomial, Rational
 from .errors import NotFano, NotInClass, PreconditionFailed, RingInconsistent
 from .fan import Cone, CurveClass, Fan, PrimitiveData, Vector
 
@@ -198,27 +209,18 @@ _HALF_DIGIT = 1 << (_DIGIT_BITS - 1)
 _DIGIT_MASK = (1 << _DIGIT_BITS) - 1
 _PAIRING_CAP = 1 << 37
 
-# Highest monomial degree the public rewrite entry points accept.  The
-# rewrite recurses once per step; its depth, measured over the corpus, P^3
-# and the products of the benchmark, is at most 2.75 times the degree (1x on
-# P^n, 2.4x on Bl3P^2 for a pure power), so 128 keeps it near 350 frames,
-# well under the default recursion limit of 1000.  The benchmark rewrites up
-# to degree 4n = 20.  One call expands each distinct sub-monomial once, under
-# a random strategy too, so its time follows the number of sub-monomials and
-# the size of their q-parts, not the number of rewrite paths: D1^18 on
-# Bl3P^2 takes about 0.1 s either way, but D1^32 already takes about 2 s
-# (Python 3.11.7), so the cap bounds the depth, not the time.
-MAX_REWRITE_DEGREE = 128
-
-
-def _check_monomial(fan: Fan, monomial: Sequence[int]) -> Monomial:
-    """The sorted monomial, once its degree is at most MAX_REWRITE_DEGREE
-    and its indices pass fan._ray_indices (nothing is coerced)."""
+def _check_monomial(fan: Fan, monomial: Sequence[int]) -> tuple[int, ...]:
+    """The monomial's divisor indices, once it is a tuple or list (ValueError
+    naming it: a mapping, a string, bytes or an iterator is not read as one),
+    its degree is at most MAX_REWRITE_DEGREE and its indices pass
+    fan._ray_indices (nothing is coerced)."""
+    if not isinstance(monomial, (tuple, list)):
+        raise ValueError(f"monomial {monomial!r} is not a tuple or list of divisor indices")
     if len(monomial) > MAX_REWRITE_DEGREE:
         raise PreconditionFailed(
             f"monomial of degree {len(monomial)} is above the rewrite cap {MAX_REWRITE_DEGREE}"
         )
-    return tuple(sorted(fan_mod._ray_indices(fan, monomial, "divisor index")))
+    return fan_mod._ray_indices(fan, monomial, "divisor index")
 
 
 def _key_bits(size: int) -> int:
@@ -262,23 +264,25 @@ class _QuantumRing:
         if tier < fano.Tier.FULL_CLASS:
             raise NotInClass("the quantum ring needs a FullClass fan")
         self.fan = fan
+        self.cring = cring = cohomology._ring(fan)
         # the basis has one class per maximal cone (a shelling cuts one tau
         # from each), so its indices fit the low bits of a key
         self.bits = _key_bits(len(fan.max_cones))
         self.mask = (1 << self.bits) - 1
         self.bias = _pack((_HALF_DIGIT,) * fan.n_rays)
-        # the rewrite's step per primitive set: its rays as a bitmask, the
-        # set, the rhs divisors with multiplicity and the q-shift
+        # the rewrite's step per primitive set: the set's support mask (a
+        # packed monomial contains the set where its own support mask holds
+        # it), the packed rhs less the packed set, and the q-shift
         self.pdata = [
             (
-                sum(1 << i for i in pd.set),
-                pd.set,
-                tuple(j for j, a in zip(pd.rhs_cone, pd.rhs_coeffs) for _ in range(a)),
+                (cring.pack(pd.set) + cring.at_least_one) & cring.high,
+                sum(a * cring.units[j] for j, a in zip(pd.rhs_cone, pd.rhs_coeffs)) - cring.pack(pd.set),
                 _pack(pd.cls.pairings) << self.bits,
             )
             for pd in fan_mod.primitive_data(fan)
         ]
-        self.reduce_memo: dict[Monomial, _Parts] = {}
+        # packed monomial -> its normal form, closed forms included
+        self.reduce_memo: dict[int, _Parts] = {}
         self.pair_cache: dict[tuple[int, int], _Parts] = {}
         # pairings -> packed class, for the classes check_curve passed and
         # those decoded that fit a key; packed class -> class, for the latter
@@ -354,7 +358,7 @@ class _QuantumRing:
         checked classes may).  Any other class enters part by part through
         check_curve and coords."""
         if isinstance(qc, CohomologyClass):
-            return cohomology._ring(self.fan).coords(qc)
+            return self.cring.coords(qc)
         if qc._ring is self:
             flat = qc._flat if all(qc._flat.values()) else _prune(qc._flat)
             bits, decoded = self.bits, self.key_curves
@@ -363,7 +367,7 @@ class _QuantumRing:
                 if key not in decoded:
                     self.check_curve(beta)  # raises PreconditionFailed
             return flat
-        flat, bits, basis = {}, self.bits, cohomology._ring(self.fan)
+        flat, bits, basis = {}, self.bits, self.cring
         for beta, cls in qc.parts.items():
             shift = self.check_curve(beta) << bits
             for i, c in basis.coords(cls).items():
@@ -389,10 +393,11 @@ class _QuantumRing:
 
     def closed_form(self, sigma: Cone) -> _Parts:
         # reduce's memo: a cone monomial leaves no free choice, so its entry serves every strategy
-        cached = self.reduce_memo.get(sigma)
+        ring = self.cring
+        key = ring.pack(sigma)
+        cached = self.reduce_memo.get(key)
         if cached is not None:
             return cached
-        ring = cohomology._ring(self.fan)
         total: _Parts = {}
         for family in self.families(sigma, "no_overlaps"):
             # a sum of exceptional classes, so effective: no check (reduce says why)
@@ -400,38 +405,34 @@ class _QuantumRing:
             # the stratum of the face of sigma off beta's pairing-one rays, as
             # its face form, a q^0 engine value
             tau = tuple(i for i in sigma if beta[i] != 1)
-            _add_into(total, ring.form(tau), (-1) ** len(family), _pack(beta) << self.bits)
-        total = self.reduce_memo[sigma] = _prune(total)
+            _add_into(total, ring.form(ring.pack(tau)), (-1) ** len(family), _pack(beta) << self.bits)
+        total = self.reduce_memo[key] = _prune(total)
         return total
 
     def reduce(
         self,
-        mono: Monomial,
+        key: int,
         rng: Optional[random.Random] = None,
-        memo: Optional[dict[Monomial, _Parts]] = None,
+        memo: Optional[dict[int, _Parts]] = None,
     ) -> _Parts:
-        """The normal form of a sorted monomial, memoized in memo: by default
-        reduce_memo for the deterministic strategy and a fresh dict for a
-        random one (reduce_monomial says why)."""
+        """The normal form of a packed monomial (_CohomologyRing.pack),
+        memoized in memo: by default reduce_memo for the deterministic
+        strategy and a fresh dict for a random one (reduce_monomial says
+        why).  A random strategy draws where a step has more than one
+        option."""
         if memo is None:
             memo = self.reduce_memo if rng is None else {}
-        cached = memo.get(mono)
+        cached = memo.get(key)
         if cached is not None:
             return cached
-        support = 0
-        for i in mono:
-            support |= 1 << i
+        ring = self.cring
+        support = (key + ring.at_least_one) & ring.high
         if rng is None:
             step = next((p for p in self.pdata if support & p[0] == p[0]), None)
         else:
             contained = [p for p in self.pdata if support & p[0] == p[0]]
-            step = rng.choice(contained) if contained else None
+            step = contained[0] if len(contained) == 1 else rng.choice(contained) if contained else None
         if step is not None:
-            _, removed, added, shift = step
-            rest = list(mono)
-            for i in removed:
-                rest.remove(i)
-            rest.extend(added)
             # a primitive class is effective by itself (Batyrev: the rhs cone
             # misses the set), so this q-shift needs no effectivity check.  Nor
             # does a closed form's family class, a sum of exceptional classes:
@@ -441,16 +442,23 @@ class _QuantumRing:
             # class(S') = class(S) + class(P'), so every exceptional class is a
             # sum of primitive classes.  decompose_effective could fail on it
             # only by its node budget, which would refuse a well-defined product.
-            sub = self.reduce(tuple(sorted(rest)), rng, memo)
-            result = {k + shift: c for k, c in sub.items()}
-        elif support.bit_count() == len(mono):
-            result = self.closed_form(mono)
+            _, delta, shift = step
+            result = {k + shift: c for k, c in self.reduce(key + delta, rng, memo).items()}
+        elif not (repeated := (key + ring.at_least_two) & ring.high):
+            # square-free, and no primitive set in its support: a cone
+            result = self.closed_form(ring.support(key)[0])
         else:
+            # a repeated D_i on a cone, traded in a maximal cone mu over it:
+            # the lowest i and the first mu, unless rng draws i, then mu
+            rays = cohomology._rays(repeated)
+            i = rays[0] if rng is None or len(rays) == 1 else rng.choice(rays)
+            above = ring.support(key)[1]
+            mu = above[0] if rng is None or len(above) == 1 else rng.choice(above)
             acc: _Parts = {}
-            for sub, c in cohomology._ring(self.fan).linear_step(mono, rng):
+            for sub, c in ring.linear_step(key, i, mu):
                 _add_into(acc, self.reduce(sub, rng, memo), c)
             result = _prune(acc)
-        memo[mono] = result
+        memo[key] = result
         return result
 
     def pair_product(self, i: int, j: int) -> _Parts:
@@ -467,13 +475,14 @@ class _QuantumRing:
         cached = self.pair_cache.get(key)
         if cached is not None:
             return cached
-        taus, top = cohomology.basis_tau(self.fan), 1 << self.bits
+        ring, top = self.cring, 1 << self.bits
+        taus = ring.basis_tau
         x, y = self.closed_form(taus[i]), self.closed_form(taus[j])
         for k, form in ((i, x), (j, y)):
             q0 = {m: c for m, c in form.items() if 0 <= m < top}
             if q0 != {k: 1}:
                 raise RingInconsistent(f"the closed form of basis cone {k} has q^0 part {q0}")
-        acc = dict(self.reduce(tuple(sorted(taus[i] + taus[j]))))
+        acc = dict(self.reduce(ring.pack(taus[i]) + ring.pack(taus[j])))
         # the q-terms of x_i negated, and -b_i against those of x_j; their
         # classes are closed-form family classes, effective (see reduce)
         self.mul({m: -c for m, c in x.items() if not 0 <= m < top}, y, acc)
@@ -551,7 +560,7 @@ def divisor_product_closed_form(fan: Fan, sigma: Sequence[int]) -> QuantumClass:
     sigma the exponent does not meet with pairing one.  Needs the full class.
     """
     ring = _qring(fan)
-    return ring.to_class(ring.reduce(fan_mod._cone_key(fan, sigma), None))
+    return ring.to_class(ring.reduce(ring.cring.pack(fan_mod._cone_key(fan, sigma))))
 
 
 def reduce_monomial(
@@ -577,16 +586,19 @@ def reduce_monomial(
     that depend only on the monomial and make those two choices disagree
     too.  So some strategies disagree exactly when two such strategies do.
 
-    A monomial of degree above MAX_REWRITE_DEGREE is refused with
-    PreconditionFailed, an index that is not an int with ValueError and one
-    that names no ray with IndexOutOfRange.  Below FullClass the rewrite is
+    The monomial is a tuple or list of divisor indices, in any order; any
+    other value (a mapping, a string, bytes, an iterator, None) is refused
+    with ValueError naming it.  A monomial of degree above
+    MAX_REWRITE_DEGREE is refused with PreconditionFailed, an index that is
+    not an int with ValueError and one that names no ray with
+    IndexOutOfRange.  Below FullClass the rewrite is
     not confluent, and NotInClass is raised.
     """
     if rng is not None and not callable(getattr(rng, "choice", None)):
         raise ValueError(f"rng {rng!r} is neither None nor an object with a choice method")
     mono = _check_monomial(fan, monomial)
     ring = _qring(fan)
-    return ring.to_class(ring.reduce(mono, rng))
+    return ring.to_class(ring.reduce(ring.cring.pack(mono), rng))
 
 
 def evaluate_terms(fan: Fan, terms: Sequence[QuantumTerm]) -> QuantumClass:
@@ -606,7 +618,7 @@ def evaluate_terms(fan: Fan, terms: Sequence[QuantumTerm]) -> QuantumClass:
     for term in terms:
         fan_mod._strict_instance(term, QuantumTerm, "term")
         coeff = cohomology._strict_rational(term.coefficient, "coefficient")
-        red = ring.reduce(_check_monomial(fan, term.monomial), None)
+        red = ring.reduce(ring.cring.pack(_check_monomial(fan, term.monomial)))
         _add_into(acc, red, coeff, ring.check_curve(term.curve) << ring.bits)
     return ring.to_class(acc)
 

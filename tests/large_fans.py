@@ -21,7 +21,7 @@ from test_fano import (
     _enumerated_primitive_exceptional_sets,
     _special_reference,
 )
-from test_quantum import _giambelli_pair_product
+from test_quantum import _check_against_the_tuple_rewrite, _giambelli_pair_product, _pair_monomials
 
 from toricqh import catalog, cohomology, quantum
 from toricqh import fan as fan_mod
@@ -76,6 +76,22 @@ def test_d1_32_as_a_chain_of_products_equals_the_rewrite(bl3p2):
     rewritten = time.perf_counter() - start
     assert chain == rewrite
     print(f"\nD1^32 on Bl3P^2: {len(rewrite.parts)} q-parts; product chain {chained:.2f} s, rewrite {rewritten:.2f} s")
+
+
+def test_the_packed_rewrite_of_every_pair_of_bl3xbl3xp1_equals_the_tuple_rewrite(products):
+    # every tau_i + tau_j, deterministic and under three random strategies
+    fan, _ = products["bl3xbl3xp1"]
+    monomials = _pair_monomials(fan)
+    start = time.perf_counter()
+    _check_against_the_tuple_rewrite(fan, monomials)
+    print(f"\n{len(monomials)} pair monomials against the tuple rewrite in {time.perf_counter() - start:.2f} s")
+
+
+def test_the_packed_rewrite_of_d1_powers_equals_the_tuple_rewrite(bl3p2):
+    # D1^k on Bl3P^2 for k <= 32, deterministic and under three random strategies
+    start = time.perf_counter()
+    _check_against_the_tuple_rewrite(bl3p2, [(0,) * k for k in range(1, 33)])
+    print(f"\nD1^1 .. D1^32 on Bl3P^2 against the tuple rewrite in {time.perf_counter() - start:.2f} s")
 
 
 @pytest.mark.parametrize("name", PRODUCTS)

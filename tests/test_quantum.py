@@ -136,6 +136,21 @@ def test_rewrite_refuses_non_int_index(p2, entry):
         fano.special_exceptional_sets(p2, (0, entry))
 
 
+@pytest.mark.parametrize("monomial", [
+    {0: 2}, b"\x00\x01", "", iter([0, 0]), None, 0, range(2), frozenset({0}),
+], ids=["mapping", "bytes", "empty string", "iterator", "None", "int", "range", "frozenset"])
+def test_a_monomial_is_a_tuple_or_list(p2, monomial):
+    # a mapping was read as its keys ({0: 2} gave D1, not D1^2), bytes as
+    # ints (D1 * D2) and "" as the unit; an iterator and None escaped as a
+    # bare TypeError
+    with pytest.raises(ValueError, match="monomial"):
+        quantum.reduce_monomial(p2, monomial)
+    with pytest.raises(ValueError, match="monomial"):
+        quantum.evaluate_terms(p2, [QuantumTerm(quantum.zero_curve(p2), monomial, 1)])
+    # a tuple or a list of the same indices is read as it is
+    assert quantum.reduce_monomial(p2, [0, 0]) == quantum.reduce_monomial(p2, (0, 0))
+
+
 def test_rewrite_degree_cap(p2, deadline):
     # the recursive rewrite would need about 3000 frames for this monomial
     with deadline(1.0):
@@ -512,21 +527,22 @@ def test_audit_still_catches_the_shared_head_defect(shared_head, monkeypatch):
 
 
 def test_a_random_rewrite_expands_each_monomial_once(bl3p2, monkeypatch):
-    # counted, not timed: drawn afresh at every visit, D1^16 took minutes
-    reduce = quantum._QuantumRing.reduce
+    # counted, not timed: drawn afresh at every visit, D1^16 took minutes.
+    # reduce is the recursive core, called once per step on a packed monomial
+    reduce, pack = quantum._QuantumRing.reduce, coho._ring(bl3p2).pack
     expanded = []
 
-    def counted(ring, mono, rng=None, memo=None):
-        if memo is None or mono not in memo:
-            expanded.append(mono)
-        return reduce(ring, mono, rng, memo)
+    def counted(ring, key, rng=None, memo=None):
+        if memo is None or key not in memo:
+            expanded.append(key)
+        return reduce(ring, key, rng, memo)
 
     monkeypatch.setattr(quantum._QuantumRing, "reduce", counted)
     for k in range(2, 19, 4):
         for seed in range(3):
             expanded.clear()
             quantum.reduce_monomial(bl3p2, (0,) * k, random.Random(seed))
-            assert expanded[0] == (0,) * k
+            assert expanded[0] == pack((0,) * k)
             assert len(expanded) == len(set(expanded)), (k, seed)
 
 
@@ -535,6 +551,152 @@ def test_a_random_rewrite_of_a_high_power_agrees(bl3p2, deadline):
         expected = quantum.reduce_monomial(bl3p2, (0,) * 18)
         for seed in range(3):
             assert quantum.reduce_monomial(bl3p2, (0,) * 18, random.Random(seed)) == expected, seed
+
+
+def _tuple_reduce(fan, mono, rng=None, memo=None):
+    """The reference rewrite on sorted tuples of divisor indices: the flat
+    normal form of a sorted monomial, in the engine's key layout; without
+    rng it makes the packed rewrite's choices.  It reads the primitive data, the
+    linear rows, the special-set families and the face tables, and none of
+    the packed code.  A random strategy draws at every choice, a fresh memo
+    per call."""
+    ring, cring = quantum._qring(fan), coho._ring(fan)
+    memo = {} if memo is None else memo
+    cached = memo.get(mono)
+    if cached is not None:
+        return cached
+    support = tuple(dict.fromkeys(mono))
+    contained = [pd for pd in fan_mod.primitive_data(fan) if set(pd.set) <= set(support)]
+    if contained:
+        pd = contained[0] if rng is None else rng.choice(contained)
+        rest = list(mono)
+        for i in pd.set:
+            rest.remove(i)
+        rest.extend(j for j, a in zip(pd.rhs_cone, pd.rhs_coeffs) for _ in range(a))
+        shift = quantum._pack(pd.cls.pairings) << ring.bits
+        result = {k + shift: c for k, c in _tuple_reduce(fan, tuple(sorted(rest)), rng, memo).items()}
+    elif len(support) == len(mono):
+        # the closed form: a signed sum over the families, each a q-shifted face form
+        acc = {}
+        for family in ring.families(mono, "no_overlaps"):
+            beta = ring.family_class(family)
+            tau = tuple(i for i in mono if beta[i] != 1)
+            shift = quantum._pack(beta) << ring.bits
+            for k, c in cring.table(len(tau))[1][tau].items():
+                acc[k + shift] = acc.get(k + shift, 0) + (-1) ** len(family) * c
+        result = {k: c for k, c in acc.items() if c}
+    else:
+        # a repeated D_i traded by its linear row in a maximal cone over the support
+        above = fan_mod._face_index(fan)[support]
+        repeated = tuple(dict.fromkeys(a for a, b in zip(mono, mono[1:]) if a == b))
+        i, mu = (repeated[0], above[0]) if rng is None else (rng.choice(repeated), rng.choice(above))
+        rest = list(mono)
+        rest.remove(i)
+        acc = {}
+        for j, c in cring.linear_row(mu, i):
+            for k, v in _tuple_reduce(fan, tuple(sorted(rest + [j])), rng, memo).items():
+                acc[k] = acc.get(k, 0) + c * v
+        result = {k: c for k, c in acc.items() if c}
+    memo[mono] = result
+    return result
+
+
+def _check_against_the_tuple_rewrite(fan, monomials, seeds=(0, 1, 2)):
+    """The packed rewrite equals the tuple reference on each sorted
+    monomial, deterministic and under each seeded random strategy (both
+    sides drawn from the same seed), coefficient types included."""
+    ring, pack = quantum._qring(fan), coho._ring(fan).pack
+    for mono in monomials:
+        want = _tuple_reduce(fan, mono)
+        got = ring.reduce(pack(mono))
+        assert got == want and _typed(ring.to_class(got)) == _typed(ring.to_class(want)), mono
+        for seed in seeds:
+            assert ring.reduce(pack(mono), random.Random(seed)) == want, (mono, seed)
+            assert _tuple_reduce(fan, mono, random.Random(seed)) == want, (mono, seed)
+
+
+def _pair_monomials(fan):
+    """Every tau_i + tau_j of the basis, i <= j, sorted."""
+    taus = coho.basis_tau(fan)
+    return [tuple(sorted(a + b)) for k, a in enumerate(taus) for b in taus[k:]]
+
+
+def test_the_packed_rewrite_equals_the_tuple_rewrite(corpus, threefolds, fano_threefolds, gl_image):
+    # each FullClass fan and two GL images of it; seeded monomials of degree
+    # n+1 .. 3n and every tau_i + tau_j, the pair products' rewrites
+    rng = random.Random(36)
+    base = {**corpus, **threefolds, **fano_threefolds}
+    checked = 0
+    for name, fan in base.items():
+        if fano.classify(fan).tier < fano.Tier.FULL_CLASS:
+            continue
+        for f in [fan, gl_image(fan, rng), gl_image(fan, rng)]:
+            n, m = f.dim, f.n_rays
+            seeded = [tuple(sorted(rng.randrange(m) for _ in range(d))) for d in range(n + 1, 3 * n + 1)]
+            _check_against_the_tuple_rewrite(f, seeded + _pair_monomials(f))
+            checked += 1
+    # 18 FullClass fans: the corpus's, the threefolds and their blow-ups
+    assert checked == 3 * 18, checked
+
+
+def _fields(key, m):
+    """The m exponent fields of a packed monomial."""
+    w = coho._FIELD_BITS
+    return [key >> (w * i) & ((1 << w) - 1) for i in range(m)]
+
+
+@pytest.mark.parametrize("exponent", [0, 1, 2, 127, 128])
+@pytest.mark.parametrize("field", ["lowest", "highest"])
+def test_packed_fields_hold_their_bounds(bl3p2, exponent, field):
+    # one field at a bound, its neighbours nonzero (the smallest and the
+    # largest exponent, where a carry would show): packing, the support, the
+    # repeated divisors and both kinds of step read each field alone
+    ring, m = coho._ring(bl3p2), bl3p2.n_rays
+    at = 0 if field == "lowest" else m - 1
+    for neighbour in (1, 128):
+        exps = [neighbour] * m
+        exps[at] = exponent
+        key = ring.pack([i for i, e in enumerate(exps) for _ in range(e)])
+        assert key == sum(e << (coho._FIELD_BITS * i) for i, e in enumerate(exps))
+        assert _fields(key, m) == exps
+        rays, above = ring.support(key)
+        assert rays == tuple(i for i, e in enumerate(exps) if e)
+        assert above == fan_mod._face_index(bl3p2).get(rays, [])
+        assert coho._rays((key + ring.at_least_two) & ring.high) == [i for i, e in enumerate(exps) if e >= 2]
+        # a linear step on the field, and a primitive step through it
+        if exponent:
+            mu = fan_mod._face_index(bl3p2)[(at,)][0]
+            for (sub, c), (j, cj) in zip(ring.linear_step(key, at, mu), ring.linear_row(mu, at)):
+                want = list(exps)
+                want[at] -= 1
+                want[j] += 1
+                assert c == cj and _fields(sub, m) == want
+        for (mask, delta, _), pd in zip(quantum._qring(bl3p2).pdata, fan_mod.primitive_data(bl3p2)):
+            if at in pd.set and exponent and all(exps[i] for i in pd.set):
+                assert (key + ring.at_least_one) & ring.high & mask == mask
+                want = list(exps)
+                for i in pd.set:
+                    want[i] -= 1
+                for j, a in zip(pd.rhs_cone, pd.rhs_coeffs):
+                    want[j] += a
+                assert _fields(key + delta, m) == want
+
+
+def test_the_field_width_covers_the_rewrite_cap():
+    # an exponent of at most the cap, plus what a mask test adds, stays in
+    # its field; 8 bits for 128
+    w = coho._FIELD_BITS
+    assert quantum.MAX_REWRITE_DEGREE + (1 << (w - 1)) - 1 < 1 << w
+    assert quantum.MAX_REWRITE_DEGREE >= 1 << (w - 2)
+    assert (quantum.MAX_REWRITE_DEGREE, w) == (128, 8)
+
+
+def test_the_cap_monomial_of_the_last_ray(p2, p1xp1):
+    # the highest field at the cap, against the tuple reference
+    for fan in (p2, p1xp1):
+        cap = (fan.n_rays - 1,) * quantum.MAX_REWRITE_DEGREE
+        _check_against_the_tuple_rewrite(fan, [cap])
+        assert quantum.reduce_monomial(fan, cap) == quantum._qring(fan).to_class(_tuple_reduce(fan, cap))
 
 
 def _oracle_linear_row(fan, mu, i):
@@ -663,7 +825,7 @@ def test_engine_coefficients_are_int(name):
         for form in ring.table(d)[1].values():
             assert all(type(c) is int for c in form.values())
         for mono in combinations_with_replacement(range(fan.n_rays), d):
-            assert all(type(c) is int for c in ring.form(mono).values())
+            assert all(type(c) is int for c in ring.form(ring.pack(mono)).values())
     if fano.classify(fan).tier < fano.Tier.FULL_CLASS:
         return
     basis = [coho.basis_class(fan, i) for i in range(len(coho.basis_tau(fan)))]
