@@ -60,17 +60,19 @@ Rational = int | Fraction  # a coefficient: int unless a caller supplied a Fract
 # highest exponent of a packed monomial: no rewrite step raises the degree,
 # and a classical form's monomials have degree at most n, far below 128 for
 # any fan whose face index (2^n faces per maximal cone) fits in memory.
-# The rewrite recurses once per step; its depth, measured over the corpus,
-# P^3 and the products of the benchmark, is at most 2.75 times the degree (1x
-# on P^n, 2.4x on Bl3P^2 for a pure power), so 128 keeps it near 350 frames,
-# well under the default recursion limit of 1000.  The benchmark rewrites up
-# to degree 4n = 20.  One call expands each distinct sub-monomial once, under
-# a random strategy too, so its time follows the number of sub-monomials and
-# the size of their q-parts, not the number of rewrite paths.  In process on
-# a shared 2-vCPU box (Python 3.11.7, cold caches), D1^18 on Bl3P^2 takes
-# 0.09-0.15 s deterministic and 0.07-0.12 s under a random strategy, and D1^32
-# takes 1.5-2.3 s and 0.8-1.3 s, nearly all of it in q-part arithmetic; so the
-# cap bounds the depth, not the time.
+# The rewrite recurses once per step.  On a power D_i^k of Bl1P^2, Bl2P^2 or
+# Bl3P^2 its depth reaches 3k - 3 (27, 57, 117 and 165 frames at k = 10, 20,
+# 40 and 56, from cold caches, under the deterministic strategy and random
+# ones alike); on P^2 and P^1 x P^1 it is k or k + 1.  So at the cap it is
+# 381 frames, under the default recursion limit of 1000, and a tier-1 test
+# counts it.  The benchmark rewrites up to degree 4n = 20.  One call expands
+# each distinct sub-monomial once, under a random strategy too, so its time
+# follows the number of sub-monomials and the size of their q-parts, not the
+# number of rewrite paths.  In process on a shared 2-vCPU box (Python 3.11.7,
+# cold caches), D1^18 on Bl3P^2 takes 0.03 s deterministic and 0.04 s under a
+# random strategy, D1^32 0.28 s and 0.39-0.53 s, D1^48 1.6 s and D1^64 5.5 s
+# deterministic, nearly all of it in q-part arithmetic; so the cap bounds the
+# depth, not the time, nor the memory (D1^80 peaks at 2.3 GB).
 MAX_REWRITE_DEGREE = 128
 # The width of an exponent field: the least with MAX_REWRITE_DEGREE + (2^(w-1) - 1)
 # below 2^w, so a mask test adds at most 2^(w-1) - 1 to an exponent of at most

@@ -55,18 +55,31 @@ def wall_curve_class(fan: Fan, wall: Cone) -> CurveClass:
     With rho and rho' the generators opposite the wall in its two maximal
     cones, rho + rho' = sum(a_j rho_j) over the wall, and the stratum pairs
     +1 with the opposite divisors and -a_j with the wall divisors.  The two
-    maximal cones come from the face index.
+    maximal cones come from the face index.  The argument is checked on
+    every call; the class, which depends on the fan alone, is solved once
+    per wall and kept in the fan's _wall_classes.
     """
     key = fan_mod._cone_key(fan, wall)
     if len(key) != fan.dim - 1:
         raise NotACone(f"{tuple(i + 1 for i in key)} is not a wall")
-    owners = fan_mod._face_index(fan)[key]
-    rho = next(iter(set(owners[0]) - set(key)))
-    rho2 = next(iter(set(owners[1]) - set(key)))
-    coords = dict(zip(owners[1], fan_mod.coords_in_basis(fan, owners[1], fan.rays[rho])))
-    if coords[rho2] != -1:
-        raise RingInconsistent(f"wall {tuple(i + 1 for i in key)}: crossing is not unimodular")
-    return fan_mod._relation_class(fan, (rho, rho2), ((j, coords[j]) for j in key))
+    known = _wall_classes(fan)
+    cls = known.get(key)
+    if cls is None:
+        owners = fan_mod._face_index(fan)[key]
+        rho = next(iter(set(owners[0]) - set(key)))
+        rho2 = next(iter(set(owners[1]) - set(key)))
+        coords = dict(zip(owners[1], fan_mod.coords_in_basis(fan, owners[1], fan.rays[rho])))
+        if coords[rho2] != -1:
+            raise RingInconsistent(f"wall {tuple(i + 1 for i in key)}: crossing is not unimodular")
+        cls = known[key] = fan_mod._relation_class(fan, (rho, rho2), ((j, coords[j]) for j in key))
+    return cls
+
+
+@fan_mod.per_fan
+def _wall_classes(fan: Fan) -> dict[Cone, CurveClass]:
+    """wall -> the class of its 1-stratum, filled by wall_curve_class once
+    its checks have passed."""
+    return {}
 
 
 def min_tree(fan: Fan, mu: Cone, d: int) -> ToricTree:

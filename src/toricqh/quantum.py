@@ -22,9 +22,20 @@ distinct monomial once under every strategy: the deterministic one shares
 the ring's rewrite memo, keyed by the packed monomial, across calls, a
 random one gets a fresh memo per call and draws only where a step has more
 than one option, and a cone monomial's closed form goes into the shared memo
-whatever the strategy (it leaves no free choice).  The linear rows of the
-cohomology ring (_CohomologyRing.linear_row) and its lookup from a support
-mask to the maximal cones over the support are filled on first use.  The
+whatever the strategy (it leaves no free choice).  A memo value is an entry
+(shift, parts), the normal form q^shift * parts with shift a packed class
+<< bits: a primitive-set step stores its own q-shift plus its target's next
+to the target's very parts, so no step copies a form; the linear step adds
+each sub-result under its shift, a closed form's entry is (0, parts), and an
+entry point copies once, where the shift is nonzero.  The deterministic
+strategy takes the first primitive set its support contains, in
+primitive_data order, else the repeated divisor of least exponent (the
+lowest index on a tie), traded in the first maximal cone over the support;
+the rule reads exponents, not ray labels, so every D_i^k of a fan expands
+alike.  The primitive sets a support mask contains are listed once per ring
+(_QuantumRing.steps), as the linear rows of the cohomology ring
+(_CohomologyRing.linear_row) and its lookup from a support mask to the
+maximal cones over the support are, each filled on first use.  The
 ring is built only on FullClass fans, where the paper's formulas hold: below
 Fano it raises NotFano, below FullClass NotInClass, a NotInTier (there a
 ray may head two primitive relations and the rewrite is not confluent).
@@ -182,6 +193,9 @@ def classical(fan: Fan, cls: CohomologyClass) -> QuantumClass:
 
 
 _Parts = dict[int, Rational]  # (packed curve class << bits) + basis index -> coeff
+# A rewrite entry (shift, parts) stands for q^shift * parts, shift a packed
+# class << bits: a primitive-set step shares its target's parts unshifted
+_Entry = tuple[int, _Parts]
 
 # A key is (c << bits) + i for one basis index i in [0, 2^bits) and one packed
 # class c; a q-shift is (c << bits) with index 0, so adding one to a key moves
@@ -208,6 +222,9 @@ _DIGIT_BITS = 40
 _HALF_DIGIT = 1 << (_DIGIT_BITS - 1)
 _DIGIT_MASK = (1 << _DIGIT_BITS) - 1
 _PAIRING_CAP = 1 << 37
+# the exponent field of a packed monomial (the cohomology module docstring)
+_FIELD_BITS = cohomology._FIELD_BITS
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
 
 def _check_monomial(fan: Fan, monomial: Sequence[int]) -> tuple[int, ...]:
     """The monomial's divisor indices, once it is a tuple or list (ValueError
@@ -251,6 +268,13 @@ def _add_into(acc: _Parts, parts: _Parts, scale: Rational, shift: int = 0) -> No
         acc[k] = acc.get(k, 0) + scale * c
 
 
+def _shifted(entry: _Entry) -> _Parts:
+    """The normal form a rewrite entry stands for: its parts as they are if
+    the shift is zero, else one copy with the shift added to every key."""
+    shift, parts = entry
+    return {k + shift: c for k, c in parts.items()} if shift else parts
+
+
 def _prune(acc: _Parts) -> _Parts:
     """acc without zero coefficients, as every cache holds it."""
     return {k: c for k, c in acc.items() if c}
@@ -281,8 +305,11 @@ class _QuantumRing:
             )
             for pd in fan_mod.primitive_data(fan)
         ]
-        # packed monomial -> its normal form, closed forms included
-        self.reduce_memo: dict[int, _Parts] = {}
+        # support mask -> the steps of the primitive sets it contains, in
+        # pdata order, filled on first use
+        self.steps: dict[int, list[tuple[int, int, int]]] = {}
+        # packed monomial -> its normal form as an entry, closed forms included
+        self.reduce_memo: dict[int, _Entry] = {}
         self.pair_cache: dict[tuple[int, int], _Parts] = {}
         # pairings -> packed class, for the classes check_curve passed and
         # those decoded that fit a key; packed class -> class, for the latter
@@ -392,12 +419,13 @@ class _QuantumRing:
         return out
 
     def closed_form(self, sigma: Cone) -> _Parts:
-        # reduce's memo: a cone monomial leaves no free choice, so its entry serves every strategy
+        # reduce's memo, as the entry (0, parts): a cone monomial leaves no
+        # free choice, so its entry serves every strategy
         ring = self.cring
         key = ring.pack(sigma)
         cached = self.reduce_memo.get(key)
         if cached is not None:
-            return cached
+            return cached[1]
         total: _Parts = {}
         for family in self.families(sigma, "no_overlaps"):
             # a sum of exceptional classes, so effective: no check (reduce says why)
@@ -406,20 +434,21 @@ class _QuantumRing:
             # its face form, a q^0 engine value
             tau = tuple(i for i in sigma if beta[i] != 1)
             _add_into(total, ring.form(ring.pack(tau)), (-1) ** len(family), _pack(beta) << self.bits)
-        total = self.reduce_memo[key] = _prune(total)
+        total = _prune(total)
+        self.reduce_memo[key] = (0, total)
         return total
 
     def reduce(
         self,
         key: int,
         rng: Optional[random.Random] = None,
-        memo: Optional[dict[int, _Parts]] = None,
-    ) -> _Parts:
-        """The normal form of a packed monomial (_CohomologyRing.pack),
-        memoized in memo: by default reduce_memo for the deterministic
-        strategy and a fresh dict for a random one (reduce_monomial says
-        why).  A random strategy draws where a step has more than one
-        option."""
+        memo: Optional[dict[int, _Entry]] = None,
+    ) -> _Entry:
+        """The normal form of a packed monomial (_CohomologyRing.pack), as
+        its entry (shift, parts), memoized in memo: by default reduce_memo
+        for the deterministic strategy and a fresh dict for a random one
+        (reduce_monomial says why).  A random strategy draws where a step
+        has more than one option."""
         if memo is None:
             memo = self.reduce_memo if rng is None else {}
         cached = memo.get(key)
@@ -427,12 +456,10 @@ class _QuantumRing:
             return cached
         ring = self.cring
         support = (key + ring.at_least_one) & ring.high
-        if rng is None:
-            step = next((p for p in self.pdata if support & p[0] == p[0]), None)
-        else:
-            contained = [p for p in self.pdata if support & p[0] == p[0]]
-            step = contained[0] if len(contained) == 1 else rng.choice(contained) if contained else None
-        if step is not None:
+        steps = self.steps.get(support)
+        if steps is None:
+            steps = self.steps[support] = [p for p in self.pdata if support & p[0] == p[0]]
+        if steps:
             # a primitive class is effective by itself (Batyrev: the rhs cone
             # misses the set), so this q-shift needs no effectivity check.  Nor
             # does a closed form's family class, a sum of exceptional classes:
@@ -442,22 +469,31 @@ class _QuantumRing:
             # class(S') = class(S) + class(P'), so every exceptional class is a
             # sum of primitive classes.  decompose_effective could fail on it
             # only by its node budget, which would refuse a well-defined product.
-            _, delta, shift = step
-            result = {k + shift: c for k, c in self.reduce(key + delta, rng, memo).items()}
+            _, delta, shift = steps[0] if rng is None or len(steps) == 1 else rng.choice(steps)
+            # the target's parts as they are, under the two shifts' sum
+            sub_shift, parts = self.reduce(key + delta, rng, memo)
+            result = (shift + sub_shift, parts)
         elif not (repeated := (key + ring.at_least_two) & ring.high):
             # square-free, and no primitive set in its support: a cone
-            result = self.closed_form(ring.support(key)[0])
+            result = (0, self.closed_form(ring.support(key)[0]))
         else:
             # a repeated D_i on a cone, traded in a maximal cone mu over it:
-            # the lowest i and the first mu, unless rng draws i, then mu
+            # the i of least exponent (the lowest on a tie) and the first mu,
+            # unless rng draws i, then mu
             rays = cohomology._rays(repeated)
-            i = rays[0] if rng is None or len(rays) == 1 else rng.choice(rays)
+            if len(rays) == 1:
+                i = rays[0]
+            elif rng is None:
+                i = min(rays, key=lambda r: (key >> _FIELD_BITS * r) & _FIELD_MASK)
+            else:
+                i = rng.choice(rays)
             above = ring.support(key)[1]
             mu = above[0] if rng is None or len(above) == 1 else rng.choice(above)
             acc: _Parts = {}
             for sub, c in ring.linear_step(key, i, mu):
-                _add_into(acc, self.reduce(sub, rng, memo), c)
-            result = _prune(acc)
+                sub_shift, parts = self.reduce(sub, rng, memo)
+                _add_into(acc, parts, c, sub_shift)
+            result = (0, _prune(acc))
         memo[key] = result
         return result
 
@@ -482,7 +518,8 @@ class _QuantumRing:
             q0 = {m: c for m, c in form.items() if 0 <= m < top}
             if q0 != {k: 1}:
                 raise RingInconsistent(f"the closed form of basis cone {k} has q^0 part {q0}")
-        acc = dict(self.reduce(ring.pack(taus[i]) + ring.pack(taus[j])))
+        shift, parts = self.reduce(ring.pack(taus[i]) + ring.pack(taus[j]))
+        acc = {k + shift: c for k, c in parts.items()}
         # the q-terms of x_i negated, and -b_i against those of x_j; their
         # classes are closed-form family classes, effective (see reduce)
         self.mul({m: -c for m, c in x.items() if not 0 <= m < top}, y, acc)
@@ -560,7 +597,7 @@ def divisor_product_closed_form(fan: Fan, sigma: Sequence[int]) -> QuantumClass:
     sigma the exponent does not meet with pairing one.  Needs the full class.
     """
     ring = _qring(fan)
-    return ring.to_class(ring.reduce(ring.cring.pack(fan_mod._cone_key(fan, sigma))))
+    return ring.to_class(_shifted(ring.reduce(ring.cring.pack(fan_mod._cone_key(fan, sigma)))))
 
 
 def reduce_monomial(
@@ -574,11 +611,13 @@ def reduce_monomial(
     test suite uses as a confluence audit.  rng must be None or an object
     with a callable choice, such as random.Random (ValueError otherwise).
 
-    Every strategy is memoized.  The deterministic one shares the ring's
-    memo across calls.  A random one gets a fresh memo for this call, so
-    each distinct sub-monomial is expanded once, with its choices drawn at
-    its first visit: within the call the strategy is a function of the
-    monomial.  The audit loses no power by this.  If some strategies,
+    Every strategy is memoized.  The deterministic one (the first contained
+    primitive set in primitive_data order, else the repeated divisor of
+    least exponent, the lowest index on a tie, in the first maximal cone
+    over the support) shares the ring's memo across calls.  A random one
+    gets a fresh memo for this call, so each distinct sub-monomial is
+    expanded once, with its choices drawn at its first visit: within the
+    call the strategy is a function of the monomial.  The audit loses no power by this.  If some strategies,
     however they choose, disagree on a monomial, take a least monomial
     below it in the rewrite order (well founded, since the rewrite ends) on
     which some disagree.  Every strategy agrees below that one, so its
@@ -593,12 +632,16 @@ def reduce_monomial(
     not an int with ValueError and one that names no ray with
     IndexOutOfRange.  Below FullClass the rewrite is
     not confluent, and NotInClass is raised.
+
+    The memo holds each monomial's entry (shift, parts), under which a
+    primitive-set step shares its target's parts; the result is those parts,
+    copied once with the shift added where it is nonzero.
     """
     if rng is not None and not callable(getattr(rng, "choice", None)):
         raise ValueError(f"rng {rng!r} is neither None nor an object with a choice method")
     mono = _check_monomial(fan, monomial)
     ring = _qring(fan)
-    return ring.to_class(ring.reduce(ring.cring.pack(mono), rng))
+    return ring.to_class(_shifted(ring.reduce(ring.cring.pack(mono), rng)))
 
 
 def evaluate_terms(fan: Fan, terms: Sequence[QuantumTerm]) -> QuantumClass:
@@ -618,8 +661,8 @@ def evaluate_terms(fan: Fan, terms: Sequence[QuantumTerm]) -> QuantumClass:
     for term in terms:
         fan_mod._strict_instance(term, QuantumTerm, "term")
         coeff = cohomology._strict_rational(term.coefficient, "coefficient")
-        red = ring.reduce(ring.cring.pack(_check_monomial(fan, term.monomial)))
-        _add_into(acc, red, coeff, ring.check_curve(term.curve) << ring.bits)
+        shift, parts = ring.reduce(ring.cring.pack(_check_monomial(fan, term.monomial)))
+        _add_into(acc, parts, coeff, shift + (ring.check_curve(term.curve) << ring.bits))
     return ring.to_class(acc)
 
 

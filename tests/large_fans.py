@@ -21,7 +21,12 @@ from test_fano import (
     _enumerated_primitive_exceptional_sets,
     _special_reference,
 )
-from test_quantum import _check_against_the_tuple_rewrite, _giambelli_pair_product, _pair_monomials
+from test_quantum import (
+    _check_against_the_tuple_rewrite,
+    _giambelli_pair_product,
+    _pair_monomials,
+    _rewrite_depth,
+)
 
 from toricqh import catalog, cohomology, quantum
 from toricqh import fan as fan_mod
@@ -58,10 +63,25 @@ def products(gl_image):
     return out
 
 
-def test_random_rewrites_of_d1_18_equal_the_deterministic_one(bl3p2):
-    expected = quantum.reduce_monomial(bl3p2, (0,) * 18)
-    for seed in range(3):
-        assert quantum.reduce_monomial(bl3p2, (0,) * 18, random.Random(seed)) == expected, seed
+def test_random_rewrites_of_every_d_i_32_equal_the_deterministic_one(bl3p2):
+    start = time.perf_counter()
+    for i in range(bl3p2.n_rays):
+        expected = quantum.reduce_monomial(bl3p2, (i,) * 32)
+        for seed in range(3):
+            assert quantum.reduce_monomial(bl3p2, (i,) * 32, random.Random(seed)) == expected, (i, seed)
+    print(f"\nD_i^32 on Bl3P^2, deterministic and three seeds: {time.perf_counter() - start:.2f} s")
+
+
+def test_the_rewrite_of_every_d_i_40_on_bl3p2_recurses_at_most_3k_deep(bl3p2):
+    # the tier-1 depth count on the corpus's largest fan, every strategy
+    start = time.perf_counter()
+    deepest = 0
+    for i in range(bl3p2.n_rays):
+        for seed in (None, 0, 1, 2):
+            depth = _rewrite_depth(bl3p2, (i,) * 40, None if seed is None else random.Random(seed))
+            assert depth <= 3 * 40, (i, seed, depth)
+            deepest = max(deepest, depth)
+    print(f"\nD_i^40 on Bl3P^2: at most {deepest} frames deep, {time.perf_counter() - start:.2f} s")
 
 
 def test_d1_32_as_a_chain_of_products_equals_the_rewrite(bl3p2):

@@ -1,4 +1,6 @@
 import heapq
+import itertools
+import random
 from itertools import combinations
 
 import pytest
@@ -107,6 +109,51 @@ def test_wall_classes_pair_as_intersection_numbers(corpus, p3, bundle3, threefol
             assert curves.wall_curve_class(fan, wall).pairings == want, wall
             walls += 1
     assert walls == 100
+
+
+def test_memoized_wall_classes_equal_a_cold_recomputation(corpus, threefolds, gl_image):
+    # each wall's class is solved on its first call and read from the fan's
+    # _wall_classes after; on every wall of the corpus, the threefolds and
+    # two GL images of each, the read equals a solve from empty caches
+    rng = random.Random(37)
+    fans = 0
+    for fan in list(corpus.values()) + list(threefolds.values()):
+        for f in (fan, gl_image(fan, rng), gl_image(fan, rng)):
+            walls = [w for w in fan_mod.faces(f) if len(w) == f.dim - 1]
+            cold = {}
+            for w in walls:
+                fan_mod.clear_caches()
+                cold[w] = curves.wall_curve_class(f, w)
+            warm = {w: curves.wall_curve_class(f, w) for w in reversed(walls)}
+            assert {w: curves.wall_curve_class(f, w[::-1]) for w in walls} == warm == cold
+            assert curves._wall_classes(f) == cold
+            fans += 1
+    assert fans == 3 * 9
+
+
+def test_a_walk_solves_each_wall_once(corpus, threefolds, monkeypatch):
+    # counted, not timed: the trees of every sum of two primitive classes
+    # build one wall relation per distinct wall they cross
+    relation_class, calls = fan_mod._relation_class, []
+
+    def counted(fan, lhs, rhs):
+        calls.append(fan)
+        return relation_class(fan, lhs, rhs)
+
+    for fan in list(corpus.values()) + list(threefolds.values()):
+        fan_mod.clear_caches()
+        pds = fan_mod.primitive_data(fan)  # its relations are not the walls'
+        monkeypatch.setattr(fan_mod, "_relation_class", counted)
+        calls.clear()
+        crossed = set()
+        for a, b in itertools.product(pds, repeat=2):
+            try:
+                trees = curves.tree_for_class(fan, a.cls + b.cls)
+            except PreconditionFailed:
+                continue
+            crossed.update(wall for tree, _ in trees for wall, _ in tree.edges)
+        monkeypatch.undo()
+        assert len(calls) == len(crossed) > 0, fan
 
 
 def test_min_tree_oracles(p2, bl1p2, f2):

@@ -501,8 +501,10 @@ def test_rewrite_refuses_a_strategy_without_choice(p2, rng):
 
 def test_audit_still_catches_the_shared_head_defect(shared_head, monkeypatch):
     # X's ring, built past its FullClass gate: a random strategy draws once
-    # per distinct monomial per call, and still disagrees with the
-    # deterministic one exactly where drawing afresh at every visit did
+    # per distinct monomial per call and still finds the defect.  The pins
+    # are those of the deterministic strategy that trades the repeated
+    # divisor of least exponent: it takes the branch seed 0 takes on
+    # (0, 0, 0, 2, 5, 5), so seeds 1 to 3 are the ones that disagree there
     x = shared_head["x"]
     classify = fano.classify
 
@@ -520,8 +522,8 @@ def test_audit_still_catches_the_shared_head_defect(shared_head, monkeypatch):
                 for seed in range(4):
                     if quantum.reduce_monomial(x, mono, random.Random(seed)) != expected:
                         found.append((mono, seed))
-        assert ((0, 0, 0, 2, 5, 5), 0) in found
-        assert len(found) == 10, found
+        assert {seed for mono, seed in found if mono == (0, 0, 0, 2, 5, 5)} == {1, 2, 3}, found
+        assert len(found) == 26, found
     finally:
         clear_caches()  # X's ring must not outlive the patch
 
@@ -530,20 +532,27 @@ def test_a_random_rewrite_expands_each_monomial_once(bl3p2, monkeypatch):
     # counted, not timed: drawn afresh at every visit, D1^16 took minutes.
     # reduce is the recursive core, called once per step on a packed monomial
     reduce, pack = quantum._QuantumRing.reduce, coho._ring(bl3p2).pack
-    expanded = []
+    expanded, memos = [], []
 
     def counted(ring, key, rng=None, memo=None):
         if memo is None or key not in memo:
             expanded.append(key)
+        if memo is not None:
+            memos.append(memo)
         return reduce(ring, key, rng, memo)
 
     monkeypatch.setattr(quantum._QuantumRing, "reduce", counted)
     for k in range(2, 19, 4):
         for seed in range(3):
             expanded.clear()
+            memos.clear()
             quantum.reduce_monomial(bl3p2, (0,) * k, random.Random(seed))
             assert expanded[0] == pack((0,) * k)
             assert len(expanded) == len(set(expanded)), (k, seed)
+            # every recursive call went through the counter, one fresh memo
+            # per call, and each of its entries was expanded once
+            assert len({id(memo) for memo in memos}) == 1, (k, seed)
+            assert sorted(expanded) == sorted(memos[0]), (k, seed)
 
 
 def test_a_random_rewrite_of_a_high_power_agrees(bl3p2, deadline):
@@ -553,13 +562,114 @@ def test_a_random_rewrite_of_a_high_power_agrees(bl3p2, deadline):
             assert quantum.reduce_monomial(bl3p2, (0,) * 18, random.Random(seed)) == expected, seed
 
 
+def _primitive_steps(fan, key):
+    """The steps of the primitive sets a packed monomial's support contains,
+    in primitive_data order, read off the fan: (target, q-shift) each."""
+    ring, cring = quantum._qring(fan), coho._ring(fan)
+    support = {i for i, e in enumerate(_fields(key, fan.n_rays)) if e}
+    out = []
+    for pd in fan_mod.primitive_data(fan):
+        if set(pd.set) <= support:
+            rhs = [j for j, a in zip(pd.rhs_cone, pd.rhs_coeffs) for _ in range(a)]
+            out.append((key - cring.pack(pd.set) + cring.pack(rhs), quantum._pack(pd.cls.pairings) << ring.bits))
+    return out
+
+
+def test_a_primitive_step_shares_its_targets_parts(corpus, threefolds):
+    # an entry whose monomial contains a primitive set holds the very parts
+    # of its target, under the sum of the step's and the target's shifts;
+    # every other entry (a linear step or a closed form) holds parts of its
+    # own, so no entry is a re-keyed copy.  The deterministic memo takes the
+    # first step; a random memo, passed in, one of those it contains
+    for name, fan in sorted({**corpus, **threefolds}.items()):
+        if fano.classify(fan).tier < fano.Tier.FULL_CLASS:
+            continue
+        clear_caches()
+        ring, pack = quantum._qring(fan), coho._ring(fan).pack
+        drawn = {}
+        for i in range(fan.n_rays):
+            ring.reduce(pack((i,) * 3 * fan.dim))
+            ring.reduce(pack((i,) * 3 * fan.dim), random.Random(i), drawn)
+        for memo, deterministic in ((ring.reduce_memo, True), (drawn, False)):
+            own = 0
+            for key, (shift, parts) in memo.items():
+                steps = _primitive_steps(fan, key)
+                if not steps:
+                    own += 1
+                    continue
+                if deterministic:
+                    steps = steps[:1]
+                assert any(
+                    target in memo and memo[target][1] is parts and memo[target][0] + step == shift
+                    for target, step in steps
+                ), (name, key)
+            assert len({id(parts) for _, parts in memo.values()}) == own < len(memo), name
+
+
+def test_the_deterministic_rewrite_of_each_divisor_power_expands_alike(bl3p2):
+    # the repeated divisor of least exponent is traded first, whatever the
+    # ray labels: trading the lowest index took 1,288-1,298 entries on D1^24
+    # .. D3^24 and 337-338 on D4^24 .. D6^24
+    counts = []
+    for i in range(bl3p2.n_rays):
+        clear_caches()
+        quantum.reduce_monomial(bl3p2, (i,) * 24)
+        counts.append(len(quantum._qring(bl3p2).reduce_memo))
+    clear_caches()
+    assert counts == [340, 335, 329, 337, 338, 338]
+
+
+def _rewrite_depth(fan, mono, rng=None):
+    """How deep the recursive core, _QuantumRing.reduce, recurses on a
+    monomial from empty caches: counted by a wrapper patched in for the one
+    call, the caches emptied again after it."""
+    reduce = quantum._QuantumRing.reduce
+    depth = [0, 0]
+
+    def counted(ring, key, rng=None, memo=None):
+        depth[0] += 1
+        depth[1] = max(depth)
+        try:
+            return reduce(ring, key, rng, memo)
+        finally:
+            depth[0] -= 1
+
+    clear_caches()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quantum._QuantumRing, "reduce", counted)
+        try:
+            quantum.reduce_monomial(fan, mono, rng)
+        finally:
+            clear_caches()
+    return depth[1]
+
+
+def test_the_rewrite_recurses_at_most_three_frames_per_degree(corpus):
+    # counted, not timed: on D_i^40, deterministic and under Random(0), the
+    # core recurses at most 3k deep (3k - 3 on Bl1P^2 and Bl2P^2; Bl3P^2 at
+    # k = 40 is in tests/large_fans.py), and Bl1P^2 at the cap reaches
+    # 3 * 128 - 3 = 381 frames, below the default recursion limit of 1000
+    runs = [(name, fan, 40) for name, fan in corpus.items() if name != "bl3p2"]
+    runs.append(("bl1p2", corpus["bl1p2"], quantum.MAX_REWRITE_DEGREE))
+    deepest = {}
+    for name, fan, k in runs:
+        for i in range(fan.n_rays):
+            for rng in (None, random.Random(0)):
+                depth = _rewrite_depth(fan, (i,) * k, rng)
+                assert depth <= 3 * k, (name, i, k, rng, depth)
+                deepest[name, k] = max(deepest.get((name, k), 0), depth)
+    assert deepest["bl1p2", 40] == deepest["bl2p2", 40] == 3 * 40 - 3
+    assert deepest["bl1p2", quantum.MAX_REWRITE_DEGREE] == 381
+
+
 def _tuple_reduce(fan, mono, rng=None, memo=None):
     """The reference rewrite on sorted tuples of divisor indices: the flat
     normal form of a sorted monomial, in the engine's key layout; without
     rng it makes the packed rewrite's choices.  It reads the primitive data, the
     linear rows, the special-set families and the face tables, and none of
     the packed code.  A random strategy draws at every choice, a fresh memo
-    per call."""
+    per call.  A primitive-set step copies its target's form shifted, as the
+    packed rewrite's entries (shift, parts) avoid doing."""
     ring, cring = quantum._qring(fan), coho._ring(fan)
     memo = {} if memo is None else memo
     cached = memo.get(mono)
@@ -589,7 +699,9 @@ def _tuple_reduce(fan, mono, rng=None, memo=None):
         # a repeated D_i traded by its linear row in a maximal cone over the support
         above = fan_mod._face_index(fan)[support]
         repeated = tuple(dict.fromkeys(a for a, b in zip(mono, mono[1:]) if a == b))
-        i, mu = (repeated[0], above[0]) if rng is None else (rng.choice(repeated), rng.choice(above))
+        # deterministic: the repeated divisor of least exponent, the lowest on a tie
+        least = min(repeated, key=lambda r: (mono.count(r), r))
+        i, mu = (least, above[0]) if rng is None else (rng.choice(repeated), rng.choice(above))
         rest = list(mono)
         rest.remove(i)
         acc = {}
@@ -604,14 +716,15 @@ def _tuple_reduce(fan, mono, rng=None, memo=None):
 def _check_against_the_tuple_rewrite(fan, monomials, seeds=(0, 1, 2)):
     """The packed rewrite equals the tuple reference on each sorted
     monomial, deterministic and under each seeded random strategy (both
-    sides drawn from the same seed), coefficient types included."""
+    sides drawn from the same seed), coefficient types included; the packed
+    side is compared as the form its entry (shift, parts) stands for."""
     ring, pack = quantum._qring(fan), coho._ring(fan).pack
     for mono in monomials:
         want = _tuple_reduce(fan, mono)
-        got = ring.reduce(pack(mono))
+        got = quantum._shifted(ring.reduce(pack(mono)))
         assert got == want and _typed(ring.to_class(got)) == _typed(ring.to_class(want)), mono
         for seed in seeds:
-            assert ring.reduce(pack(mono), random.Random(seed)) == want, (mono, seed)
+            assert quantum._shifted(ring.reduce(pack(mono), random.Random(seed))) == want, (mono, seed)
             assert _tuple_reduce(fan, mono, random.Random(seed)) == want, (mono, seed)
 
 
