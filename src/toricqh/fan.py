@@ -225,8 +225,9 @@ def curve_class(fan: Fan, pairings: Sequence[int]) -> CurveClass:
     if len(pairings) != _strict_instance(fan, Fan, "fan").n_rays:
         raise NotEffective("pairing vector length does not match the ray count")
     cls = CurveClass(tuple(pairings))
-    terms = [(b, ray) for b, ray in zip(cls.pairings, fan.rays) if b]
-    if any(sum(b * ray[t] for b, ray in terms) for t in range(fan.dim)):
+    # one vector sum: the weighted rays, added coordinate by coordinate
+    weighted = (map(b.__mul__, ray) for b, ray in zip(cls.pairings, fan.rays) if b)
+    if any(map(sum, zip(*weighted))):
         raise NotEffective("pairings do not define a curve class (ray sum is nonzero)")
     return cls
 

@@ -116,7 +116,9 @@ def exceptional_sets(fan: Fan) -> tuple[ExceptionalData, ...]:
     a member h of a set found is replaced by the set P' of a relation
     sum P' = rho_h, and the result is kept when its rays, listed with
     repetition, are independent, which also rejects a P' that meets the
-    rest or holds the exceptional ray.  The closure misses none.  An
+    rest or holds the exceptional ray.  A candidate with more rays than the
+    dimension, or with a ray twice, is dependent as it stands, so only the
+    others go to the rank test.  The closure misses none.  An
     exceptional set S of e (independent, sum S = rho_e) spans no cone, or
     rho_e would be one of its members, so S contains a primitive set P.  On
     this tier P's relation reads sum P = 0, impossible as S is independent,
@@ -134,24 +136,30 @@ def exceptional_sets(fan: Fan) -> tuple[ExceptionalData, ...]:
                 continue
             cand = [i for i in s if i != p.exc] + list(p.set)
             key = tuple(sorted(cand))
-            if key not in found and lattice.rank([fan.rays[i] for i in cand]) == len(cand):
+            if key in found or len(cand) > fan.dim or len(set(cand)) < len(cand):
+                continue
+            if lattice.rank([fan.rays[i] for i in cand]) == len(cand):
                 found[key] = ExceptionalData(key, e, fan_mod._relation_class(fan, key, ((e, 1),)))
                 todo.append(found[key])
     return tuple(sorted(found.values(), key=lambda x: (len(x.set), x.set)))
 
 
 def special_exceptional_sets(fan: Fan, sigma: Sequence[int]) -> tuple[ExceptionalData, ...]:
-    """Exceptional sets special for the cone sigma: all members but one lie
-    in sigma and so does the exceptional ray."""
-    members = set(fan_mod._cone_key(fan, sigma))
-    out = []
-    for exc in exceptional_sets(fan):
-        if exc.exc not in members:
-            continue
-        inside = sum(1 for i in exc.set if i in members)
-        if inside >= len(exc.set) - 1:
-            out.append(exc)
-    return tuple(out)
+    """Exceptional sets special for the cone sigma, in the order of
+    exceptional_sets: the exceptional ray lies in sigma, and so do at least
+    |S| - 1 members of the set S.  Then exactly |S| - 1 do: S with its
+    exceptional ray is dependent, as sum S = rho_e, and the rays of a cone
+    are not."""
+    return _special_sets(fan, fan_mod._cone_key(fan, sigma))
+
+
+def _special_sets(fan: Fan, sigma: Cone) -> tuple[ExceptionalData, ...]:
+    """special_exceptional_sets of a cone key sigma, taken as it is."""
+    members = set(sigma)
+    return tuple(
+        exc for exc in exceptional_sets(fan)
+        if exc.exc in members and sum(i not in members for i in exc.set) <= 1
+    )
 
 
 def family_predicates(family: Sequence[ExceptionalData]) -> dict[str, bool]:

@@ -310,6 +310,8 @@ class _QuantumRing:
         self.steps: dict[int, list[tuple[int, int, int]]] = {}
         # packed monomial -> its normal form as an entry, closed forms included
         self.reduce_memo: dict[int, _Entry] = {}
+        # the packed basis cones, for pair_product's closed forms and rewrites
+        self.basis_keys = [cring.pack(tau) for tau in cring.basis_tau]
         self.pair_cache: dict[tuple[int, int], _Parts] = {}
         # pairings -> packed class, for the classes check_curve passed and
         # those decoded that fit a key; packed class -> class, for the latter
@@ -407,25 +409,28 @@ class _QuantumRing:
         return tuple(map(sum, zip(zero, *(exc.cls.pairings for exc in family))))
 
     def families(self, sigma: Cone, predicate: str):
-        """Subsets of the special sets of sigma with distinct exceptional
-        divisors and the named compatibility predicate."""
-        specials = fano.special_exceptional_sets(self.fan, sigma)
-        out = []
-        for size in range(len(specials) + 1):
+        """Subsets of the special sets of the cone key sigma with distinct
+        exceptional divisors and the named compatibility predicate, in the
+        order of combinations.  The empty family and each single set pass
+        every predicate, as an exceptional set misses its own exceptional
+        ray, so only families of two or more sets are tested."""
+        specials = fano._special_sets(self.fan, sigma)
+        out = [()] + [(exc,) for exc in specials]
+        for size in range(2, len(specials) + 1):
             for family in combinations(specials, size):
                 preds = fano.family_predicates(family)
                 if preds["distinct_exc"] and preds[predicate]:
                     out.append(family)
         return out
 
-    def closed_form(self, sigma: Cone) -> _Parts:
-        # reduce's memo, as the entry (0, parts): a cone monomial leaves no
-        # free choice, so its entry serves every strategy
-        ring = self.cring
-        key = ring.pack(sigma)
+    def closed_form(self, key: int, sigma: Cone) -> _Parts:
+        # the closed form of the cone key sigma, packed as key, in reduce's
+        # memo as the entry (0, parts): a cone monomial leaves no free choice,
+        # so its entry serves every strategy
         cached = self.reduce_memo.get(key)
         if cached is not None:
             return cached[1]
+        ring = self.cring
         total: _Parts = {}
         for family in self.families(sigma, "no_overlaps"):
             # a sum of exceptional classes, so effective: no check (reduce says why)
@@ -475,7 +480,7 @@ class _QuantumRing:
             result = (shift + sub_shift, parts)
         elif not (repeated := (key + ring.at_least_two) & ring.high):
             # square-free, and no primitive set in its support: a cone
-            result = (0, self.closed_form(ring.support(key)[0]))
+            result = (0, self.closed_form(key, ring.support(key)[0]))
         else:
             # a repeated D_i on a cone, traded in a maximal cone mu over it:
             # the i of least exponent (the lowest on a tie) and the first mu,
@@ -511,14 +516,13 @@ class _QuantumRing:
         cached = self.pair_cache.get(key)
         if cached is not None:
             return cached
-        ring, top = self.cring, 1 << self.bits
-        taus = ring.basis_tau
-        x, y = self.closed_form(taus[i]), self.closed_form(taus[j])
+        top, taus, keys = 1 << self.bits, self.cring.basis_tau, self.basis_keys
+        x, y = self.closed_form(keys[i], taus[i]), self.closed_form(keys[j], taus[j])
         for k, form in ((i, x), (j, y)):
             q0 = {m: c for m, c in form.items() if 0 <= m < top}
             if q0 != {k: 1}:
                 raise RingInconsistent(f"the closed form of basis cone {k} has q^0 part {q0}")
-        shift, parts = self.reduce(ring.pack(taus[i]) + ring.pack(taus[j]))
+        shift, parts = self.reduce(keys[i] + keys[j])
         acc = {k + shift: c for k, c in parts.items()}
         # the q-terms of x_i negated, and -b_i against those of x_j; their
         # classes are closed-form family classes, effective (see reduce)

@@ -23,6 +23,7 @@ from test_fano import (
 )
 from test_quantum import (
     _check_against_the_tuple_rewrite,
+    _filtered_families,
     _giambelli_pair_product,
     _pair_monomials,
     _rewrite_depth,
@@ -184,6 +185,25 @@ def test_exceptional_and_special_sets_equal_the_subset_search(products, name):
             assert special == _special_reference(want, sigma), sigma
         print(f"\n{name}: {len(want)} exceptional sets, special sets of {len(specials)} faces;"
               f" search {search_s * 1e3:.1f} ms, cold closure and special sets {closure_s * 1e3:.1f} ms")
+
+
+@pytest.mark.parametrize("name", WITH_BL3)
+def test_families_equal_the_filter_of_every_subset(products, name):
+    # the tier-1 check on the products with Bl3P^2 factors and their images:
+    # every face, both predicates, order included
+    fan, images = products[name]
+    for f in [fan] + images:
+        ring = quantum._qring(f)
+        start = time.perf_counter()
+        faces = fan_mod.faces(f)
+        got = {(sigma, p): ring.families(sigma, p) for sigma in faces for p in ("no_overlaps", "no_cycles")}
+        families_s = time.perf_counter() - start
+        start = time.perf_counter()
+        for (sigma, p), families in got.items():
+            assert families == _filtered_families(f, sigma, p), (sigma, p)
+        filter_s = time.perf_counter() - start
+        print(f"\n{name}: {sum(map(len, got.values()))} families over {len(faces)} faces;"
+              f" ring {families_s * 1e3:.1f} ms, subset filter {filter_s * 1e3:.1f} ms")
 
 
 def _pair_table(fan):

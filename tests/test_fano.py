@@ -267,6 +267,32 @@ def test_primitive_exceptional_sets_match_the_enumeration(gl_image):
     assert stages == 192
 
 
+def test_no_elimination_where_independence_is_impossible(gl_image, monkeypatch):
+    # a candidate with more rays than the dimension, or with a ray twice, is
+    # dependent as it stands and goes to no rank test; on Bl2P^2 and Bl3P^2
+    # every candidate the closure meets is one
+    fans = _blow_down_fans(gl_image)
+    want = {name: _enumerated_exceptional_sets(fan) for name, fan in fans.items()}
+    rank, calls = lattice.rank, []
+
+    def counted(rows):
+        calls.append([tuple(row) for row in rows])
+        return rank(rows)
+
+    monkeypatch.setattr(lattice, "rank", counted)
+    total = 0
+    for name, fan in fans.items():
+        fan_mod.clear_caches()
+        calls.clear()
+        assert fano.exceptional_sets(fan) == want[name], name
+        for rows in calls:
+            assert len(rows) <= fan.dim and len(set(rows)) == len(rows), (name, rows)
+        if name.split("@")[0] in ("bl2p2", "bl3p2"):
+            assert calls == [], name
+        total += len(calls)
+    assert total == 240
+
+
 def test_primitive_exceptional_sets_keep_the_tier_gate(f2, bundle3):
     # below SubvarietiesFano both routes refuse; a rejected fan is refused first
     for fan in (f2, bundle3):

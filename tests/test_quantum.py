@@ -4,7 +4,7 @@ import random
 import re
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
@@ -328,6 +328,47 @@ def test_family_classes_decompose_into_primitive_classes(corpus, threefolds, fan
         families += len(found)
         classes += len(set(found))
     assert (len(fans), families, classes) == (18, 598, 59)
+
+
+def _filtered_families(fan, sigma, predicate):
+    """The reference families of the face sigma: every subset of its special
+    sets, in the order of combinations, kept when its exceptional divisors
+    are distinct and it passes the named predicate."""
+    specials = fano.special_exceptional_sets(fan, sigma)
+    return [
+        family
+        for size in range(len(specials) + 1)
+        for family in combinations(specials, size)
+        if (preds := fano.family_predicates(family))["distinct_exc"] and preds[predicate]
+    ]
+
+
+def test_families_equal_the_filter_of_every_subset(corpus, fano_threefolds, gl_image):
+    # the ring keeps the empty family and each single set untested; every
+    # family still equals the filter, order included, which orders the
+    # Giambelli terms the CLI prints
+    p1 = catalog.projective_space(1)
+    fans = {
+        **corpus, **fano_threefolds,
+        "bl2xp1": catalog.product(catalog.blowup_p2_two(), p1),
+        "bl3xp1": catalog.product(catalog.blowup_p2_three(), p1),
+    }
+    fans = {name: fan for name, fan in fans.items() if fano.classify(fan).tier is fano.Tier.FULL_CLASS}
+    for name in list(fans):
+        rng = random.Random(name)
+        for k in range(2):
+            fans[f"{name}@{k}"] = gl_image(fans[name], rng)
+    faces = families = larger = 0
+    for name, fan in fans.items():
+        ring = quantum._qring(fan)
+        for sigma in fan_mod.faces(fan):
+            for predicate in ("no_overlaps", "no_cycles"):
+                got = ring.families(sigma, predicate)
+                assert got == _filtered_families(fan, sigma, predicate), (name, sigma, predicate)
+                families += len(got)
+                larger += sum(len(family) > 1 for family in got)
+            faces += 1
+    assert (len(fans), faces, families, larger) == (57, 1317, 3906, 12)
 
 
 def test_gw_oracles(p2, p1xp1, bl1p2):
@@ -1397,8 +1438,8 @@ def test_a_closed_form_off_its_basis_class_is_refused(bl1p2, monkeypatch, corrup
     taus, closed_form = coho.basis_tau(bl1p2), quantum._QuantumRing.closed_form
     k = next(k for k, tau in enumerate(taus) if len(tau) == 1)
 
-    def tampered(ring, sigma):
-        form = dict(closed_form(ring, sigma))
+    def tampered(ring, key, sigma):
+        form = dict(closed_form(ring, key, sigma))
         if sigma == taus[k]:
             assert form[k] == 1 and k + 1 not in form and k + 1 < 2**ring.bits
             corrupt(form, k)
