@@ -4,10 +4,11 @@ A tree is built by repeatedly crossing walls of the ambient fan.  Starting
 at the fixed point of a maximal cone mu and aiming at the divisor D_d, the
 walk expresses rho_d in the basis of the current cone and crosses the wall
 opposite the smallest-index generator carrying a negative coordinate; the
-negated coordinate is the multiplicity of that edge.  Each wall crossing
-contributes a 1-stratum curve class, and under the stronger tiers the
-accumulated class realizes the lattice distance, which the degree_verified
-flag records.
+negated coordinate is the multiplicity of that edge.  Each crossing adds
+its wall's relation, solved in the cone the walk stands in (_wall_relation),
+times that multiplicity into the tree's one pairing vector, checked once as
+a curve class.  Under the stronger tiers the accumulated class realizes the
+lattice distance, which the degree_verified flag records.
 """
 
 from __future__ import annotations
@@ -54,32 +55,28 @@ def wall_curve_class(fan: Fan, wall: Cone) -> CurveClass:
 
     With rho and rho' the generators opposite the wall in its two maximal
     cones, rho + rho' = sum(a_j rho_j) over the wall, and the stratum pairs
-    +1 with the opposite divisors and -a_j with the wall divisors.  The two
-    maximal cones come from the face index.  The argument is checked on
-    every call; the class, which depends on the fan alone, is solved once
-    per wall and kept in the fan's _wall_classes.
+    +1 with the opposite divisors and -a_j with the wall divisors.  The
+    argument is checked on every call, and the relation is solved in the
+    first maximal cone above the wall in the face index (_wall_relation).
     """
     key = fan_mod._cone_key(fan, wall)
     if len(key) != fan.dim - 1:
         raise NotACone(f"{tuple(i + 1 for i in key)} is not a wall")
-    known = _wall_classes(fan)
-    cls = known.get(key)
-    if cls is None:
-        owners = fan_mod._face_index(fan)[key]
-        rho = next(iter(set(owners[0]) - set(key)))
-        rho2 = next(iter(set(owners[1]) - set(key)))
-        coords = dict(zip(owners[1], fan_mod.coords_in_basis(fan, owners[1], fan.rays[rho])))
-        if coords[rho2] != -1:
-            raise RingInconsistent(f"wall {tuple(i + 1 for i in key)}: crossing is not unimodular")
-        cls = known[key] = fan_mod._relation_class(fan, (rho, rho2), ((j, coords[j]) for j in key))
-    return cls
+    mu = fan_mod._face_index(fan)[key][0]
+    return fan_mod._relation_class(fan, *_wall_relation(fan, mu, mu.index(sum(mu) - sum(key))))
 
 
-@fan_mod.per_fan
-def _wall_classes(fan: Fan) -> dict[Cone, CurveClass]:
-    """wall -> the class of its 1-stratum, filled by wall_curve_class once
-    its checks have passed."""
-    return {}
+def _wall_relation(fan: Fan, mu: Cone, t: int) -> tuple[tuple[int, int], tuple[tuple[int, int], ...]]:
+    """The relation rho + rho' = sum(a_j rho_j) of the wall of the maximal
+    cone mu opposite its t-th ray rho, as fan._relation_class's arguments:
+    rho' is the ray the walk plan brings in across the wall, and the a_j are
+    its coordinates in mu, read off mu's validated inverse, -1 at rho."""
+    rho, far = mu[t], fan_mod._complex(fan).across[mu][t][1]
+    coords = fan_mod.coords_in_basis(fan, mu, fan.rays[far])
+    if coords[t] != -1:
+        wall = fan_mod._one_based(mu[:t] + mu[t + 1 :])
+        raise RingInconsistent(f"wall {wall}: crossing is not unimodular")
+    return (rho, far), tuple((j, a) for j, a in zip(mu, coords) if j != rho)
 
 
 def min_tree(fan: Fan, mu: Cone, d: int) -> ToricTree:
@@ -88,7 +85,7 @@ def min_tree(fan: Fan, mu: Cone, d: int) -> ToricTree:
     (d,) = fan_mod._ray_indices(fan, (d,), "ray index")
     verified = fano.classify(fan).tier >= fano.Tier.SUBVARIETIES_FANO
     edges: list[tuple[Cone, int]] = []
-    total = CurveClass((0,) * fan.n_rays)
+    pairings = [0] * fan.n_rays
     current = root
     across = fan_mod._complex(fan).across  # the cone across each facet
     seen: set[Cone] = set()  # the next cone depends on the current one alone
@@ -102,11 +99,15 @@ def min_tree(fan: Fan, mu: Cone, d: int) -> ToricTree:
             raise LocateFailure(
                 f"ray {d + 1} lies inside cone {tuple(i + 1 for i in current)}"
             )
-        wall = current[:t] + current[t + 1 :]
-        edges.append((wall, -coords[t]))
-        total = total + wall_curve_class(fan, wall).scaled(-coords[t])
+        mult = -coords[t]
+        edges.append((current[:t] + current[t + 1 :], mult))
+        lhs, rhs = _wall_relation(fan, current, t)
+        for i in lhs:
+            pairings[i] += mult
+        for j, a in rhs:
+            pairings[j] -= mult * a
         current = across[current][t][0]
-    return ToricTree(root, d, tuple(edges), total, verified)
+    return ToricTree(root, d, tuple(edges), fan_mod.curve_class(fan, pairings), verified)
 
 
 def tree_for_class(fan: Fan, beta: CurveClass) -> tuple[tuple[ToricTree, int], ...]:

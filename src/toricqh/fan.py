@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 from functools import wraps
 from itertools import combinations, permutations
+from math import gcd
 from operator import add, mul, sub
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
@@ -341,7 +342,7 @@ def _validated(fan: Fan) -> tuple[ValidationReport, Optional[dict], Optional[dic
             problems.append(f"ray {i + 1} has length {len(ray)}, expected {n}")
         elif all(x == 0 for x in ray):
             problems.append(f"ray {i + 1} is zero")
-        elif lattice.primitive_vector(ray) != ray:
+        elif gcd(*ray) != 1:
             problems.append(f"ray {i + 1} = {ray} is not primitive")
     if len(set(fan.rays)) != m:
         problems.append("ray generators are not pairwise distinct")
@@ -729,13 +730,10 @@ def decompose_effective(fan: Fan, beta: CurveClass) -> tuple[tuple[PrimitiveData
                 raise SearchBudgetExceeded(
                     f"greedy decomposition took more than {SEARCH_NODE_BUDGET} steps"
                 )
-            positives = {i for i, b in enumerate(current) if b > 0}
-            chosen = None
-            for at, pd in enumerate(pdata):
-                if set(pd.set).issubset(positives):
-                    chosen = pd
+            for at, chosen in enumerate(pdata):
+                if all(current[i] > 0 for i in chosen.set):
                     break
-            if chosen is None:
+            else:
                 raise NotEffective("no primitive set lies in the positive support")
             # Subtract the class k times at once, k the number of times in a
             # row it would be the first eligible class.  It pairs to 1 with

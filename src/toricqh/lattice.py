@@ -27,14 +27,6 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
 
 
-def primitive_vector(v: Sequence[int]) -> Vector:
-    """Divide a nonzero integer vector by the gcd of its entries."""
-    g = gcd(*v)
-    if g == 0:
-        raise ValueError("zero vector has no primitive part")
-    return tuple(a // g for a in v)
-
-
 def mat_vec(matrix: Sequence[Sequence[int]], v: Sequence[int]) -> Vector:
     return tuple(dot(row, v) for row in matrix)
 

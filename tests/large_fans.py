@@ -16,6 +16,7 @@ import time
 
 import pytest
 from test_cohomology import _eliminated_table
+from test_curves import _check_walls_and_tree_totals
 from test_fano import (
     _enumerated_exceptional_sets,
     _enumerated_primitive_exceptional_sets,
@@ -204,6 +205,18 @@ def test_families_equal_the_filter_of_every_subset(products, name):
         filter_s = time.perf_counter() - start
         print(f"\n{name}: {sum(map(len, got.values()))} families over {len(faces)} faces;"
               f" ring {families_s * 1e3:.1f} ms, subset filter {filter_s * 1e3:.1f} ms")
+
+
+@pytest.mark.parametrize("name", WITH_BL3)
+def test_wall_classes_and_tree_totals_equal_the_face_index_solve(products, name):
+    # the tier-1 check on the products with Bl3P^2 factors and one image of
+    # each: every wall class, and every tree of every sum of two primitive
+    # classes against its edges' wall classes
+    fan, images = products[name]
+    for f in (fan, images[0]):
+        start = time.perf_counter()
+        walls, trees = _check_walls_and_tree_totals(f)
+        print(f"\n{name}: {walls} walls and {trees} trees in {time.perf_counter() - start:.2f} s")
 
 
 def _pair_table(fan):

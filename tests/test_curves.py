@@ -111,10 +111,10 @@ def test_wall_classes_pair_as_intersection_numbers(corpus, p3, bundle3, threefol
     assert walls == 100
 
 
-def test_memoized_wall_classes_equal_a_cold_recomputation(corpus, threefolds, gl_image):
-    # each wall's class is solved on its first call and read from the fan's
-    # _wall_classes after; on every wall of the corpus, the threefolds and
-    # two GL images of each, the read equals a solve from empty caches
+def test_a_cold_wall_class_equals_a_second_call_in_either_order(corpus, threefolds, gl_image):
+    # on every wall of the corpus, the threefolds and two GL images of each,
+    # a solve from empty caches equals a second call, the wall given sorted
+    # or reversed
     rng = random.Random(37)
     fans = 0
     for fan in list(corpus.values()) + list(threefolds.values()):
@@ -126,34 +126,97 @@ def test_memoized_wall_classes_equal_a_cold_recomputation(corpus, threefolds, gl
                 cold[w] = curves.wall_curve_class(f, w)
             warm = {w: curves.wall_curve_class(f, w) for w in reversed(walls)}
             assert {w: curves.wall_curve_class(f, w[::-1]) for w in walls} == warm == cold
-            assert curves._wall_classes(f) == cold
             fans += 1
     assert fans == 3 * 9
 
 
-def test_a_walk_solves_each_wall_once(corpus, threefolds, monkeypatch):
+def test_a_walk_builds_no_wall_class(corpus, threefolds, monkeypatch):
     # counted, not timed: the trees of every sum of two primitive classes
-    # build one wall relation per distinct wall they cross
-    relation_class, calls = fan_mod._relation_class, []
+    # solve each crossed wall in place and build no class for it; the one
+    # curve_class check per tree_for_class call is beta's, plus one per tree
+    relation_class, curve_class = fan_mod._relation_class, fan_mod.curve_class
+    relations, checks = [], []
 
-    def counted(fan, lhs, rhs):
-        calls.append(fan)
+    def counted_relation(fan, lhs, rhs):
+        relations.append(fan)
         return relation_class(fan, lhs, rhs)
+
+    def counted_check(fan, pairings):
+        checks.append(fan)
+        return curve_class(fan, pairings)
 
     for fan in list(corpus.values()) + list(threefolds.values()):
         fan_mod.clear_caches()
         pds = fan_mod.primitive_data(fan)  # its relations are not the walls'
-        monkeypatch.setattr(fan_mod, "_relation_class", counted)
-        calls.clear()
-        crossed = set()
+        monkeypatch.setattr(fan_mod, "_relation_class", counted_relation)
+        monkeypatch.setattr(fan_mod, "curve_class", counted_check)
+        relations.clear()
+        checks.clear()
+        calls = trees = 0
         for a, b in itertools.product(pds, repeat=2):
+            calls += 1
             try:
-                trees = curves.tree_for_class(fan, a.cls + b.cls)
+                trees += len(curves.tree_for_class(fan, a.cls + b.cls))
             except PreconditionFailed:
                 continue
-            crossed.update(wall for tree, _ in trees for wall, _ in tree.edges)
         monkeypatch.undo()
-        assert len(calls) == len(crossed) > 0, fan
+        assert relations == [], fan
+        assert len(checks) == calls + trees and trees > 0, fan
+
+
+def _face_index_wall_class(fan, wall):
+    """The reference for wall_curve_class: the wall's owners from the face
+    index, and the coordinates of the first owner's opposite ray in the
+    second owner."""
+    key = tuple(sorted(wall))
+    first, second = fan_mod._face_index(fan)[key]
+    (rho,), (rho2,) = set(first) - set(key), set(second) - set(key)
+    coords = dict(zip(second, fan_mod.coords_in_basis(fan, second, fan.rays[rho])))
+    assert coords[rho2] == -1, wall
+    return fan_mod._relation_class(fan, (rho, rho2), ((j, coords[j]) for j in key))
+
+
+def _check_walls_and_tree_totals(fan):
+    """Every wall class against the face-index solve, and every tree of
+    every sum of two primitive classes against the sum of its edges' wall
+    classes with multiplicity; the counts of walls and trees checked."""
+    walls = [w for w in fan_mod.faces(fan) if len(w) == fan.dim - 1]
+    for wall in walls:
+        assert curves.wall_curve_class(fan, wall) == _face_index_wall_class(fan, wall), wall
+    pds, trees = fan_mod.primitive_data(fan), 0
+    for a, b in itertools.product(pds, repeat=2):
+        try:
+            found = curves.tree_for_class(fan, a.cls + b.cls)
+        except PreconditionFailed:
+            continue
+        for tree, _ in found:
+            total = CurveClass((0,) * fan.n_rays)
+            for wall, mult in tree.edges:
+                total = total + curves.wall_curve_class(fan, wall).scaled(mult)
+            assert tree.cls == total, (a.set, b.set, tree)
+            trees += 1
+    return len(walls), trees
+
+
+def test_wall_classes_and_tree_totals_equal_the_face_index_solve(
+    corpus, threefolds, fano_threefolds, gl_image
+):
+    p2 = catalog.projective_plane()
+    bases = (
+        list(corpus.values())
+        + list(threefolds.values())
+        + list(fano_threefolds.values())
+        + [catalog.product(p2, p2)]
+    )
+    rng = random.Random(39)
+    walls = trees = fans = 0
+    for fan in bases:
+        for f in (fan, gl_image(fan, rng), gl_image(fan, rng)):
+            w, t = _check_walls_and_tree_totals(f)
+            walls, trees, fans = walls + w, trees + t, fans + 1
+    assert fans == 3 * len(bases)
+    assert walls > 0 and trees > 0
+    print(f"{fans} fans, {walls} walls, {trees} trees")
 
 
 def test_min_tree_oracles(p2, bl1p2, f2):

@@ -50,13 +50,6 @@ def test_integer_inverse_round_trip():
         lattice.integer_inverse([[1, 1], [1, 1]])
 
 
-def test_primitive_vector():
-    assert lattice.primitive_vector((2, 4)) == (1, 2)
-    assert lattice.primitive_vector((-3, 0)) == (-1, 0)
-    with pytest.raises(ValueError):
-        lattice.primitive_vector((0, 0))
-
-
 def outcome(fn, *args):
     try:
         return fn(*args)
