@@ -213,7 +213,7 @@ def _compute_shelling(fan: Fan) -> tuple[Shelling, dict[Cone, int]]:
         raise RingInconsistent(f"perturbation {chosen} ties or misorders two cone pairings")
 
     # mu keeps ray i unless the cone across from it in the walk plan comes later
-    across = fan_mod._complex(fan).across
+    across = fan_mod.require_accepted(fan)[0].across
     position = {mu: k for k, mu in enumerate(order)}
     taus = tuple(
         tuple(i for i, step in zip(mu, across[mu]) if position[step[0]] < k)
@@ -227,6 +227,7 @@ class _CohomologyRing:
         if fano.classify(fan).tier < fano.Tier.FANO:
             raise NotFano("the stratum basis needs a Fano fan")
         self.fan = fan
+        self.complex, self.inverses = fan_mod.require_accepted(fan)
         self.shelling, self.position = _compute_shelling(fan)
         self.basis_tau = self.shelling.tau
         if len(self.basis_tau) != len(self.shelling.order):
@@ -244,7 +245,7 @@ class _CohomologyRing:
         self.unit_index = zeros[0]
         # the faces of each degree, which the face index lists by size: one
         # pass per ring, read by table
-        self.faces = {d: list(fs) for d, fs in groupby(fan_mod._face_index(fan), len)}
+        self.faces = {d: list(fs) for d, fs in groupby(self.complex.index, len)}
         # degree -> (quotient dimension, face -> basis index -> coeff), each
         # read off the shelling and certified by every relation among the faces
         self._tables: dict[int, tuple[int, dict[Cone, dict[int, int]]]] = {}
@@ -280,7 +281,7 @@ class _CohomologyRing:
         tab = self._tables.get(degree)
         if tab is not None:
             return tab
-        index, taus, order = fan_mod._face_index(self.fan), self.basis_tau, self.shelling.order
+        index, taus, order = self.complex.index, self.basis_tau, self.shelling.order
         ids = self.by_degree.get(degree, [])
         if len({taus[i] for i in ids}) != len(ids):
             raise RingInconsistent(f"degree {degree}: duplicate tau monomial")
@@ -352,7 +353,7 @@ class _CohomologyRing:
         being the row of mu's inverse for ray i; memoized per (mu, i)."""
         row = self._linear_rows.get((mu, i))
         if row is None:
-            phi = fan_mod.cone_inverse(self.fan, mu)[mu.index(i)]
+            phi = self.inverses[mu][mu.index(i)]
             pairs = ((j, -lattice.dot(phi, ray)) for j, ray in enumerate(self.fan.rays) if j not in mu)
             row = self._linear_rows[mu, i] = tuple((j, c) for j, c in pairs if c)
         return row
@@ -370,7 +371,7 @@ class _CohomologyRing:
         entry = self._supports.get(mask)
         if entry is None:
             rays = tuple(_rays(mask))
-            entry = self._supports[mask] = (rays, fan_mod._face_index(self.fan).get(rays, []))
+            entry = self._supports[mask] = (rays, self.complex.index.get(rays, []))
         return entry
 
     def linear_step(self, key: int, i: int, mu: Cone) -> list[tuple[int, int]]:
@@ -409,7 +410,7 @@ class _CohomologyRing:
     def normal_form(self, poly: Mapping[Monomial, Rational]) -> CohomologyClass:
         coords: dict[int, Rational] = {}
         for mono, coeff in poly.items():
-            indices = fan_mod._ray_indices(self.fan, mono, "divisor index")
+            indices = fan_mod._ray_indices(self.fan, mono, "divisor index", "monomial")
             coeff = _strict_rational(coeff, "coefficient")
             if coeff == 0 or len(indices) > self.fan.dim:
                 continue
@@ -462,7 +463,7 @@ def degree_dimension(fan: Fan, degree: int) -> int:
     u) on the table bounds it from above.  It is compared against the
     shelling census, and a mismatch raises RingInconsistent.
     """
-    return _ring(fan).quotient_dimension(degree)
+    return _ring(fan).quotient_dimension(fan_mod._strict_int(degree, "degree"))
 
 
 def class_degrees(fan: Fan, cls: CohomologyClass) -> set[int]:

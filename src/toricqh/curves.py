@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import fan as fan_mod, fano
+from . import fan as fan_mod, fano, lattice
 from .errors import LocateFailure, NotACone, PreconditionFailed, RingInconsistent
 from .fan import Cone, CurveClass, Fan
 
@@ -37,7 +37,7 @@ def signed_distance(fan: Fan, mu: Cone, rho_index: int) -> int:
     is (fan._ray_indices).
     """
     mu = _check_max_cone(fan, mu)
-    (rho_index,) = fan_mod._ray_indices(fan, (rho_index,), "ray index")
+    (rho_index,) = fan_mod._ray_indices(fan, (rho_index,), "ray index", "rho_index")
     coords = fan_mod.coords_in_basis(fan, mu, fan.rays[rho_index])
     return 1 - sum(coords)
 
@@ -62,17 +62,20 @@ def wall_curve_class(fan: Fan, wall: Cone) -> CurveClass:
     key = fan_mod._cone_key(fan, wall)
     if len(key) != fan.dim - 1:
         raise NotACone(f"{tuple(i + 1 for i in key)} is not a wall")
-    mu = fan_mod._face_index(fan)[key][0]
-    return fan_mod._relation_class(fan, *_wall_relation(fan, mu, mu.index(sum(mu) - sum(key))))
+    record = fan_mod.require_accepted(fan)
+    mu = record[0].index[key][0]
+    return fan_mod._relation_class(fan, *_wall_relation(fan, record, mu, mu.index(sum(mu) - sum(key))))
 
 
-def _wall_relation(fan: Fan, mu: Cone, t: int) -> tuple[tuple[int, int], tuple[tuple[int, int], ...]]:
+def _wall_relation(
+    fan: Fan, record: tuple, mu: Cone, t: int
+) -> tuple[tuple[int, int], tuple[tuple[int, int], ...]]:
     """The relation rho + rho' = sum(a_j rho_j) of the wall of the maximal
     cone mu opposite its t-th ray rho, as fan._relation_class's arguments:
     rho' is the ray the walk plan brings in across the wall, and the a_j are
-    its coordinates in mu, read off mu's validated inverse, -1 at rho."""
-    rho, far = mu[t], fan_mod._complex(fan).across[mu][t][1]
-    coords = fan_mod.coords_in_basis(fan, mu, fan.rays[far])
+    its coordinates in mu, -1 at rho, both read off the fan's record."""
+    rho, far = mu[t], record[0].across[mu][t][1]
+    coords = lattice.mat_vec(record[1][mu], fan.rays[far])
     if coords[t] != -1:
         wall = fan_mod._one_based(mu[:t] + mu[t + 1 :])
         raise RingInconsistent(f"wall {wall}: crossing is not unimodular")
@@ -82,18 +85,18 @@ def _wall_relation(fan: Fan, mu: Cone, t: int) -> tuple[tuple[int, int], tuple[t
 def min_tree(fan: Fan, mu: Cone, d: int) -> ToricTree:
     """Greedy wall-crossing chain from the fixed point of mu to D_d."""
     root = _check_max_cone(fan, mu)
-    (d,) = fan_mod._ray_indices(fan, (d,), "ray index")
+    (d,) = fan_mod._ray_indices(fan, (d,), "ray index", "d")
     verified = fano.classify(fan).tier >= fano.Tier.SUBVARIETIES_FANO
     edges: list[tuple[Cone, int]] = []
     pairings = [0] * fan.n_rays
     current = root
-    across = fan_mod._complex(fan).across  # the cone across each facet
+    record = fan_mod.require_accepted(fan)  # the walk plan and the cone inverses
     seen: set[Cone] = set()  # the next cone depends on the current one alone
     while d not in current:
         if current in seen:
             raise LocateFailure(f"wall-crossing walk toward ray {d + 1} runs in a loop")
         seen.add(current)
-        coords = fan_mod.coords_in_basis(fan, current, fan.rays[d])
+        coords = lattice.mat_vec(record[1][current], fan.rays[d])
         t = next((t for t, c in enumerate(coords) if c < 0), None)
         if t is None:
             raise LocateFailure(
@@ -101,12 +104,12 @@ def min_tree(fan: Fan, mu: Cone, d: int) -> ToricTree:
             )
         mult = -coords[t]
         edges.append((current[:t] + current[t + 1 :], mult))
-        lhs, rhs = _wall_relation(fan, current, t)
+        lhs, rhs = _wall_relation(fan, record, current, t)
         for i in lhs:
             pairings[i] += mult
         for j, a in rhs:
             pairings[j] -= mult * a
-        current = across[current][t][0]
+        current = record[0].across[current][t][0]
     return ToricTree(root, d, tuple(edges), fan_mod.curve_class(fan, pairings), verified)
 
 
@@ -118,10 +121,10 @@ def tree_for_class(fan: Fan, beta: CurveClass) -> tuple[tuple[ToricTree, int], .
     outside mu contributes its pairing many copies of the greedy chain from mu.
     A beta that is not a CurveClass is refused with ValueError.
     """
-    fan_mod.require_accepted(fan)
+    index = fan_mod.require_accepted(fan)[0].index
     beta = fan_mod.curve_class(fan, fan_mod._strict_instance(beta, CurveClass, "beta").pairings)
     negatives = tuple(i for i, b in enumerate(beta.pairings) if b < 0)
-    above = fan_mod._face_index(fan).get(negatives)
+    above = index.get(negatives)
     if above is None:
         raise PreconditionFailed("divisors with negative pairing do not lie in one maximal cone")
     mu = above[0]

@@ -13,10 +13,11 @@ cone shape checks, the facet and ray cover checks, the walls, the plan of
 the wall walk (each step's far cone, new ray and row sources), the
 primitive sets and the face index, which answers every cone question: each
 cone, by dimension then lexicographically, mapped to the maximal cones
-containing it in fan.max_cones order.  _ray_indices is the
-one check of a caller's ray or divisor indices, and _cone_key, built on
-it, the one check that turns a caller's cone argument into its sorted key;
-both word an index out of range 1-based.
+containing it in fan.max_cones order.  require_accepted, the one gate,
+hands every layer the accepted fan's record: its complex and its cone
+inverses.  _ray_indices is the one check of a caller's ray or divisor
+indices, and _cone_key, built on it, the one check that turns a caller's
+cone argument into its sorted key; both word an index out of range 1-based.
 
 Whatever is computed once per fan, here or in a module built on this one,
 is a function of the fan decorated with per_fan: its value is memoized in
@@ -325,16 +326,16 @@ def validate(fan: Fan) -> ValidationReport:
 
 
 @per_fan
-def _validated(fan: Fan) -> tuple[ValidationReport, Optional[dict], Optional[dict]]:
-    """The validation report, with the face index and the cone inverses
+def _validated(fan: Fan) -> tuple[ValidationReport, Optional[_Complex], Optional[dict]]:
+    """The validation report, with the fan's _Complex and its cone inverses
     (maximal cone -> cone_inverse) once the fan is accepted, else None.
-    The checks that read only the cones come from the fan's _complex."""
+    The checks that read only the cones come from the complex."""
     problems: list[str] = []
     n, m = fan.dim, fan.n_rays
 
     if n == 0:
         if fan.rays == () and fan.max_cones == ((),):
-            return ValidationReport(True, ()), {(): [()]}, {(): ()}
+            return ValidationReport(True, ()), _complex(fan), {(): ()}
         return ValidationReport(False, ("a 0-dimensional fan must be empty",)), None, None
 
     for i, ray in enumerate(fan.rays):
@@ -370,7 +371,7 @@ def _validated(fan: Fan) -> tuple[ValidationReport, Optional[dict], Optional[dic
                 problems.append(f"maximal cones {_one_based(first)} and {_one_based(cone)} overlap")
     if problems:
         return ValidationReport(False, tuple(problems)), None, None
-    return ValidationReport(True, ()), cx.index, inverses
+    return ValidationReport(True, ()), cx, inverses
 
 
 class _Complex(NamedTuple):
@@ -494,23 +495,29 @@ def _one_based(cone: Iterable[int]) -> tuple[int, ...]:
     return tuple(i + 1 for i in cone)
 
 
-def require_accepted(fan: Fan) -> None:
-    _face_index(fan)
+def require_accepted(fan: Fan) -> tuple[_Complex, dict[Cone, tuple[Vector, ...]]]:
+    """The record of an accepted fan, read only: its _Complex and its cone
+    inverses.  FanNotAccepted, carrying the report, for a rejected fan."""
+    report, cx, inverses = _validated(fan)
+    if cx is None:
+        raise FanNotAccepted(report)
+    return cx, inverses
 
 
 def _face_index(fan: Fan) -> dict[Cone, list[Cone]]:
-    """The face index of an accepted fan (module docstring); read only, since
-    every fan of its complex shares it, owner lists included.  FanNotAccepted,
-    carrying the report, for a rejected fan."""
-    report, index, _ = _validated(fan)
-    if index is None:
-        raise FanNotAccepted(report)
-    return index
+    """The face index of an accepted fan (module docstring), read only."""
+    return require_accepted(fan)[0].index
 
 
-def _ray_indices(fan: Fan, indices: Iterable[int], what: str) -> tuple[int, ...]:
-    """A caller's ray or divisor indices, in the given order, once each is an
-    int (ValueError naming `what`) naming a ray (IndexOutOfRange, 1-based)."""
+def _ray_indices(fan: Fan, indices: Sequence[int], what: str, name: str) -> tuple[int, ...]:
+    """A caller's ray or divisor indices, in the given order, once the
+    argument is a tuple or list (ValueError naming it as `name`: a set, a
+    mapping, bytes or an iterator is never read as indices) and each index
+    is an int (ValueError naming `what`) naming a ray (IndexOutOfRange,
+    1-based)."""
+    if not isinstance(indices, (tuple, list)):
+        plural = what.replace("index", "indices")
+        raise ValueError(f"{name} {indices!r} is not a tuple or list of {plural}")
     out = tuple(indices)
     for i in out:  # one type test per index: normal forms call this per monomial
         if type(i) is not int:
@@ -527,7 +534,7 @@ def _ray_indices(fan: Fan, indices: Iterable[int], what: str) -> tuple[int, ...]
 def _cone_key(fan: Fan, indices: Sequence[int]) -> Cone:
     """The sorted key of a cone argument; ValueError for a non-int index,
     IndexOutOfRange, or NotACone (a repeated index spans no cone)."""
-    key = tuple(sorted(_ray_indices(fan, indices, "cone index")))
+    key = tuple(sorted(_ray_indices(fan, indices, "cone index", "cone")))
     if key not in _face_index(fan):
         raise NotACone(f"{_one_based(key)} does not span a cone")
     return key
@@ -560,10 +567,7 @@ def cone_inverse(fan: Fan, max_cone: Cone) -> tuple[Vector, ...]:
     index tuple, as in fan.max_cones, else NotACone.  FanNotAccepted for a
     rejected fan.
     """
-    report, _, inverses = _validated(fan)
-    if inverses is None:
-        raise FanNotAccepted(report)
-    inverse = inverses.get(max_cone)
+    inverse = require_accepted(fan)[1].get(max_cone)
     if inverse is None:
         raise NotACone(f"{_one_based(max_cone)} is not a maximal cone as a sorted index tuple")
     return inverse
@@ -574,11 +578,9 @@ def coords_in_basis(fan: Fan, max_cone: Cone, v: Sequence[int]) -> tuple[int, ..
     return lattice.mat_vec(cone_inverse(fan, max_cone), v)
 
 
-@per_fan
 def primitive_sets(fan: Fan) -> tuple[Cone, ...]:
     """All primitive sets: minimal collections of rays spanning no cone."""
-    _face_index(fan)
-    return _complex(fan).psets
+    return require_accepted(fan)[0].psets
 
 
 def _primitive_sets(index: dict[Cone, list[Cone]], m: int) -> tuple[Cone, ...]:
@@ -600,10 +602,10 @@ def primitive_relation(fan: Fan, pset: Sequence[int]) -> PrimitiveData:
     The sum has nonnegative coordinates in some maximal cone; the rays with
     positive ones span the cone holding it, with those as coefficients.
     """
-    key = tuple(sorted(_ray_indices(fan, pset, "ray index")))
+    key = tuple(sorted(_ray_indices(fan, pset, "ray index", "pset")))
     if key not in primitive_sets(fan):
         raise PreconditionFailed(f"{_one_based(key)} is not a primitive set")
-    return _relation(fan, _validated(fan)[2], key)
+    return _relation(fan, require_accepted(fan)[1], key)
 
 
 def _relation(fan: Fan, inverses: dict[Cone, tuple], key: Cone) -> PrimitiveData:
@@ -626,9 +628,8 @@ def _relation(fan: Fan, inverses: dict[Cone, tuple], key: Cone) -> PrimitiveData
 
 @per_fan
 def primitive_data(fan: Fan) -> tuple[PrimitiveData, ...]:
-    psets = primitive_sets(fan)  # FanNotAccepted first
-    inverses = _validated(fan)[2]
-    return tuple(_relation(fan, inverses, p) for p in psets)
+    cx, inverses = require_accepted(fan)
+    return tuple(_relation(fan, inverses, p) for p in cx.psets)
 
 
 def star(fan: Fan, sigma: Sequence[int]) -> Fan:

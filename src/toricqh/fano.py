@@ -238,7 +238,7 @@ def blow_down_tower(fan: Fan, order: Optional[Sequence[int]] = None) -> list[Fan
     and by default, the exceptional ray with the smallest current index goes
     first.  Every intermediate fan must stay in FullClass.
     """
-    order = fan_mod._ray_indices(fan, order or (), "ray index")
+    order = fan_mod._ray_indices(fan, () if order is None else order, "ray index", "order")
     fan_mod.require_accepted(fan)
     tower = [fan]
     pending = [fan.rays[i] for i in order]

@@ -227,17 +227,14 @@ _FIELD_BITS = cohomology._FIELD_BITS
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
 
 def _check_monomial(fan: Fan, monomial: Sequence[int]) -> tuple[int, ...]:
-    """The monomial's divisor indices, once it is a tuple or list (ValueError
-    naming it: a mapping, a string, bytes or an iterator is not read as one),
-    its degree is at most MAX_REWRITE_DEGREE and its indices pass
-    fan._ray_indices (nothing is coerced)."""
-    if not isinstance(monomial, (tuple, list)):
-        raise ValueError(f"monomial {monomial!r} is not a tuple or list of divisor indices")
-    if len(monomial) > MAX_REWRITE_DEGREE:
+    """The monomial's divisor indices, once they pass fan._ray_indices
+    (nothing is coerced) and its degree is at most MAX_REWRITE_DEGREE."""
+    mono = fan_mod._ray_indices(fan, monomial, "divisor index", "monomial")
+    if len(mono) > MAX_REWRITE_DEGREE:
         raise PreconditionFailed(
-            f"monomial of degree {len(monomial)} is above the rewrite cap {MAX_REWRITE_DEGREE}"
+            f"monomial of degree {len(mono)} is above the rewrite cap {MAX_REWRITE_DEGREE}"
         )
-    return fan_mod._ray_indices(fan, monomial, "divisor index")
+    return mono
 
 
 def _key_bits(size: int) -> int:

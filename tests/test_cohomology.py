@@ -180,6 +180,13 @@ def test_degree_dimension_matches_census(corpus, p3, bundle3):
         assert coho.degree_dimension(fan, fan.dim + 1) == 0
 
 
+@pytest.mark.parametrize("degree", [True, 2.0, "1", None])
+def test_degree_dimension_refuses_a_degree_that_is_not_an_int(p2, degree):
+    # True and 2.0 were read as 1 and 2, and "1" and None escaped as a bare TypeError
+    with pytest.raises(ValueError, match="degree"):
+        coho.degree_dimension(p2, degree)
+
+
 def test_normal_form_oracles(p2, bl1p2):
     h = coho.basis_class(p2, 1)
     assert coho.normal_form(p2, {(0,): Fraction(1)}) == h

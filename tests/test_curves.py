@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from toricqh import catalog, cohomology, curves, fan as fan_mod
+from toricqh import catalog, cohomology, curves, fan as fan_mod, fano, lattice
 from toricqh.errors import (
     FanNotAccepted,
     IndexOutOfRange,
@@ -241,18 +241,21 @@ def test_min_tree_oracles(p2, bl1p2, f2):
 
 
 def test_min_tree_stops_a_looping_walk(p1xp1, monkeypatch):
-    # coordinates that always drop the second generator bounce the walk
-    # from {1,3} to {1,4} and back, never reaching D2
+    # coordinates of D2 that always drop the second generator bounce the
+    # walk from {1,3} to {1,4} and back, never reaching D2; the walk reads
+    # them with lattice.mat_vec off the fan's validated inverses
+    fano.classify(p1xp1)  # the tier min_tree reads is computed unpatched
+    cone_of = {fan_mod.cone_inverse(p1xp1, mu): mu for mu in p1xp1.max_cones}
     steps = []
-    real = fan_mod.coords_in_basis
+    real = lattice.mat_vec
 
-    def bouncing(fan, cone, v):
-        if v != fan.rays[1]:
-            return real(fan, cone, v)
-        steps.append(cone)
+    def bouncing(matrix, v):
+        if v != p1xp1.rays[1]:
+            return real(matrix, v)
+        steps.append(cone_of[matrix])
         return (0, -1)
 
-    monkeypatch.setattr(fan_mod, "coords_in_basis", bouncing)
+    monkeypatch.setattr(lattice, "mat_vec", bouncing)
     with pytest.raises(LocateFailure, match="loop"):
         curves.min_tree(p1xp1, (0, 2), 1)
     assert steps == [(0, 2), (0, 3)]

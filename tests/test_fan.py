@@ -297,6 +297,55 @@ def test_ray_entry_points_check_their_indices(bl3p2, entry, bad):
         assert "index 1.0 is not an integer" in str(err.value)
 
 
+# every public entry that takes ray or cone indices, with the container of
+# indices it is handed: on Bl3P^2, (1, 4) is a maximal cone, (1,) a wall and
+# ray 4 heads an exceptional relation, so each entry accepts the indices
+_INDEX_ARGUMENTS = {
+    "is_cone": lambda fan, c: fan_mod.is_cone(fan, c((0, 3))),
+    "star": lambda fan, c: fan_mod.star(fan, c((0,))),
+    "primitive_relation": lambda fan, c: fan_mod.primitive_relation(fan, c((0, 1))),
+    "stratum_class": lambda fan, c: cohomology.stratum_class(fan, c((0,))),
+    "normal_form": lambda fan, c: cohomology.normal_form(fan, {c((0, 3)): 1}),
+    "wall_curve_class": lambda fan, c: curves.wall_curve_class(fan, c((0,))),
+    "signed_distance": lambda fan, c: curves.signed_distance(fan, c((0, 3)), 2),
+    "min_tree": lambda fan, c: curves.min_tree(fan, c((0, 3)), 2),
+    "special_exceptional_sets": lambda fan, c: fano.special_exceptional_sets(fan, c((0,))),
+    "blow_down_tower": lambda fan, c: fano.blow_down_tower(fan, order=c((3,))),
+    "giambelli": lambda fan, c: quantum.giambelli(fan, c((0, 3))),
+    "divisor_product_closed_form": lambda fan, c: quantum.divisor_product_closed_form(fan, c((0, 3))),
+}
+# containers that are no tuple or list; each was read as the indices it
+# holds (a mapping as its keys, bytes as ints, a set in its iteration order,
+# an empty one as no indices), or None escaped as a bare TypeError
+_CONTAINERS = {
+    "mapping": lambda idx: dict.fromkeys(idx, 9),
+    "bytes": bytes,
+    "set": set,
+    "frozenset": frozenset,
+    "empty set": lambda idx: set(),
+    "iterator": iter,
+    "None": lambda idx: None,
+}
+_UNHASHABLE = {"mapping", "set", "empty set"}  # no key of normal_form's poly
+
+
+@pytest.mark.parametrize(
+    "entry, container",
+    [
+        (entry, container)
+        for entry in sorted(_INDEX_ARGUMENTS)
+        for container in _CONTAINERS
+        if not (entry == "normal_form" and container in _UNHASHABLE)
+        and not (entry == "blow_down_tower" and container == "None")  # None is its default
+    ],
+)
+def test_index_arguments_are_a_tuple_or_list(bl3p2, entry, container):
+    call = _INDEX_ARGUMENTS[entry]
+    call(bl3p2, tuple)  # the same indices in a tuple are read
+    with pytest.raises(ValueError, match=r"is not a tuple or list of (ray|cone|divisor) indices"):
+        call(bl3p2, _CONTAINERS[container])
+
+
 def test_equal_fans_share_one_context(bl3p2):
     again = Fan.from_json_dict(json.loads(json.dumps(bl3p2.to_json_dict())))
     assert again is not bl3p2 and again == bl3p2 and hash(again) == hash(bl3p2)
@@ -388,6 +437,38 @@ def test_the_complex_is_built_once_for_images_of_one_fan(bl3p2, gl_image, monkey
     assert fan_mod._DERIVED == {}
     fan_mod.primitive_sets(images[-1])
     assert len(builds) == 2
+
+
+def test_no_layer_looks_the_complex_up_after_validation(corpus, threefolds, gl_image, monkeypatch):
+    # validation keeps each fan's complex in the fan's record; the shelling,
+    # the ring tables in every degree, every wall class and every tree of
+    # every sum of two primitive classes read the record, and none looks
+    # the complex up again
+    monkeypatch.setattr(fan_mod, "_DERIVED", {})  # every fan starts cold
+    rng = random.Random(40)
+    bases = list(corpus.values()) + list(threefolds.values())
+    fans = [f for fan in bases for f in (fan, gl_image(fan, rng), gl_image(fan, rng))]
+    for fan in fans:
+        assert fan_mod.validate(fan).accepted
+    lookups = []
+    lookup = fan_mod._complex
+    monkeypatch.setattr(fan_mod, "_complex", lambda fan: lookups.append(fan) or lookup(fan))
+    walls = trees = 0
+    for fan in fans:
+        cohomology.shelling(fan)
+        for d in range(fan.dim + 1):
+            cohomology.degree_dimension(fan, d)
+        for wall in fan_mod.faces(fan):
+            if len(wall) == fan.dim - 1:
+                curves.wall_curve_class(fan, wall)
+                walls += 1
+        for a, b in combinations_with_replacement(fan_mod.primitive_data(fan), 2):
+            try:
+                trees += len(curves.tree_for_class(fan, a.cls + b.cls))
+            except PreconditionFailed:
+                continue
+    assert lookups == []
+    assert len(fans) == 27 and walls > 0 and trees > 0
 
 
 def test_primitive_sets_oracles(corpus):
@@ -1019,8 +1100,8 @@ def test_per_fan_memoizes_values_and_not_exceptions(p2, f2):
             fano.classify(rejected)
     assert fan_mod.validate(rejected) is fan_mod.validate(rejected)
     point = Fan(0, (), ((),))
-    assert fan_mod.primitive_sets(point) == ()
-    assert fan_mod._DERIVED[point][fan_mod.primitive_sets.__wrapped__] == ()
+    assert fan_mod.primitive_data(point) == ()
+    assert fan_mod._DERIVED[point][fan_mod.primitive_data.__wrapped__] == ()
 
 
 # an argument for each parameter of an export that takes a fan first, valid on

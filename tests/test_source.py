@@ -1,9 +1,10 @@
 """Rules on the source of src/toricqh, checked on every run of the suite.
 
 No assert statement (python -O strips them), imports from the standard
-library alone, no fractions in the integer-only core (lattice, quantum), and
-no dataclasses: a cold import of every submodule loads none of the modules
-dataclasses would bring in.
+library alone, no fractions in the integer-only core (lattice, quantum), no
+dataclasses: a cold import of every submodule loads none of the modules
+dataclasses would bring in, and no lookup of a fan's complex outside
+validation.
 """
 
 import ast
@@ -92,3 +93,27 @@ def test_no_dataclasses_and_a_cold_import_loads_none_of_their_modules():
     loaded = set(proc.stdout.split())
     assert {f"toricqh.{name}" for name in names} <= loaded
     assert loaded & HEAVY == set()
+
+
+def test_only_validation_looks_the_complex_up():
+    # validation keeps each fan's complex in the fan's record, which
+    # fan.require_accepted hands out: no other module names the lookup, and
+    # in fan no other function calls it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "fan.py"
+        for node in ast.walk(_tree(path))
+        if (isinstance(node, ast.Attribute) and node.attr == "_complex")
+        or (isinstance(node, ast.Name) and node.id == "_complex")
+        or (isinstance(node, ast.alias) and node.name == "_complex")
+    ]
+    assert found == []
+    callers = {
+        func.name
+        for func in ast.walk(_tree(SRC / "toricqh" / "fan.py"))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_complex"
+    }
+    assert callers == {"_validated"}
